@@ -398,6 +398,15 @@ mod tests {
 
         let mut pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 3).unwrap();
         assert_eq!(pool.len(), 3);
+        // Shards (and a plain model clone) read one physical copy of every
+        // embedding table.
+        let model_clone = pool[0].model().clone();
+        for t in 0..config.num_tables {
+            let rows = |m: &DlrmModel| m.embeddings().table(t).as_slice().as_ptr();
+            let first = rows(pool[0].model());
+            assert!(pool.iter().all(|shard| rows(shard.model()) == first));
+            assert_eq!(rows(&model_clone), first);
+        }
         // Every shard is fully booted and serves identical results.
         let reference = pool[0].infer_batch(&batch.dense, &batch.sparse).unwrap();
         for shard in &mut pool {

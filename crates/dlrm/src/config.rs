@@ -84,6 +84,27 @@ impl ModelConfig {
                 "MLP layer widths must be non-zero".into(),
             ));
         }
+        // Sparse indices are `u32`, so further rows could never be read, and
+        // the byte sizes below size real allocations: reject instead of
+        // wrapping.
+        if self.rows_per_table > u64::from(u32::MAX) {
+            return Err(DlrmError::InvalidConfig(format!(
+                "rows_per_table ({}) exceeds the u32 index range",
+                self.rows_per_table
+            )));
+        }
+        let table_bytes = self.checked_table_bytes().ok_or_else(|| {
+            DlrmError::InvalidConfig(format!(
+                "one table of {} rows x {} elements x {EMBEDDING_ELEM_BYTES} bytes overflows",
+                self.rows_per_table, self.embedding_dim
+            ))
+        })?;
+        if self.checked_embedding_bytes().is_none() {
+            return Err(DlrmError::InvalidConfig(format!(
+                "{} tables of {table_bytes} bytes overflow",
+                self.num_tables
+            )));
+        }
         if *self.bottom_mlp.last().expect("non-empty") != self.embedding_dim {
             return Err(DlrmError::InvalidConfig(format!(
                 "bottom MLP output ({}) must equal embedding_dim ({}) for feature interaction",
@@ -100,14 +121,36 @@ impl ModelConfig {
     }
 
     /// Bytes of one embedding table.
+    ///
+    /// # Panics
+    ///
+    /// Panics on overflow, which [`ModelConfig::validate`] rejects.
     pub fn table_bytes(&self) -> u64 {
-        self.rows_per_table * self.row_bytes() as u64
+        self.checked_table_bytes()
+            .expect("table bytes overflow (ModelConfig::validate rejects this config)")
     }
 
     /// Total embedding-table footprint in bytes (the "Table size" column of
     /// Table I).
+    ///
+    /// # Panics
+    ///
+    /// Panics on overflow, which [`ModelConfig::validate`] rejects.
     pub fn embedding_bytes(&self) -> u64 {
-        self.table_bytes() * self.num_tables as u64
+        self.checked_embedding_bytes()
+            .expect("embedding bytes overflow (ModelConfig::validate rejects this config)")
+    }
+
+    fn checked_table_bytes(&self) -> Option<u64> {
+        u64::try_from(self.embedding_dim)
+            .ok()?
+            .checked_mul(EMBEDDING_ELEM_BYTES as u64)?
+            .checked_mul(self.rows_per_table)
+    }
+
+    fn checked_embedding_bytes(&self) -> Option<u64> {
+        self.checked_table_bytes()?
+            .checked_mul(u64::try_from(self.num_tables).ok()?)
     }
 
     /// Number of feature vectors entering the interaction stage
@@ -471,6 +514,52 @@ mod tests {
         ] {
             assert!(bad.validate().is_err());
         }
+    }
+
+    #[test]
+    fn validation_rejects_rows_beyond_the_u32_index_range() {
+        let at_limit = ModelConfig {
+            rows_per_table: u64::from(u32::MAX),
+            ..PaperModel::Dlrm1.config()
+        };
+        assert!(at_limit.validate().is_ok());
+        let beyond = ModelConfig {
+            rows_per_table: u64::from(u32::MAX) + 1,
+            ..PaperModel::Dlrm1.config()
+        };
+        assert!(
+            matches!(beyond.validate(), Err(DlrmError::InvalidConfig(msg)) if msg.contains("u32"))
+        );
+    }
+
+    #[test]
+    fn validation_rejects_table_bytes_overflow() {
+        // rows x dim x 4 wraps u64 (and would have sized a wrapped
+        // allocation in a release build).
+        let dim = usize::MAX / 2;
+        let bad = ModelConfig {
+            embedding_dim: dim,
+            bottom_mlp: vec![64, dim],
+            ..PaperModel::Dlrm1.config()
+        };
+        assert!(
+            matches!(bad.validate(), Err(DlrmError::InvalidConfig(msg)) if msg.contains("overflows"))
+        );
+        assert!(crate::model::DlrmModel::random(&bad, 1).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_embedding_bytes_overflow() {
+        // One table fits (2^32-1 rows x 128 B < 2^39), 2^26 of them do not.
+        let bad = ModelConfig {
+            rows_per_table: u64::from(u32::MAX),
+            num_tables: 1 << 26,
+            ..PaperModel::Dlrm1.config()
+        };
+        assert!(bad.checked_table_bytes().is_some());
+        assert!(
+            matches!(bad.validate(), Err(DlrmError::InvalidConfig(msg)) if msg.contains("tables of"))
+        );
     }
 
     #[test]

@@ -10,10 +10,12 @@ use crate::kernel::{
     add_assign, gather_rows_max, gather_rows_sum, global_sparse_backend, max_assign, scale,
     SparseBackend,
 };
+use crate::row_store::RowStore;
 use crate::tensor::Matrix;
 use crate::EMBEDDING_ELEM_BYTES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Element-wise operator used to combine gathered embedding rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -39,40 +41,83 @@ impl ReductionOp {
 }
 
 /// A single embedding lookup table: `rows` vectors of `dim` `f32` elements.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The rows live in one shared, immutable store (huge-page-backed for
+/// tables of 2 MB and more on Linux): a clone is another handle on the same
+/// physical rows, so every replica and restart template of a model reads
+/// one copy, as the paper's EB-Streamer reads one copy out of host DRAM.
+#[derive(Debug, Clone)]
 pub struct EmbeddingTable {
     dim: usize,
     rows: usize,
-    data: Vec<f32>,
+    data: Arc<RowStore>,
+}
+
+impl PartialEq for EmbeddingTable {
+    /// Handles on the same store are equal without walking it.
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.rows == other.rows
+            && (Arc::ptr_eq(&self.data, &other.data) || self.data[..] == other.data[..])
+    }
 }
 
 impl EmbeddingTable {
     /// Creates a table of zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows * dim` elements overflow the address space.
     pub fn zeros(rows: usize, dim: usize) -> Self {
-        EmbeddingTable {
-            dim,
-            rows,
-            data: vec![0.0; rows * dim],
-        }
+        Self::filled(rows, dim, |_| {})
     }
 
     /// Creates a table with uniform random values in `[-0.5, 0.5)`, seeded
     /// deterministically.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows * dim` elements overflow the address space.
     pub fn random(rows: usize, dim: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let data = (0..rows * dim).map(|_| rng.gen::<f32>() - 0.5).collect();
-        EmbeddingTable { dim, rows, data }
+        Self::filled(rows, dim, |data| {
+            for x in data {
+                *x = rng.gen::<f32>() - 0.5;
+            }
+        })
     }
 
     /// Creates a table from a generator function `f(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows * dim` elements overflow the address space.
     pub fn from_fn<F: FnMut(usize, usize) -> f32>(rows: usize, dim: usize, mut f: F) -> Self {
-        let mut data = Vec::with_capacity(rows * dim);
-        for r in 0..rows {
-            for c in 0..dim {
-                data.push(f(r, c));
+        Self::filled(rows, dim, |data| {
+            // `chunks_exact_mut(0)` panics; a zero-width table has nothing
+            // to generate.
+            for (r, row) in data.chunks_exact_mut(dim.max(1)).enumerate() {
+                for (c, x) in row.iter_mut().enumerate() {
+                    *x = f(r, c);
+                }
             }
+        })
+    }
+
+    /// Allocates the zeroed `[rows, dim]` store, lets `fill` write the rows
+    /// in place (so a huge-page-backed store is first touched after it was
+    /// advised), then freezes it behind the shared handle.
+    fn filled(rows: usize, dim: usize, fill: impl FnOnce(&mut [f32])) -> Self {
+        let len = rows.checked_mul(dim).unwrap_or_else(|| {
+            panic!("embedding table of {rows} rows x {dim} f32 elements overflows usize")
+        });
+        let mut data = RowStore::zeroed(len);
+        fill(data.as_mut_slice());
+        EmbeddingTable {
+            dim,
+            rows,
+            data: Arc::new(data),
         }
-        EmbeddingTable { dim, rows, data }
     }
 
     /// Embedding (vector) dimension.
@@ -839,6 +884,108 @@ mod tests {
         let t = small_table();
         assert!(sparse_lengths_sum(&t, &[0, 1], &[0, 5]).is_err());
         assert!(sparse_lengths_sum(&t, &[0, 1], &[1, 0]).is_err());
+    }
+
+    /// `(rows, dim)` shapes whose lengths sit at 0, 1, one element either
+    /// side of one and two huge pages (where the mapped backing starts and
+    /// where its advised prefix grows), and a tail that is a multiple of
+    /// neither a huge page nor a small one. Miri runs the heap backing
+    /// only, at sizes it can walk.
+    fn row_store_shapes() -> Vec<(usize, usize)> {
+        if cfg!(miri) {
+            return vec![(0, 32), (1, 1), (7, 3), (33, 32)];
+        }
+        let huge = (2 << 20) / EMBEDDING_ELEM_BYTES;
+        vec![
+            (0, 32),
+            (1, 1),
+            (huge - 1, 1),
+            (huge, 1),
+            (huge + 1, 1),
+            (2 * huge - 1, 1),
+            (2 * huge, 1),
+            (2 * huge + 1, 1),
+            (20_001, 32),
+        ]
+    }
+
+    #[test]
+    fn row_store_tables_equal_a_vec_from_the_same_generator() {
+        let cell = |r: usize, c: usize| (r % 1021) as f32 - c as f32 * 0.25;
+        for (rows, dim) in row_store_shapes() {
+            let len = rows * dim;
+            assert_eq!(EmbeddingTable::zeros(rows, dim).as_slice(), vec![0.0; len]);
+
+            let mut rng = StdRng::seed_from_u64(9);
+            let expected: Vec<f32> = (0..len).map(|_| rng.gen::<f32>() - 0.5).collect();
+            assert_eq!(EmbeddingTable::random(rows, dim, 9).as_slice(), expected);
+
+            let mut expected = Vec::with_capacity(len);
+            for r in 0..rows {
+                for c in 0..dim {
+                    expected.push(cell(r, c));
+                }
+            }
+            let table = EmbeddingTable::from_fn(rows, dim, cell);
+            assert_eq!((table.rows(), table.dim()), (rows, dim));
+            assert_eq!(table.as_slice(), expected, "{rows}x{dim}");
+        }
+    }
+
+    #[test]
+    fn row_store_gathers_match_the_scalar_oracle_bitwise() {
+        for (rows, dim) in row_store_shapes() {
+            let table = EmbeddingTable::random(rows, dim, 5);
+            // First row, last row, both sides of every huge-page boundary
+            // the table has, and a stride through the middle.
+            let mut indices: Vec<u32> = Vec::new();
+            if rows > 0 {
+                indices.push(0);
+                let per_huge_page = (2 << 20) / (dim * EMBEDDING_ELEM_BYTES);
+                for boundary in (per_huge_page..rows).step_by(per_huge_page) {
+                    indices.extend([boundary as u32 - 1, boundary as u32]);
+                }
+                indices.extend((0..40).map(|i| (i * 7919 % rows) as u32));
+                indices.push(rows as u32 - 1);
+            }
+            for op in [ReductionOp::Sum, ReductionOp::Mean, ReductionOp::Max] {
+                let mut oracle = vec![f32::NAN; dim];
+                let mut fast = vec![f32::NAN; dim];
+                table
+                    .gather_reduce_into_with(&indices, op, &mut oracle, SparseBackend::Scalar)
+                    .unwrap();
+                table
+                    .gather_reduce_into_with(&indices, op, &mut fast, SparseBackend::Vectorized)
+                    .unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&oracle), "{rows}x{dim} {op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_store_clones_share_one_copy_and_compare_by_pointer() {
+        let table = EmbeddingTable::random(64, 8, 3);
+        let clone = table.clone();
+        assert_eq!(clone.as_slice().as_ptr(), table.as_slice().as_ptr());
+        assert_eq!(clone, table);
+        // Distinct stores still compare by content.
+        assert_eq!(EmbeddingTable::random(64, 8, 3), table);
+        assert_ne!(EmbeddingTable::random(64, 8, 4), table);
+        assert_ne!(EmbeddingTable::random(8, 64, 3), table);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows x 2 f32 elements overflows")]
+    fn row_store_constructor_panics_when_rows_times_dim_overflows() {
+        let _ = EmbeddingTable::zeros(usize::MAX, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "f32 elements overflows isize::MAX bytes")]
+    fn row_store_constructor_panics_when_the_byte_size_overflows() {
+        // rows * dim fits usize; * 4 bytes does not (the store's own check).
+        let _ = EmbeddingTable::from_fn(usize::MAX / 2, 1, |_, _| 0.0);
     }
 
     #[test]

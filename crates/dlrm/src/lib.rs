@@ -51,6 +51,7 @@ pub mod kernel;
 pub mod mlp;
 pub mod model;
 pub mod request;
+mod row_store;
 pub mod tensor;
 pub mod trace;
 

@@ -155,10 +155,12 @@ impl DlrmModel {
             Activation::Identity,
             seed.wrapping_add(0xB0B),
         )?;
+        let rows = usize::try_from(config.rows_per_table)
+            .expect("validate() bounds rows_per_table by u32::MAX");
         let tables = (0..config.num_tables)
             .map(|t| {
                 EmbeddingTable::random(
-                    config.rows_per_table as usize,
+                    rows,
                     config.embedding_dim,
                     seed.wrapping_add(0xE3B + t as u64),
                 )

@@ -775,10 +775,11 @@ fn serve_supervised<'a>(
             )
         }
     };
-    // The template clone above is proportional to model size (hundreds of
-    // milliseconds for 64K-row tables) and ran *after* the queue captured
-    // its construction-time clock; restart the deadline clock here so the
-    // replay schedule is measured from when the replay actually begins.
+    // The template clone above copies the MLPs and scratch only (the
+    // embedding tables are shared handles), but it and the set-up before it
+    // ran *after* the queue captured its construction-time clock; restart
+    // the deadline clock here so the replay schedule is measured from when
+    // the replay actually begins.
     queue.restart_clock();
     std::thread::scope(|scope| {
         let start = queue.start();

@@ -692,10 +692,11 @@ fn shared_supervised<'a>(
         }
     };
     let generators = AtomicUsize::new(streams.len());
-    // The MixServer template clone above scales with the merged model set
-    // (hundreds of milliseconds at 64K rows/table) and ran *after* the
-    // queue captured its construction-time clock; restart the deadline
-    // clock so the replay schedule starts now, not at queue construction.
+    // The MixServer template clone above copies each tenant's MLPs and
+    // scratch only (embedding tables are shared handles), but it and the
+    // set-up before it ran *after* the queue captured its construction-time
+    // clock; restart the deadline clock so the replay schedule starts now,
+    // not at queue construction.
     queue.restart_clock();
     std::thread::scope(|scope| {
         let start = queue.start();
