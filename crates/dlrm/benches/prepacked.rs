@@ -1,4 +1,4 @@
-//! Criterion comparison of prepacked-panel GEMM against the
+//! Criterion comparison of the prepacked GEMM against the
 //! on-the-fly-packing blocked kernel, at the shapes where the per-call
 //! `O(k·n)` pack actually matters: `m = 1` single-sample serving and the
 //! small coalesced batches a dynamic batcher dispatches under light load.
@@ -7,8 +7,9 @@
 //! `m` the pack amortizes and the two paths converge.
 
 use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights, Workspace};
-use centaur_dlrm::{Activation, DenseLayer, Matrix};
+use centaur_dlrm::{Activation, DenseLayer, Matrix, PaperModel};
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::BTreeSet;
 use std::hint::black_box;
 
 fn inputs(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -109,9 +110,37 @@ fn bench_prepacked_fused_layer(c: &mut Criterion) {
     }
 }
 
+fn bench_prepacked_dlrm6_layers(c: &mut Criterion) {
+    // Every distinct dense-layer shape of DLRM(6) at the ledger's
+    // `offline_mlp` batch: m = 16 is a 6 + 6 + 4 split of the row tiles,
+    // and the 1-wide output layer is a narrow strip on its own.
+    let config = PaperModel::Dlrm6.config();
+    let m = 16usize;
+    let shapes: BTreeSet<(usize, usize)> = [config.bottom_mlp_dims(), config.top_mlp_dims()]
+        .iter()
+        .flat_map(|dims| dims.windows(2).map(|pair| (pair[0], pair[1])))
+        .collect();
+    for (k, n) in shapes {
+        let (a, b, mut out) = inputs(m, k, n);
+        let packed = PrepackedWeights::pack(&b, k, n);
+        c.bench_function(&format!("gemm_prepacked_dlrm6_{m}x{k}x{n}"), |bench| {
+            bench.iter(|| {
+                kernel::gemm_prepacked(
+                    KernelBackend::BlockedPrepacked,
+                    black_box(&a),
+                    black_box(&packed),
+                    &mut out,
+                    m,
+                )
+            })
+        });
+    }
+}
+
 criterion_group!(
     prepacked,
     bench_prepacked_vs_packing,
-    bench_prepacked_fused_layer
+    bench_prepacked_fused_layer,
+    bench_prepacked_dlrm6_layers
 );
 criterion_main!(prepacked);

@@ -324,7 +324,8 @@ impl EmbeddingBag {
         EmbeddingBag { tables, op }
     }
 
-    /// Creates `num_tables` random tables of identical shape.
+    /// Creates `num_tables` random tables of identical shape, table `t`
+    /// seeded with `seed + t` (wrapping).
     pub fn random(num_tables: usize, rows: usize, dim: usize, seed: u64) -> Self {
         let tables = (0..num_tables)
             .map(|t| EmbeddingTable::random(rows, dim, seed.wrapping_add(t as u64)))

@@ -1,68 +1,80 @@
-//! The optimized compute backend: cache-blocked, packed GEMM microkernels
-//! with fused bias + activation epilogues, reusable scratch workspaces and
-//! SIMD-friendly chunked reductions.
+//! The optimized compute backend: a register-tiled GEMM over strip-packed
+//! weights with fused bias + activation epilogues, reusable scratch
+//! workspaces and SIMD-friendly chunked reductions.
 //!
 //! Everything that executes real math in the workspace — `Matrix::matmul`,
 //! `DenseLayer`/`Mlp` forward passes, the feature interaction and the
-//! embedding gather/reduce — routes through this module. Three backends are
-//! offered:
+//! embedding gather/reduce — routes through this module.
+//!
+//! # The GEMM: a 6×16 register tile over 16-column strips
+//!
+//! **Why strips.** `B` (`[k, n]`) is cut into `KC × NC` blocks and each
+//! block is stored as 16-column strips: `kcb` rows × 16 floats, contiguous,
+//! the narrow last strip of a block at its own width (so the layout is a
+//! permutation of `B` and a prepacked matrix is exactly `k·n·4` bytes). A
+//! strip is one sequential stream of at most `KC·16·4` = 16 KB. It stays in
+//! L1 while every row tile of `A` sweeps it (loop order: strip outer, row
+//! tile inner), and consecutive `k` steps read consecutive cache lines (in
+//! a row-major block they would sit `nc·4` bytes apart).
+//!
+//! **Why 6×16.** The tile's accumulators live in registers across the whole
+//! `k` block; per `k` step it loads one strip row (2 vectors), broadcasts
+//! one element of each `A` row (1) and forms a product (1, there is no FMA).
+//! An `R × 16` tile therefore needs `2R + 4` of AVX2's 16 vector registers:
+//! `R = 6` fits exactly, 8 rows need 20 and spill accumulators on every
+//! step. Row remainders run the same body at `R = 4` and `R = 1`.
+//!
+//! **Same bits everywhere.** Every output element gets one IEEE multiply
+//! and one add per `k`, `k` ascending, whatever tile height, strip, band or
+//! backend it lands in; the AVX2 build of the tile excludes FMA because a
+//! fused multiply-add rounds differently. All four backends are therefore
+//! **bitwise identical**, the oracle included:
 //!
 //! - [`KernelBackend::Naive`] — the textbook `ijk` triple loop. Slow by
 //!   design; kept as the correctness oracle every optimized backend is
 //!   property-tested against.
-//! - [`KernelBackend::Blocked`] — the single-threaded blocked kernel:
-//!   `B` is packed block-by-block into contiguous panels, and a 4-row
-//!   microkernel accumulates into output rows that stay resident in L1.
+//! - [`KernelBackend::Blocked`] — the single-threaded tiled kernel, packing
+//!   each block of `B` into strips on the fly.
 //! - [`KernelBackend::BlockedParallel`] — the blocked kernel with the
 //!   output rows split into per-thread bands (`std::thread::scope`; no
 //!   external dependency). Only available with the `parallel` feature
 //!   (enabled by default); falls back to [`KernelBackend::Blocked`] for
 //!   small problems where threads would cost more than they save.
-//! - [`KernelBackend::BlockedPrepacked`] — the default: identical blocked
-//!   microkernels (including the band split), but paths that hold a
-//!   resident [`PrepackedWeights`] — every `DenseLayer` — feed them
-//!   straight from panels packed **once at load**, skipping the per-call
-//!   `O(k·n)` pack loop that dominates `m = 1` and small serving batches.
-//!   On generic GEMMs with no resident operand it packs on the fly like
-//!   `BlockedParallel`.
-//!
-//! `Blocked`, `BlockedParallel` and `BlockedPrepacked` produce
-//! **bitwise-identical** results: row-band parallelism never changes the
-//! floating-point accumulation order within a row, and prepacking only
-//! moves *when* the panels are laid out, not what the microkernels read.
-//! `Naive` differs only by float-summation order, within `1e-4` relative
-//! tolerance on well-conditioned inputs.
+//! - [`KernelBackend::BlockedPrepacked`] — the default: the same tile and
+//!   band split, but paths that hold a resident [`PrepackedWeights`] —
+//!   every `DenseLayer` — feed it straight from strips packed **once at
+//!   load**, skipping the per-call `O(k·n)` pack that dominates `m = 1` and
+//!   small serving batches. On generic GEMMs with no resident operand it
+//!   packs on the fly like `BlockedParallel`.
 //!
 //! Steady-state inference performs **zero heap allocations** when driven
-//! through a [`Workspace`]: all intermediates (MLP ping/pong buffers, packed
-//! `B` panels, interaction features) live in buffers that grow to a
+//! through a [`Workspace`]: all intermediates (MLP ping/pong buffers, the
+//! packed `B` block, interaction features) live in buffers that grow to a
 //! high-water mark and are reused across calls.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Rows processed together by the GEMM microkernel.
-const MR: usize = 4;
-/// Rows processed by the wide microkernel used on batch-major GEMMs: each
-/// pass over a packed `B` panel feeds 8 output rows, halving panel traffic
-/// versus the 4-row kernel when `m` (the batch) is large.
-const MR_WIDE: usize = 8;
-/// `k`-dimension block size: one packed panel spans at most `KC` rows of `B`.
+/// Rows of a full register tile: `2·MR` accumulator vectors + 2 strip-row
+/// vectors + 1 broadcast + 1 product = AVX2's 16 registers exactly.
+const MR: usize = 6;
+/// Columns of the register tile and of a packed strip of `B`.
+const TJ: usize = 16;
+/// `k`-dimension block size: one packed strip spans at most `KC` rows of `B`.
 const KC: usize = 256;
-/// `n`-dimension block size: columns of `B` packed per panel.
+/// `n`-dimension block size: columns of `B` (`NC / TJ` strips) per block.
 const NC: usize = 512;
 /// Minimum FLOP count (`2·m·n·k`) before the parallel path spawns threads.
 ///
-/// Re-tuned for the batch-major inference path, where `BlockedParallel`
-/// finally sees GEMMs with `m = batch` rows to split: a spawned band must
-/// carry enough work to amortize its `std::thread` spawn/join cost
-/// (~30–60 µs) against the blocked kernel's ~20 GFLOP/s single-core rate,
-/// i.e. ≥ ~2 MFLOP per band. At `1 << 22` (~4.2 MFLOP for two bands) the
-/// batched MLP layer GEMMs of the paper models clear the bar from batch
-/// ≈ 32 up (e.g. 64×256×256 ≈ 8.4 MFLOP), while per-sample `m = 1` layer
-/// GEMMs (≤ 0.3 MFLOP on every Table-I shape) always stay on the
-/// single-threaded kernel. See the `batch_forward` bench group and the
-/// README "Measured kernel speedups" table for the numbers behind this.
+/// A spawned band must carry enough work to amortize its `std::thread`
+/// spawn/join cost (~30–60 µs): at `1 << 22` (~4.2 MFLOP) the batched MLP
+/// layer GEMMs of the paper models clear the bar from batch ≈ 32 up (e.g.
+/// 64×256×256 ≈ 8.4 MFLOP), while per-sample `m = 1` layer GEMMs
+/// (≤ 0.3 MFLOP on every Table-I shape) always stay on the single-threaded
+/// kernel. Set when the blocked kernel ran ~20 GFLOP/s and not re-tuned for
+/// the 6×16 tile (~3× that): no gated benchmark workload reaches it, and
+/// ROADMAP's "one compute path" item decides whether banding stays at all.
+#[cfg(feature = "parallel")]
 const PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
 /// Chunk width for the unrolled reduction helpers.
 const LANES: usize = 8;
@@ -84,13 +96,14 @@ const GATHER_PREFETCH_DISTANCE: usize = 8;
 /// Minimum total gathered bytes (`lookups × row_bytes`) before the
 /// parallel sparse backend spawns threads over a batched gather-reduce.
 ///
-/// Mirrors [`PARALLEL_FLOP_THRESHOLD`] for the sparse side, with bytes as
+/// Mirrors `PARALLEL_FLOP_THRESHOLD` for the sparse side, with bytes as
 /// the work unit (gathers do no FLOPs worth counting): a spawned band must
 /// amortize its ~30–60 µs `std::thread` spawn/join cost against the
 /// vectorized kernel's measured ~25–30 GB/s single-core gather rate, i.e.
 /// ≥ ~1 MB of gathered rows per band. At `1 << 21` (2 MB for two bands)
 /// per-sample requests (a few KB each) and small batches never spawn; only
 /// multi-hundred-sample batched gathers split.
+#[cfg(feature = "parallel")]
 const SPARSE_PARALLEL_BYTES_THRESHOLD: usize = 1 << 21;
 
 /// Which GEMM implementation executes the dense math.
@@ -98,7 +111,7 @@ const SPARSE_PARALLEL_BYTES_THRESHOLD: usize = 1 << 21;
 pub enum KernelBackend {
     /// Textbook `ijk` triple loop — the correctness oracle.
     Naive,
-    /// Cache-blocked, packed, 4-row microkernel (single-threaded).
+    /// Cache-blocked, strip-packed, register-tiled kernel (single-threaded).
     #[default]
     Blocked,
     /// Blocked kernel with row-parallel execution across threads.
@@ -245,7 +258,7 @@ pub fn set_global_backend(backend: KernelBackend) {
 /// The optimized backends are **bitwise identical** to the scalar oracle:
 /// every output element accumulates its rows in index order, the vector
 /// units only widen how many elements advance per step (and the AVX2
-/// dispatch excludes FMA, exactly like the GEMM microkernels).
+/// dispatch excludes FMA, exactly like the GEMM tile).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparseBackend {
     /// Row-at-a-time accumulate loop — the correctness oracle (the PR 2
@@ -256,9 +269,8 @@ pub enum SparseBackend {
     #[default]
     Vectorized,
     /// The vectorized kernel with batched gather-reduce split across
-    /// per-thread sample bands (above
-    /// [`SPARSE_PARALLEL_BYTES_THRESHOLD`]; single-sample requests never
-    /// spawn).
+    /// per-thread sample bands (above `SPARSE_PARALLEL_BYTES_THRESHOLD`;
+    /// single-sample requests never spawn).
     VectorizedParallel,
 }
 
@@ -385,7 +397,7 @@ pub struct Workspace {
     pub(crate) ping: Vec<f32>,
     /// MLP layer output (pong) buffer.
     pub(crate) pong: Vec<f32>,
-    /// Packed-`B` panel for the blocked GEMM.
+    /// Strip-packed `B` block for the blocked GEMM.
     pub(crate) pack: Vec<f32>,
 }
 
@@ -448,7 +460,7 @@ pub fn gemm(
     );
 }
 
-/// [`gemm`] writing its packed panels into a caller-provided workspace.
+/// [`gemm`] packing `B` into a caller-provided workspace.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_into(
     backend: KernelBackend,
@@ -569,9 +581,9 @@ fn gemm_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
-/// Cache-blocked GEMM: packs `B` into `KC × NC` panels and runs the 4-row
-/// microkernel over them. `out` is zeroed first and accumulated across `k`
-/// blocks.
+/// Cache-blocked GEMM: packs each `KC × NC` block of `B` into 16-column
+/// strips ([`pack_strips`]) and sweeps the register tile over it. `out` is
+/// zeroed first and accumulated across `k` blocks.
 fn gemm_blocked(
     a: &[f32],
     b: &[f32],
@@ -582,138 +594,70 @@ fn gemm_blocked(
     pack: &mut Vec<f32>,
 ) {
     out.fill(0.0);
-    if k == 0 {
-        return;
-    }
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for kc in (0..k).step_by(KC) {
             let kcb = KC.min(k - kc);
-            // Pack the B block so the microkernel streams contiguous panels
-            // regardless of the parent matrix's row stride.
             grow(pack, kcb * nc);
-            for kk in 0..kcb {
-                let src = &b[(kc + kk) * n + jc..(kc + kk) * n + jc + nc];
-                pack[kk * nc..kk * nc + nc].copy_from_slice(src);
-            }
-            let packed = &pack[..kcb * nc];
-            microkernel_sweep(a, packed, out, m, kc, kcb, jc, nc, k, n);
+            let block = &mut pack[..kcb * nc];
+            pack_strips(b, n, jc, kc, kcb, block);
+            sweep_block(a, block, out, m, kc, kcb, jc, k, n);
         }
     }
 }
 
-/// Runs the 8/4/1-row microkernels over every output row against one packed
-/// `B` panel — the row loop shared by the on-the-fly-packing and prepacked
-/// blocked kernels (the panel *source* is the only thing that differs).
+/// Writes the `kcb`-row block of row-major `b` (`[_, n]`) whose corner is
+/// `(kc, jc)` into `block` as [`TJ`]-column strips: strip `s` holds `kcb`
+/// rows of `w` floats and starts at `kcb·TJ·s`, with `w = TJ` for every
+/// strip but a narrower last one. `block.chunks(kcb·TJ)` therefore *is* the
+/// strip sequence, the block width is `block.len() / kcb`, and the layout is
+/// a permutation of the block — nothing is padded. The one writer of the
+/// strip layout: the on-the-fly pack and [`PrepackedWeights::pack`] both
+/// call it, and [`strip_offset`] is its closed form.
+fn pack_strips(b: &[f32], n: usize, jc: usize, kc: usize, kcb: usize, block: &mut [f32]) {
+    for (s, strip) in block.chunks_mut(kcb * TJ).enumerate() {
+        let w = strip.len() / kcb;
+        for (kk, row) in strip.chunks_exact_mut(w).enumerate() {
+            let src = (kc + kk) * n + jc + s * TJ;
+            row.copy_from_slice(&b[src..src + w]);
+        }
+    }
+}
+
+/// Where [`pack_strips`] puts element `(kk, j)` of a `kcb × nc` block.
+#[inline]
+fn strip_offset(kcb: usize, nc: usize, kk: usize, j: usize) -> usize {
+    let s = j / TJ;
+    kcb * TJ * s + kk * TJ.min(nc - s * TJ) + j % TJ
+}
+
+/// Accumulates `out[.., jc..jc + nc] += a[.., kc..kc + kcb] · block` for
+/// one strip-packed block — the sweep shared by the on-the-fly-packing and
+/// prepacked kernels (where the block comes from is the only difference).
+///
+/// On x86-64 with AVX2 the body is re-compiled with 256-bit vectors and
+/// dispatched at runtime. FMA is deliberately **not** enabled: a fused
+/// multiply-add rounds once where the scalar build rounds twice, and the
+/// AVX2 build must do the scalar build's arithmetic, 8 lanes at a time.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn microkernel_sweep(
+fn sweep_block(
     a: &[f32],
-    packed: &[f32],
+    block: &[f32],
     out: &mut [f32],
     m: usize,
     kc: usize,
     kcb: usize,
     jc: usize,
-    nc: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut i = 0;
-    while i + MR_WIDE <= m {
-        microkernel_8(a, packed, out, i, kc, kcb, jc, nc, k, n);
-        i += MR_WIDE;
-    }
-    while i + MR <= m {
-        microkernel_4(a, packed, out, i, kc, kcb, jc, nc, k, n);
-        i += MR;
-    }
-    while i < m {
-        microkernel_1(a, packed, out, i, kc, kcb, jc, nc, k, n);
-        i += 1;
-    }
-}
-
-/// Accumulates 4 consecutive output rows against one packed `B` panel. The
-/// 4 output row segments (≤ `NC` floats each) stay L1-resident across the
-/// whole `k` block, and the inner loop is a pure vectorizable AXPY.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn microkernel_4(
-    a: &[f32],
-    packed: &[f32],
-    out: &mut [f32],
-    i: usize,
-    kc: usize,
-    kcb: usize,
-    jc: usize,
-    nc: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = &mut out[i * n..(i + MR) * n];
-    let (r0, rest) = rows.split_at_mut(n);
-    let (r1, rest) = rest.split_at_mut(n);
-    let (r2, r3) = rest.split_at_mut(n);
-    let o0 = &mut r0[jc..jc + nc];
-    let o1 = &mut r1[jc..jc + nc];
-    let o2 = &mut r2[jc..jc + nc];
-    let o3 = &mut r3[jc..jc + nc];
-    for kk in 0..kcb {
-        let a0 = a[i * k + kc + kk];
-        let a1 = a[(i + 1) * k + kc + kk];
-        let a2 = a[(i + 2) * k + kc + kk];
-        let a3 = a[(i + 3) * k + kc + kk];
-        let brow = &packed[kk * nc..kk * nc + nc];
-        for j in 0..nc {
-            let bv = brow[j];
-            o0[j] += a0 * bv;
-            o1[j] += a1 * bv;
-            o2[j] += a2 * bv;
-            o3[j] += a3 * bv;
-        }
-    }
-}
-
-/// Column-tile width of the register-blocked wide microkernel.
-const TJ: usize = 16;
-
-/// 8×16 register-tiled microkernel for batch-major GEMMs: an 8-row ×
-/// 16-column accumulator tile stays in registers across the *whole* `k`
-/// block, so the output is loaded and stored once per tile instead of once
-/// per `kk` step (the 4-row kernel's store-port bottleneck), and each
-/// packed-`B` panel is streamed `m / 8` times per batch instead of `m / 4`.
-///
-/// Per output element the accumulation order is still `kk` ascending —
-/// identical to [`microkernel_4`]/[`microkernel_1`] — so results are
-/// bitwise the same for every `m` and every row-to-kernel assignment.
-///
-/// On x86-64 with AVX2 the same body is re-compiled with 256-bit vectors
-/// and dispatched at runtime ([`microkernel_8_avx2`]). FMA is deliberately
-/// **not** enabled: fused multiply-adds round differently, and this kernel
-/// guarantees bitwise-identical results to the scalar build — the AVX2
-/// path executes the exact same IEEE multiply and add per element, just 8
-/// lanes at a time.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn microkernel_8(
-    a: &[f32],
-    packed: &[f32],
-    out: &mut [f32],
-    i: usize,
-    kc: usize,
-    kcb: usize,
-    jc: usize,
-    nc: usize,
     k: usize,
     n: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: guarded by the runtime AVX2 check above.
-        return unsafe { microkernel_8_avx2(a, packed, out, i, kc, kcb, jc, nc, k, n) };
+        return unsafe { sweep_block_avx2(a, block, out, m, kc, kcb, jc, k, n) };
     }
-    microkernel_8_impl(a, packed, out, i, kc, kcb, jc, nc, k, n);
+    sweep_block_impl(a, block, out, m, kc, kcb, jc, k, n);
 }
 
 /// Whether the running CPU supports AVX2, detected once.
@@ -723,8 +667,8 @@ fn avx2_available() -> bool {
     *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
 }
 
-/// [`microkernel_8_impl`] compiled with AVX2 codegen (256-bit vector mul +
-/// add, no FMA — see [`microkernel_8`] for why fusion is excluded).
+/// [`sweep_block_impl`] compiled with AVX2 codegen (256-bit vector mul +
+/// add, no FMA — see [`sweep_block`] for why fusion is excluded).
 ///
 /// # Safety
 ///
@@ -735,97 +679,114 @@ fn avx2_available() -> bool {
 // SAFETY: unsafe solely because of `#[target_feature(enable = "avx2")]` —
 // the body is safe Rust (bounds-checked slices, no raw pointers) recompiled
 // under AVX2 codegen. Sole precondition: the running CPU supports AVX2,
-// which the one caller (`microkernel_8`) verifies via `avx2_available()`
+// which the one caller (`sweep_block`) verifies via `avx2_available()`
 // (cached `is_x86_feature_detected!`) before dispatching here.
-unsafe fn microkernel_8_avx2(
+unsafe fn sweep_block_avx2(
     a: &[f32],
-    packed: &[f32],
+    block: &[f32],
     out: &mut [f32],
-    i: usize,
+    m: usize,
     kc: usize,
     kcb: usize,
     jc: usize,
-    nc: usize,
     k: usize,
     n: usize,
 ) {
-    microkernel_8_impl(a, packed, out, i, kc, kcb, jc, nc, k, n);
+    sweep_block_impl(a, block, out, m, kc, kcb, jc, k, n);
 }
 
-/// Shared body of the wide microkernel; `inline(always)` so the
-/// `target_feature` wrapper re-compiles it under AVX2 codegen.
+/// Shared body of the sweep; `inline(always)` (as is [`tile`]) so the
+/// `target_feature` wrapper re-compiles all of it under AVX2 codegen.
+///
+/// Strip outer, row tile inner: one strip (≤ `KC·TJ` floats, 16 KB) stays
+/// in L1 while every row tile of `a` streams over it. Full tiles are
+/// [`MR`] rows; the row remainder takes one 4-row tile if it fits and
+/// single rows after that.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn microkernel_8_impl(
+fn sweep_block_impl(
     a: &[f32],
-    packed: &[f32],
+    block: &[f32],
     out: &mut [f32],
-    i: usize,
+    m: usize,
     kc: usize,
     kcb: usize,
     jc: usize,
-    nc: usize,
     k: usize,
     n: usize,
 ) {
-    let mut jt = 0;
-    while jt + TJ <= nc {
-        let mut acc = [[0.0f32; TJ]; MR_WIDE];
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            acc_row.copy_from_slice(&out[(i + r) * n + jc + jt..][..TJ]);
+    for (s, strip) in block.chunks(kcb * TJ).enumerate() {
+        let col = jc + s * TJ;
+        let mut i = 0;
+        while i + MR <= m {
+            tile::<MR>(a, strip, out, i, kc, kcb, col, k, n);
+            i += MR;
         }
-        for kk in 0..kcb {
-            let brow: &[f32; TJ] = packed[kk * nc + jt..][..TJ].try_into().expect("TJ tile");
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let av = a[(i + r) * k + kc + kk];
-                for (o, &bv) in acc_row.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
+        if i + 4 <= m {
+            tile::<4>(a, strip, out, i, kc, kcb, col, k, n);
+            i += 4;
         }
-        for (r, acc_row) in acc.iter().enumerate() {
-            out[(i + r) * n + jc + jt..][..TJ].copy_from_slice(acc_row);
-        }
-        jt += TJ;
-    }
-    // Remainder columns (nc not a multiple of TJ): streaming form, same
-    // per-element order.
-    if jt < nc {
-        for kk in 0..kcb {
-            let brow = &packed[kk * nc + jt..kk * nc + nc];
-            for r in 0..MR_WIDE {
-                let av = a[(i + r) * k + kc + kk];
-                let orow = &mut out[(i + r) * n + jc + jt..(i + r) * n + jc + nc];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
+        while i < m {
+            tile::<1>(a, strip, out, i, kc, kcb, col, k, n);
+            i += 1;
         }
     }
 }
 
-/// Single-row edge case of the microkernel.
+/// The `R × TJ` register tile: rows `i..i + R` of `out`, columns
+/// `col..col + w`, accumulated over one strip (`kcb` rows of `w ≤ TJ`
+/// floats). The accumulators are loaded from `out` once, live in registers
+/// across the whole `k` block and are stored once (see [`MR`] for why full
+/// tiles are 6 rows).
+///
+/// The `R` rows of `a` are sliced to exactly `kcb` and a full-width strip
+/// is viewed as `kcb` arrays of `TJ`, so the inner loop indexes nothing
+/// the compiler cannot prove in range. A narrow last strip (`w < TJ`)
+/// accumulates in place in `out` instead. Per output element the order is
+/// `kk` ascending either way and for every `R`, so results do not depend on
+/// which tile a row or column lands in.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn microkernel_1(
+#[inline(always)]
+fn tile<const R: usize>(
     a: &[f32],
-    packed: &[f32],
+    strip: &[f32],
     out: &mut [f32],
     i: usize,
     kc: usize,
     kcb: usize,
-    jc: usize,
-    nc: usize,
+    col: usize,
     k: usize,
     n: usize,
 ) {
-    let o = &mut out[i * n + jc..i * n + jc + nc];
-    for kk in 0..kcb {
-        let av = a[i * k + kc + kk];
-        let brow = &packed[kk * nc..kk * nc + nc];
-        for j in 0..nc {
-            o[j] += av * brow[j];
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k + kc..][..kcb]);
+    let w = strip.len() / kcb;
+    if w < TJ {
+        for (kk, b_row) in strip.chunks_exact(w).enumerate() {
+            for (r, a_row) in a_rows.iter().enumerate() {
+                let av = a_row[kk];
+                let out_row = &mut out[(i + r) * n + col..][..w];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
         }
+        return;
+    }
+    let b_rows = &strip.as_chunks::<TJ>().0[..kcb];
+    let mut acc = [[0.0f32; TJ]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&out[(i + r) * n + col..][..TJ]);
+    }
+    for kk in 0..kcb {
+        for r in 0..R {
+            let av = a_rows[r][kk];
+            for j in 0..TJ {
+                acc[r][j] += av * b_rows[kk][j];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[(i + r) * n + col..][..TJ].copy_from_slice(acc_row);
     }
 }
 
@@ -860,34 +821,26 @@ pub(crate) fn hardware_threads() -> usize {
     })
 }
 
-/// Row-parallel blocked GEMM: output rows are split into per-thread bands
-/// and each band runs the single-threaded blocked kernel independently
-/// (bitwise-identical results to [`KernelBackend::Blocked`]).
 /// Plans the row-band split shared by the on-the-fly-packing and prepacked
 /// parallel kernels: returns the band height in rows, or `None` when the
 /// problem should stay on the single-threaded kernel.
 ///
 /// Cheap size gate first: small problems must not even pay for the
-/// (cached) thread-count lookup, let alone a spawn. One band per
-/// MR_WIDE-multiple of rows (band heights are rounded to the wide
-/// microkernel, so planning with a finer granularity would promise more
-/// bands than can actually spawn), at most one per worker thread. Band
-/// height rounds to a multiple of MR_WIDE so every full band still runs
-/// the 8×16 register-tiled kernel (a multiple of MR would hand 4-row bands
-/// to the slower kernel on many-core hosts) and only the last band hits
-/// the narrow edge paths. Per-element accumulation order is identical in
-/// every microkernel, so banding stays bitwise-neutral.
+/// (cached) thread-count lookup, let alone a spawn. At most one band per
+/// worker thread and per [`MR`] rows, and the band height rounds up to a
+/// multiple of `MR`, so every band but the last runs full register tiles
+/// only. Per-element accumulation order is the same at every tile height,
+/// so banding stays bitwise-neutral.
 #[cfg(feature = "parallel")]
 fn parallel_band_rows(m: usize, k: usize, n: usize) -> Option<usize> {
     if 2 * m * n * k < PARALLEL_FLOP_THRESHOLD {
         return None;
     }
-    let max_bands = m.div_ceil(MR_WIDE);
-    let bands = hardware_threads().min(max_bands);
+    let bands = hardware_threads().min(m.div_ceil(MR));
     if bands <= 1 {
         return None;
     }
-    Some(m.div_ceil(bands).div_ceil(MR_WIDE) * MR_WIDE)
+    Some(m.div_ceil(bands).div_ceil(MR) * MR)
 }
 
 /// Runs `band_kernel(a_band, out_band, rows)` for every `band_rows`-high
@@ -915,6 +868,9 @@ fn spawn_row_bands<F>(
     });
 }
 
+/// Row-parallel blocked GEMM: output rows are split into per-thread bands
+/// and each band runs the single-threaded blocked kernel independently
+/// (bitwise-identical results to [`KernelBackend::Blocked`]).
 #[cfg(feature = "parallel")]
 fn gemm_parallel(
     a: &[f32],
@@ -957,7 +913,7 @@ fn gemm_parallel(
 ///
 /// Diagnostics for the pack-once contract: tests assert the counter rises
 /// exactly once per dense layer at model load and stays flat across
-/// steady-state serving (cloning a packed layer copies the panels without
+/// steady-state serving (cloning a packed layer copies the strips without
 /// re-packing).
 static PREPACK_EVENTS: AtomicU64 = AtomicU64::new(0);
 
@@ -968,51 +924,50 @@ pub fn prepack_events() -> u64 {
 }
 
 /// A weight matrix `B` (`[k, n]` row-major) packed **once** into the exact
-/// `KC × NC` panel sequence [`gemm_blocked`] writes into its workspace on
-/// every call — including the remainder panels at the `k`/`n` edges — so
-/// the 8/4/1-row microkernels can stream it directly with no per-call pack
-/// loop.
+/// strip-packed block sequence [`gemm_blocked`] writes into its workspace on
+/// every call — including the remainder blocks at the `k`/`n` edges and
+/// their narrow last strips — so the register tile can stream it directly
+/// with no per-call pack loop.
 ///
 /// At `m = 1` the `O(k·n)` pack is the same order of work as the
 /// `O(m·k·n)` multiply itself, which is why a resident prepack is the
 /// production move for serving: the dense accelerator holds MLP weights
-/// next to the compute units, and the software path should too.
+/// next to the compute units in the order its array consumes them, and the
+/// software path should too.
 ///
-/// Panels are concatenated `jc`-major (`n` blocks) then `kc` (`k` blocks),
-/// exactly the blocked kernel's loop order, so the panel for block
-/// `(jc, kc)` starts at `k·jc + kc·nc` — a closed form, no directory
-/// needed. The total element count is exactly `k·n` (packing is a
-/// permutation; nothing is padded), so the resident footprint equals the
-/// row-major matrix it mirrors.
+/// Blocks are concatenated `jc`-major (`n` blocks) then `kc` (`k` blocks),
+/// exactly the blocked kernel's loop order, so the block `(jc, kc)` starts
+/// at `k·jc + kc·nc` — a closed form, no directory needed — and
+/// `strip_offset` places an element inside it. The total element count is
+/// exactly `k·n` (packing is a permutation; nothing is padded), so the
+/// resident footprint equals the row-major matrix it mirrors.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PrepackedWeights {
     k: usize,
     n: usize,
-    /// Concatenated `KC × NC` panels in `(jc outer, kc inner)` order.
-    panels: Vec<f32>,
+    /// Concatenated strip-packed blocks in `(jc outer, kc inner)` order.
+    strips: Vec<f32>,
 }
 
 impl PrepackedWeights {
-    /// Packs a row-major `[k, n]` matrix into resident panels.
+    /// Packs a row-major `[k, n]` matrix into resident strips.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != k * n`.
     pub fn pack(b: &[f32], k: usize, n: usize) -> Self {
         assert_eq!(b.len(), k * n, "B length must be k*n");
-        let mut panels = Vec::with_capacity(k * n);
+        let mut strips = vec![0.0; k * n];
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for kc in (0..k).step_by(KC) {
                 let kcb = KC.min(k - kc);
-                for kk in 0..kcb {
-                    let row = (kc + kk) * n + jc;
-                    panels.extend_from_slice(&b[row..row + nc]);
-                }
+                let start = k * jc + kc * nc;
+                pack_strips(b, n, jc, kc, kcb, &mut strips[start..start + kcb * nc]);
             }
         }
         PREPACK_EVENTS.fetch_add(1, Ordering::Relaxed);
-        PrepackedWeights { k, n, panels }
+        PrepackedWeights { k, n, strips }
     }
 
     /// Inner (`k`) dimension of the packed matrix.
@@ -1025,25 +980,25 @@ impl PrepackedWeights {
         self.n
     }
 
-    /// Resident footprint of the panels in bytes (exactly the row-major
+    /// Resident footprint of the strips in bytes (exactly the row-major
     /// matrix's size — packing is a permutation, not an expansion).
     pub fn size_bytes(&self) -> usize {
-        self.panels.len() * std::mem::size_of::<f32>()
+        self.strips.len() * std::mem::size_of::<f32>()
     }
 
-    /// The stored panel for block `(jc, kc)`: `kcb` rows of `nc` floats.
+    /// The stored block `(jc, kc)`: `nc / TJ` strips of `kcb` rows.
     #[inline]
-    fn panel(&self, jc: usize, kc: usize, kcb: usize, nc: usize) -> &[f32] {
+    fn block(&self, jc: usize, kc: usize, kcb: usize, nc: usize) -> &[f32] {
         let start = self.k * jc + kc * nc;
-        &self.panels[start..start + kcb * nc]
+        &self.strips[start..start + kcb * nc]
     }
 }
 
-/// `out = a · packed` from resident panels: [`gemm`] with the per-call pack
+/// `out = a · packed` from resident strips: [`gemm`] with the per-call pack
 /// loop already paid at load time. Bitwise identical to the
-/// on-the-fly-packing path of the same backend (`Naive` walks the panels in
+/// on-the-fly-packing path of the same backend (`Naive` walks the strips in
 /// the oracle's exact accumulation order; the blocked backends feed the
-/// same microkernels the workspace pack would).
+/// same tiles the workspace pack would).
 ///
 /// # Panics
 ///
@@ -1058,7 +1013,7 @@ pub fn gemm_prepacked(
     gemm_bias_act_prepacked(backend, a, packed, None, FusedAct::Identity, out, m);
 }
 
-/// Fused `out = act(a · packed + bias)` from resident panels — the
+/// Fused `out = act(a · packed + bias)` from resident strips — the
 /// prepacked counterpart of [`gemm_bias_act_into`], and the kernel every
 /// `DenseLayer` forward pass runs on the prepacked backend. No packing
 /// scratch is touched (or needed): steady state is zero-alloc with no
@@ -1095,8 +1050,8 @@ pub fn gemm_bias_act_prepacked(
     epilogue(out, bias, act, m, n);
 }
 
-/// The oracle over resident panels: per output element the products
-/// accumulate in ascending `k` order across the `kc` panels — exactly
+/// The oracle over resident strips: per output element the products
+/// accumulate in ascending `k` order across the `kc` blocks — exactly
 /// [`gemm_naive`]'s order, so results are bitwise identical to it.
 fn gemm_naive_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: usize) {
     let (k, n) = (pw.k, pw.n);
@@ -1107,9 +1062,9 @@ fn gemm_naive_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: us
                 let mut acc = 0.0f32;
                 for kc in (0..k).step_by(KC) {
                     let kcb = KC.min(k - kc);
-                    let panel = pw.panel(jc, kc, kcb, nc);
+                    let block = pw.block(jc, kc, kcb, nc);
                     for kk in 0..kcb {
-                        acc += a[i * k + kc + kk] * panel[kk * nc + j];
+                        acc += a[i * k + kc + kk] * block[strip_offset(kcb, nc, kk, j)];
                     }
                 }
                 out[i * n + jc + j] = acc;
@@ -1118,28 +1073,24 @@ fn gemm_naive_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: us
     }
 }
 
-/// [`gemm_blocked`] reading each `KC × NC` panel from the resident store
-/// instead of packing it first — the microkernel sweep is byte-for-byte the
-/// same code, so results are bitwise identical.
+/// [`gemm_blocked`] reading each strip-packed block from the resident store
+/// instead of packing it first — the sweep is byte-for-byte the same code,
+/// so results are bitwise identical.
 fn gemm_blocked_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: usize) {
     let (k, n) = (pw.k, pw.n);
     out.fill(0.0);
-    if k == 0 {
-        return;
-    }
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for kc in (0..k).step_by(KC) {
             let kcb = KC.min(k - kc);
-            let packed = pw.panel(jc, kc, kcb, nc);
-            microkernel_sweep(a, packed, out, m, kc, kcb, jc, nc, k, n);
+            sweep_block(a, pw.block(jc, kc, kcb, nc), out, m, kc, kcb, jc, k, n);
         }
     }
 }
 
 /// Row-parallel prepacked GEMM: the same band split as [`gemm_parallel`]
 /// (shared [`parallel_band_rows`] plan + [`spawn_row_bands`] loop), but
-/// every band reads the shared resident panels — no per-thread pack buffer
+/// every band reads the shared resident strips — no per-thread pack buffer
 /// exists at all.
 #[cfg(feature = "parallel")]
 fn gemm_parallel_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: usize) {
@@ -1170,6 +1121,7 @@ fn gemm_parallel_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m:
 /// Total gathered bytes above which the parallel sparse backend splits a
 /// batched gather-reduce across threads (exposed for the embedding layer's
 /// partitioner).
+#[cfg(feature = "parallel")]
 pub(crate) fn sparse_parallel_bytes_threshold() -> usize {
     SPARSE_PARALLEL_BYTES_THRESHOLD
 }
@@ -1473,11 +1425,13 @@ mod tests {
         v
     }
 
-    fn max_rel_diff(a: &[f32], b: &[f32]) -> f32 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1.0))
-            .fold(0.0, f32::max)
+    /// Inputs whose products and partial sums round (unlike small dyadic
+    /// multiples, which add exactly in any order), so a bitwise comparison
+    /// notices a change of accumulation order.
+    fn inexact_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        let a = fill(m, k, |i, j| ((i * 13 + j * 7) % 19) as f32 * 0.37 - 2.1);
+        let b = fill(k, n, |i, j| ((i * 5 + j * 11) % 17) as f32 * 0.113 - 0.9);
+        (a, b)
     }
 
     #[test]
@@ -1492,8 +1446,7 @@ mod tests {
             (64, 128, 64),
             (70, 513, 70),
         ] {
-            let a = fill(m, k, |i, j| ((i * 13 + j * 7) % 19) as f32 * 0.25 - 2.0);
-            let b = fill(k, n, |i, j| ((i * 5 + j * 11) % 17) as f32 * 0.125 - 1.0);
+            let (a, b) = inexact_operands(m, k, n);
             let mut naive = vec![0.0; m * n];
             let mut blocked = vec![0.0; m * n];
             let mut parallel = vec![0.0; m * n];
@@ -1508,12 +1461,67 @@ mod tests {
                 k,
                 n,
             );
-            assert!(
-                max_rel_diff(&naive, &blocked) < 1e-4,
-                "blocked mismatch at {m}x{k}x{n}"
-            );
-            // Row-band parallelism must be bitwise identical to blocked.
+            // One multiply and one add per `k`, `k` ascending, on every
+            // backend: bitwise, not within a tolerance.
+            assert_eq!(naive, blocked, "blocked mismatch at {m}x{k}x{n}");
             assert_eq!(blocked, parallel, "parallel mismatch at {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn pack_is_a_permutation_of_b() {
+        // Shapes with one and several blocks on each axis, full and narrow
+        // last strips, and blocks shorter than a strip is wide.
+        for &(k, n) in &[
+            (1, 1),
+            (7, 5),
+            (3, 16),
+            (300, 17),
+            (256, 512),
+            (257, 513),
+            (513, 33),
+            (20, 1040),
+        ] {
+            // Every element distinct (and exact in f32), so finding each one
+            // at its closed-form offset proves the offsets are a bijection.
+            let b: Vec<f32> = (0..k * n).map(|i| i as f32).collect();
+            let packed = PrepackedWeights::pack(&b, k, n);
+            assert_eq!(packed.size_bytes(), k * n * 4, "nothing is padded");
+            let mut unpacked = vec![f32::NAN; k * n];
+            for row in 0..k {
+                for col in 0..n {
+                    let (jc, kc) = (col / NC * NC, row / KC * KC);
+                    let (nc, kcb) = (NC.min(n - jc), KC.min(k - kc));
+                    let block = packed.block(jc, kc, kcb, nc);
+                    unpacked[row * n + col] = block[strip_offset(kcb, nc, row - kc, col - jc)];
+                }
+            }
+            assert_eq!(unpacked, b, "strip layout lost an element at {k}x{n}");
+        }
+    }
+
+    #[test]
+    fn scalar_and_avx2_tile_bodies_agree_bitwise() {
+        // m = 11 runs one tile of each height (6 + 4 + 1) per strip; n = 37
+        // is two full strips and a 5-wide one. `sweep_block` is the AVX2
+        // wrapper wherever AVX2 is present and the scalar body elsewhere
+        // (where this test is vacuous), `sweep_block_impl` is the baseline
+        // build of the same body; a non-zero `out` checks they accumulate.
+        let (m, k, n) = (11, 70, 37);
+        let (a, b) = inexact_operands(m, k, n);
+        let mut block = vec![0.0; k * n];
+        pack_strips(&b, n, 0, 0, k, &mut block);
+        let mut scalar = vec![0.625; m * n];
+        sweep_block_impl(&a, &block, &mut scalar, m, 0, k, 0, k, n);
+        let mut dispatched = vec![0.625; m * n];
+        sweep_block(&a, &block, &mut dispatched, m, 0, k, 0, k, n);
+        assert_eq!(scalar, dispatched);
+        // And both are the oracle's arithmetic, started from the same value.
+        for i in 0..m {
+            for j in 0..n {
+                let oracle = (0..k).fold(0.625f32, |acc, kk| acc + a[i * k + kk] * b[kk * n + j]);
+                assert_eq!(scalar[i * n + j], oracle, "element ({i}, {j})");
+            }
         }
     }
 
@@ -1604,7 +1612,7 @@ mod tests {
     #[test]
     fn prepacked_gemm_is_bitwise_identical_to_packing_path() {
         // Shapes straddling the KC=256/NC=512 block boundaries and hitting
-        // the 8-, 4- and 1-row microkernel tails.
+        // the 6-, 4- and 1-row tiles.
         for &(m, k, n) in &[
             (1, 7, 5),
             (1, 300, 17),
@@ -1613,8 +1621,7 @@ mod tests {
             (13, 513, 30),
             (3, 100, 513),
         ] {
-            let a = fill(m, k, |i, j| ((i * 13 + j * 7) % 19) as f32 * 0.25 - 2.0);
-            let b = fill(k, n, |i, j| ((i * 5 + j * 11) % 17) as f32 * 0.125 - 1.0);
+            let (a, b) = inexact_operands(m, k, n);
             let packed = PrepackedWeights::pack(&b, k, n);
             assert_eq!(packed.size_bytes(), k * n * 4, "pack is a permutation");
             for backend in KernelBackend::all() {

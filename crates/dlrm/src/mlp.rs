@@ -594,8 +594,8 @@ mod tests {
 
     #[test]
     fn prepacked_forward_is_bitwise_identical_to_packing_path() {
-        // Ragged widths so the 8/4/1-row microkernel tails and the packed
-        // panel remainders are all exercised.
+        // Ragged widths so the 6/4/1-row tile splits and the packed
+        // block remainders are all exercised.
         let mlp = Mlp::random(&[13, 67, 29, 3], Activation::Relu, 21).unwrap();
         for batch in [1usize, 4, 9, 16] {
             let x = Matrix::from_fn(batch, 13, |r, c| (r as f32 * 0.3 - c as f32 * 0.2).sin());

@@ -2,7 +2,7 @@
 //! top MLP and sigmoid (Figure 1 of the paper).
 
 use crate::config::ModelConfig;
-use crate::embedding::{EmbeddingBag, EmbeddingTable, ReductionOp};
+use crate::embedding::EmbeddingBag;
 use crate::error::DlrmError;
 use crate::interaction::FeatureInteraction;
 use crate::kernel::{self, grow, KernelBackend, Workspace};
@@ -157,16 +157,13 @@ impl DlrmModel {
         )?;
         let rows = usize::try_from(config.rows_per_table)
             .expect("validate() bounds rows_per_table by u32::MAX");
-        let tables = (0..config.num_tables)
-            .map(|t| {
-                EmbeddingTable::random(
-                    rows,
-                    config.embedding_dim,
-                    seed.wrapping_add(0xE3B + t as u64),
-                )
-            })
-            .collect();
-        let embeddings = EmbeddingBag::new(tables, ReductionOp::Sum);
+        // Table `t` is seeded with `seed + 0xE3B + t`.
+        let embeddings = EmbeddingBag::random(
+            config.num_tables,
+            rows,
+            config.embedding_dim,
+            seed.wrapping_add(0xE3B),
+        );
         let interaction = config.feature_interaction();
         Ok(DlrmModel {
             config: config.clone(),
@@ -586,6 +583,21 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn random_tables_keep_their_per_table_seeds_bitwise() {
+        // The model's tables come from the bag's shared constructor; table
+        // `t` must still be the one `seed + 0xE3B + t` generates on its own.
+        let config = tiny_config();
+        let model = DlrmModel::random(&config, 41).unwrap();
+        let bits = |table: &crate::EmbeddingTable| -> Vec<u32> {
+            table.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        for t in 0..config.num_tables {
+            let alone = crate::EmbeddingTable::random(64, 8, 41 + 0xE3B + t as u64);
+            assert_eq!(bits(model.embeddings().table(t)), bits(&alone), "table {t}");
+        }
     }
 
     #[test]

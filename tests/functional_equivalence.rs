@@ -138,3 +138,40 @@ fn empty_lookup_lists_reduce_to_zero_and_still_infer() {
     let reference = model.forward_batch(&dense, &sparse).unwrap();
     assert!((ours[0] - reference[0]).abs() < 1e-5);
 }
+
+/// FNV-1a over the little-endian bit patterns of `values`.
+fn bit_hash(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn runtime_output_bits_are_pinned_across_commits() {
+    // Recorded on the commit before the 6×16 strip kernel replaced the 8×16
+    // panel kernel (PR 16). A kernel change that claims "same bits" must
+    // leave these alone; a change that alters accumulation order on purpose
+    // re-records them and says so.
+    for (paper_model, batch_size, expected) in [
+        (PaperModel::Dlrm6, 16usize, 0x4707_7e1b_fde5_3ce0u64),
+        (PaperModel::Dlrm1, 1, 0xfb5e_3196_a78a_0c4a),
+        (PaperModel::Dlrm1, 64 + 7, 0x0042_1c5f_8b38_d88c),
+    ] {
+        let config = scaled(paper_model, 512);
+        let model = DlrmModel::random(&config, 7).unwrap();
+        let mut runtime = CentaurRuntime::harpv2(model).unwrap();
+        let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 13);
+        let batch = generator.functional_batch(batch_size);
+        let outputs = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
+        assert_eq!(outputs.len(), batch_size);
+        assert_eq!(
+            bit_hash(&outputs),
+            expected,
+            "{paper_model} batch {batch_size}: output bits moved ({:#018x})",
+            bit_hash(&outputs)
+        );
+    }
+}
