@@ -4,9 +4,9 @@
 //! The repo's contract (established in PR 4 and held since) is that a
 //! misspelled knob value *warns once* naming the accepted set instead of
 //! silently defaulting. That only works if every `std::env::var` read of
-//! a `CENTAUR_*` knob lives in one of the two registry modules that
-//! implement the contract — and a knob nobody can find in the README may
-//! as well not exist. Three checks:
+//! a `CENTAUR_*` knob lives in the registry module that implements the
+//! contract — and a knob nobody can find in the README may as well not
+//! exist. Three checks:
 //!
 //! 1. every knob literal appearing in production code is documented in
 //!    `README.md`;
@@ -24,8 +24,8 @@ use crate::source::SourceFile;
 use std::collections::BTreeMap;
 
 /// The modules allowed to read `CENTAUR_*` knobs from the environment —
-/// both implement the warn-once `OnceLock` + `parse_*` contract.
-pub const REGISTRY_MODULES: &[&str] = &["crates/serve/src/env.rs", "crates/dlrm/src/kernel.rs"];
+/// each implements the warn-once `OnceLock` + `parse_*` contract.
+pub const REGISTRY_MODULES: &[&str] = &["crates/serve/src/env.rs"];
 
 /// Cross-file state accumulated by [`check_file`], resolved by [`finish`].
 #[derive(Debug, Default)]
@@ -142,7 +142,7 @@ impl EnvRegistry {
 mod tests {
     use super::*;
 
-    const README: &str = "Knobs: CENTAUR_SERVE_SLO_MS and CENTAUR_NUM_THREADS.";
+    const README: &str = "Knobs: CENTAUR_SERVE_SLO_MS and CENTAUR_SERVE_QUEUE_DEPTH.";
 
     fn run(files: &[(&str, &str)]) -> Vec<String> {
         let mut reg = EnvRegistry::default();

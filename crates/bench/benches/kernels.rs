@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks of the kernels underlying every experiment:
 //! the `SparseLengthsSum` gather/reduce (allocating and zero-alloc paths),
-//! the GEMM backends (naive oracle vs blocked vs blocked-parallel), the
-//! PE-array tiled GEMM and the dot-product feature interaction.
+//! the GEMM backends (naive oracle vs production), the PE-array tiled GEMM
+//! and the dot-product feature interaction.
 
 use centaur::dense::MlpUnit;
 use centaur::sparse::EbStreamer;
-use centaur_dlrm::kernel::{self, KernelBackend, Workspace};
+use centaur_dlrm::kernel::{self, FusedAct, KernelBackend};
 use centaur_dlrm::{EmbeddingBag, FeatureInteraction, Matrix};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -24,10 +24,12 @@ fn bench_gather_reduce(c: &mut Criterion) {
         b.iter(|| bag.sparse_lengths_reduce(black_box(&indices)).unwrap())
     });
 
-    let mut reduced = Matrix::zeros(8, 32);
+    // One request: a batch of one.
+    let one = [&indices];
+    let mut reduced = vec![0.0f32; 8 * 32];
     c.bench_function("sparse_lengths_sum_into_preallocated", |b| {
         b.iter(|| {
-            bag.sparse_lengths_reduce_into(black_box(&indices), &mut reduced)
+            bag.reduce_batch_into(black_box(&one), &mut reduced, 8 * 32, 0)
                 .unwrap()
         })
     });
@@ -36,7 +38,7 @@ fn bench_gather_reduce(c: &mut Criterion) {
     c.bench_function("eb_streamer_gather_reduce_into", |b| {
         b.iter(|| {
             streamer
-                .gather_reduce_into(black_box(&bag), black_box(&indices), &mut reduced)
+                .gather_reduce_batch_into(black_box(&bag), black_box(&one), &mut reduced, 8 * 32, 0)
                 .unwrap()
         })
     });
@@ -59,19 +61,21 @@ fn bench_gemm_backends(c: &mut Criterion) {
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 31) % 17) as f32 - 8.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 13) % 11) as f32 * 0.125).collect();
         let mut out = vec![0.0f32; m * n];
-        let mut ws = Workspace::new();
+        let mut pack = Vec::new();
         for backend in KernelBackend::all() {
             c.bench_function(&format!("gemm_{}_{m}x{k}x{n}", backend.label()), |bench| {
                 bench.iter(|| {
-                    kernel::gemm_into(
+                    kernel::gemm_bias_act_into(
                         backend,
                         black_box(&a),
                         black_box(&b),
+                        None,
+                        FusedAct::Identity,
                         &mut out,
                         m,
                         k,
                         n,
-                        &mut ws,
+                        &mut pack,
                     )
                 })
             });
@@ -105,7 +109,7 @@ fn bench_interaction(c: &mut Criterion) {
 
     let mut out = vec![0.0f32; fi.output_dim()];
     c.bench_function("feature_interaction_into_51x32", |b| {
-        b.iter(|| fi.interact_into(black_box(features.as_slice()), &mut out))
+        b.iter(|| fi.interact_batch_into(black_box(features.as_slice()), 1, &mut out))
     });
 }
 

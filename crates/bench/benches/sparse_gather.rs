@@ -1,9 +1,9 @@
-//! Criterion group `sparse_gather`: the embedding gather-reduce engine
-//! across sparse backends and index distributions, at the bag level (the
-//! kernel + table-major partitioner, no accelerator bookkeeping).
+//! Criterion group `sparse_gather`: the embedding gather-reduce engine on
+//! the oracle and the production backend across index distributions, at the
+//! bag level (the kernel + table-major sweep, no accelerator bookkeeping).
 //!
 //! This is the evidence for the sparse-side overhaul: the vectorized
-//! backends' register-tiled, prefetching, AVX2-dispatched inner loop must
+//! backend's register-tiled, prefetching, AVX2-dispatched inner loop must
 //! beat the scalar per-row accumulate chain on both the paper's worst-case
 //! uniform draw and a production-like Zipfian skew — while staying bitwise
 //! identical (property-tested in `sparse_backend_properties`).

@@ -44,28 +44,15 @@ fn main() {
 
     // The MLP share above assumes the dense complex amortizes weight reads
     // over the batch; cross-check with the measured functional datapath —
-    // batch-major vs per-sample execution across all kernel backends.
-    let mut measured = TextTable::new(
-        "Figure 14 companion: measured batch-major speedup at batch 64 (DLRM(1))",
-        &[
-            "Backend",
-            "Batch-major samples/s",
-            "Per-sample samples/s",
-            "Speedup (x)",
-        ],
-    );
+    // one batch-64 call vs 64 batch-1 calls.
     let config = PaperModel::Dlrm1.config().with_rows_per_table(4096);
-    for point in runner.functional_batch_throughput(
-        &config,
-        &[64],
-        &centaur_dlrm::kernel::KernelBackend::all(),
-    ) {
-        measured.add_row(vec![
-            point.backend.label().to_string(),
-            format!("{:.0}", point.batch_major_sps),
-            format!("{:.0}", point.per_sample_sps),
-            format!("{:.2}", point.speedup()),
-        ]);
+    if let Some(p) = runner.functional_batch_throughput(&config, &[64]).first() {
+        println!(
+            "Figure 14 companion: measured batching speedup at batch 64 (DLRM(1)): \
+             {:.0} samples/s in one call, {:.0} in 64 batch-1 calls, {:.2}x",
+            p.batch_major_sps,
+            p.per_sample_sps,
+            p.speedup()
+        );
     }
-    measured.print();
 }

@@ -20,7 +20,4 @@ pub mod runner;
 pub mod schema;
 
 pub use report::TextTable;
-pub use runner::{
-    BatchSweepPoint, BatchThroughputPoint, ExperimentRunner, SparseThroughputPoint,
-    SystemComparison,
-};
+pub use runner::{BatchSweepPoint, BatchThroughputPoint, ExperimentRunner, SystemComparison};

@@ -1,10 +1,10 @@
 //! Shared experiment-sweep logic used by every figure/table binary and by
 //! the workspace integration tests.
 
-use centaur::{CentaurInferenceResult, CentaurRuntime, CentaurSystem, HotRowCache};
+use centaur::{CentaurInferenceResult, CentaurRuntime, CentaurSystem};
 use centaur_cpusim::{CacheProfile, CacheProfiler, CpuConfig, CpuInferenceResult, CpuSystem};
 use centaur_dlrm::config::{ModelConfig, PaperModel};
-use centaur_dlrm::{DlrmModel, KernelBackend, SparseBackend};
+use centaur_dlrm::DlrmModel;
 use centaur_gpusim::{CpuGpuInferenceResult, CpuGpuSystem};
 use centaur_power::{EnergyReport, SystemKind};
 use centaur_workload::{IndexDistribution, RequestGenerator};
@@ -72,73 +72,28 @@ pub struct BatchSweepPoint {
 }
 
 /// Measured functional inference throughput of the accelerator datapath at
-/// one batch size on one kernel backend: the batch-major path
-/// (`CentaurRuntime::infer_batch`, one GEMM per MLP layer with `m = batch`)
-/// against the per-sample loop (`infer_sample` once per sample).
+/// one batch size, on the production kernels: one call of batch N
+/// (`CentaurRuntime::infer_batch_into`, one GEMM per MLP layer with
+/// `m = batch`) against N calls of batch 1 (`infer_sample` once per
+/// sample) — the paper's batching curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchThroughputPoint {
     /// Batch size of the request.
     pub batch: usize,
-    /// Kernel backend executing the dense math.
-    pub backend: KernelBackend,
-    /// Batch-major throughput in samples per second.
+    /// Throughput of one batch-N call, in samples per second.
     pub batch_major_sps: f64,
-    /// Per-sample-loop throughput in samples per second.
+    /// Throughput of N batch-1 calls, in samples per second.
     pub per_sample_sps: f64,
 }
 
 impl BatchThroughputPoint {
-    /// Batch-major speedup over the per-sample loop.
+    /// Speedup of one batch-N call over N batch-1 calls.
     pub fn speedup(&self) -> f64 {
         if self.per_sample_sps <= 0.0 {
             0.0
         } else {
             self.batch_major_sps / self.per_sample_sps
         }
-    }
-}
-
-/// Measured throughput of the sparse gather-reduce engine at one
-/// `(batch, backend, index distribution)` cell, plus the hot-row cache
-/// model's observed hit rate for the stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseThroughputPoint {
-    /// Batch size of each request.
-    pub batch: usize,
-    /// Sparse backend executing the gather-reduce.
-    pub backend: SparseBackend,
-    /// Index-distribution label (`uniform`, `zipf(s=0.99)`, …).
-    pub distribution: String,
-    /// Sustained samples per second through
-    /// `EmbeddingBag::reduce_batch_into_with`.
-    pub samples_per_sec: f64,
-    /// Sustained samples per second through the full EB-Streamer
-    /// (`EbStreamer::gather_reduce_batch_into`): the same kernels plus the
-    /// index-SRAM chunking, cache observation and EB-RU bookkeeping. The
-    /// gap to [`SparseThroughputPoint::samples_per_sec`] is the streamer's
-    /// modelling overhead per lookup.
-    pub streamer_samples_per_sec: f64,
-    /// Hot-row cache hit-rate estimate over the measured stream (0 on the
-    /// scalar oracle, which models the uncached PR 2 pipeline).
-    pub cache_hit_rate: f64,
-}
-
-impl SparseThroughputPoint {
-    /// The EB-Streamer's bookkeeping overhead versus the raw bag engine,
-    /// in nanoseconds per lookup. Only meaningful on the **vectorized**
-    /// backends, where both paths run the same gather kernels and the gap
-    /// is pure streamer bookkeeping (small negatives there are measurement
-    /// noise). On `Scalar` the two columns are different engines — the
-    /// bag's per-row oracle loop vs the streamer's scalar pipeline — so
-    /// the large negative values it produces are an engine difference,
-    /// not noise.
-    pub fn streamer_overhead_ns_per_lookup(&self, lookups_per_sample: usize) -> f64 {
-        if self.samples_per_sec <= 0.0 || self.streamer_samples_per_sec <= 0.0 {
-            return 0.0;
-        }
-        let bag_ns = 1e9 / self.samples_per_sec;
-        let streamer_ns = 1e9 / self.streamer_samples_per_sec;
-        (streamer_ns - bag_ns) / lookups_per_sample.max(1) as f64
     }
 }
 
@@ -269,10 +224,10 @@ impl ExperimentRunner {
     }
 
     /// Measures *real* functional inference throughput through the
-    /// accelerator datapath (not the timing model): for every
-    /// `batch × backend` cell, times `CentaurRuntime::infer_batch`
-    /// (batch-major, one GEMM per MLP layer) and the equivalent
-    /// per-sample `infer_sample` loop on identical inputs, after warm-up.
+    /// accelerator datapath (not the timing model): for every batch size,
+    /// times one `CentaurRuntime::infer_batch_into` call of batch N and the
+    /// equivalent N `infer_sample` calls of batch 1 on identical inputs,
+    /// after warm-up.
     ///
     /// The measurement loop is adaptive (~50 ms per cell, 3 repetitions
     /// minimum); set `CRITERION_QUICK=1` to collapse it to a smoke run.
@@ -285,220 +240,40 @@ impl ExperimentRunner {
         &self,
         config: &ModelConfig,
         batches: &[usize],
-        backends: &[KernelBackend],
     ) -> Vec<BatchThroughputPoint> {
         let quick = std::env::var("CRITERION_QUICK").is_ok_and(|v| v == "1");
-        self.functional_batch_throughput_with(config, batches, backends, quick)
-    }
-
-    /// [`ExperimentRunner::functional_batch_throughput`] with the
-    /// measurement mode passed explicitly instead of read from the
-    /// environment (tests use `quick = true` without touching process-global
-    /// state).
-    pub fn functional_batch_throughput_with(
-        &self,
-        config: &ModelConfig,
-        batches: &[usize],
-        backends: &[KernelBackend],
-        quick: bool,
-    ) -> Vec<BatchThroughputPoint> {
         let model = DlrmModel::random(config, self.seed).expect("valid benchmark model");
         let mut runtime = CentaurRuntime::harpv2(model).expect("benchmark model fits on chip");
-        let mut points = Vec::with_capacity(batches.len() * backends.len());
+        let mut points = Vec::with_capacity(batches.len());
         for &batch in batches {
             let mut generator = RequestGenerator::new(config, self.distribution, self.seed);
-            let requests = request_pool(&mut generator, config, batch, BATCH_POOL_FOOTPRINT, quick);
+            let requests = request_pool(&mut generator, config, batch, quick);
             let mut out = vec![0.0f32; batch];
-            for &backend in backends {
-                runtime.set_backend(backend);
-                let mut cursor = 0usize;
-                let batch_major_sps = time_samples_per_sec(batch, quick, || {
-                    let request = &requests[cursor % requests.len()];
-                    cursor += 1;
-                    runtime
-                        .infer_batch_into(&request.dense, &request.sparse, &mut out)
-                        .expect("batched inference succeeds");
-                });
-                let mut cursor = 0usize;
-                let per_sample_sps = time_samples_per_sec(batch, quick, || {
-                    let request = &requests[cursor % requests.len()];
-                    cursor += 1;
-                    for (i, indices) in request.sparse.iter().enumerate() {
-                        out[i] = runtime
-                            .infer_sample(request.dense.row(i), indices)
-                            .expect("per-sample inference succeeds");
-                    }
-                });
-                points.push(BatchThroughputPoint {
-                    batch,
-                    backend,
-                    batch_major_sps,
-                    per_sample_sps,
-                });
-            }
+            let mut cursor = 0usize;
+            let batch_major_sps = time_samples_per_sec(batch, quick, || {
+                let request = &requests[cursor % requests.len()];
+                cursor += 1;
+                runtime
+                    .infer_batch_into(&request.dense, &request.sparse, &mut out)
+                    .expect("batched inference succeeds");
+            });
+            let mut cursor = 0usize;
+            let per_sample_sps = time_samples_per_sec(batch, quick, || {
+                let request = &requests[cursor % requests.len()];
+                cursor += 1;
+                for (i, indices) in request.sparse.iter().enumerate() {
+                    out[i] = runtime
+                        .infer_sample(request.dense.row(i), indices)
+                        .expect("per-sample inference succeeds");
+                }
+            });
+            points.push(BatchThroughputPoint {
+                batch,
+                batch_major_sps,
+                per_sample_sps,
+            });
         }
         points
-    }
-
-    /// Measures the sparse gather-reduce engine in isolation: for every
-    /// `(distribution, batch, backend)` cell, times
-    /// `EmbeddingBag::reduce_batch_into_with` — the model's sparse
-    /// frontend, whose scalar arm is exactly the PR 2 baseline loop — over
-    /// a rotating pool of distinct requests (see [`request_pool`] for why
-    /// rotation matters).
-    ///
-    /// The cell's hot-row cache hit rate comes from replaying the same
-    /// index streams through a HARPv2-budget [`HotRowCache`]: residency is
-    /// a property of the stream and the cache geometry, not of which
-    /// kernel executes the reduction, so one replay serves every optimized
-    /// backend of the cell (the scalar oracle models the uncached PR 2
-    /// pipeline and reports 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a request fails — these are fixed, known-good
-    /// configurations.
-    pub fn sparse_gather_throughput_with(
-        &self,
-        config: &ModelConfig,
-        batches: &[usize],
-        backends: &[SparseBackend],
-        distributions: &[IndexDistribution],
-        quick: bool,
-    ) -> Vec<SparseThroughputPoint> {
-        let model = DlrmModel::random(config, self.seed).expect("valid benchmark model");
-        let bag = model.embeddings();
-        let dim = bag.dim();
-        let stride = bag.num_tables() * dim;
-        let mut points = Vec::with_capacity(batches.len() * backends.len() * distributions.len());
-        for &distribution in distributions {
-            for &batch in batches {
-                let mut generator = RequestGenerator::new(config, distribution, self.seed);
-                let requests =
-                    request_pool(&mut generator, config, batch, SPARSE_POOL_FOOTPRINT, quick);
-                let mut cache = HotRowCache::harpv2_sized();
-                for request in &requests {
-                    for per_table in &request.sparse {
-                        for (t, indices) in per_table.iter().enumerate() {
-                            cache.observe_rows(t as u32, dim, indices);
-                        }
-                    }
-                }
-                let hit_rate = cache.hit_rate();
-                let mut reduced = vec![0.0f32; batch * stride];
-                let mut streamer = centaur::EbStreamer::default();
-                for &backend in backends {
-                    let mut cursor = 0usize;
-                    let samples_per_sec = time_samples_per_sec(batch, quick, || {
-                        let request = &requests[cursor % requests.len()];
-                        cursor += 1;
-                        bag.reduce_batch_into_with(
-                            &request.sparse,
-                            &mut reduced,
-                            stride,
-                            0,
-                            backend,
-                        )
-                        .expect("sparse gather succeeds");
-                    });
-                    streamer.set_sparse_backend(backend);
-                    let mut cursor = 0usize;
-                    let streamer_samples_per_sec = time_samples_per_sec(batch, quick, || {
-                        let request = &requests[cursor % requests.len()];
-                        cursor += 1;
-                        streamer
-                            .gather_reduce_batch_into(bag, &request.sparse, &mut reduced, stride, 0)
-                            .expect("streamer gather succeeds");
-                    });
-                    points.push(SparseThroughputPoint {
-                        batch,
-                        backend,
-                        distribution: distribution.label(),
-                        samples_per_sec,
-                        streamer_samples_per_sec,
-                        cache_hit_rate: if backend == SparseBackend::Scalar {
-                            0.0
-                        } else {
-                            hit_rate
-                        },
-                    });
-                }
-            }
-        }
-        points
-    }
-
-    /// Renders sparse-stage measurements as the machine-readable
-    /// `BENCH_sparse.json` document tracked for the performance trajectory:
-    /// one point per `(distribution, batch, backend)` cell with samples/s
-    /// and the cache hit rate, plus the per-cell speedup over the scalar
-    /// oracle at the same `(distribution, batch)`.
-    pub fn bench_sparse_json(model_name: &str, points: &[SparseThroughputPoint]) -> String {
-        let scalar_sps = |p: &SparseThroughputPoint| {
-            points
-                .iter()
-                .find(|q| {
-                    q.batch == p.batch
-                        && q.distribution == p.distribution
-                        && q.backend == SparseBackend::Scalar
-                })
-                .map(|q| q.samples_per_sec)
-        };
-        let mut json = format!(
-            "{{\n  \"unit\": \"samples_per_sec\",\n  \"stage\": \"embedding_bag_reduce_batch\",\n  \"model\": \"{model_name}\",\n  \"points\": [\n"
-        );
-        for (i, p) in points.iter().enumerate() {
-            let speedup = scalar_sps(p)
-                .filter(|&s| s > 0.0)
-                .map_or(0.0, |s| p.samples_per_sec / s);
-            json.push_str(&format!(
-                "    {{\"distribution\": \"{}\", \"batch\": {}, \"backend\": \"{}\", \
-                 \"samples_per_sec\": {:.1}, \"streamer_samples_per_sec\": {:.1}, \
-                 \"cache_hit_rate\": {:.4}, \
-                 \"speedup_vs_scalar\": {:.2}}}{}\n",
-                p.distribution,
-                p.batch,
-                p.backend.label(),
-                p.samples_per_sec,
-                p.streamer_samples_per_sec,
-                p.cache_hit_rate,
-                speedup,
-                if i + 1 < points.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
-
-    /// Renders batched-throughput measurements as the machine-readable
-    /// `BENCH_batch.json` document tracked for the performance trajectory:
-    /// per model, batch size → samples/s per backend, both execution modes,
-    /// plus the batch-major speedup.
-    pub fn bench_batch_json(sections: &[(&str, &[BatchThroughputPoint])]) -> String {
-        let mut json = String::from("{\n  \"unit\": \"samples_per_sec\",\n  \"models\": [\n");
-        for (mi, (model_name, points)) in sections.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"model\": \"{model_name}\", \"points\": [\n"
-            ));
-            for (i, p) in points.iter().enumerate() {
-                json.push_str(&format!(
-                    "      {{\"batch\": {}, \"backend\": \"{}\", \"batch_major\": {:.1}, \
-                     \"per_sample\": {:.1}, \"speedup\": {:.2}}}{}\n",
-                    p.batch,
-                    p.backend.label(),
-                    p.batch_major_sps,
-                    p.per_sample_sps,
-                    p.speedup(),
-                    if i + 1 < points.len() { "," } else { "" }
-                ));
-            }
-            json.push_str(&format!(
-                "    ]}}{}\n",
-                if mi + 1 < sections.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
     }
 
     /// Runs the at-load serving sweep: for every `offered QPS × policy ×
@@ -1042,14 +817,13 @@ fn request_pool(
     generator: &mut RequestGenerator,
     config: &ModelConfig,
     batch: usize,
-    footprint_bytes: u64,
     quick: bool,
 ) -> Vec<centaur_workload::FunctionalBatch> {
     let per_request = (config.gathered_bytes_per_sample() * batch.max(1) as u64).max(1);
     let pool = if quick {
         1
     } else {
-        footprint_bytes.div_ceil(per_request).clamp(4, 512) as usize
+        BATCH_POOL_FOOTPRINT.div_ceil(per_request).clamp(4, 512) as usize
     };
     (0..pool)
         .map(|_| generator.functional_batch(batch))
@@ -1059,10 +833,6 @@ fn request_pool(
 /// Rotation footprint for end-to-end batch measurements: enough gathered
 /// bytes that a rotation spills L2 on any current CPU.
 const BATCH_POOL_FOOTPRINT: u64 = 4 << 20;
-/// Rotation footprint for the (much faster) isolated sparse stage: a full
-/// rotation must spill the last-level working set a single request leaves
-/// behind, or small batches measure warm-L2 gathers production never sees.
-const SPARSE_POOL_FOOTPRINT: u64 = 32 << 20;
 
 /// Times repeated executions of `f` (each covering `batch` samples) and
 /// returns the sustained samples-per-second rate. One warm-up call, then an
@@ -1139,59 +909,11 @@ mod tests {
     fn functional_batch_throughput_produces_positive_rates() {
         let runner = ExperimentRunner::new();
         let config = PaperModel::Dlrm1.config().with_rows_per_table(256);
-        let points = runner.functional_batch_throughput_with(
-            &config,
-            &[1, 4],
-            &[KernelBackend::Naive, KernelBackend::Blocked],
-            true,
-        );
-        assert_eq!(points.len(), 4);
+        let points = runner.functional_batch_throughput(&config, &[1, 4]);
+        assert_eq!(points.iter().map(|p| p.batch).collect::<Vec<_>>(), [1, 4]);
         assert!(points
             .iter()
             .all(|p| p.batch_major_sps > 0.0 && p.per_sample_sps > 0.0 && p.speedup() > 0.0));
-
-        let json =
-            ExperimentRunner::bench_batch_json(&[("DLRM(1)", &points), ("other", &points[..2])]);
-        assert!(json.contains("\"model\": \"DLRM(1)\""));
-        assert!(json.contains("\"model\": \"other\""));
-        assert!(json.contains("\"backend\": \"blocked\""));
-        assert_eq!(json.matches("\"batch\":").count(), 6);
-    }
-
-    #[test]
-    fn sparse_gather_throughput_produces_positive_rates_and_json() {
-        let runner = ExperimentRunner::new();
-        let config = PaperModel::Dlrm1.config().with_rows_per_table(512);
-        let points = runner.sparse_gather_throughput_with(
-            &config,
-            &[4],
-            &SparseBackend::all(),
-            &[
-                IndexDistribution::Uniform,
-                IndexDistribution::production_skew(),
-            ],
-            true,
-        );
-        assert_eq!(points.len(), 6);
-        assert!(points.iter().all(|p| p.samples_per_sec > 0.0));
-        assert!(points.iter().all(|p| p.streamer_samples_per_sec > 0.0));
-        // The scalar oracle models the uncached pipeline.
-        assert!(points
-            .iter()
-            .filter(|p| p.backend == SparseBackend::Scalar)
-            .all(|p| p.cache_hit_rate == 0.0));
-        // A 512-row table under production skew must show real reuse.
-        assert!(points
-            .iter()
-            .any(|p| p.backend != SparseBackend::Scalar && p.cache_hit_rate > 0.2));
-
-        let json = ExperimentRunner::bench_sparse_json("DLRM(1)", &points);
-        assert!(json.contains("\"model\": \"DLRM(1)\""));
-        assert!(json.contains("\"streamer_samples_per_sec\""));
-        assert!(json.contains("\"backend\": \"vectorized\""));
-        assert!(json.contains("\"distribution\": \"zipf(s=0.99)\""));
-        assert!(json.contains("\"speedup_vs_scalar\""));
-        assert_eq!(json.matches("\"batch\":").count(), 6);
     }
 
     #[test]

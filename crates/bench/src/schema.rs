@@ -9,36 +9,6 @@
 //! column must be a conscious, reviewed schema change in this file rather
 //! than a drive-by edit to a format string.
 
-/// Columns of `BENCH_batch.json` (dense batch-throughput sweep): run
-/// metadata plus per-point batch geometry and the batch-major speedup.
-pub const BENCH_BATCH_COLUMNS: &[&str] = &[
-    "unit",
-    "models",
-    "model",
-    "points",
-    "batch",
-    "backend",
-    "batch_major",
-    "per_sample",
-    "speedup",
-];
-
-/// Columns of `BENCH_sparse.json` (embedding gather / sparse-stage sweep):
-/// per-distribution gather throughput, streamer overlap, and cache hits.
-pub const BENCH_SPARSE_COLUMNS: &[&str] = &[
-    "unit",
-    "stage",
-    "model",
-    "points",
-    "distribution",
-    "batch",
-    "backend",
-    "samples_per_sec",
-    "streamer_samples_per_sec",
-    "cache_hit_rate",
-    "speedup_vs_scalar",
-];
-
 /// Columns of `BENCH_serve.json` (serving scenarios: overload, fault
 /// injection, multi-tenant): offered/achieved load, shedding and fault
 /// accounting, and the latency percentile ladder.

@@ -10,7 +10,6 @@ use crate::error::CentaurError;
 use centaur_dlrm::config::ModelConfig;
 use centaur_dlrm::kernel::{global_backend, grow, KernelBackend, Workspace};
 use centaur_dlrm::model::DlrmModel;
-use centaur_dlrm::tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Timing of the dense stage of one batched request.
@@ -58,12 +57,12 @@ pub struct DenseAccelerator {
     weights_loaded: bool,
     /// Kernel backend executing the functional datapath.
     backend: KernelBackend,
-    /// MLP ping/pong/pack scratch — models the on-chip activation SRAMs:
+    /// MLP ping/pong scratch — models the on-chip activation SRAMs:
     /// buffers are sized once and reused for every request.
     ws: Workspace,
-    /// Interaction-input staging buffer (`[num_features, dim]`).
+    /// Interaction-input staging buffer (`[batch, num_features * dim]`).
     features: Vec<f32>,
-    /// Interaction-output staging buffer (`[1, dim + pairs]`).
+    /// Interaction-output staging buffer (`[batch, dim + pairs]`).
     interact_out: Vec<f32>,
 }
 
@@ -128,7 +127,7 @@ impl DenseAccelerator {
     /// boot; the weights persist across requests), accounting the row-major
     /// footprint from the configuration alone. Prefer
     /// [`DenseAccelerator::load_model_packed`] when the instantiated model
-    /// is at hand: it accounts the panel layout actually served from.
+    /// is at hand: it accounts the strips actually served from.
     ///
     /// # Errors
     ///
@@ -142,22 +141,23 @@ impl DenseAccelerator {
     }
 
     /// Uploads an instantiated model's MLP weights in their **prepacked
-    /// panel layout** — the resident form the prepacked GEMM path serves
-    /// from, measured from the actual [`PrepackedWeights`] stores rather
-    /// than derived from the configuration. Packing is a permutation, so
-    /// the accounted bytes equal [`ModelConfig::mlp_bytes`] exactly; the
-    /// point is that the SRAM model now tracks the representation the
-    /// kernels really read.
+    /// strip layout** — the one resident form the GEMM serves from,
+    /// measured from the actual [`PrepackedWeights`] stores rather than
+    /// derived from the configuration. Packing is a permutation, so the
+    /// accounted bytes equal [`ModelConfig::mlp_bytes`] exactly; the point
+    /// is that the SRAM model tracks the representation the kernels really
+    /// read.
     ///
     /// [`PrepackedWeights`]: centaur_dlrm::kernel::PrepackedWeights
     ///
     /// # Errors
     ///
-    /// Returns [`CentaurError::CapacityExceeded`] when the packed panels do
+    /// Returns [`CentaurError::CapacityExceeded`] when the packed strips do
     /// not fit on chip.
     pub fn load_model_packed(&mut self, model: &DlrmModel) -> Result<(), CentaurError> {
         self.weight_sram.clear();
-        self.weight_sram.store(model.mlp_packed_bytes() as u64)?;
+        let resident = model.bottom_mlp().size_bytes() + model.top_mlp().size_bytes();
+        self.weight_sram.store(resident as u64)?;
         self.weights_loaded = true;
         Ok(())
     }
@@ -166,171 +166,30 @@ impl DenseAccelerator {
     // Functional path
     // ------------------------------------------------------------------
 
-    /// Functionally executes the dense stage for one sample: bottom MLP over
-    /// the dense features, feature interaction with the reduced embeddings,
-    /// top MLP and sigmoid. Returns the event probability.
+    /// The functional dense stage, batch-major over raw row-major buffers:
+    /// the whole batch flows through one GEMM per MLP layer (`m = batch`),
+    /// the interaction runs as one batched pass and the sigmoid unit
+    /// converts every logit in one sweep. `dense_rows` is
+    /// `[batch, dense_cols]`, `reduced_batch` is the EB-Streamer's
+    /// batch-major output — each sample's `[num_tables * dim]` reduced
+    /// embeddings back to back — and `out` receives one probability per
+    /// sample. A sample is a batch of one. The runtime's **waved** batch
+    /// pipeline carves a large batch into bounded sample waves and runs
+    /// gather → this per wave, so each wave's staging stays cache-resident
+    /// end to end.
     ///
     /// The math runs on the configured [`KernelBackend`] through the
     /// accelerator's persistent staging buffers (fused GEMM + bias +
     /// activation per layer, no intermediate matrices): steady-state
-    /// requests are allocation-free on the `Naive`/`Blocked` backends.
+    /// requests are allocation-free. Per-request SRAMs are refilled in
+    /// as-large-as-fit sample waves (double-buffered batch staging), so
+    /// large batches stream through the Table-III capacities.
     ///
     /// # Errors
     ///
-    /// Returns [`CentaurError::NotInitialised`] when
-    /// [`DenseAccelerator::load_model`] has not been called, and propagates
-    /// shape errors from the datapath.
-    pub fn forward_sample(
-        &mut self,
-        model: &DlrmModel,
-        dense_row: &Matrix,
-        reduced_embeddings: &Matrix,
-    ) -> Result<f32, CentaurError> {
-        if dense_row.rows() != 1 {
-            return Err(centaur_dlrm::DlrmError::ShapeMismatch {
-                op: "dense features row",
-                lhs: (1, dense_row.cols()),
-                rhs: dense_row.shape(),
-            }
-            .into());
-        }
-        self.forward_sample_slice(model, dense_row.as_slice(), reduced_embeddings)
-    }
-
-    /// [`DenseAccelerator::forward_sample`] over a raw dense-feature row —
-    /// the zero-allocation entry point used by the runtime's batched path.
-    ///
-    /// Mirrors `DlrmModel::forward_sample_ws` stage for stage, but cannot
-    /// delegate to it: the hardware model's bookkeeping (SRAM refills, PE
-    /// counters) is interleaved *between* the stages. Keep the two in sync
-    /// when changing the staging layout.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DenseAccelerator::forward_sample`].
-    pub fn forward_sample_slice(
-        &mut self,
-        model: &DlrmModel,
-        dense_row: &[f32],
-        reduced_embeddings: &Matrix,
-    ) -> Result<f32, CentaurError> {
-        if !self.weights_loaded {
-            return Err(CentaurError::NotInitialised("MLP weight SRAM"));
-        }
-        // Per-request buffers are refilled for every inference.
-        self.dense_feature_sram.clear();
-        self.dense_feature_sram
-            .store(std::mem::size_of_val(dense_row) as u64)?;
-
-        let dim = reduced_embeddings.cols();
-        let num_features = reduced_embeddings.rows() + 1;
-        let interact_width = dim + num_features * (num_features - 1) / 2;
-        grow(&mut self.features, num_features * dim);
-        grow(&mut self.interact_out, interact_width);
-
-        // 1. Bottom MLP into interaction feature row 0.
-        {
-            let DenseAccelerator { ws, features, .. } = self;
-            let (bottom, cols) =
-                model
-                    .bottom_mlp()
-                    .forward_ws(self.backend, dense_row, 1, dense_row.len(), ws)?;
-            if cols != dim {
-                return Err(centaur_dlrm::DlrmError::ShapeMismatch {
-                    op: "bottom MLP output vs embedding dim",
-                    lhs: (1, dim),
-                    rhs: (1, cols),
-                }
-                .into());
-            }
-            features[..dim].copy_from_slice(bottom);
-        }
-        self.mlp_unit
-            .record_gemms(model.bottom_mlp().num_layers() as u64);
-        self.features[dim..num_features * dim].copy_from_slice(reduced_embeddings.as_slice());
-
-        // 2. Feature interaction over [bottom; reduced embeddings].
-        {
-            let DenseAccelerator {
-                interaction_unit,
-                features,
-                interact_out,
-                ..
-            } = self;
-            interaction_unit.interact_into(
-                &features[..num_features * dim],
-                num_features,
-                dim,
-                &mut interact_out[..interact_width],
-            )?;
-        }
-        self.mlp_input_sram.clear();
-        self.mlp_input_sram
-            .store((interact_width * std::mem::size_of::<f32>()) as u64)?;
-
-        // 3. Top MLP + 4. sigmoid.
-        let DenseAccelerator {
-            ws,
-            interact_out,
-            sigmoid_unit,
-            ..
-        } = self;
-        let (top, _) = model.top_mlp().forward_ws(
-            self.backend,
-            &interact_out[..interact_width],
-            1,
-            interact_width,
-            ws,
-        )?;
-        self.mlp_unit
-            .record_gemms(model.top_mlp().num_layers() as u64);
-        Ok(sigmoid_unit.apply(top[0]))
-    }
-
-    /// The **batch-major** functional dense stage: the whole batch flows
-    /// through one GEMM per MLP layer (`m = batch`), the interaction runs
-    /// as one batched pass and the sigmoid unit converts every logit in one
-    /// sweep. `reduced_batch` is the EB-Streamer's batch-major output —
-    /// each sample's `[num_tables * dim]` reduced embeddings back to back —
-    /// and `out` receives one probability per sample.
-    ///
-    /// Per-request SRAMs are refilled in as-large-as-fit sample waves
-    /// (double-buffered batch staging), so large batches stream through the
-    /// same Table-III capacities the per-sample path models.
-    ///
-    /// Numerically identical (bitwise, per backend) to looping
-    /// [`DenseAccelerator::forward_sample_slice`] over the batch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DenseAccelerator::forward_sample`], plus a batch mismatch
-    /// when `dense.rows()`, the reduced batch and `out` disagree.
-    pub fn forward_batch_into(
-        &mut self,
-        model: &DlrmModel,
-        dense: &Matrix,
-        reduced_batch: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CentaurError> {
-        self.forward_batch_rows_into(
-            model,
-            dense.as_slice(),
-            dense.rows(),
-            dense.cols(),
-            reduced_batch,
-            out,
-        )
-    }
-
-    /// [`DenseAccelerator::forward_batch_into`] over a raw row-major slice
-    /// of dense-feature rows — the entry point of the runtime's **waved**
-    /// batch pipeline, which carves a large batch into bounded sample
-    /// waves and runs gather → dense per wave so each wave's staging stays
-    /// cache-resident end to end.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DenseAccelerator::forward_batch_into`].
+    /// Returns [`CentaurError::NotInitialised`] when no weights have been
+    /// loaded, a batch mismatch when the dense rows, the reduced batch and
+    /// `out` disagree, and propagates shape errors from the datapath.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_batch_rows_into(
         &mut self,
@@ -475,7 +334,7 @@ impl DenseAccelerator {
     /// # Errors
     ///
     /// Returns [`CentaurError::CapacityExceeded`] when even a single sample
-    /// does not fit (the same condition the per-sample path hits).
+    /// does not fit.
     fn stage_batch(
         sram: &mut SramBuffer,
         bytes_per_sample: u64,
@@ -536,6 +395,7 @@ impl Default for DenseAccelerator {
 mod tests {
     use super::*;
     use centaur_dlrm::config::PaperModel;
+    use centaur_dlrm::tensor::Matrix;
 
     fn tiny_model() -> DlrmModel {
         let config = ModelConfig::builder()
@@ -552,6 +412,25 @@ mod tests {
         DlrmModel::random(&config, 11).unwrap()
     }
 
+    /// One sample through the dense stage: a batch of one.
+    fn forward_one(
+        acc: &mut DenseAccelerator,
+        model: &DlrmModel,
+        dense_row: &[f32],
+        reduced: &Matrix,
+    ) -> Result<f32, CentaurError> {
+        let mut out = [0.0f32];
+        acc.forward_batch_rows_into(
+            model,
+            dense_row,
+            1,
+            dense_row.len(),
+            reduced.as_slice(),
+            &mut out,
+        )?;
+        Ok(out[0])
+    }
+
     #[test]
     fn functional_forward_matches_reference_model() {
         let model = tiny_model();
@@ -564,15 +443,13 @@ mod tests {
             .collect();
         let reduced = model.embeddings().sparse_lengths_reduce(&indices).unwrap();
 
-        let ours = acc.forward_sample(&model, &dense, &reduced).unwrap();
+        let ours = forward_one(&mut acc, &model, dense.as_slice(), &reduced).unwrap();
         let reference = model
             .forward_breakdown(&dense, &indices)
             .unwrap()
             .probability;
-        assert!(
-            (ours - reference).abs() < 1e-5,
-            "accelerator {ours} vs reference {reference}"
-        );
+        // The same kernels in the same order on both sides: bitwise.
+        assert_eq!(ours, reference);
     }
 
     #[test]
@@ -585,29 +462,32 @@ mod tests {
 
         let batch = 5;
         let dense = Matrix::from_fn(batch, 5, |r, c| (r as f32 - c as f32) * 0.2);
-        let batch_indices: Vec<Vec<Vec<u32>>> = (0..batch)
-            .map(|s| (0..3).map(|t| vec![(s * 7 + t) as u32 % 64]).collect())
+        let reduced: Vec<Matrix> = (0..batch)
+            .map(|s| {
+                let indices: Vec<Vec<u32>> =
+                    (0..3).map(|t| vec![(s * 7 + t) as u32 % 64]).collect();
+                model.embeddings().sparse_lengths_reduce(&indices).unwrap()
+            })
             .collect();
         // Batch-major reduced staging buffer: [batch, num_tables * dim].
-        let mut reduced_batch = vec![0.0f32; batch * 3 * 8];
-        for (s, indices) in batch_indices.iter().enumerate() {
-            let mut m = Matrix::zeros(3, 8);
-            model
-                .embeddings()
-                .sparse_lengths_reduce_into(indices, &mut m)
-                .unwrap();
-            reduced_batch[s * 24..(s + 1) * 24].copy_from_slice(m.as_slice());
-        }
+        let reduced_batch: Vec<f32> = reduced
+            .iter()
+            .flat_map(|m| m.as_slice().iter().copied())
+            .collect();
 
         let mut batch_out = vec![0.0f32; batch];
         batched
-            .forward_batch_into(&model, &dense, &reduced_batch, &mut batch_out)
+            .forward_batch_rows_into(
+                &model,
+                dense.as_slice(),
+                batch,
+                5,
+                &reduced_batch,
+                &mut batch_out,
+            )
             .unwrap();
-        for (s, indices) in batch_indices.iter().enumerate() {
-            let reduced = model.embeddings().sparse_lengths_reduce(indices).unwrap();
-            let single = per_sample
-                .forward_sample_slice(&model, dense.row(s), &reduced)
-                .unwrap();
+        for (s, reduced) in reduced.iter().enumerate() {
+            let single = forward_one(&mut per_sample, &model, dense.row(s), reduced).unwrap();
             assert_eq!(batch_out[s], single, "sample {s} diverged");
         }
     }
@@ -618,10 +498,10 @@ mod tests {
         let mut acc = DenseAccelerator::harpv2();
         acc.load_model(model.config()).unwrap();
         let batch = 6;
-        let dense = Matrix::zeros(batch, 5);
+        let dense = vec![0.0f32; batch * 5];
         let reduced_batch = vec![0.0f32; batch * 3 * 8];
         let mut out = vec![0.0f32; batch];
-        acc.forward_batch_into(&model, &dense, &reduced_batch, &mut out)
+        acc.forward_batch_rows_into(&model, &dense, batch, 5, &reduced_batch, &mut out)
             .unwrap();
         // One GEMM per MLP layer for the *whole* batch, not one per sample…
         let layers = (model.bottom_mlp().num_layers() + model.top_mlp().num_layers()) as u64;
@@ -635,10 +515,8 @@ mod tests {
         let model = tiny_model();
         let mut acc = DenseAccelerator::harpv2();
         acc.load_model(model.config()).unwrap();
-        let dense = Matrix::zeros(1, 5);
-        let reduced = Matrix::zeros(3, 8);
-        acc.forward_sample(&model, &dense, &reduced).unwrap();
-        // Every MLP layer occupies the array once per sample.
+        forward_one(&mut acc, &model, &[0.0; 5], &Matrix::zeros(3, 8)).unwrap();
+        // Every MLP layer occupies the array once per request.
         let layers = (model.bottom_mlp().num_layers() + model.top_mlp().num_layers()) as u64;
         assert_eq!(acc.mlp_unit().gemms_executed(), layers);
         assert_eq!(acc.interaction_unit().interactions_executed(), 1);
@@ -650,9 +528,7 @@ mod tests {
         let mut acc = DenseAccelerator::harpv2();
         acc.load_model(model.config()).unwrap();
         // Wrong dense width: the bottom MLP rejects the request.
-        let bad_dense = Matrix::zeros(1, 3);
-        let reduced = Matrix::zeros(3, 8);
-        assert!(acc.forward_sample(&model, &bad_dense, &reduced).is_err());
+        assert!(forward_one(&mut acc, &model, &[0.0; 3], &Matrix::zeros(3, 8)).is_err());
         assert_eq!(acc.mlp_unit().gemms_executed(), 0);
         assert_eq!(acc.interaction_unit().interactions_executed(), 0);
     }
@@ -661,10 +537,8 @@ mod tests {
     fn forward_requires_loaded_weights() {
         let model = tiny_model();
         let mut acc = DenseAccelerator::harpv2();
-        let dense = Matrix::zeros(1, 5);
-        let reduced = Matrix::zeros(3, 8);
         assert!(matches!(
-            acc.forward_sample(&model, &dense, &reduced),
+            forward_one(&mut acc, &model, &[0.0; 5], &Matrix::zeros(3, 8)),
             Err(CentaurError::NotInitialised(_))
         ));
     }
@@ -675,13 +549,10 @@ mod tests {
         let mut acc = DenseAccelerator::harpv2();
         acc.load_model_packed(&model).unwrap();
         assert!(acc.weights_loaded());
-        // The panel-resident layout is a permutation of the row-major
-        // weights: the SRAM accounting must match the Table-I footprint
-        // bit for bit, measured from the actual PrepackedWeights stores.
-        assert_eq!(
-            acc.weight_sram().used_bytes(),
-            model.mlp_packed_bytes() as u64
-        );
+        // The strip-resident layout is a permutation of the row-major
+        // weights: the SRAM accounting, measured from the actual
+        // PrepackedWeights stores, must match the Table-I footprint bit for
+        // bit.
         assert_eq!(
             acc.weight_sram().used_bytes(),
             model.config().mlp_bytes(),

@@ -3,7 +3,6 @@
 //! and the bottom-MLP output (Figures 9 and 11).
 
 use crate::dense::pe::{PeConfig, ProcessingEngine};
-use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::{DlrmError, FeatureInteraction};
 use serde::{Deserialize, Serialize};
 
@@ -48,45 +47,12 @@ impl FeatureInteractionUnit {
         self.interactions_executed
     }
 
-    /// Functionally computes the interaction output for one sample: the
-    /// bottom-MLP output (row 0 of `features`) concatenated with every
-    /// pairwise dot product — identical to the reference
-    /// [`FeatureInteraction::interact`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the reference operator.
-    pub fn interact(&mut self, features: &Matrix) -> Result<Matrix, DlrmError> {
-        let reference = FeatureInteraction::new(features.rows(), features.cols())?;
-        let out = reference.interact(features)?;
-        self.interactions_executed += 1;
-        Ok(out)
-    }
-
-    /// Allocation-free variant of [`FeatureInteractionUnit::interact`] over
-    /// raw buffers: `features` is `[num_features, dim]` row-major, `out`
-    /// receives the `[1, dim + pairs]` top-MLP input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::InvalidConfig`] for degenerate shapes.
-    pub fn interact_into(
-        &mut self,
-        features: &[f32],
-        num_features: usize,
-        dim: usize,
-        out: &mut [f32],
-    ) -> Result<(), DlrmError> {
-        let reference = FeatureInteraction::new(num_features, dim)?;
-        reference.interact_into(features, out);
-        self.interactions_executed += 1;
-        Ok(())
-    }
-
-    /// Batch-major [`FeatureInteractionUnit::interact_into`]: `features` is
-    /// the `[batch, num_features * dim]` matrix and `out` receives the
-    /// `[batch, dim + pairs]` top-MLP input in one pass. Counts one executed
-    /// interaction per sample (each sample still occupies a PE).
+    /// Functionally computes the interaction output for a batch: `features`
+    /// is the `[batch, num_features * dim]` matrix (row 0 of each sample the
+    /// bottom-MLP output) and `out` receives the `[batch, dim + pairs]`
+    /// top-MLP input in one pass — identical to the reference
+    /// [`FeatureInteraction::interact_batch_into`]. Counts one executed
+    /// interaction per sample (each sample occupies a PE).
     ///
     /// # Errors
     ///
@@ -149,19 +115,21 @@ impl Default for FeatureInteractionUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use centaur_dlrm::tensor::Matrix;
 
     #[test]
     fn functional_interaction_matches_reference() {
         let mut unit = FeatureInteractionUnit::harpv2();
         let features = Matrix::from_fn(6, 32, |r, c| ((r * 17 + c) % 9) as f32 - 4.0);
-        let ours = unit.interact(&features).unwrap();
+        let mut ours = vec![0.0f32; 32 + 15];
+        unit.interact_batch_into(features.as_slice(), 1, 6, 32, &mut ours)
+            .unwrap();
         let reference = FeatureInteraction::new(6, 32)
             .unwrap()
             .interact(&features)
             .unwrap();
-        assert_eq!(ours, reference);
+        assert_eq!(ours, reference.as_slice());
         assert_eq!(unit.interactions_executed(), 1);
-        assert_eq!(ours.cols(), 32 + 15);
     }
 
     #[test]

@@ -50,11 +50,8 @@ pub struct CentaurRuntime {
     streamer: EbStreamer,
     dense: DenseAccelerator,
     system: CentaurSystem,
-    /// Reused `[num_tables, dim]` staging matrix for reduced embeddings —
-    /// gathered rows land here every request, no per-request allocation.
-    reduced: Matrix,
-    /// Reused batch-major staging buffer (`[batch, num_tables * dim]`) for
-    /// the batched path — grows to the high-water batch size and is reused
+    /// Reused batch-major staging buffer (`[wave, num_tables * dim]`) for
+    /// reduced embeddings — grows to the high-water wave size and is reused
     /// across requests.
     reduced_batch: Vec<f32>,
 }
@@ -83,18 +80,16 @@ impl CentaurRuntime {
         bpregs.mmio_write(BasePointer::Output, 0x0B00_0000)?;
 
         let mut dense = DenseAccelerator::harpv2();
-        // Upload the MLP weights in the prepacked panel layout — the
-        // resident form the default prepacked GEMM path serves from.
+        // Upload the MLP weights in the prepacked strip layout — the
+        // resident form the GEMM serves from.
         dense.load_model_packed(&model)?;
 
-        let reduced = Matrix::zeros(model.config().num_tables, model.config().embedding_dim);
         Ok(CentaurRuntime {
             model,
             bpregs,
             streamer: EbStreamer::new(config.link),
             dense,
             system: CentaurSystem::new(config),
-            reduced,
             reduced_batch: Vec::new(),
         })
     }
@@ -115,8 +110,8 @@ impl CentaurRuntime {
     }
 
     /// Selects the sparse backend for subsequent functional inferences
-    /// (`Scalar` is the PR 2 oracle pipeline; the vectorized backends run
-    /// the register-tiled prefetching kernels through the hot-row cache).
+    /// (`Scalar` is the oracle pipeline; `Vectorized` runs the
+    /// register-tiled prefetching kernels through the hot-row cache).
     pub fn set_sparse_backend(&mut self, backend: SparseBackend) {
         self.streamer.set_sparse_backend(backend);
     }
@@ -174,30 +169,8 @@ impl CentaurRuntime {
     }
 
     /// Runs one functional inference through the accelerator datapath
-    /// (EB-Streamer gathers/reductions, then the dense complex).
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath errors (index out of bounds, shape mismatches).
-    pub fn infer_single(
-        &mut self,
-        dense_row: &Matrix,
-        indices_per_table: &[Vec<u32>],
-    ) -> Result<f32, CentaurError> {
-        if dense_row.rows() != 1 {
-            return Err(centaur_dlrm::DlrmError::ShapeMismatch {
-                op: "dense features row",
-                lhs: (1, dense_row.cols()),
-                rhs: dense_row.shape(),
-            }
-            .into());
-        }
-        self.infer_sample(dense_row.as_slice(), indices_per_table)
-    }
-
-    /// One sample through the accelerator datapath over raw buffers — the
-    /// allocation-free hot path shared by [`CentaurRuntime::infer_single`]
-    /// and [`CentaurRuntime::infer_batch`].
+    /// (EB-Streamer gathers/reductions, then the dense complex) — a batch of
+    /// one through [`CentaurRuntime::infer_batch_rows_into`].
     ///
     /// # Errors
     ///
@@ -207,15 +180,9 @@ impl CentaurRuntime {
         dense_row: &[f32],
         indices_per_table: &[Vec<u32>],
     ) -> Result<f32, CentaurError> {
-        let CentaurRuntime {
-            model,
-            streamer,
-            dense,
-            reduced,
-            ..
-        } = self;
-        streamer.gather_reduce_into(model.embeddings(), indices_per_table, reduced)?;
-        dense.forward_sample_slice(model, dense_row, reduced)
+        let mut out = [0.0f32];
+        self.infer_batch_rows_into(dense_row, dense_row.len(), &[indices_per_table], &mut out)?;
+        Ok(out[0])
     }
 
     /// Runs a batched functional inference; one probability per sample.
@@ -263,17 +230,19 @@ impl CentaurRuntime {
     /// features (`[batch * cols]`) instead of a [`Matrix`] — the entry
     /// point for serving layers that stage coalesced requests in their own
     /// reusable buffers and cannot afford to build a `Matrix` per batch.
+    /// `batch_indices[s]` is sample `s`'s per-table index lists, so one
+    /// request is `&[indices_per_table]`.
     ///
     /// # Errors
     ///
     /// Same as [`CentaurRuntime::infer_batch_into`]; the batch size is
     /// `batch_indices.len()` and `dense_rows` must hold exactly
     /// `batch * cols` values.
-    pub fn infer_batch_rows_into(
+    pub fn infer_batch_rows_into<S: AsRef<[Vec<u32>]>>(
         &mut self,
         dense_rows: &[f32],
         cols: usize,
-        batch_indices: &[Vec<Vec<u32>>],
+        batch_indices: &[S],
         out: &mut [f32],
     ) -> Result<(), CentaurError> {
         let batch = batch_indices.len();
@@ -365,10 +334,8 @@ mod tests {
 
         let ours = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
         let reference = model.forward_batch(&batch.dense, &batch.sparse).unwrap();
-        assert_eq!(ours.len(), reference.len());
-        for (a, b) in ours.iter().zip(&reference) {
-            assert!((a - b).abs() < 1e-4, "accelerator {a} vs reference {b}");
-        }
+        // Accelerator and model run the same kernels in the same order.
+        assert_eq!(ours, reference);
     }
 
     #[test]
@@ -385,7 +352,7 @@ mod tests {
             let single = per_sample
                 .infer_sample(batch.dense.row(i), indices)
                 .unwrap();
-            assert_eq!(ours[i], single, "sample {i} diverged from per-sample path");
+            assert_eq!(ours[i], single, "sample {i} diverged from its batch of one");
         }
     }
 

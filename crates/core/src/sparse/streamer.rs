@@ -11,7 +11,7 @@ use crate::sparse::reduction_unit::EmbeddingReductionUnit;
 use centaur_dlrm::kernel::{global_sparse_backend, SparseBackend};
 use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::trace::InferenceTrace;
-use centaur_dlrm::{EmbeddingBag, EmbeddingTable, ReductionOp};
+use centaur_dlrm::{EmbeddingBag, ReductionOp};
 use centaur_memsim::Throughput;
 use serde::{Deserialize, Serialize};
 
@@ -82,14 +82,10 @@ pub struct EbStreamer {
     gather_unit: EmbeddingGatherUnit,
     reduction_unit: EmbeddingReductionUnit,
     /// Which gather-reduce engine executes the functional path. `Scalar`
-    /// is the PR 2 oracle (per-row accumulate, no cache); the vectorized
-    /// backends run the register-tiled prefetching kernels through the
-    /// hot-row cache. (The streamer models a single hardware pipeline, so
-    /// `VectorizedParallel` executes like `Vectorized` here — the
-    /// host-side `EmbeddingBag` engine is where sample-band threading
-    /// applies.)
+    /// is the oracle (per-row accumulate, no cache); `Vectorized` runs the
+    /// register-tiled prefetching kernels through the hot-row cache.
     backend: SparseBackend,
-    /// The hot-row cache (engaged on the vectorized backends).
+    /// The hot-row cache (engaged on the vectorized backend).
     hot_cache: HotRowCache,
     /// Persistent tag state for the timing path's trace replay — like the
     /// functional cache, residency carries across requests, so a stream of
@@ -105,8 +101,7 @@ pub struct EbStreamer {
 
 impl EbStreamer {
     /// Creates a streamer over the given link with the paper's SRAM/ALU
-    /// sizing and the process-default sparse backend
-    /// (`CENTAUR_SPARSE_BACKEND`).
+    /// sizing and the production sparse backend.
     pub fn new(link: ChipletLinkConfig) -> Self {
         EbStreamer {
             link,
@@ -185,62 +180,23 @@ impl EbStreamer {
     // ------------------------------------------------------------------
 
     /// Functionally performs the gathers and reductions of one request over
-    /// real embedding tables, streaming through the gather and reduction
-    /// units. The result is the `[num_tables, dim]` matrix of reduced
-    /// embeddings, numerically identical to the reference
-    /// [`EmbeddingBag::sparse_lengths_reduce`].
+    /// real embedding tables — a batch of one through
+    /// [`EbStreamer::gather_reduce_batch_into`]. The result is the
+    /// `[num_tables, dim]` matrix of reduced embeddings, numerically
+    /// identical to the reference [`EmbeddingBag::sparse_lengths_reduce`].
     ///
     /// # Errors
     ///
-    /// Propagates index-out-of-bounds and table-count errors from the
-    /// reference tables, and index-SRAM capacity errors.
+    /// Same as [`EbStreamer::gather_reduce_batch_into`].
     pub fn gather_reduce(
         &mut self,
         bag: &EmbeddingBag,
         indices_per_table: &[Vec<u32>],
     ) -> Result<Matrix, CentaurError> {
         let mut out = Matrix::zeros(bag.num_tables(), bag.dim());
-        self.gather_reduce_into(bag, indices_per_table, &mut out)?;
+        let width = out.len();
+        self.gather_reduce_batch_into(bag, &[indices_per_table], out.as_mut_slice(), width, 0)?;
         Ok(out)
-    }
-
-    /// Allocation-free [`EbStreamer::gather_reduce`]: streams each chunk of
-    /// indices through the SRAM and accumulates rows on the fly into the
-    /// caller-owned `[num_tables, dim]` output — no per-chunk gather
-    /// matrices, exactly how the EB-RU reduces rows as they arrive off the
-    /// link.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EbStreamer::gather_reduce`], plus a shape mismatch when
-    /// `out` has the wrong shape, and [`DlrmError::InvalidConfig`] for bags
-    /// whose reduction operator is not `Sum` — the EB-RU accumulates rows
-    /// as they stream in and cannot compute Mean/Max on the fly.
-    ///
-    /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
-    pub fn gather_reduce_into(
-        &mut self,
-        bag: &EmbeddingBag,
-        indices_per_table: &[Vec<u32>],
-        out: &mut Matrix,
-    ) -> Result<(), CentaurError> {
-        if indices_per_table.len() != bag.num_tables() {
-            return Err(centaur_dlrm::DlrmError::TableCountMismatch {
-                provided: indices_per_table.len(),
-                expected: bag.num_tables(),
-            }
-            .into());
-        }
-        if out.shape() != (bag.num_tables(), bag.dim()) {
-            return Err(centaur_dlrm::DlrmError::ShapeMismatch {
-                op: "eb-streamer gather_reduce_into",
-                lhs: (bag.num_tables(), bag.dim()),
-                rhs: out.shape(),
-            }
-            .into());
-        }
-        self.check_streamable(bag)?;
-        self.stream_sample(bag, indices_per_table, out.as_mut_slice())
     }
 
     /// Batch-major gather/reduce: streams **every** sample's gathers through
@@ -249,16 +205,24 @@ impl EbStreamer {
     /// buffer at column `row_offset` — exactly the layout of the dense
     /// complex's batch-major feature matrix, so gathered rows land where the
     /// interaction unit reads them with no intermediate staging matrices.
+    /// `batch_indices[s]` is sample `s`'s per-table index lists, so one
+    /// request is `&[indices_per_table]`.
     ///
     /// # Errors
     ///
-    /// Same as [`EbStreamer::gather_reduce_into`] per sample, plus a shape
+    /// Propagates index-out-of-bounds and table-count errors from the
+    /// reference tables and index-SRAM capacity errors; returns a shape
     /// mismatch when `out` is not `batch * row_stride` long or a sample's
-    /// reduced block does not fit its row.
-    pub fn gather_reduce_batch_into(
+    /// reduced block does not fit its row, and [`DlrmError::InvalidConfig`]
+    /// for bags whose reduction operator is not `Sum` — the EB-RU
+    /// accumulates rows as they stream in and cannot compute Mean/Max on
+    /// the fly.
+    ///
+    /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
+    pub fn gather_reduce_batch_into<S: AsRef<[Vec<u32>]>>(
         &mut self,
         bag: &EmbeddingBag,
-        batch_indices: &[Vec<Vec<u32>>],
+        batch_indices: &[S],
         out: &mut [f32],
         row_stride: usize,
         row_offset: usize,
@@ -276,7 +240,11 @@ impl EbStreamer {
         if self.backend == SparseBackend::Scalar {
             for (sample, indices_per_table) in batch_indices.iter().enumerate() {
                 let base = sample * row_stride + row_offset;
-                self.stream_sample(bag, indices_per_table, &mut out[base..base + width])?;
+                self.stream_sample_scalar(
+                    bag,
+                    indices_per_table.as_ref(),
+                    &mut out[base..base + width],
+                )?;
             }
             return Ok(());
         }
@@ -286,7 +254,7 @@ impl EbStreamer {
         // hot rows stay cache- and L2-resident across the batch instead of
         // every sample cycling the whole bag through the cache.
         for indices_per_table in batch_indices {
-            Self::validate_sample(bag, indices_per_table)?;
+            bag.validate_request(indices_per_table.as_ref())?;
         }
         if row_stride == 0 {
             return Ok(());
@@ -314,7 +282,7 @@ impl EbStreamer {
                 index_sram.begin_load();
                 segments.clear();
                 while sample < batch_indices.len() {
-                    let list = &batch_indices[sample][t];
+                    let list = &batch_indices[sample].as_ref()[t];
                     let remaining = &list[resume_at..];
                     let space = capacity - index_sram.len();
                     if remaining.is_empty() {
@@ -383,46 +351,6 @@ impl EbStreamer {
         Ok(())
     }
 
-    /// Validates one sample's request exactly as the scalar streaming loop
-    /// would discover problems (table count first, then each table's
-    /// indices in order) — delegated to the bag's own pre-pass so the two
-    /// engines can never drift on error selection.
-    fn validate_sample(
-        bag: &EmbeddingBag,
-        indices_per_table: &[Vec<u32>],
-    ) -> Result<(), CentaurError> {
-        bag.validate_request(indices_per_table)
-            .map_err(CentaurError::from)
-    }
-
-    /// Streams one (sample, table) gather-reduce through the index SRAM,
-    /// the EB-RU and the hot-row cache model: indices chunk through the
-    /// SRAM as the hardware double-buffer would, each chunk accumulates
-    /// through the register-tiled prefetching gather kernel, the cache
-    /// model observes the index stream for hit/miss accounting, and the
-    /// EB-RU occupancy counter advances by the chunk's row count. Indices
-    /// must be pre-validated.
-    fn stream_table_gathers(
-        index_sram: &mut SparseIndexSram,
-        reduction_unit: &mut EmbeddingReductionUnit,
-        hot_cache: &mut HotRowCache,
-        t: usize,
-        table: &EmbeddingTable,
-        indices: &[u32],
-        row_out: &mut [f32],
-    ) -> Result<(), CentaurError> {
-        row_out.fill(0.0);
-        let dim = table.dim();
-        for chunk in indices.chunks(index_sram.capacity_indices().max(1)) {
-            index_sram.load(chunk)?;
-            let loaded = index_sram.contents();
-            centaur_dlrm::kernel::gather_rows_sum(table.as_slice(), dim, loaded, row_out);
-            hot_cache.observe_rows(t as u32, dim, loaded);
-            reduction_unit.record_reductions(loaded.len() as u64);
-        }
-        Ok(())
-    }
-
     /// The EB-RU only accumulates rows as they stream off the link, so only
     /// `Sum` bags can be served.
     fn check_streamable(&self, bag: &EmbeddingBag) -> Result<(), CentaurError> {
@@ -437,43 +365,17 @@ impl EbStreamer {
         Ok(())
     }
 
-    /// Streams one sample's gathers: chunks each table's indices through the
-    /// index SRAM and reduces rows on the fly into the sample's
-    /// `[num_tables * dim]` output block.
-    ///
-    /// On the scalar oracle backend every row accumulates one at a time
-    /// through [`EmbeddingReductionUnit::accumulate`]; the vectorized
-    /// backends validate up front and run whole SRAM chunks through the
-    /// hot-row cache's register-tiled accumulate — bitwise identical
-    /// results either way.
-    fn stream_sample(
+    /// The oracle: streams one sample's gathers a row at a time, chunking
+    /// each table's indices through the index SRAM and accumulating through
+    /// [`EmbeddingReductionUnit::accumulate`] into the sample's
+    /// `[num_tables * dim]` output block — bitwise identical to the
+    /// vectorized table-major sweep.
+    fn stream_sample_scalar(
         &mut self,
         bag: &EmbeddingBag,
         indices_per_table: &[Vec<u32>],
         out: &mut [f32],
     ) -> Result<(), CentaurError> {
-        if self.backend != SparseBackend::Scalar {
-            Self::validate_sample(bag, indices_per_table)?;
-            let EbStreamer {
-                index_sram,
-                reduction_unit,
-                hot_cache,
-                ..
-            } = self;
-            let dim = bag.dim();
-            for (t, indices) in indices_per_table.iter().enumerate() {
-                Self::stream_table_gathers(
-                    index_sram,
-                    reduction_unit,
-                    hot_cache,
-                    t,
-                    bag.table(t),
-                    indices,
-                    &mut out[t * dim..(t + 1) * dim],
-                )?;
-            }
-            return Ok(());
-        }
         if indices_per_table.len() != bag.num_tables() {
             return Err(centaur_dlrm::DlrmError::TableCountMismatch {
                 provided: indices_per_table.len(),
@@ -506,7 +408,7 @@ impl EbStreamer {
 
     /// Predicts the sparse-stage timing for one batched request.
     ///
-    /// On the vectorized backends the hot-row cache is replayed over the
+    /// On the vectorized backend the hot-row cache is replayed over the
     /// trace's row stream (same geometry and replacement policy as the
     /// functional cache): hits never cross the link, so only cold rows pay
     /// CPU-memory transfers — on skewed traffic the effective gather
@@ -529,7 +431,7 @@ impl EbStreamer {
         // path never touches row data). The tag state persists across
         // requests, matching the functional cache's residency behaviour;
         // serving a model with a different row width rebuilds it. The
-        // scalar oracle models the uncached PR 2 pipeline.
+        // scalar oracle models the uncached pipeline.
         let (cache_hits, cache_misses) = if self.backend == SparseBackend::Scalar {
             (0, total_lookups)
         } else {
@@ -602,7 +504,7 @@ mod tests {
     fn non_sum_bags_are_rejected() {
         use centaur_dlrm::EmbeddingTable;
         let tables = (0..2).map(|s| EmbeddingTable::random(16, 4, s)).collect();
-        let bag = EmbeddingBag::new(tables, ReductionOp::Mean);
+        let bag = EmbeddingBag::new(tables, ReductionOp::Mean).unwrap();
         let mut streamer = EbStreamer::default();
         let err = streamer.gather_reduce(&bag, &[vec![0], vec![1]]);
         assert!(err.is_err(), "EB-Streamer must reject Mean bags");
@@ -617,7 +519,8 @@ mod tests {
         let mut streamer = EbStreamer::default();
         let ours = streamer.gather_reduce(&bag, &indices).unwrap();
         let reference = bag.sparse_lengths_reduce(&indices).unwrap();
-        assert!(ours.max_abs_diff(&reference) < 1e-5);
+        // Same rows added in the same order by the same kernel: bitwise.
+        assert_eq!(ours, reference);
         assert_eq!(streamer.reduction_unit().vectors_reduced(), 40);
     }
 
@@ -633,7 +536,8 @@ mod tests {
         );
         let ours = streamer.gather_reduce(&bag, &indices).unwrap();
         let reference = bag.sparse_lengths_reduce(&indices).unwrap();
-        assert!(ours.max_abs_diff(&reference) < 1e-4);
+        // Chunk boundaries do not reorder the accumulation: bitwise.
+        assert_eq!(ours, reference);
         assert!(streamer.index_sram().loads() >= 7);
     }
 
@@ -662,9 +566,7 @@ mod tests {
         for (s, indices) in batch_indices.iter().enumerate() {
             let reference = bag.sparse_lengths_reduce(indices).unwrap();
             let block = &out[s * stride + 8..s * stride + 8 + 24];
-            for (a, b) in block.iter().zip(reference.as_slice()) {
-                assert!((a - b).abs() < 1e-5);
-            }
+            assert_eq!(block, reference.as_slice());
             // The bottom-MLP slot must be untouched.
             assert!(out[s * stride..s * stride + 8].iter().all(|x| x.is_nan()));
         }
@@ -757,20 +659,19 @@ mod tests {
         streamer
             .gather_reduce_batch_into(&bag, &batch_indices, &mut oracle, stride, 0)
             .unwrap();
-        for backend in [SparseBackend::Vectorized, SparseBackend::VectorizedParallel] {
-            let mut streamer = EbStreamer::default();
-            streamer.set_sparse_backend(backend);
-            let mut out = vec![0.0f32; 6 * stride];
-            streamer
-                .gather_reduce_batch_into(&bag, &batch_indices, &mut out, stride, 0)
-                .unwrap();
-            assert_eq!(oracle, out, "{backend:?} diverged from scalar streamer");
-            // The cache model observed the (heavily repeated) stream.
-            let cache = streamer.hot_row_cache();
-            assert!(cache.hits() + cache.misses() > 0);
-            // Per-backend counters still advance identically.
-            assert_eq!(streamer.reduction_unit().vectors_reduced(), 6 * 3 * 20);
-        }
+        assert_eq!(streamer.reduction_unit().vectors_reduced(), 6 * 3 * 20);
+        let mut streamer = EbStreamer::default();
+        assert_eq!(streamer.sparse_backend(), SparseBackend::Vectorized);
+        let mut out = vec![0.0f32; 6 * stride];
+        streamer
+            .gather_reduce_batch_into(&bag, &batch_indices, &mut out, stride, 0)
+            .unwrap();
+        assert_eq!(oracle, out, "vectorized diverged from scalar streamer");
+        // The cache model observed the (heavily repeated) stream.
+        let cache = streamer.hot_row_cache();
+        assert!(cache.hits() + cache.misses() > 0);
+        // Per-backend counters still advance identically.
+        assert_eq!(streamer.reduction_unit().vectors_reduced(), 6 * 3 * 20);
     }
 
     #[test]

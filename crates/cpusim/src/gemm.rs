@@ -8,7 +8,7 @@
 
 use crate::config::CpuConfig;
 use centaur_dlrm::config::ModelConfig;
-use centaur_dlrm::kernel::{self, KernelBackend};
+use centaur_dlrm::kernel::{self, FusedAct, KernelBackend};
 use centaur_dlrm::tensor::gemm_flops;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -69,12 +69,26 @@ impl DenseEngine {
             .map(|i| ((i * 7) % 13) as f32 * 0.25 - 1.5)
             .collect();
         let mut out = vec![0.0f32; m * n];
-        let mut ws = centaur_dlrm::kernel::Workspace::new();
-        kernel::gemm_into(backend, &a, &b, &mut out, m, k, n, &mut ws);
+        let mut pack = Vec::new();
+        let mut run = || {
+            kernel::gemm_bias_act_into(
+                backend,
+                &a,
+                &b,
+                None,
+                FusedAct::Identity,
+                &mut out,
+                m,
+                k,
+                n,
+                &mut pack,
+            )
+        };
+        run();
         let reps = reps.max(1);
         let start = Instant::now();
         for _ in 0..reps {
-            kernel::gemm_into(backend, &a, &b, &mut out, m, k, n, &mut ws);
+            run();
         }
         let ns = start.elapsed().as_secs_f64() * 1e9 / reps as f64;
         // Keep the result observable so the kernel cannot be optimized out.

@@ -1,6 +1,7 @@
-//! Criterion comparison of the GEMM backends, including the acceptance
-//! shape from the perf-backend issue: a 256×512 × 512×512 `f32` matmul,
-//! where `Blocked` must beat `Naive` by ≥ 5×.
+//! Criterion comparison of the two GEMM backends (oracle and production),
+//! including the acceptance shape from the perf-backend issue: a
+//! 256×512 × 512×512 `f32` matmul, where the blocked kernel must beat
+//! `Naive` by ≥ 5×.
 //!
 //! Also times the fused GEMM+bias+activation epilogue against the unfused
 //! sequence, and the zero-allocation MLP workspace path against the
@@ -23,19 +24,21 @@ fn inputs(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
 
 fn bench_gemm_shape(c: &mut Criterion, m: usize, k: usize, n: usize) {
     let (a, b, mut out) = inputs(m, k, n);
-    let mut ws = Workspace::new();
+    let mut pack = Vec::new();
     for backend in KernelBackend::all() {
         c.bench_function(&format!("gemm_{}_{m}x{k}x{n}", backend.label()), |bench| {
             bench.iter(|| {
-                kernel::gemm_into(
+                kernel::gemm_bias_act_into(
                     backend,
                     black_box(&a),
                     black_box(&b),
+                    None,
+                    FusedAct::Identity,
                     &mut out,
                     m,
                     k,
                     n,
-                    &mut ws,
+                    &mut pack,
                 )
             })
         });
@@ -61,7 +64,7 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
     c.bench_function("gemm_bias_relu_fused_64x512x256", |bench| {
         bench.iter(|| {
             kernel::gemm_bias_act_into(
-                KernelBackend::Blocked,
+                KernelBackend::BlockedPrepacked,
                 black_box(&a),
                 black_box(&b),
                 Some(&bias),
@@ -81,7 +84,7 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
     c.bench_function("gemm_bias_relu_unfused_64x512x256", |bench| {
         bench.iter(|| {
             black_box(&am)
-                .matmul_with(KernelBackend::Blocked, black_box(&bm))
+                .matmul(black_box(&bm))
                 .unwrap()
                 .add_bias(&biasm)
                 .unwrap()
@@ -100,8 +103,8 @@ fn bench_mlp_workspace(c: &mut Criterion) {
     });
     c.bench_function("mlp_forward_workspace_b32_512-256-128-64", |bench| {
         bench.iter(|| {
-            mlp.forward_ws(
-                KernelBackend::Blocked,
+            mlp.forward_batch_ws(
+                KernelBackend::BlockedPrepacked,
                 black_box(x.as_slice()),
                 32,
                 512,

@@ -6,8 +6,8 @@
 //! prepacking once at load is where the batch-1 win comes from; at large
 //! `m` the pack amortizes and the two paths converge.
 
-use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights, Workspace};
-use centaur_dlrm::{Activation, DenseLayer, Matrix, PaperModel};
+use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights};
+use centaur_dlrm::{Activation, DenseLayer, PaperModel};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeSet;
 use std::hint::black_box;
@@ -32,28 +32,32 @@ fn bench_prepacked_vs_packing(c: &mut Criterion) {
         (256, 512, 512),
     ] {
         let (a, b, mut out) = inputs(m, k, n);
-        let mut ws = Workspace::new();
+        let mut pack = Vec::new();
         c.bench_function(&format!("gemm_packing_{m}x{k}x{n}"), |bench| {
             bench.iter(|| {
-                kernel::gemm_into(
-                    KernelBackend::Blocked,
+                kernel::gemm_bias_act_into(
+                    KernelBackend::BlockedPrepacked,
                     black_box(&a),
                     black_box(&b),
+                    None,
+                    FusedAct::Identity,
                     &mut out,
                     m,
                     k,
                     n,
-                    &mut ws,
+                    &mut pack,
                 )
             })
         });
         let packed = PrepackedWeights::pack(&b, k, n);
         c.bench_function(&format!("gemm_prepacked_{m}x{k}x{n}"), |bench| {
             bench.iter(|| {
-                kernel::gemm_prepacked(
-                    KernelBackend::Blocked,
+                kernel::gemm_bias_act_prepacked(
+                    KernelBackend::BlockedPrepacked,
                     black_box(&a),
                     black_box(&packed),
+                    None,
+                    FusedAct::Identity,
                     &mut out,
                     m,
                 )
@@ -72,7 +76,7 @@ fn bench_prepacked_fused_layer(c: &mut Criterion) {
     c.bench_function("gemm_bias_relu_packing_1x512x256", |bench| {
         bench.iter(|| {
             kernel::gemm_bias_act_into(
-                KernelBackend::Blocked,
+                KernelBackend::BlockedPrepacked,
                 black_box(&a),
                 black_box(&b),
                 Some(&bias),
@@ -101,11 +105,10 @@ fn bench_prepacked_fused_layer(c: &mut Criterion) {
     });
 
     let layer = DenseLayer::random(k, n, Activation::Relu, 7);
-    let x = Matrix::from_vec(m, k, a).unwrap();
-    for backend in [KernelBackend::Blocked, KernelBackend::BlockedPrepacked] {
+    for backend in KernelBackend::all() {
         c.bench_function(
             &format!("dense_layer_{}_1x512x256", backend.label()),
-            |bench| bench.iter(|| layer.forward_with(backend, black_box(&x)).unwrap()),
+            |bench| bench.iter(|| layer.forward_into(backend, black_box(&a), m, &mut out)),
         );
     }
 }
@@ -125,10 +128,12 @@ fn bench_prepacked_dlrm6_layers(c: &mut Criterion) {
         let packed = PrepackedWeights::pack(&b, k, n);
         c.bench_function(&format!("gemm_prepacked_dlrm6_{m}x{k}x{n}"), |bench| {
             bench.iter(|| {
-                kernel::gemm_prepacked(
+                kernel::gemm_bias_act_prepacked(
                     KernelBackend::BlockedPrepacked,
                     black_box(&a),
                     black_box(&packed),
+                    None,
+                    FusedAct::Identity,
                     &mut out,
                     m,
                 )

@@ -210,39 +210,23 @@ impl EmbeddingTable {
     /// Returns [`DlrmError::IndexOutOfBounds`] when any index is invalid.
     pub fn gather_reduce(&self, indices: &[u32], op: ReductionOp) -> Result<Matrix, DlrmError> {
         let mut acc = Matrix::zeros(1, self.dim);
-        self.gather_reduce_into(indices, op, acc.as_mut_slice())?;
+        self.gather_reduce_into(indices, op, acc.as_mut_slice(), global_sparse_backend())?;
         Ok(acc)
     }
 
-    /// Allocation-free [`EmbeddingTable::gather_reduce`]: accumulates the
-    /// gathered rows directly into `out` (width `dim`), using the chunked
-    /// SIMD-friendly reductions from [`crate::kernel`].
+    /// Allocation-free [`EmbeddingTable::gather_reduce`] on an explicit
+    /// [`SparseBackend`]: accumulates the gathered rows directly into `out`
+    /// (width `dim`). The production backend validates the whole index list
+    /// up front, then runs the register-tiled, prefetching, AVX2-dispatched
+    /// kernels from [`crate::kernel`] — bitwise identical to the scalar
+    /// oracle, with identical error selection (the first invalid index in
+    /// list order).
     ///
     /// # Errors
     ///
     /// Returns [`DlrmError::IndexOutOfBounds`] when any index is invalid and
     /// [`DlrmError::ShapeMismatch`] when `out` is not `dim` wide.
     pub fn gather_reduce_into(
-        &self,
-        indices: &[u32],
-        op: ReductionOp,
-        out: &mut [f32],
-    ) -> Result<(), DlrmError> {
-        self.gather_reduce_into_with(indices, op, out, global_sparse_backend())
-    }
-
-    /// [`EmbeddingTable::gather_reduce_into`] on an explicit
-    /// [`SparseBackend`]. The optimized backends validate the whole index
-    /// list up front, then run the register-tiled, prefetching,
-    /// AVX2-dispatched kernels from [`crate::kernel`] — bitwise identical
-    /// to the scalar oracle. (A single reduction has no sample dimension
-    /// to split, so `VectorizedParallel` executes the vectorized kernel.)
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EmbeddingTable::gather_reduce_into`], with identical
-    /// error selection (the first invalid index in list order).
-    pub fn gather_reduce_into_with(
         &self,
         indices: &[u32],
         op: ReductionOp,
@@ -320,8 +304,21 @@ pub struct EmbeddingBag {
 
 impl EmbeddingBag {
     /// Creates a bag from individual tables.
-    pub fn new(tables: Vec<EmbeddingTable>, op: ReductionOp) -> Self {
-        EmbeddingBag { tables, op }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DlrmError::InvalidConfig`] naming the first table whose
+    /// `dim` differs from table 0's: every reduce path writes `dim`-wide
+    /// blocks at a fixed stride.
+    pub fn new(tables: Vec<EmbeddingTable>, op: ReductionOp) -> Result<Self, DlrmError> {
+        let dim = tables.first().map_or(0, EmbeddingTable::dim);
+        if let Some(t) = tables.iter().position(|table| table.dim() != dim) {
+            return Err(DlrmError::InvalidConfig(format!(
+                "embedding bag tables must share one dim: table {t} is {} wide, table 0 is {dim}",
+                tables[t].dim()
+            )));
+        }
+        Ok(EmbeddingBag { tables, op })
     }
 
     /// Creates `num_tables` random tables of identical shape, table `t`
@@ -370,7 +367,8 @@ impl EmbeddingBag {
         self.tables.iter().map(EmbeddingTable::size_bytes).sum()
     }
 
-    /// Runs the per-table gather/reduce for one request.
+    /// Runs the per-table gather/reduce for one request — a batch of one
+    /// through [`EmbeddingBag::reduce_batch_into`].
     ///
     /// `indices_per_table[t]` holds the sparse indices for table `t`; the
     /// result is a `[num_tables, dim]` matrix of reduced embeddings.
@@ -384,102 +382,17 @@ impl EmbeddingBag {
         &self,
         indices_per_table: &[Vec<u32>],
     ) -> Result<Matrix, DlrmError> {
-        if indices_per_table.len() != self.tables.len() {
-            return Err(DlrmError::TableCountMismatch {
-                provided: indices_per_table.len(),
-                expected: self.tables.len(),
-            });
-        }
-        let dim = self.dim();
-        let mut out = Matrix::zeros(self.tables.len(), dim);
-        self.sparse_lengths_reduce_into(indices_per_table, &mut out)?;
+        let mut out = Matrix::zeros(self.tables.len(), self.dim());
+        let width = out.len();
+        self.reduce_batch_into(&[indices_per_table], out.as_mut_slice(), width, 0)?;
         Ok(out)
-    }
-
-    /// Allocation-free [`EmbeddingBag::sparse_lengths_reduce`]: reduces each
-    /// table directly into the rows of a caller-owned `[num_tables, dim]`
-    /// matrix.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EmbeddingBag::sparse_lengths_reduce`], plus
-    /// [`DlrmError::ShapeMismatch`] when `out` has the wrong shape.
-    pub fn sparse_lengths_reduce_into(
-        &self,
-        indices_per_table: &[Vec<u32>],
-        out: &mut Matrix,
-    ) -> Result<(), DlrmError> {
-        if out.shape() != (self.tables.len(), self.dim()) {
-            return Err(DlrmError::ShapeMismatch {
-                op: "sparse_lengths_reduce_into",
-                lhs: (self.tables.len(), self.dim()),
-                rhs: out.shape(),
-            });
-        }
-        self.reduce_into_slice(indices_per_table, out.as_mut_slice())
-    }
-
-    /// Slice-level [`EmbeddingBag::sparse_lengths_reduce_into`]: `out` is a
-    /// row-major `[num_tables, dim]` buffer. Used by the zero-allocation
-    /// model forward path, which reduces straight into the feature-
-    /// interaction input.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EmbeddingBag::sparse_lengths_reduce`], plus
-    /// [`DlrmError::ShapeMismatch`] when `out` has the wrong length.
-    pub fn reduce_into_slice(
-        &self,
-        indices_per_table: &[Vec<u32>],
-        out: &mut [f32],
-    ) -> Result<(), DlrmError> {
-        self.reduce_into_slice_with(indices_per_table, out, global_sparse_backend())
-    }
-
-    /// [`EmbeddingBag::reduce_into_slice`] on an explicit [`SparseBackend`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EmbeddingBag::reduce_into_slice`].
-    pub fn reduce_into_slice_with(
-        &self,
-        indices_per_table: &[Vec<u32>],
-        out: &mut [f32],
-        backend: SparseBackend,
-    ) -> Result<(), DlrmError> {
-        if indices_per_table.len() != self.tables.len() {
-            return Err(DlrmError::TableCountMismatch {
-                provided: indices_per_table.len(),
-                expected: self.tables.len(),
-            });
-        }
-        let dim = self.dim();
-        if out.len() != self.tables.len() * dim {
-            return Err(DlrmError::ShapeMismatch {
-                op: "reduce_into_slice",
-                lhs: (self.tables.len(), dim),
-                rhs: (out.len(), 1),
-            });
-        }
-        for (t, (table, indices)) in self.tables.iter().zip(indices_per_table).enumerate() {
-            // Explicit slicing (not chunks_exact_mut) so dim == 0 tables
-            // still route through gather_reduce_into and validate indices.
-            table
-                .gather_reduce_into_with(
-                    indices,
-                    self.op,
-                    &mut out[t * dim..(t + 1) * dim],
-                    backend,
-                )
-                .map_err(|e| annotate_table(e, t))?;
-        }
-        Ok(())
     }
 
     /// Batch-major gather/reduce: reduces every sample's bags directly into
     /// a caller-owned `[batch, row_stride]` row-major buffer, writing each
     /// sample's `num_tables * dim` reduced block at column `row_offset` of
-    /// its row.
+    /// its row. `batch_indices[s]` is sample `s`'s per-table index lists, so
+    /// one request is `&[indices_per_table]`.
     ///
     /// This is the sparse frontend of the batch-major forward path: the
     /// model passes its `[batch, num_features * dim]` interaction-feature
@@ -493,9 +406,9 @@ impl EmbeddingBag {
     /// [`DlrmError::ShapeMismatch`] when `out` is not
     /// `batch_indices.len() * row_stride` long or the reduced block does
     /// not fit a row (`row_offset + num_tables * dim > row_stride`).
-    pub fn reduce_batch_into(
+    pub fn reduce_batch_into<S: AsRef<[Vec<u32>]>>(
         &self,
-        batch_indices: &[Vec<Vec<u32>>],
+        batch_indices: &[S],
         out: &mut [f32],
         row_stride: usize,
         row_offset: usize,
@@ -511,28 +424,25 @@ impl EmbeddingBag {
 
     /// [`EmbeddingBag::reduce_batch_into`] on an explicit [`SparseBackend`].
     ///
-    /// The optimized backends validate the whole batch up front (identical
-    /// error selection to the scalar loop), then execute **table-major**:
+    /// The production backend validates the whole batch up front (identical
+    /// error selection to the scalar loop), then executes **table-major**:
     /// all samples' gathers for table `t` run back to back before moving to
     /// table `t + 1`, so one table's rows stay cache-resident across the
     /// batch instead of every sample cycling the whole bag through L2.
-    /// `VectorizedParallel` additionally splits the samples into per-thread
-    /// bands (disjoint output blocks, so results stay bitwise identical)
-    /// once the request gathers enough bytes to amortize thread spawns;
-    /// single-sample and small-batch requests never pay spawn cost.
     ///
     /// # Errors
     ///
     /// Same as [`EmbeddingBag::reduce_batch_into`].
-    pub fn reduce_batch_into_with(
+    pub fn reduce_batch_into_with<S: AsRef<[Vec<u32>]>>(
         &self,
-        batch_indices: &[Vec<Vec<u32>>],
+        batch_indices: &[S],
         out: &mut [f32],
         row_stride: usize,
         row_offset: usize,
         backend: SparseBackend,
     ) -> Result<(), DlrmError> {
-        let width = self.num_tables() * self.dim();
+        let dim = self.dim();
+        let width = self.num_tables() * dim;
         if row_offset + width > row_stride {
             return Err(DlrmError::ShapeMismatch {
                 op: "reduce_batch_into row layout",
@@ -548,86 +458,32 @@ impl EmbeddingBag {
             });
         }
         if backend == SparseBackend::Scalar {
+            // The oracle: sample-major, one checked row at a time.
             for (sample, per_table) in batch_indices.iter().enumerate() {
+                let per_table = per_table.as_ref();
+                self.check_table_count(per_table)?;
                 let base = sample * row_stride + row_offset;
-                self.reduce_into_slice_with(per_table, &mut out[base..base + width], backend)?;
+                for (t, (table, indices)) in self.tables.iter().zip(per_table).enumerate() {
+                    // Explicit slicing (not chunks_exact_mut) so dim == 0
+                    // tables still validate their indices.
+                    let block = &mut out[base + t * dim..base + (t + 1) * dim];
+                    table
+                        .gather_reduce_into(indices, self.op, block, backend)
+                        .map_err(|e| annotate_table(e, t))?;
+                }
             }
             return Ok(());
         }
-        // Optimized path: one validation pre-pass in the scalar loop's
+        // Production path: one validation pre-pass in the scalar loop's
         // discovery order, then branch-free table-major kernels.
         for per_table in batch_indices {
-            self.validate_request(per_table)?;
+            self.validate_request(per_table.as_ref())?;
         }
-        #[cfg(feature = "parallel")]
-        if backend == SparseBackend::VectorizedParallel {
-            let gathered = self.gathered_bytes_batch(batch_indices);
-            if gathered >= crate::kernel::sparse_parallel_bytes_threshold() {
-                let bands = crate::kernel::hardware_threads().min(batch_indices.len().max(1));
-                if bands > 1 {
-                    let band_samples = batch_indices.len().div_ceil(bands);
-                    std::thread::scope(|scope| {
-                        for (band_indices, band_out) in batch_indices
-                            .chunks(band_samples)
-                            .zip(out.chunks_mut(band_samples * row_stride))
-                        {
-                            scope.spawn(move || {
-                                self.reduce_batch_table_major(
-                                    band_indices,
-                                    band_out,
-                                    row_stride,
-                                    row_offset,
-                                );
-                            });
-                        }
-                    });
-                    return Ok(());
-                }
-            }
-        }
-        self.reduce_batch_table_major(batch_indices, out, row_stride, row_offset);
-        Ok(())
-    }
-
-    /// Validates one sample's request exactly as the scalar loop would
-    /// discover problems: table count first, then each table's indices in
-    /// order, with out-of-bounds errors annotated with their table. The
-    /// optimized batch paths (and the EB-Streamer) run this pre-pass so
-    /// their branch-free kernels never see an invalid index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::TableCountMismatch`] or the first
-    /// [`DlrmError::IndexOutOfBounds`] in scalar discovery order.
-    pub fn validate_request(&self, indices_per_table: &[Vec<u32>]) -> Result<(), DlrmError> {
-        if indices_per_table.len() != self.tables.len() {
-            return Err(DlrmError::TableCountMismatch {
-                provided: indices_per_table.len(),
-                expected: self.tables.len(),
-            });
-        }
-        for (t, (table, indices)) in self.tables.iter().zip(indices_per_table).enumerate() {
-            table
-                .validate_indices(indices)
-                .map_err(|e| annotate_table(e, t))?;
-        }
-        Ok(())
-    }
-
-    /// The table-major vectorized batch loop over pre-validated indices.
-    fn reduce_batch_table_major(
-        &self,
-        batch_indices: &[Vec<Vec<u32>>],
-        out: &mut [f32],
-        row_stride: usize,
-        row_offset: usize,
-    ) {
         if row_stride == 0 {
-            // Zero-width layout (dim 0): nothing to write, indices already
-            // validated, and `chunks_mut(0)` would panic.
-            return;
+            // Zero-width layout (dim 0): nothing to write, and
+            // `chunks_mut(0)` would panic.
+            return Ok(());
         }
-        let dim = self.dim();
         for (t, table) in self.tables.iter().enumerate() {
             for (s, (per_table, row)) in batch_indices
                 .iter()
@@ -638,40 +494,44 @@ impl EmbeddingBag {
                 // sample's reduction (the in-kernel prefetcher cannot see
                 // past the current index list).
                 if let Some(next) = batch_indices.get(s + 1) {
-                    crate::kernel::prefetch_gather_list(table.as_slice(), dim, &next[t]);
+                    crate::kernel::prefetch_gather_list(table.as_slice(), dim, &next.as_ref()[t]);
                 }
                 let base = row_offset + t * dim;
-                table.gather_reduce_unchecked(&per_table[t], self.op, &mut row[base..base + dim]);
+                let indices = &per_table.as_ref()[t];
+                table.gather_reduce_unchecked(indices, self.op, &mut row[base..base + dim]);
             }
         }
+        Ok(())
     }
 
-    /// Total bytes gathered by a whole batch (the parallel partitioner's
-    /// work estimate).
-    #[cfg(feature = "parallel")]
-    fn gathered_bytes_batch(&self, batch_indices: &[Vec<Vec<u32>>]) -> usize {
-        let lookups: usize = batch_indices
-            .iter()
-            .map(|per_table| Self::lookups_in_request(per_table))
-            .sum();
-        lookups * self.dim() * EMBEDDING_ELEM_BYTES
+    fn check_table_count(&self, indices_per_table: &[Vec<u32>]) -> Result<(), DlrmError> {
+        if indices_per_table.len() != self.tables.len() {
+            return Err(DlrmError::TableCountMismatch {
+                provided: indices_per_table.len(),
+                expected: self.tables.len(),
+            });
+        }
+        Ok(())
     }
 
-    /// Batched version of [`EmbeddingBag::sparse_lengths_reduce`]: one index
-    /// list per `(sample, table)` pair. Returns one `[num_tables, dim]`
-    /// matrix per sample.
+    /// Validates one sample's request exactly as the scalar loop would
+    /// discover problems: table count first, then each table's indices in
+    /// order, with out-of-bounds errors annotated with their table. The
+    /// production batch path (and the EB-Streamer) run this pre-pass so
+    /// their branch-free kernels never see an invalid index.
     ///
     /// # Errors
     ///
-    /// Propagates the same errors as the single-request variant.
-    pub fn sparse_lengths_reduce_batch(
-        &self,
-        batch_indices: &[Vec<Vec<u32>>],
-    ) -> Result<Vec<Matrix>, DlrmError> {
-        batch_indices
-            .iter()
-            .map(|per_table| self.sparse_lengths_reduce(per_table))
-            .collect()
+    /// Returns [`DlrmError::TableCountMismatch`] or the first
+    /// [`DlrmError::IndexOutOfBounds`] in scalar discovery order.
+    pub fn validate_request(&self, indices_per_table: &[Vec<u32>]) -> Result<(), DlrmError> {
+        self.check_table_count(indices_per_table)?;
+        for (t, (table, indices)) in self.tables.iter().zip(indices_per_table).enumerate() {
+            table
+                .validate_indices(indices)
+                .map_err(|e| annotate_table(e, t))?;
+        }
+        Ok(())
     }
 
     /// Total number of embedding rows gathered for one request.
@@ -727,7 +587,12 @@ pub fn sparse_lengths_sum(
                 indices.len()
             )));
         }
-        table.gather_reduce_into(&indices[start..end], ReductionOp::Sum, out.row_mut(a))?;
+        table.gather_reduce_into(
+            &indices[start..end],
+            ReductionOp::Sum,
+            out.row_mut(a),
+            global_sparse_backend(),
+        )?;
     }
     Ok(out)
 }
@@ -833,17 +698,19 @@ mod tests {
 
     #[test]
     fn zero_dim_bag_still_validates_indices() {
-        // dim == 0 tables must still reject out-of-bounds rows.
+        // dim == 0 tables must still reject out-of-bounds rows, on the
+        // oracle's per-row path and the production pre-pass alike.
         let tables = (0..2).map(|s| EmbeddingTable::random(8, 0, s)).collect();
-        let bag = EmbeddingBag::new(tables, ReductionOp::Sum);
-        let mut out = Matrix::zeros(2, 0);
-        assert!(matches!(
-            bag.sparse_lengths_reduce_into(&[vec![0], vec![99]], &mut out),
-            Err(DlrmError::IndexOutOfBounds { table: 1, .. })
-        ));
-        assert!(bag
-            .sparse_lengths_reduce_into(&[vec![0], vec![7]], &mut out)
-            .is_ok());
+        let bag = EmbeddingBag::new(tables, ReductionOp::Sum).unwrap();
+        for backend in SparseBackend::all() {
+            assert!(matches!(
+                bag.reduce_batch_into_with(&[[vec![0], vec![99]]], &mut [], 0, 0, backend),
+                Err(DlrmError::IndexOutOfBounds { table: 1, .. })
+            ));
+            assert!(bag
+                .reduce_batch_into_with(&[[vec![0], vec![7]]], &mut [], 0, 0, backend)
+                .is_ok());
+        }
     }
 
     #[test]
@@ -851,12 +718,12 @@ mod tests {
         let bag = EmbeddingBag::random(2, 32, 8, 11);
         let req1 = vec![vec![1, 2, 3], vec![4, 5]];
         let req2 = vec![vec![0], vec![31]];
-        let batch = bag
-            .sparse_lengths_reduce_batch(&[req1.clone(), req2.clone()])
+        let mut batch = vec![f32::NAN; 2 * 16];
+        bag.reduce_batch_into(&[req1.clone(), req2.clone()], &mut batch, 16, 0)
             .unwrap();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], bag.sparse_lengths_reduce(&req1).unwrap());
-        assert_eq!(batch[1], bag.sparse_lengths_reduce(&req2).unwrap());
+        let single = |req| bag.sparse_lengths_reduce(req).unwrap();
+        assert_eq!(&batch[..16], single(&req1).as_slice());
+        assert_eq!(&batch[16..], single(&req2).as_slice());
     }
 
     #[test]
@@ -953,10 +820,10 @@ mod tests {
                 let mut oracle = vec![f32::NAN; dim];
                 let mut fast = vec![f32::NAN; dim];
                 table
-                    .gather_reduce_into_with(&indices, op, &mut oracle, SparseBackend::Scalar)
+                    .gather_reduce_into(&indices, op, &mut oracle, SparseBackend::Scalar)
                     .unwrap();
                 table
-                    .gather_reduce_into_with(&indices, op, &mut fast, SparseBackend::Vectorized)
+                    .gather_reduce_into(&indices, op, &mut fast, SparseBackend::Vectorized)
                     .unwrap();
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&fast), bits(&oracle), "{rows}x{dim} {op:?}");

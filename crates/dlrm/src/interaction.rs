@@ -88,21 +88,12 @@ impl FeatureInteraction {
             });
         }
         let mut out = Matrix::zeros(1, self.output_dim());
-        self.interact_into(features.as_slice(), out.as_mut_slice());
+        self.interact_batch_into(features.as_slice(), 1, out.as_mut_slice());
         Ok(out)
     }
 
-    /// Allocation-free [`FeatureInteraction::interact`] over raw row-major
-    /// buffers: `features` is `[num_features, dim]` and `out` receives the
-    /// `[1, output_dim()]` top-MLP input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length disagrees with the configured shape
-    /// (shape validation is the caller's job on this hot path).
-    pub fn interact_into(&self, features: &[f32], out: &mut [f32]) {
-        assert_eq!(features.len(), self.num_features * self.dim);
-        assert_eq!(out.len(), self.output_dim());
+    /// One sample of [`FeatureInteraction::interact_batch_into`].
+    fn interact_sample(&self, features: &[f32], out: &mut [f32]) {
         let dim = self.dim;
         out[..dim].copy_from_slice(&features[..dim]);
         let mut k = dim;
@@ -115,7 +106,8 @@ impl FeatureInteraction {
         }
     }
 
-    /// Batch-major [`FeatureInteraction::interact_into`]: `features` is the
+    /// Allocation-free, batch-major [`FeatureInteraction::interact`] over
+    /// raw row-major buffers: `features` is the
     /// `[batch, num_features * dim]` matrix (each row one sample's stacked
     /// feature vectors, bottom-MLP output first) and `out` receives the
     /// `[batch, output_dim()]` top-MLP input in one pass over both buffers.
@@ -133,7 +125,7 @@ impl FeatureInteraction {
             .chunks_exact(in_width)
             .zip(out.chunks_exact_mut(self.output_dim()))
         {
-            self.interact_into(feature_row, out_row);
+            self.interact_sample(feature_row, out_row);
         }
     }
 

@@ -25,34 +25,30 @@
 //! step. Row remainders run the same body at `R = 4` and `R = 1`.
 //!
 //! **Same bits everywhere.** Every output element gets one IEEE multiply
-//! and one add per `k`, `k` ascending, whatever tile height, strip, band or
-//! backend it lands in; the AVX2 build of the tile excludes FMA because a
-//! fused multiply-add rounds differently. All four backends are therefore
-//! **bitwise identical**, the oracle included:
+//! and one add per `k`, `k` ascending, whatever tile height or strip it
+//! lands in; the AVX2 build of the tile excludes FMA because a fused
+//! multiply-add rounds differently. The two backends are therefore
+//! **bitwise identical**:
 //!
 //! - [`KernelBackend::Naive`] — the textbook `ijk` triple loop. Slow by
-//!   design; kept as the correctness oracle every optimized backend is
+//!   design; kept as the correctness oracle the production kernel is
 //!   property-tested against.
-//! - [`KernelBackend::Blocked`] — the single-threaded tiled kernel, packing
-//!   each block of `B` into strips on the fly.
-//! - [`KernelBackend::BlockedParallel`] — the blocked kernel with the
-//!   output rows split into per-thread bands (`std::thread::scope`; no
-//!   external dependency). Only available with the `parallel` feature
-//!   (enabled by default); falls back to [`KernelBackend::Blocked`] for
-//!   small problems where threads would cost more than they save.
-//! - [`KernelBackend::BlockedPrepacked`] — the default: the same tile and
-//!   band split, but paths that hold a resident [`PrepackedWeights`] —
-//!   every `DenseLayer` — feed it straight from strips packed **once at
-//!   load**, skipping the per-call `O(k·n)` pack that dominates `m = 1` and
-//!   small serving batches. On generic GEMMs with no resident operand it
-//!   packs on the fly like `BlockedParallel`.
+//! - [`KernelBackend::BlockedPrepacked`] — production: the single-threaded
+//!   tiled kernel. Paths that hold a resident [`PrepackedWeights`] — every
+//!   `DenseLayer` — feed it straight from strips packed **once at load**,
+//!   skipping the per-call `O(k·n)` pack that dominates `m = 1` and small
+//!   serving batches. Generic GEMMs with no resident operand
+//!   ([`gemm_bias_act_into`]) pack each block on the fly.
+//!
+//! Nothing here spawns a thread: one call runs on its caller's thread, and
+//! parallelism is the serve layer's replicas, one runtime per worker.
 //!
 //! Steady-state inference performs **zero heap allocations** when driven
-//! through a [`Workspace`]: all intermediates (MLP ping/pong buffers, the
-//! packed `B` block, interaction features) live in buffers that grow to a
-//! high-water mark and are reused across calls.
+//! through a [`Workspace`]: all intermediates (MLP ping/pong buffers,
+//! interaction features) live in buffers that grow to a high-water mark and
+//! are reused across calls.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Rows of a full register tile: `2·MR` accumulator vectors + 2 strip-row
@@ -64,18 +60,6 @@ const TJ: usize = 16;
 const KC: usize = 256;
 /// `n`-dimension block size: columns of `B` (`NC / TJ` strips) per block.
 const NC: usize = 512;
-/// Minimum FLOP count (`2·m·n·k`) before the parallel path spawns threads.
-///
-/// A spawned band must carry enough work to amortize its `std::thread`
-/// spawn/join cost (~30–60 µs): at `1 << 22` (~4.2 MFLOP) the batched MLP
-/// layer GEMMs of the paper models clear the bar from batch ≈ 32 up (e.g.
-/// 64×256×256 ≈ 8.4 MFLOP), while per-sample `m = 1` layer GEMMs
-/// (≤ 0.3 MFLOP on every Table-I shape) always stay on the single-threaded
-/// kernel. Set when the blocked kernel ran ~20 GFLOP/s and not re-tuned for
-/// the 6×16 tile (~3× that): no gated benchmark workload reaches it, and
-/// ROADMAP's "one compute path" item decides whether banding stays at all.
-#[cfg(feature = "parallel")]
-const PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
 /// Chunk width for the unrolled reduction helpers.
 const LANES: usize = 8;
 /// Accumulator tile width (floats) of the vectorized gather-reduce kernels'
@@ -93,195 +77,63 @@ const GATHER_TILE: usize = 32;
 /// gathers: distances 4–24 are within noise of each other and all well
 /// ahead of no-prefetch, so the distance only needs to be "a few rows".
 const GATHER_PREFETCH_DISTANCE: usize = 8;
-/// Minimum total gathered bytes (`lookups × row_bytes`) before the
-/// parallel sparse backend spawns threads over a batched gather-reduce.
-///
-/// Mirrors `PARALLEL_FLOP_THRESHOLD` for the sparse side, with bytes as
-/// the work unit (gathers do no FLOPs worth counting): a spawned band must
-/// amortize its ~30–60 µs `std::thread` spawn/join cost against the
-/// vectorized kernel's measured ~25–30 GB/s single-core gather rate, i.e.
-/// ≥ ~1 MB of gathered rows per band. At `1 << 21` (2 MB for two bands)
-/// per-sample requests (a few KB each) and small batches never spawn; only
-/// multi-hundred-sample batched gathers split.
-#[cfg(feature = "parallel")]
-const SPARSE_PARALLEL_BYTES_THRESHOLD: usize = 1 << 21;
-
 /// Which GEMM implementation executes the dense math.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
     /// Textbook `ijk` triple loop — the correctness oracle.
     Naive,
-    /// Cache-blocked, strip-packed, register-tiled kernel (single-threaded).
-    #[default]
-    Blocked,
-    /// Blocked kernel with row-parallel execution across threads.
-    BlockedParallel,
-    /// The blocked kernel fed from weights packed **once at load**
+    /// Production: the cache-blocked, register-tiled kernel over 16-column
+    /// strips, fed from weights packed **once at load**
     /// ([`PrepackedWeights`]) wherever a resident operand exists; generic
-    /// GEMMs fall back to the on-the-fly-packing parallel kernel. Bitwise
-    /// identical to `Blocked`/`BlockedParallel`.
+    /// GEMMs pack on the fly. Bitwise identical to `Naive`.
+    #[default]
     BlockedPrepacked,
 }
 
 impl KernelBackend {
-    /// Every available backend, for equivalence sweeps in tests/benches.
-    pub fn all() -> [KernelBackend; 4] {
-        [
-            KernelBackend::Naive,
-            KernelBackend::Blocked,
-            KernelBackend::BlockedParallel,
-            KernelBackend::BlockedPrepacked,
-        ]
+    /// Oracle and production, for equivalence sweeps in tests/benches.
+    pub fn all() -> [KernelBackend; 2] {
+        [KernelBackend::Naive, KernelBackend::BlockedPrepacked]
     }
 
     /// Short label for bench/report output.
     pub fn label(self) -> &'static str {
         match self {
             KernelBackend::Naive => "naive",
-            KernelBackend::Blocked => "blocked",
-            KernelBackend::BlockedParallel => "blocked-parallel",
             KernelBackend::BlockedPrepacked => "blocked-prepacked",
         }
     }
 }
 
-/// Parses a `CENTAUR_KERNEL_BACKEND` value. Returns `None` for anything
-/// outside the accepted set (see [`KERNEL_BACKEND_VALUES`]) so callers can
-/// distinguish "unset" from "misspelled" instead of silently falling back.
-pub fn parse_kernel_backend(value: &str) -> Option<KernelBackend> {
-    match value {
-        "naive" => Some(KernelBackend::Naive),
-        "blocked" => Some(KernelBackend::Blocked),
-        "parallel" | "blocked-parallel" => Some(KernelBackend::BlockedParallel),
-        "prepacked" | "blocked-prepacked" => Some(KernelBackend::BlockedPrepacked),
-        _ => None,
-    }
-}
-
-/// Accepted `CENTAUR_KERNEL_BACKEND` values, for error messages.
-pub const KERNEL_BACKEND_VALUES: &str =
-    "naive | blocked | parallel | blocked-parallel | prepacked | blocked-prepacked";
-
-/// Parses a `CENTAUR_SPARSE_BACKEND` value. Returns `None` for anything
-/// outside the accepted set (see [`SPARSE_BACKEND_VALUES`]).
-pub fn parse_sparse_backend(value: &str) -> Option<SparseBackend> {
-    match value {
-        "scalar" => Some(SparseBackend::Scalar),
-        "vectorized" => Some(SparseBackend::Vectorized),
-        "parallel" | "vectorized-parallel" => Some(SparseBackend::VectorizedParallel),
-        _ => None,
-    }
-}
-
-/// Accepted `CENTAUR_SPARSE_BACKEND` values, for error messages.
-pub const SPARSE_BACKEND_VALUES: &str = "scalar | vectorized | parallel | vectorized-parallel";
-
-/// Parses a `CENTAUR_NUM_THREADS` value. Returns `None` for anything that
-/// is not a positive integer (see [`NUM_THREADS_VALUES`]) so callers can
-/// warn instead of silently falling back — same contract as
-/// [`parse_kernel_backend`].
-pub fn parse_num_threads(value: &str) -> Option<usize> {
-    value.parse::<usize>().ok().filter(|&threads| threads > 0)
-}
-
-/// Accepted `CENTAUR_NUM_THREADS` values, for error messages.
-pub const NUM_THREADS_VALUES: &str = "a positive integer (e.g. 1, 2, 8)";
-
-/// Process-wide default backend, encoded for the atomic.
-fn encode(backend: KernelBackend) -> u8 {
-    match backend {
-        KernelBackend::Naive => 0,
-        KernelBackend::Blocked => 1,
-        KernelBackend::BlockedParallel => 2,
-        KernelBackend::BlockedPrepacked => 3,
-    }
-}
-
-fn decode(value: u8) -> KernelBackend {
-    match value {
-        0 => KernelBackend::Naive,
-        1 => KernelBackend::Blocked,
-        2 => KernelBackend::BlockedParallel,
-        _ => KernelBackend::BlockedPrepacked,
-    }
-}
-
-static GLOBAL_BACKEND: AtomicU8 = AtomicU8::new(u8::MAX);
-static ENV_BACKEND: OnceLock<KernelBackend> = OnceLock::new();
-
-fn builtin_default() -> KernelBackend {
-    // Prepacked is strictly the fastest correct choice: resident weights
-    // skip the per-call pack, generic GEMMs behave exactly like the
-    // (feature-gated) parallel blocked kernel, and results stay bitwise
-    // identical to `Blocked` either way.
-    KernelBackend::BlockedPrepacked
-}
-
-/// The process-wide default backend used by [`Matrix::matmul`] and the
-/// model forward passes.
-///
-/// Resolution order: the last [`set_global_backend`] call, else the
-/// `CENTAUR_KERNEL_BACKEND` environment variable (`naive` | `blocked` |
-/// `parallel` | `prepacked`), else `BlockedPrepacked`.
+/// The backend [`Matrix::matmul`] and the model forward passes run on: the
+/// production variant. Tests and oracles pick [`KernelBackend::Naive`]
+/// through the explicit `backend` arguments and `set_backend` setters.
 ///
 /// [`Matrix::matmul`]: crate::tensor::Matrix::matmul
 pub fn global_backend() -> KernelBackend {
-    let value = GLOBAL_BACKEND.load(Ordering::Relaxed);
-    if value != u8::MAX {
-        return decode(value);
-    }
-    *ENV_BACKEND.get_or_init(|| match std::env::var("CENTAUR_KERNEL_BACKEND") {
-        Ok(value) => parse_kernel_backend(&value).unwrap_or_else(|| {
-            // One-time by construction: the OnceLock runs this closure once.
-            eprintln!(
-                "warning: unknown CENTAUR_KERNEL_BACKEND value {value:?}, \
-                 expected one of: {KERNEL_BACKEND_VALUES}; \
-                 using the built-in default ({})",
-                builtin_default().label()
-            );
-            builtin_default()
-        }),
-        Err(_) => builtin_default(),
-    })
-}
-
-/// Overrides the process-wide default backend.
-///
-/// Prefer the explicit `*_with` APIs in tests — a global override leaks into
-/// concurrently running tests.
-pub fn set_global_backend(backend: KernelBackend) {
-    GLOBAL_BACKEND.store(encode(backend), Ordering::Relaxed);
+    KernelBackend::default()
 }
 
 /// Which implementation executes the sparse embedding gather-reduce.
 ///
-/// The optimized backends are **bitwise identical** to the scalar oracle:
-/// every output element accumulates its rows in index order, the vector
-/// units only widen how many elements advance per step (and the AVX2
-/// dispatch excludes FMA, exactly like the GEMM tile).
+/// The two are **bitwise identical**: every output element accumulates its
+/// rows in index order, the vector units only widen how many elements
+/// advance per step (and the AVX2 dispatch excludes FMA, exactly like the
+/// GEMM tile).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparseBackend {
-    /// Row-at-a-time accumulate loop — the correctness oracle (the PR 2
-    /// sparse path, unchanged).
+    /// Row-at-a-time accumulate loop — the correctness oracle.
     Scalar,
-    /// Register-tiled accumulator with software prefetch of upcoming rows
-    /// and runtime-dispatched AVX2 (no FMA).
+    /// Production: register-tiled accumulator with software prefetch of
+    /// upcoming rows and runtime-dispatched AVX2 (no FMA).
     #[default]
     Vectorized,
-    /// The vectorized kernel with batched gather-reduce split across
-    /// per-thread sample bands (above `SPARSE_PARALLEL_BYTES_THRESHOLD`;
-    /// single-sample requests never spawn).
-    VectorizedParallel,
 }
 
 impl SparseBackend {
-    /// Every available backend, for equivalence sweeps in tests/benches.
-    pub fn all() -> [SparseBackend; 3] {
-        [
-            SparseBackend::Scalar,
-            SparseBackend::Vectorized,
-            SparseBackend::VectorizedParallel,
-        ]
+    /// Oracle and production, for equivalence sweeps in tests/benches.
+    pub fn all() -> [SparseBackend; 2] {
+        [SparseBackend::Scalar, SparseBackend::Vectorized]
     }
 
     /// Short label for bench/report output.
@@ -289,71 +141,14 @@ impl SparseBackend {
         match self {
             SparseBackend::Scalar => "scalar",
             SparseBackend::Vectorized => "vectorized",
-            SparseBackend::VectorizedParallel => "vectorized-parallel",
         }
     }
 }
 
-fn encode_sparse(backend: SparseBackend) -> u8 {
-    match backend {
-        SparseBackend::Scalar => 0,
-        SparseBackend::Vectorized => 1,
-        SparseBackend::VectorizedParallel => 2,
-    }
-}
-
-fn decode_sparse(value: u8) -> SparseBackend {
-    match value {
-        0 => SparseBackend::Scalar,
-        1 => SparseBackend::Vectorized,
-        _ => SparseBackend::VectorizedParallel,
-    }
-}
-
-static GLOBAL_SPARSE_BACKEND: AtomicU8 = AtomicU8::new(u8::MAX);
-static ENV_SPARSE_BACKEND: OnceLock<SparseBackend> = OnceLock::new();
-
-fn builtin_sparse_default() -> SparseBackend {
-    if cfg!(feature = "parallel") {
-        SparseBackend::VectorizedParallel
-    } else {
-        SparseBackend::Vectorized
-    }
-}
-
-/// The process-wide default sparse backend used by the embedding
-/// gather-reduce paths.
-///
-/// Resolution order: the last [`set_global_sparse_backend`] call, else the
-/// `CENTAUR_SPARSE_BACKEND` environment variable (`scalar` | `vectorized` |
-/// `parallel`), else `VectorizedParallel` when the `parallel` feature is on
-/// and `Vectorized` otherwise.
+/// The sparse backend the embedding gather-reduce paths run on: the
+/// production variant (see [`global_backend`]).
 pub fn global_sparse_backend() -> SparseBackend {
-    let value = GLOBAL_SPARSE_BACKEND.load(Ordering::Relaxed);
-    if value != u8::MAX {
-        return decode_sparse(value);
-    }
-    *ENV_SPARSE_BACKEND.get_or_init(|| match std::env::var("CENTAUR_SPARSE_BACKEND") {
-        Ok(value) => parse_sparse_backend(&value).unwrap_or_else(|| {
-            // One-time by construction: the OnceLock runs this closure once.
-            eprintln!(
-                "warning: unknown CENTAUR_SPARSE_BACKEND value {value:?}, \
-                 expected one of: {SPARSE_BACKEND_VALUES}; \
-                 using the built-in default ({})",
-                builtin_sparse_default().label()
-            );
-            builtin_sparse_default()
-        }),
-        Err(_) => builtin_sparse_default(),
-    })
-}
-
-/// Overrides the process-wide default sparse backend.
-///
-/// Prefer the explicit `*_with` APIs in tests — a global override leaks into
-/// concurrently running tests.
-pub fn set_global_sparse_backend(backend: SparseBackend) {
-    GLOBAL_SPARSE_BACKEND.store(encode_sparse(backend), Ordering::Relaxed);
+    SparseBackend::default()
 }
 
 /// Activation fused into the GEMM epilogue.
@@ -389,16 +184,13 @@ impl FusedAct {
 ///
 /// Buffers grow to a high-water mark and never shrink, so after the first
 /// (warm-up) call through any given model shape, forward passes driven by
-/// the same workspace perform no heap allocations (`Naive`/`Blocked`
-/// backends; the parallel backend's thread spawning allocates by nature).
+/// the same workspace perform no heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// MLP layer input (ping) buffer.
     pub(crate) ping: Vec<f32>,
     /// MLP layer output (pong) buffer.
     pub(crate) pong: Vec<f32>,
-    /// Strip-packed `B` block for the blocked GEMM.
-    pub(crate) pack: Vec<f32>,
 }
 
 impl Workspace {
@@ -409,8 +201,7 @@ impl Workspace {
 
     /// Total bytes currently held across all scratch buffers.
     pub fn capacity_bytes(&self) -> usize {
-        (self.ping.capacity() + self.pong.capacity() + self.pack.capacity())
-            * std::mem::size_of::<f32>()
+        (self.ping.capacity() + self.pong.capacity()) * std::mem::size_of::<f32>()
     }
 }
 
@@ -430,8 +221,8 @@ pub fn grow(buf: &mut Vec<f32>, len: usize) {
 /// `out = a · b` where `a` is `[m, k]`, `b` is `[k, n]`, all row-major.
 ///
 /// Overwrite semantics: `out` is fully written. Allocates a packing scratch
-/// internally; use [`gemm_into`] with a [`Workspace`] for the zero-alloc
-/// path.
+/// internally; use [`gemm_bias_act_into`] with a reused `pack` buffer for the
+/// zero-alloc path.
 ///
 /// # Panics
 ///
@@ -460,58 +251,18 @@ pub fn gemm(
     );
 }
 
-/// [`gemm`] packing `B` into a caller-provided workspace.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into(
-    backend: KernelBackend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ws: &mut Workspace,
-) {
-    gemm_bias_act_into(
-        backend,
-        a,
-        b,
-        None,
-        FusedAct::Identity,
-        out,
-        m,
-        k,
-        n,
-        &mut ws.pack,
-    );
-}
-
-/// Fused `out = act(a · b + bias)` — GEMM, bias broadcast and activation in
-/// one pass over a single output buffer, with no intermediate matrices.
+/// Fused `out = act(a · b + bias)` over a row-major `b` with no resident
+/// packed form — GEMM, bias broadcast and activation in one pass over a
+/// single output buffer, with no intermediate matrices. The production
+/// backend packs each block of `b` into `pack` on the fly (zero-alloc once
+/// `pack` has grown to a block); resident-weight callers use
+/// [`gemm_bias_act_prepacked`] instead.
 ///
 /// `bias` is `[n]` broadcast over rows; `None` skips the bias add.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its shape.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_bias_act(
-    backend: KernelBackend,
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    act: FusedAct,
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut pack = Vec::new();
-    gemm_bias_act_into(backend, a, b, bias, act, out, m, k, n, &mut pack);
-}
-
-/// [`gemm_bias_act`] with a caller-provided packing scratch (zero-alloc in
-/// steady state for the `Naive`/`Blocked` backends).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_bias_act_into(
     backend: KernelBackend,
@@ -536,14 +287,7 @@ pub fn gemm_bias_act_into(
     }
     match backend {
         KernelBackend::Naive => gemm_naive(a, b, out, m, k, n),
-        KernelBackend::Blocked => gemm_blocked(a, b, out, m, k, n, pack),
-        // A generic GEMM has no resident operand to prepack, so the
-        // prepacked backend packs on the fly like the parallel kernel
-        // (bitwise identical either way). Resident-weight callers use
-        // [`gemm_bias_act_prepacked`] instead.
-        KernelBackend::BlockedParallel | KernelBackend::BlockedPrepacked => {
-            gemm_parallel(a, b, out, m, k, n, pack)
-        }
+        KernelBackend::BlockedPrepacked => gemm_blocked(a, b, out, m, k, n, pack),
     }
     epilogue(out, bias, act, m, n);
 }
@@ -790,121 +534,6 @@ fn tile<const R: usize>(
     }
 }
 
-/// Worker thread count the parallel band splits plan with, resolved once:
-/// `available_parallelism` reads cgroup/affinity state from the kernel on
-/// every call (~10 µs in a container), which used to dominate small GEMMs
-/// on the parallel backend.
-///
-/// `CENTAUR_NUM_THREADS` overrides the detected value — the band paths of
-/// `BlockedParallel`/`VectorizedParallel` degenerate on a single-core CI
-/// container, so forcing a count > 1 is the only way to exercise them
-/// there (and capping below the hardware count bounds a serving host's
-/// kernel threads). Invalid values warn once (one-time by construction:
-/// the `OnceLock` runs the closure once) and fall back to the detected
-/// parallelism, same contract as [`parse_kernel_backend`].
-#[cfg(feature = "parallel")]
-pub(crate) fn hardware_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        let detected = || std::thread::available_parallelism().map_or(1, |t| t.get());
-        match std::env::var("CENTAUR_NUM_THREADS") {
-            Ok(value) => parse_num_threads(&value).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: invalid CENTAUR_NUM_THREADS value {value:?}, \
-                     expected {NUM_THREADS_VALUES}; \
-                     using the detected hardware parallelism"
-                );
-                detected()
-            }),
-            Err(_) => detected(),
-        }
-    })
-}
-
-/// Plans the row-band split shared by the on-the-fly-packing and prepacked
-/// parallel kernels: returns the band height in rows, or `None` when the
-/// problem should stay on the single-threaded kernel.
-///
-/// Cheap size gate first: small problems must not even pay for the
-/// (cached) thread-count lookup, let alone a spawn. At most one band per
-/// worker thread and per [`MR`] rows, and the band height rounds up to a
-/// multiple of `MR`, so every band but the last runs full register tiles
-/// only. Per-element accumulation order is the same at every tile height,
-/// so banding stays bitwise-neutral.
-#[cfg(feature = "parallel")]
-fn parallel_band_rows(m: usize, k: usize, n: usize) -> Option<usize> {
-    if 2 * m * n * k < PARALLEL_FLOP_THRESHOLD {
-        return None;
-    }
-    let bands = hardware_threads().min(m.div_ceil(MR));
-    if bands <= 1 {
-        return None;
-    }
-    Some(m.div_ceil(bands).div_ceil(MR) * MR)
-}
-
-/// Runs `band_kernel(a_band, out_band, rows)` for every `band_rows`-high
-/// row band on its own scoped thread — the spawn loop shared by the
-/// packing and prepacked parallel kernels.
-#[cfg(feature = "parallel")]
-fn spawn_row_bands<F>(
-    a: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    band_rows: usize,
-    band_kernel: F,
-) where
-    F: Fn(&[f32], &mut [f32], usize) + Sync,
-{
-    std::thread::scope(|scope| {
-        for (band, out_band) in out.chunks_mut(band_rows * n).enumerate() {
-            let row0 = band * band_rows;
-            let rows = out_band.len() / n;
-            let a_band = &a[row0 * k..(row0 + rows) * k];
-            let band_kernel = &band_kernel;
-            scope.spawn(move || band_kernel(a_band, out_band, rows));
-        }
-    });
-}
-
-/// Row-parallel blocked GEMM: output rows are split into per-thread bands
-/// and each band runs the single-threaded blocked kernel independently
-/// (bitwise-identical results to [`KernelBackend::Blocked`]).
-#[cfg(feature = "parallel")]
-fn gemm_parallel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    pack: &mut Vec<f32>,
-) {
-    let Some(band_rows) = parallel_band_rows(m, k, n) else {
-        return gemm_blocked(a, b, out, m, k, n, pack);
-    };
-    spawn_row_bands(a, out, k, n, band_rows, |a_band, out_band, rows| {
-        let mut pack = Vec::new();
-        gemm_blocked(a_band, b, out_band, rows, k, n, &mut pack);
-    });
-}
-
-/// Without the `parallel` feature the parallel backend degrades to the
-/// blocked kernel.
-#[cfg(not(feature = "parallel"))]
-fn gemm_parallel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    pack: &mut Vec<f32>,
-) {
-    gemm_blocked(a, b, out, m, k, n, pack)
-}
-
 // ---------------------------------------------------------------------------
 // Prepacked resident weights
 // ---------------------------------------------------------------------------
@@ -924,8 +553,8 @@ pub fn prepack_events() -> u64 {
 }
 
 /// A weight matrix `B` (`[k, n]` row-major) packed **once** into the exact
-/// strip-packed block sequence [`gemm_blocked`] writes into its workspace on
-/// every call — including the remainder blocks at the `k`/`n` edges and
+/// strip-packed block sequence [`gemm_blocked`] writes into its `pack`
+/// scratch on every call — including the remainder blocks at the `k`/`n` edges and
 /// their narrow last strips — so the register tile can stream it directly
 /// with no per-call pack loop.
 ///
@@ -994,30 +623,13 @@ impl PrepackedWeights {
     }
 }
 
-/// `out = a · packed` from resident strips: [`gemm`] with the per-call pack
-/// loop already paid at load time. Bitwise identical to the
-/// on-the-fly-packing path of the same backend (`Naive` walks the strips in
-/// the oracle's exact accumulation order; the blocked backends feed the
-/// same tiles the workspace pack would).
-///
-/// # Panics
-///
-/// Panics if `a.len() != m * packed.k()` or `out.len() != m * packed.n()`.
-pub fn gemm_prepacked(
-    backend: KernelBackend,
-    a: &[f32],
-    packed: &PrepackedWeights,
-    out: &mut [f32],
-    m: usize,
-) {
-    gemm_bias_act_prepacked(backend, a, packed, None, FusedAct::Identity, out, m);
-}
-
-/// Fused `out = act(a · packed + bias)` from resident strips — the
-/// prepacked counterpart of [`gemm_bias_act_into`], and the kernel every
-/// `DenseLayer` forward pass runs on the prepacked backend. No packing
-/// scratch is touched (or needed): steady state is zero-alloc with no
-/// workspace pack buffer at all.
+/// Fused `out = act(a · packed + bias)` from resident strips:
+/// [`gemm_bias_act_into`] with the per-call pack loop already paid at load
+/// time, and the kernel every `DenseLayer` forward pass runs. Bitwise
+/// identical to the on-the-fly-packing path of the same backend (`Naive`
+/// walks the strips in the oracle's exact accumulation order; the production
+/// backend feeds the same tiles the per-call pack would). No packing scratch
+/// is touched (or needed).
 ///
 /// # Panics
 ///
@@ -1042,10 +654,7 @@ pub fn gemm_bias_act_prepacked(
     }
     match backend {
         KernelBackend::Naive => gemm_naive_prepacked(a, packed, out, m),
-        KernelBackend::Blocked => gemm_blocked_prepacked(a, packed, out, m),
-        KernelBackend::BlockedParallel | KernelBackend::BlockedPrepacked => {
-            gemm_parallel_prepacked(a, packed, out, m)
-        }
+        KernelBackend::BlockedPrepacked => gemm_blocked_prepacked(a, packed, out, m),
     }
     epilogue(out, bias, act, m, n);
 }
@@ -1088,43 +697,9 @@ fn gemm_blocked_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: 
     }
 }
 
-/// Row-parallel prepacked GEMM: the same band split as [`gemm_parallel`]
-/// (shared [`parallel_band_rows`] plan + [`spawn_row_bands`] loop), but
-/// every band reads the shared resident strips — no per-thread pack buffer
-/// exists at all.
-#[cfg(feature = "parallel")]
-fn gemm_parallel_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: usize) {
-    let (k, n) = (pw.k, pw.n);
-    let Some(band_rows) = parallel_band_rows(m, k, n) else {
-        return gemm_blocked_prepacked(a, pw, out, m);
-    };
-    spawn_row_bands(a, out, k, n, band_rows, |a_band, out_band, rows| {
-        gemm_blocked_prepacked(a_band, pw, out_band, rows)
-    });
-}
-
-/// Without the `parallel` feature the prepacked band path degrades to the
-/// single-threaded prepacked kernel.
-#[cfg(not(feature = "parallel"))]
-fn gemm_parallel_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: usize) {
-    gemm_blocked_prepacked(a, pw, out, m)
-}
-
-// ---------------------------------------------------------------------------
-// Chunked reductions (gather/reduce building blocks)
-// ---------------------------------------------------------------------------
-
 // ---------------------------------------------------------------------------
 // Vectorized gather-reduce kernels (the sparse engine's inner loops)
 // ---------------------------------------------------------------------------
-
-/// Total gathered bytes above which the parallel sparse backend splits a
-/// batched gather-reduce across threads (exposed for the embedding layer's
-/// partitioner).
-#[cfg(feature = "parallel")]
-pub(crate) fn sparse_parallel_bytes_threshold() -> usize {
-    SPARSE_PARALLEL_BYTES_THRESHOLD
-}
 
 /// Issues software prefetches for one embedding row starting at `base`
 /// (one prefetch per 64-byte line). No-op off x86-64 and past the end of
@@ -1449,22 +1024,19 @@ mod tests {
             let (a, b) = inexact_operands(m, k, n);
             let mut naive = vec![0.0; m * n];
             let mut blocked = vec![0.0; m * n];
-            let mut parallel = vec![0.0; m * n];
             gemm(KernelBackend::Naive, &a, &b, &mut naive, m, k, n);
-            gemm(KernelBackend::Blocked, &a, &b, &mut blocked, m, k, n);
             gemm(
-                KernelBackend::BlockedParallel,
+                KernelBackend::BlockedPrepacked,
                 &a,
                 &b,
-                &mut parallel,
+                &mut blocked,
                 m,
                 k,
                 n,
             );
-            // One multiply and one add per `k`, `k` ascending, on every
-            // backend: bitwise, not within a tolerance.
+            // One multiply and one add per `k`, `k` ascending, on both
+            // backends: bitwise, not within a tolerance.
             assert_eq!(naive, blocked, "blocked mismatch at {m}x{k}x{n}");
-            assert_eq!(blocked, parallel, "parallel mismatch at {m}x{k}x{n}");
         }
     }
 
@@ -1532,10 +1104,10 @@ mod tests {
         let b = fill(k, n, |i, j| ((i + j) % 7) as f32 * 0.2 - 0.5);
         let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.3 - 1.0).collect();
         let mut plain = vec![0.0; m * n];
-        gemm(KernelBackend::Blocked, &a, &b, &mut plain, m, k, n);
+        gemm(KernelBackend::BlockedPrepacked, &a, &b, &mut plain, m, k, n);
         let mut fused = vec![0.0; m * n];
-        gemm_bias_act(
-            KernelBackend::Blocked,
+        gemm_bias_act_into(
+            KernelBackend::BlockedPrepacked,
             &a,
             &b,
             Some(&bias),
@@ -1544,11 +1116,12 @@ mod tests {
             m,
             k,
             n,
+            &mut Vec::new(),
         );
         for i in 0..m {
             for j in 0..n {
                 let expected = (plain[i * n + j] + bias[j]).max(0.0);
-                assert!((fused[i * n + j] - expected).abs() < 1e-6);
+                assert_eq!(fused[i * n + j], expected);
             }
         }
     }
@@ -1559,22 +1132,36 @@ mod tests {
         let a = fill(m, k, |i, j| (i + j) as f32 * 0.01);
         let b = fill(k, n, |i, j| (i as f32 - j as f32) * 0.01);
         let mut out = vec![0.0; m * n];
-        let mut ws = Workspace::new();
-        gemm_into(KernelBackend::Blocked, &a, &b, &mut out, m, k, n, &mut ws);
-        let cap = ws.pack.capacity();
+        let mut pack = Vec::new();
+        let mut run = |pack: &mut Vec<f32>| {
+            gemm_bias_act_into(
+                KernelBackend::BlockedPrepacked,
+                &a,
+                &b,
+                None,
+                FusedAct::Identity,
+                &mut out,
+                m,
+                k,
+                n,
+                pack,
+            );
+        };
+        run(&mut pack);
+        let cap = pack.capacity();
         for _ in 0..3 {
-            gemm_into(KernelBackend::Blocked, &a, &b, &mut out, m, k, n, &mut ws);
+            run(&mut pack);
         }
-        assert_eq!(ws.pack.capacity(), cap, "pack buffer must not regrow");
+        assert_eq!(pack.capacity(), cap, "pack buffer must not regrow");
     }
 
     #[test]
     fn empty_dims_are_noops() {
         let mut out = vec![7.0; 0];
-        gemm(KernelBackend::Blocked, &[], &[], &mut out, 0, 3, 0);
+        gemm(KernelBackend::BlockedPrepacked, &[], &[], &mut out, 0, 3, 0);
         // k == 0: the product is the zero matrix.
         let mut out = [0.5, 0.5];
-        gemm(KernelBackend::Blocked, &[], &[], &mut out, 2, 0, 1);
+        gemm(KernelBackend::BlockedPrepacked, &[], &[], &mut out, 2, 0, 1);
         assert_eq!(out, [0.0, 0.0]);
     }
 
@@ -1594,6 +1181,7 @@ mod tests {
         }
         let d = dot(&row, &other);
         let expected: f32 = row.iter().zip(&other).map(|(a, b)| a * b).sum();
+        // `dot` sums eight partial lanes, the scalar loop one chain.
         assert!((d - expected).abs() < 1e-3);
         let mut acc = row.clone();
         scale(&mut acc, 0.5);
@@ -1604,9 +1192,30 @@ mod tests {
     fn backend_labels_and_global_default() {
         assert_eq!(KernelBackend::Naive.label(), "naive");
         assert_eq!(KernelBackend::BlockedPrepacked.label(), "blocked-prepacked");
-        assert_eq!(KernelBackend::all().len(), 4);
-        // The global default must be one of the optimized backends.
-        assert_ne!(global_backend(), KernelBackend::Naive);
+        assert_eq!(SparseBackend::Scalar.label(), "scalar");
+        assert_eq!(SparseBackend::Vectorized.label(), "vectorized");
+        // Oracle + production, and `Default` is what the process runs.
+        assert_eq!(
+            KernelBackend::all(),
+            [KernelBackend::Naive, global_backend()]
+        );
+        assert_eq!(
+            SparseBackend::all(),
+            [SparseBackend::Scalar, global_sparse_backend()]
+        );
+        assert_eq!(global_backend(), KernelBackend::default());
+        assert_eq!(global_sparse_backend(), SparseBackend::default());
+    }
+
+    /// `out = a · packed`, no epilogue.
+    fn gemm_prepacked(
+        backend: KernelBackend,
+        a: &[f32],
+        packed: &PrepackedWeights,
+        out: &mut [f32],
+        m: usize,
+    ) {
+        gemm_bias_act_prepacked(backend, a, packed, None, FusedAct::Identity, out, m);
     }
 
     #[test]
@@ -1625,15 +1234,8 @@ mod tests {
             let packed = PrepackedWeights::pack(&b, k, n);
             assert_eq!(packed.size_bytes(), k * n * 4, "pack is a permutation");
             for backend in KernelBackend::all() {
-                // The prepacked-only backend's on-the-fly reference is the
-                // blocked kernel it feeds.
-                let reference_backend = if backend == KernelBackend::BlockedPrepacked {
-                    KernelBackend::Blocked
-                } else {
-                    backend
-                };
                 let mut reference = vec![f32::NAN; m * n];
-                gemm(reference_backend, &a, &b, &mut reference, m, k, n);
+                gemm(backend, &a, &b, &mut reference, m, k, n);
                 let mut out = vec![f32::NAN; m * n];
                 gemm_prepacked(backend, &a, &packed, &mut out, m);
                 assert_eq!(reference, out, "{backend:?} diverged at {m}x{k}x{n}");
@@ -1652,88 +1254,15 @@ mod tests {
         assert!(prepack_events() > before);
         let mut out = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5];
         // k == 0: the product is the zero matrix (plus any epilogue).
-        gemm_prepacked(KernelBackend::Blocked, &[], &packed, &mut out, 2);
+        gemm_prepacked(KernelBackend::BlockedPrepacked, &[], &packed, &mut out, 2);
         assert_eq!(out, [0.0; 6]);
         let empty = PrepackedWeights::pack(&[], 4, 0);
-        gemm_prepacked(KernelBackend::Blocked, &[0.0; 8], &empty, &mut [], 2);
-    }
-
-    #[test]
-    fn num_threads_env_values_parse() {
-        assert_eq!(parse_num_threads("1"), Some(1));
-        assert_eq!(parse_num_threads("16"), Some(16));
-        // The historic failure mode class: misspellings and out-of-domain
-        // values must be rejected, never silently defaulted.
-        for bad in ["0", "-1", "two", "4.0", " 4", "4 ", ""] {
-            assert_eq!(parse_num_threads(bad), None, "{bad:?} must not parse");
-        }
-    }
-
-    #[test]
-    fn kernel_backend_env_values_parse() {
-        assert_eq!(parse_kernel_backend("naive"), Some(KernelBackend::Naive));
-        assert_eq!(
-            parse_kernel_backend("blocked"),
-            Some(KernelBackend::Blocked)
+        gemm_prepacked(
+            KernelBackend::BlockedPrepacked,
+            &[0.0; 8],
+            &empty,
+            &mut [],
+            2,
         );
-        assert_eq!(
-            parse_kernel_backend("parallel"),
-            Some(KernelBackend::BlockedParallel)
-        );
-        assert_eq!(
-            parse_kernel_backend("blocked-parallel"),
-            Some(KernelBackend::BlockedParallel)
-        );
-        assert_eq!(
-            parse_kernel_backend("prepacked"),
-            Some(KernelBackend::BlockedPrepacked)
-        );
-        // Every label round-trips, so docs/benches and the env var agree.
-        for backend in KernelBackend::all() {
-            assert_eq!(parse_kernel_backend(backend.label()), Some(backend));
-        }
-    }
-
-    #[test]
-    fn misspelled_kernel_backend_is_rejected_not_defaulted() {
-        // The historic failure mode: `vectorised`, stray whitespace and
-        // case changes silently fell back to the built-in default.
-        for bad in ["vectorised", "Blocked", " blocked", "blocked ", "", "fast"] {
-            assert_eq!(parse_kernel_backend(bad), None, "{bad:?} must not parse");
-        }
-        // The accepted set named in the warning mentions every real value.
-        for backend in KernelBackend::all() {
-            assert!(KERNEL_BACKEND_VALUES.contains(backend.label()));
-        }
-    }
-
-    #[test]
-    fn sparse_backend_env_values_parse() {
-        assert_eq!(parse_sparse_backend("scalar"), Some(SparseBackend::Scalar));
-        assert_eq!(
-            parse_sparse_backend("vectorized"),
-            Some(SparseBackend::Vectorized)
-        );
-        assert_eq!(
-            parse_sparse_backend("parallel"),
-            Some(SparseBackend::VectorizedParallel)
-        );
-        assert_eq!(
-            parse_sparse_backend("vectorized-parallel"),
-            Some(SparseBackend::VectorizedParallel)
-        );
-        for backend in SparseBackend::all() {
-            assert_eq!(parse_sparse_backend(backend.label()), Some(backend));
-        }
-    }
-
-    #[test]
-    fn misspelled_sparse_backend_is_rejected_not_defaulted() {
-        for bad in ["vectorised", "Scalar", "simd", " vectorized", ""] {
-            assert_eq!(parse_sparse_backend(bad), None, "{bad:?} must not parse");
-        }
-        for backend in SparseBackend::all() {
-            assert!(SPARSE_BACKEND_VALUES.contains(backend.label()));
-        }
     }
 }

@@ -60,12 +60,11 @@ pub use embedding::{EmbeddingBag, EmbeddingTable, ReductionOp};
 pub use error::DlrmError;
 pub use interaction::FeatureInteraction;
 pub use kernel::{
-    global_backend, global_sparse_backend, parse_kernel_backend, parse_num_threads,
-    parse_sparse_backend, prepack_events, set_global_backend, set_global_sparse_backend, FusedAct,
-    KernelBackend, PrepackedWeights, SparseBackend, Workspace,
+    global_backend, global_sparse_backend, prepack_events, FusedAct, KernelBackend,
+    PrepackedWeights, SparseBackend, Workspace,
 };
 pub use mlp::{Activation, DenseLayer, Mlp, MlpStack};
-pub use model::{check_batch_inputs, BatchWorkspace, DlrmModel, ForwardBreakdown, ModelWorkspace};
+pub use model::{check_batch_inputs, BatchWorkspace, DlrmModel, ForwardBreakdown};
 pub use request::{InferenceRequest, InferenceResponse, RejectReason, RejectedRequest};
 pub use tensor::Matrix;
 pub use trace::{EmbeddingAccess, GatherTrace, InferenceTrace};

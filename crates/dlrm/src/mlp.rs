@@ -41,25 +41,21 @@ impl Activation {
 
 /// A dense layer `y = act(x * W + b)` with `W` of shape `[in, out]`.
 ///
-/// The weight matrix is held in **two** resident layouts: the row-major
-/// `[in, out]` matrix (the reference form every on-the-fly-packing backend
-/// reads) and the [`PrepackedWeights`] panels packed **once at
-/// construction**, which [`KernelBackend::BlockedPrepacked`] feeds to the
-/// GEMM microkernels with no per-call pack loop. Both layouts stay in sync:
-/// every weight mutation ([`DenseLayer::set_weights`]) re-packs.
+/// The weights are resident in one layout: the [`PrepackedWeights`] strips
+/// packed **once at construction**, which both backends read with no
+/// per-call pack loop (the oracle walks them in `ijk` order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
-    weights: Matrix,
     bias: Matrix,
     activation: Activation,
-    /// `weights` in the blocked kernel's panel layout, packed once.
+    /// `W` in the blocked kernel's strip layout.
     packed: PrepackedWeights,
 }
 
 impl DenseLayer {
     /// Creates a layer from explicit weights (`[in, out]`), bias (`[1, out]`)
-    /// and activation; the weights are prepacked into resident panels here,
-    /// once, and reused by every prepacked-backend forward pass.
+    /// and activation; the weights are packed into resident strips here,
+    /// once, and reused by every forward pass.
     ///
     /// # Errors
     ///
@@ -75,7 +71,6 @@ impl DenseLayer {
         }
         let packed = PrepackedWeights::pack(weights.as_slice(), weights.rows(), weights.cols());
         Ok(DenseLayer {
-            weights,
             bias,
             activation,
             packed,
@@ -93,17 +88,12 @@ impl DenseLayer {
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.weights.rows()
+        self.packed.k()
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.weights.cols()
-    }
-
-    /// Borrows the weight matrix.
-    pub fn weights(&self) -> &Matrix {
-        &self.weights
+        self.packed.n()
     }
 
     /// Borrows the bias row vector.
@@ -111,22 +101,13 @@ impl DenseLayer {
         &self.bias
     }
 
-    /// Borrows the resident prepacked weight panels.
+    /// Borrows the resident weight strips.
     pub fn packed(&self) -> &PrepackedWeights {
         &self.packed
     }
 
-    /// Resident footprint of the layer's parameters as served from on the
-    /// prepacked path: the packed panels plus the (unpadded) bias row —
-    /// byte-for-byte equal to [`DenseLayer::size_bytes`], because packing
-    /// is a permutation of the weight matrix, not an expansion.
-    pub fn packed_size_bytes(&self) -> usize {
-        self.packed.size_bytes() + self.bias.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Replaces the layer's weights (same `[in, out]` shape) and
-    /// **re-packs** the resident panels so the prepacked path never serves
-    /// stale weights.
+    /// Replaces the layer's weights with a row-major matrix of the same
+    /// `[in, out]` shape, packing it into the resident strips.
     ///
     /// # Errors
     ///
@@ -134,15 +115,14 @@ impl DenseLayer {
     /// differs from the current one (layer widths are structural; changing
     /// them would silently break the surrounding MLP's wiring).
     pub fn set_weights(&mut self, weights: Matrix) -> Result<(), DlrmError> {
-        if weights.shape() != self.weights.shape() {
+        if weights.shape() != (self.in_dim(), self.out_dim()) {
             return Err(DlrmError::ShapeMismatch {
                 op: "dense layer weight update",
-                lhs: self.weights.shape(),
+                lhs: (self.in_dim(), self.out_dim()),
                 rhs: weights.shape(),
             });
         }
         self.packed = PrepackedWeights::pack(weights.as_slice(), weights.rows(), weights.cols());
-        self.weights = weights;
         Ok(())
     }
 
@@ -153,12 +133,14 @@ impl DenseLayer {
 
     /// Number of parameters (weights + biases).
     pub fn num_params(&self) -> usize {
-        self.weights.len() + self.bias.len()
+        self.in_dim() * self.out_dim() + self.bias.len()
     }
 
-    /// Size of the layer's parameters in bytes.
+    /// Resident size of the layer's parameters in bytes: the strips plus
+    /// the bias row. Packing is a permutation of the weight matrix, not an
+    /// expansion, so this is `num_params()` `f32`s exactly.
     pub fn size_bytes(&self) -> usize {
-        self.num_params() * std::mem::size_of::<f32>()
+        self.packed.size_bytes() + self.bias.size_bytes()
     }
 
     /// Floating-point operations for a forward pass with the given batch.
@@ -167,46 +149,32 @@ impl DenseLayer {
     }
 
     /// Forward pass: `act(input * W + b)`, computed by the fused
-    /// GEMM + bias + activation kernel on the process-wide default backend —
-    /// one output allocation, no intermediate matrices.
+    /// GEMM + bias + activation kernel on the production backend — one
+    /// output allocation, no intermediate matrices.
     ///
     /// # Errors
     ///
     /// Returns [`DlrmError::ShapeMismatch`] if `input.cols() != in_dim`.
     pub fn forward(&self, input: &Matrix) -> Result<Matrix, DlrmError> {
-        self.forward_with(kernel::global_backend(), input)
-    }
-
-    /// [`DenseLayer::forward`] on an explicit backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] if `input.cols() != in_dim`.
-    pub fn forward_with(
-        &self,
-        backend: KernelBackend,
-        input: &Matrix,
-    ) -> Result<Matrix, DlrmError> {
-        self.check_input(input.cols())?;
+        if input.cols() != self.in_dim() {
+            return Err(DlrmError::ShapeMismatch {
+                op: "dense layer input",
+                lhs: (1, self.in_dim()),
+                rhs: (1, input.cols()),
+            });
+        }
         let mut out = Matrix::zeros(input.rows(), self.out_dim());
-        let mut pack = Vec::new();
         self.forward_into(
-            backend,
+            kernel::global_backend(),
             input.as_slice(),
             input.rows(),
             out.as_mut_slice(),
-            &mut pack,
         );
         Ok(out)
     }
 
     /// Allocation-free forward pass into a caller-provided output buffer
-    /// (`[batch, out_dim]`), using `pack` as the GEMM packing scratch.
-    ///
-    /// On [`KernelBackend::BlockedPrepacked`] the GEMM streams the resident
-    /// panels packed at construction and `pack` is never touched (it stays
-    /// at zero capacity on a workspace that only ever serves prepacked) —
-    /// bitwise identical to the on-the-fly-packing backends.
+    /// (`[batch, out_dim]`), streaming the resident strips.
     ///
     /// # Panics
     ///
@@ -219,43 +187,16 @@ impl DenseLayer {
         input: &[f32],
         batch: usize,
         out: &mut [f32],
-        pack: &mut Vec<f32>,
     ) {
-        if backend == KernelBackend::BlockedPrepacked {
-            kernel::gemm_bias_act_prepacked(
-                backend,
-                input,
-                &self.packed,
-                Some(self.bias.as_slice()),
-                self.activation.fused(),
-                out,
-                batch,
-            );
-            return;
-        }
-        kernel::gemm_bias_act_into(
+        kernel::gemm_bias_act_prepacked(
             backend,
             input,
-            self.weights.as_slice(),
+            &self.packed,
             Some(self.bias.as_slice()),
             self.activation.fused(),
             out,
             batch,
-            self.in_dim(),
-            self.out_dim(),
-            pack,
         );
-    }
-
-    fn check_input(&self, cols: usize) -> Result<(), DlrmError> {
-        if cols != self.in_dim() {
-            return Err(DlrmError::ShapeMismatch {
-                op: "dense layer input",
-                lhs: (1, self.in_dim()),
-                rhs: (1, cols),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -359,63 +300,51 @@ impl Mlp {
         self.layers.iter().map(DenseLayer::size_bytes).sum()
     }
 
-    /// Resident footprint of the stack as served from on the prepacked
-    /// path (packed panels + biases) — what the dense accelerator accounts
-    /// against its weight SRAM. Equals [`Mlp::size_bytes`] by construction.
-    pub fn packed_bytes(&self) -> usize {
-        self.layers.iter().map(DenseLayer::packed_size_bytes).sum()
-    }
-
     /// Total forward-pass FLOPs for a batch.
     pub fn flops(&self, batch: usize) -> u64 {
         self.layers.iter().map(|l| l.flops(batch)).sum()
     }
 
-    /// Forward pass through every layer in order.
+    /// Forward pass through every layer in order, on the production backend.
     ///
     /// Uses an internal scratch [`Workspace`] (two ping/pong buffers for the
     /// whole stack instead of several allocations per layer); callers on the
     /// steady-state path should hold their own workspace and use
-    /// [`Mlp::forward_ws`], which allocates nothing at all.
+    /// [`Mlp::forward_batch_ws`], which allocates nothing at all.
     ///
     /// # Errors
     ///
     /// Propagates shape mismatches from the individual layers.
     pub fn forward(&self, input: &Matrix) -> Result<Matrix, DlrmError> {
-        self.forward_with(kernel::global_backend(), input)
-    }
-
-    /// [`Mlp::forward`] on an explicit backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches from the individual layers.
-    pub fn forward_with(
-        &self,
-        backend: KernelBackend,
-        input: &Matrix,
-    ) -> Result<Matrix, DlrmError> {
         let mut ws = Workspace::new();
         let batch = input.rows();
-        let (data, cols) =
-            self.forward_ws(backend, input.as_slice(), batch, input.cols(), &mut ws)?;
+        let (data, cols) = self.forward_batch_ws(
+            kernel::global_backend(),
+            input.as_slice(),
+            batch,
+            input.cols(),
+            &mut ws,
+        )?;
         Matrix::from_vec(batch, cols, data.to_vec())
     }
 
-    /// Zero-allocation forward pass: runs the whole stack through the
-    /// workspace's ping/pong buffers and returns the output as
-    /// `(data, out_cols)` borrowed from the workspace.
+    /// The zero-allocation batch-major forward pass: the whole batch flows
+    /// through **one GEMM per layer with `m = batch`** over the workspace's
+    /// ping/pong buffers, so each layer's strips are streamed once for every
+    /// sample — the weight-reuse win the paper attributes to batching. The
+    /// output is returned as `(data, out_cols)` borrowed from the workspace.
     ///
     /// After the workspace has warmed up to the model's widest layer, this
-    /// performs **no heap allocations** per call (`Naive`/`Blocked`
-    /// backends).
+    /// performs **no heap allocations** per call. A sample is a batch of
+    /// one, bitwise: the kernels accumulate each output row in the same
+    /// `k` order regardless of `m`.
     ///
     /// # Errors
     ///
     /// Returns [`DlrmError::ShapeMismatch`] if `in_cols` does not match the
     /// first layer, or [`DlrmError::BatchMismatch`] if
     /// `input.len() != batch * in_cols`.
-    pub fn forward_ws<'w>(
+    pub fn forward_batch_ws<'w>(
         &self,
         backend: KernelBackend,
         input: &[f32],
@@ -453,46 +382,17 @@ impl Mlp {
         let mut cols = in_cols;
         for layer in &self.layers {
             let out_len = batch * layer.out_dim();
-            // Split the borrows: read from ping, write into pong, pack in
-            // its own buffer; then swap the ping/pong roles.
-            let Workspace {
-                ping, pong, pack, ..
-            } = ws;
+            // Read from ping, write into pong, then swap their roles.
             layer.forward_into(
                 backend,
-                &ping[..batch * cols],
+                &ws.ping[..batch * cols],
                 batch,
-                &mut pong[..out_len],
-                pack,
+                &mut ws.pong[..out_len],
             );
             std::mem::swap(&mut ws.ping, &mut ws.pong);
             cols = layer.out_dim();
         }
         Ok((&ws.ping[..batch * cols], cols))
-    }
-
-    /// The batch-major forward pass: the whole batch flows through **one
-    /// GEMM per layer with `m = batch`**, so each layer's packed `B` panels
-    /// are amortized over every sample instead of being re-packed per
-    /// sample — the weight-reuse win the paper attributes to batching.
-    ///
-    /// Numerically this is bitwise-identical to running
-    /// [`Mlp::forward_ws`] with `batch == 1` once per sample: the blocked
-    /// microkernels accumulate each output row in the same `k`-block order
-    /// regardless of `m`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Mlp::forward_ws`].
-    pub fn forward_batch_ws<'w>(
-        &self,
-        backend: KernelBackend,
-        input: &[f32],
-        batch: usize,
-        in_cols: usize,
-        ws: &'w mut Workspace,
-    ) -> Result<(&'w [f32], usize), DlrmError> {
-        self.forward_ws(backend, input, batch, in_cols, ws)
     }
 }
 
@@ -595,20 +495,46 @@ mod tests {
     #[test]
     fn prepacked_forward_is_bitwise_identical_to_packing_path() {
         // Ragged widths so the 6/4/1-row tile splits and the packed
-        // block remainders are all exercised.
-        let mlp = Mlp::random(&[13, 67, 29, 3], Activation::Relu, 21).unwrap();
+        // block remainders are all exercised. The packing path is the
+        // generic GEMM over the same row-major weights, layer by layer.
+        let dims = [13usize, 67, 29, 3];
+        let weights: Vec<Matrix> = dims
+            .windows(2)
+            .enumerate()
+            .map(|(l, d)| Matrix::from_fn(d[0], d[1], |r, c| ((l + r * 7 + c * 3) as f32).sin()))
+            .collect();
+        let bias = |n: usize| Matrix::from_fn(1, n, |_, c| c as f32 * 0.013 - 0.2);
+        let mlp = Mlp::new(
+            weights
+                .iter()
+                .map(|w| DenseLayer::new(w.clone(), bias(w.cols()), Activation::Relu).unwrap())
+                .collect(),
+        );
         for batch in [1usize, 4, 9, 16] {
             let x = Matrix::from_fn(batch, 13, |r, c| (r as f32 * 0.3 - c as f32 * 0.2).sin());
-            let reference = mlp.forward_with(KernelBackend::Blocked, &x).unwrap();
-            let prepacked = mlp
-                .forward_with(KernelBackend::BlockedPrepacked, &x)
-                .unwrap();
-            assert_eq!(reference, prepacked, "batch {batch}");
+            let mut reference = x.clone();
+            for w in &weights {
+                let mut out = Matrix::zeros(batch, w.cols());
+                kernel::gemm_bias_act_into(
+                    KernelBackend::BlockedPrepacked,
+                    reference.as_slice(),
+                    w.as_slice(),
+                    Some(bias(w.cols()).as_slice()),
+                    FusedAct::Relu,
+                    out.as_mut_slice(),
+                    batch,
+                    w.rows(),
+                    w.cols(),
+                    &mut Vec::new(),
+                );
+                reference = out;
+            }
+            assert_eq!(reference, mlp.forward(&x).unwrap(), "batch {batch}");
         }
-        // A workspace that only ever serves prepacked never grows a pack
-        // buffer: its footprint is exactly the two ping/pong layer buffers.
+        // The workspace is exactly the two ping/pong layer buffers: resident
+        // strips need no packing scratch.
         let mut ws = Workspace::new();
-        mlp.forward_ws(
+        mlp.forward_batch_ws(
             KernelBackend::BlockedPrepacked,
             &vec![0.1; 4 * 13],
             4,
@@ -617,7 +543,7 @@ mod tests {
         )
         .unwrap();
         let widest = 67;
-        assert_eq!(ws.capacity_bytes(), 2 * 4 * widest * 4, "pack buffer grew");
+        assert_eq!(ws.capacity_bytes(), 2 * 4 * widest * 4);
     }
 
     #[test]
@@ -625,22 +551,12 @@ mod tests {
         let mut layer = DenseLayer::random(9, 7, Activation::Relu, 5);
         let replacement = Matrix::from_fn(9, 7, |r, c| (r * 7 + c) as f32 * 0.05 - 1.0);
         layer.set_weights(replacement.clone()).unwrap();
-        // The resident panels and the served result both match a layer
-        // constructed fresh from the new weights — set_weights really
-        // re-packed (asserting on the process-global prepack_events counter
-        // would race with concurrently running tests in this binary; the
-        // exact-count accounting lives in `tests/zero_alloc.rs`).
+        // The resident strips and the served result both match a layer
+        // constructed fresh from the new weights.
         let fresh = DenseLayer::new(replacement, layer.bias().clone(), Activation::Relu).unwrap();
-        assert_eq!(layer.packed(), fresh.packed(), "panels must be re-packed");
+        assert_eq!(layer.packed(), fresh.packed(), "strips must be re-packed");
         let x = Matrix::from_fn(3, 9, |r, c| (r as f32 - c as f32) * 0.1);
-        assert_eq!(
-            layer
-                .forward_with(KernelBackend::BlockedPrepacked, &x)
-                .unwrap(),
-            fresh
-                .forward_with(KernelBackend::BlockedPrepacked, &x)
-                .unwrap()
-        );
+        assert_eq!(layer.forward(&x).unwrap(), fresh.forward(&x).unwrap());
         // Shape changes are structural and rejected.
         assert!(layer.set_weights(Matrix::zeros(9, 8)).is_err());
         assert!(layer.set_weights(Matrix::zeros(8, 7)).is_err());
@@ -649,9 +565,9 @@ mod tests {
     #[test]
     fn packed_bytes_equal_row_major_bytes() {
         let mlp = Mlp::random(&[13, 512, 256, 64], Activation::Relu, 9).unwrap();
-        assert_eq!(mlp.packed_bytes(), mlp.size_bytes());
+        assert_eq!(mlp.size_bytes(), mlp.num_params() * 4);
         for layer in mlp.iter() {
-            assert_eq!(layer.packed_size_bytes(), layer.size_bytes());
+            assert_eq!(layer.size_bytes(), layer.num_params() * 4);
             assert_eq!(layer.packed().k(), layer.in_dim());
             assert_eq!(layer.packed().n(), layer.out_dim());
         }

@@ -28,52 +28,18 @@ pub struct DlrmModel {
     top_mlp: Mlp,
 }
 
-/// Reusable scratch for the zero-allocation model forward path: the MLP
-/// ping/pong/pack workspace plus the interaction input/output buffers.
-///
-/// Hold one per serving thread and feed it to
-/// [`DlrmModel::forward_sample_ws`] / [`DlrmModel::forward_batch_with`];
-/// after the first (warm-up) call every buffer has reached its high-water
-/// mark and steady-state inference allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct ModelWorkspace {
-    /// MLP scratch (ping/pong layer buffers + GEMM packing panel; the pack
-    /// panel never grows on the prepacked backend, which serves from the
-    /// layers' resident panels instead).
-    mlp: Workspace,
-    /// Interaction input: `[num_tables + 1, embedding_dim]` row-major.
-    features: Vec<f32>,
-    /// Interaction output: `[1, output_dim]`.
-    interact: Vec<f32>,
-}
-
-impl ModelWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        ModelWorkspace::default()
-    }
-
-    /// Total bytes currently held across all scratch buffers.
-    pub fn capacity_bytes(&self) -> usize {
-        self.mlp.capacity_bytes()
-            + (self.features.capacity() + self.interact.capacity()) * std::mem::size_of::<f32>()
-    }
-}
-
-/// Reusable scratch for the **batch-major** zero-allocation forward path
-/// ([`DlrmModel::forward_batch_into`]): the same buffers as
-/// [`ModelWorkspace`], but sized `batch ×` so the whole batch flows through
-/// one GEMM per MLP layer.
+/// Reusable scratch for the zero-allocation forward path
+/// ([`DlrmModel::forward_batch_into`]): the MLP ping/pong workspace plus the
+/// interaction input/output buffers, sized `batch ×` so the whole batch
+/// flows through one GEMM per MLP layer.
 ///
 /// Hold one per serving thread; after the first (warm-up) call at a given
 /// batch size every buffer has reached its high-water mark and steady-state
-/// batched inference allocates nothing (`Naive`/`Blocked` backends).
+/// inference allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct BatchWorkspace {
-    /// MLP scratch (ping/pong layer buffers + GEMM packing panel), sized to
-    /// `batch × widest layer`. On the prepacked backend the pack panel is
-    /// dropped entirely (capacity stays zero): layers serve from their
-    /// resident panels.
+    /// MLP scratch (ping/pong layer buffers), sized to
+    /// `batch × widest layer`.
     mlp: Workspace,
     /// Batch-major interaction input: `[batch, num_features * dim]`.
     features: Vec<f32>,
@@ -95,9 +61,9 @@ impl BatchWorkspace {
 }
 
 /// Validates that a batched request's dense rows and per-sample sparse index
-/// lists agree — the one shared batch check used by
-/// [`DlrmModel::forward_batch_with`] and the accelerator runtime's
-/// `infer_batch` (previously copy-pasted in both).
+/// lists agree — the one batch check shared by
+/// [`DlrmModel::forward_batch_into`] and the accelerator runtime's
+/// `infer_batch_into`.
 ///
 /// # Errors
 ///
@@ -246,15 +212,6 @@ impl DlrmModel {
         &self.interaction
     }
 
-    /// Resident footprint of both MLPs as served from on the prepacked
-    /// path: every layer's packed weight panels plus its bias row. This is
-    /// what the dense accelerator accounts against its weight SRAM — and it
-    /// equals `config.mlp_bytes()` exactly, because prepacking is a
-    /// permutation of the weight matrix (no padding).
-    pub fn mlp_packed_bytes(&self) -> usize {
-        self.bottom_mlp.packed_bytes() + self.top_mlp.packed_bytes()
-    }
-
     /// Runs a single-sample forward pass and returns every intermediate
     /// (useful for validating accelerator datapaths stage by stage).
     ///
@@ -310,14 +267,14 @@ impl DlrmModel {
         ])
     }
 
-    /// Runs a batched forward pass: one dense-feature row and one per-table
-    /// index list per sample. Returns one probability per sample.
+    /// Runs a batched forward pass on the production backend: one
+    /// dense-feature row and one per-table index list per sample. Returns
+    /// one probability per sample.
     ///
-    /// This is the **batch-major** path: the whole batch flows through one
-    /// GEMM per MLP layer (`m = batch`), the embedding reductions land
-    /// directly in a batch-major feature matrix, the interaction runs as one
-    /// batched kernel and the final sigmoid vectorizes over the batch. No
-    /// per-sample `m = 1` GEMMs execute anywhere on this path.
+    /// Allocates a fresh [`BatchWorkspace`] plus the output vector; callers
+    /// on the steady-state serving path should hold their own workspace and
+    /// use [`DlrmModel::forward_batch_into`], which allocates nothing after
+    /// warm-up.
     ///
     /// # Errors
     ///
@@ -328,37 +285,24 @@ impl DlrmModel {
         dense: &Matrix,
         batch_indices: &[Vec<Vec<u32>>],
     ) -> Result<Vec<f32>, DlrmError> {
-        self.forward_batch_with(kernel::global_backend(), dense, batch_indices)
-    }
-
-    /// [`DlrmModel::forward_batch`] on an explicit [`KernelBackend`].
-    ///
-    /// Allocates a fresh [`BatchWorkspace`] plus the output vector; callers
-    /// on the steady-state serving path should hold their own workspace and
-    /// use [`DlrmModel::forward_batch_into`], which allocates nothing after
-    /// warm-up.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DlrmModel::forward_batch`].
-    pub fn forward_batch_with(
-        &self,
-        backend: KernelBackend,
-        dense: &Matrix,
-        batch_indices: &[Vec<Vec<u32>>],
-    ) -> Result<Vec<f32>, DlrmError> {
         let mut ws = BatchWorkspace::new();
         let mut out = vec![0.0; batch_indices.len()];
-        self.forward_batch_into(backend, dense, batch_indices, &mut out, &mut ws)?;
+        self.forward_batch_into(
+            kernel::global_backend(),
+            dense,
+            batch_indices,
+            &mut out,
+            &mut ws,
+        )?;
         Ok(out)
     }
 
-    /// The zero-allocation batch-major hot path: one batch end to end with
-    /// every intermediate written into `ws` and one probability per sample
-    /// written into `out`.
+    /// The zero-allocation hot path, and the only inference path: one batch
+    /// end to end with every intermediate written into `ws` and one
+    /// probability per sample written into `out`. A sample is a batch of
+    /// one.
     ///
-    /// Stage by stage (compare [`DlrmModel::forward_sample_ws`], which runs
-    /// the same math one sample at a time):
+    /// Stage by stage:
     ///
     /// 1. embedding gathers/reductions for **all** samples, straight into
     ///    the batch-major `[batch, num_features * dim]` feature matrix;
@@ -370,9 +314,8 @@ impl DlrmModel {
     /// 4. top MLP with `m = batch`, then one vectorized sigmoid sweep over
     ///    the batch of logits.
     ///
-    /// Numerically identical (bitwise, per backend) to looping
-    /// [`DlrmModel::forward_sample_ws`] over the batch: the blocked GEMM
-    /// accumulates each output row in the same order regardless of `m`.
+    /// A batch of N equals N batches of one, bitwise: the kernels
+    /// accumulate each output row in the same order regardless of `m`.
     ///
     /// # Errors
     ///
@@ -413,8 +356,8 @@ impl DlrmModel {
 
         // 1. Embedding gathers + reductions for every sample, straight into
         //    interaction feature rows 1..=num_tables of each sample's block,
-        //    on the process-default sparse engine (table-major vectorized
-        //    kernels; `CENTAUR_SPARSE_BACKEND` selects the oracle instead).
+        //    on the production sparse engine (table-major vectorized
+        //    kernels).
         self.embeddings.reduce_batch_into(
             batch_indices,
             &mut ws.features[..batch * stride],
@@ -472,87 +415,12 @@ impl DlrmModel {
         if top_cols == 1 {
             crate::tensor::sigmoid_into(&top[..batch], out);
         } else {
-            // A top MLP wider than one unit: take logit 0 per sample, the
-            // same element the per-sample path reads.
+            // A top MLP wider than one unit: take logit 0 per sample.
             for (o, row) in out.iter_mut().zip(top.chunks_exact(top_cols)) {
                 *o = crate::tensor::sigmoid_scalar(row[0]);
             }
         }
         Ok(())
-    }
-
-    /// The zero-allocation hot path: one sample end to end (bottom MLP,
-    /// gather/reduce, interaction, top MLP, sigmoid) with every
-    /// intermediate written into `ws`. Numerically identical to
-    /// [`DlrmModel::forward_breakdown`] on the same backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape and index errors from the individual stages.
-    pub fn forward_sample_ws(
-        &self,
-        backend: KernelBackend,
-        dense_row: &[f32],
-        indices_per_table: &[Vec<u32>],
-        ws: &mut ModelWorkspace,
-    ) -> Result<f32, DlrmError> {
-        let dense_width = self.config.dense_features;
-        if dense_row.len() != dense_width {
-            return Err(DlrmError::ShapeMismatch {
-                op: "dense features",
-                lhs: (1, dense_width),
-                rhs: (1, dense_row.len()),
-            });
-        }
-        let dim = self.config.embedding_dim;
-        let num_features = self.interaction.num_features();
-        let interact_width = self.interaction.output_dim();
-        grow(&mut ws.features, num_features * dim);
-        grow(&mut ws.interact, interact_width);
-
-        // 1. Embedding gathers + reductions, straight into interaction
-        //    feature rows 1..=num_tables, on the process-default sparse
-        //    engine.
-        self.embeddings
-            .reduce_into_slice(indices_per_table, &mut ws.features[dim..num_features * dim])?;
-
-        // 2. Bottom MLP into interaction feature row 0.
-        {
-            let ModelWorkspace { mlp, features, .. } = ws;
-            let (bottom, cols) =
-                self.bottom_mlp
-                    .forward_ws(backend, dense_row, 1, dense_width, mlp)?;
-            if cols != dim {
-                return Err(DlrmError::ShapeMismatch {
-                    op: "bottom MLP output",
-                    lhs: (1, dim),
-                    rhs: (1, cols),
-                });
-            }
-            features[..dim].copy_from_slice(bottom);
-        }
-
-        // 3. Dot-product feature interaction.
-        {
-            let ModelWorkspace {
-                features, interact, ..
-            } = ws;
-            self.interaction.interact_into(
-                &features[..num_features * dim],
-                &mut interact[..interact_width],
-            );
-        }
-
-        // 4. Top MLP + sigmoid.
-        let ModelWorkspace { mlp, interact, .. } = ws;
-        let (top, _) = self.top_mlp.forward_ws(
-            backend,
-            &interact[..interact_width],
-            1,
-            interact_width,
-            mlp,
-        )?;
-        Ok(crate::tensor::sigmoid_scalar(top[0]))
     }
 }
 
@@ -656,7 +524,8 @@ mod tests {
             let single = model
                 .forward_single(&Matrix::row_vector(dense.row(i)), sample)
                 .unwrap();
-            assert!((batched[i] - single[0]).abs() < 1e-6);
+            // A sample is a batch of one through the same kernels: bitwise.
+            assert_eq!(batched[i], single[0]);
         }
     }
 
@@ -705,6 +574,15 @@ mod tests {
             good.top_mlp().clone(),
         )
         .is_err());
+
+        // A bag whose tables disagree on width never reaches `from_parts`:
+        // the only constructor that takes loose tables rejects it.
+        let mut tables: Vec<_> = good.embeddings().iter().cloned().collect();
+        tables[1] = crate::EmbeddingTable::zeros(64, 16);
+        assert!(matches!(
+            EmbeddingBag::new(tables, crate::ReductionOp::Sum),
+            Err(DlrmError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //!
 //! The matrix is row-major `Vec<f32>` storage for semantic clarity; the
 //! heavy math (GEMM, fused bias/activation) is delegated to the optimized
-//! backends in [`crate::kernel`], with [`KernelBackend::Naive`] retained as
+//! backend in [`crate::kernel`], with `KernelBackend::Naive` retained as
 //! the correctness oracle. The Criterion benches in `centaur-bench` and
 //! `centaur-dlrm` exercise these kernels so the relative cost of dense
 //! layers is visible.
 
 use crate::error::DlrmError;
-use crate::kernel::KernelBackend;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -156,22 +155,15 @@ impl Matrix {
         self.data[r * self.cols + c] = value;
     }
 
-    /// Matrix product `self * rhs`, executed by the process-wide default
-    /// [`KernelBackend`] (the cache-blocked kernel unless overridden).
+    /// Matrix product `self * rhs` on the production [`KernelBackend`],
+    /// packing `rhs` on the fly.
+    ///
+    /// [`KernelBackend`]: crate::kernel::KernelBackend
     ///
     /// # Errors
     ///
     /// Returns [`DlrmError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, DlrmError> {
-        self.matmul_with(crate::kernel::global_backend(), rhs)
-    }
-
-    /// Matrix product `self * rhs` on an explicit [`KernelBackend`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul_with(&self, backend: KernelBackend, rhs: &Matrix) -> Result<Matrix, DlrmError> {
         if self.cols != rhs.rows {
             return Err(DlrmError::ShapeMismatch {
                 op: "matmul",
@@ -181,7 +173,7 @@ impl Matrix {
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         crate::kernel::gemm(
-            backend,
+            crate::kernel::global_backend(),
             &self.data,
             &rhs.data,
             &mut out.data,
@@ -511,12 +503,8 @@ mod tests {
     fn matmul_matches_naive() {
         let a = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32 * 0.25 - 1.0);
         let b = Matrix::from_fn(5, 4, |r, c| (r as f32 - c as f32) * 0.5);
-        let slow = naive_matmul(&a, &b);
-        for backend in KernelBackend::all() {
-            let fast = a.matmul_with(backend, &b).unwrap();
-            assert!(fast.max_abs_diff(&slow) < 1e-5, "{backend:?}");
-        }
-        assert!(a.matmul(&b).unwrap().max_abs_diff(&slow) < 1e-5);
+        // Same multiply and add per `k`, `k` ascending: bitwise.
+        assert_eq!(a.matmul(&b).unwrap(), naive_matmul(&a, &b));
     }
 
     #[test]

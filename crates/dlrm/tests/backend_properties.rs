@@ -1,51 +1,40 @@
-//! Property tests pinning every optimized GEMM backend to the `Naive`
-//! correctness oracle, across random and adversarial edge shapes.
+//! Property tests pinning the production GEMM backend to the `Naive`
+//! correctness oracle — bitwise — across random and adversarial edge
+//! shapes.
 
 use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, Workspace};
 use centaur_dlrm::{Activation, Matrix, Mlp, MlpStack};
 use proptest::prelude::*;
 
-/// Deterministic pseudo-random matrix data for a given seed.
+/// Deterministic pseudo-random matrix data for a given seed. The scale and
+/// offset are not dyadic, so products and partial sums round and a change
+/// of accumulation order shows up in the bits.
 fn test_data(len: usize, seed: u64) -> Vec<f32> {
     (0..len)
         .map(|i| {
             let x = (i as u64)
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(seed);
-            ((x >> 33) % 64) as f32 * 0.0625 - 2.0
+            ((x >> 33) % 64) as f32 * 0.0613 - 1.9
         })
         .collect()
 }
 
-/// Maximum element-wise relative difference (absolute below magnitude 1).
-fn max_rel_diff(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1.0))
-        .fold(0.0, f32::max)
-}
-
-fn assert_backends_match_oracle(m: usize, k: usize, n: usize, seed: u64) {
+fn assert_production_matches_oracle(m: usize, k: usize, n: usize, seed: u64) {
     let a = test_data(m * k, seed);
     let b = test_data(k * n, seed.wrapping_add(1));
     let mut oracle = vec![0.0; m * n];
     kernel::gemm(KernelBackend::Naive, &a, &b, &mut oracle, m, k, n);
-    for backend in [KernelBackend::Blocked, KernelBackend::BlockedParallel] {
-        let mut out = vec![f32::NAN; m * n];
-        kernel::gemm(backend, &a, &b, &mut out, m, k, n);
-        let diff = max_rel_diff(&oracle, &out);
-        assert!(
-            diff < 1e-4,
-            "{backend:?} diverges from oracle at {m}x{k}x{n} (seed {seed}): rel diff {diff}"
-        );
-    }
+    let mut out = vec![f32::NAN; m * n];
+    kernel::gemm(KernelBackend::BlockedPrepacked, &a, &b, &mut out, m, k, n);
+    // One multiply and one add per `k`, `k` ascending, on both: bitwise.
+    assert_eq!(oracle, out, "diverges at {m}x{k}x{n} (seed {seed})");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random shapes: every optimized backend agrees with the oracle within
-    /// 1e-4 relative tolerance.
+    /// Random shapes: the production backend agrees with the oracle.
     #[test]
     fn optimized_backends_match_oracle(
         m in 1usize..48,
@@ -53,7 +42,7 @@ proptest! {
         n in 1usize..48,
         seed in 0u64..10_000,
     ) {
-        assert_backends_match_oracle(m, k, n, seed);
+        assert_production_matches_oracle(m, k, n, seed);
     }
 
     /// The fused GEMM+bias+activation epilogue equals the unfused sequence
@@ -72,20 +61,20 @@ proptest! {
             let mut plain = vec![0.0; m * n];
             kernel::gemm(backend, &a, &b, &mut plain, m, k, n);
             let mut fused = vec![0.0; m * n];
-            kernel::gemm_bias_act(
-                backend, &a, &b, Some(&bias), FusedAct::Relu, &mut fused, m, k, n,
+            kernel::gemm_bias_act_into(
+                backend, &a, &b, Some(&bias), FusedAct::Relu, &mut fused, m, k, n, &mut Vec::new(),
             );
             for i in 0..m {
                 for j in 0..n {
                     let expected = (plain[i * n + j] + bias[j]).max(0.0);
-                    prop_assert!((fused[i * n + j] - expected).abs() < 1e-5);
+                    prop_assert_eq!(fused[i * n + j], expected);
                 }
             }
         }
     }
 
     /// The zero-allocation workspace MLP path produces exactly the same
-    /// values as the allocating path.
+    /// values as the allocating path, on the oracle too.
     #[test]
     fn workspace_mlp_matches_allocating_path(
         batch in 1usize..10,
@@ -94,11 +83,11 @@ proptest! {
     ) {
         let mlp: MlpStack = Mlp::random(&[11, hidden, 5], Activation::Relu, seed).unwrap();
         let x = Matrix::from_vec(batch, 11, test_data(batch * 11, seed)).unwrap();
+        let reference = mlp.forward(&x).unwrap();
         for backend in KernelBackend::all() {
-            let reference = mlp.forward_with(backend, &x).unwrap();
             let mut ws = Workspace::new();
             let (data, cols) = mlp
-                .forward_ws(backend, x.as_slice(), batch, 11, &mut ws)
+                .forward_batch_ws(backend, x.as_slice(), batch, 11, &mut ws)
                 .unwrap();
             prop_assert_eq!(cols, 5);
             prop_assert_eq!(data, reference.as_slice());
@@ -122,28 +111,6 @@ fn edge_shapes_match_oracle() {
         (5, 511, 31),
         (7, 513, 33),
     ] {
-        assert_backends_match_oracle(m, k, n, 42);
-    }
-}
-
-#[test]
-fn blocked_and_parallel_are_bitwise_identical() {
-    // Row-band parallelism must not change accumulation order.
-    for &(m, k, n) in &[(64, 300, 48), (17, 513, 65)] {
-        let a = test_data(m * k, 9);
-        let b = test_data(k * n, 10);
-        let mut blocked = vec![0.0; m * n];
-        let mut parallel = vec![0.0; m * n];
-        kernel::gemm(KernelBackend::Blocked, &a, &b, &mut blocked, m, k, n);
-        kernel::gemm(
-            KernelBackend::BlockedParallel,
-            &a,
-            &b,
-            &mut parallel,
-            m,
-            k,
-            n,
-        );
-        assert_eq!(blocked, parallel, "bitwise divergence at {m}x{k}x{n}");
+        assert_production_matches_oracle(m, k, n, 42);
     }
 }

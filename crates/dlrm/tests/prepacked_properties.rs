@@ -1,7 +1,8 @@
 //! Property tests pinning the prepacked GEMM **bitwise** against the
-//! on-the-fly-packing path: `PrepackedWeights` only moves *when* `B` is
-//! laid out in strips (once at load instead of per call), so every backend
-//! must produce exactly the bytes its packing counterpart does — across
+//! generic on-the-fly-packing path (`gemm_bias_act_into` over row-major
+//! `B`): `PrepackedWeights` only moves *when* `B` is laid out in strips
+//! (once at load instead of per call), so on either backend resident strips
+//! must produce exactly the bytes the per-call pack does — across
 //! ragged shapes that hit the 6-, 4- and 1-row tiles, the narrow last strip
 //! and the `KC = 256` / `NC = 512` block boundaries, with and without fused
 //! bias/activation epilogues.
@@ -24,17 +25,6 @@ fn test_data(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// The on-the-fly-packing backend a prepacked run must match bitwise: the
-/// prepacked-only backend feeds the blocked kernel's tiles, everything else
-/// is compared against itself.
-fn packing_reference(backend: KernelBackend) -> KernelBackend {
-    if backend == KernelBackend::BlockedPrepacked {
-        KernelBackend::Blocked
-    } else {
-        backend
-    }
-}
-
 fn assert_prepacked_matches_packing(m: usize, k: usize, n: usize, seed: u64) {
     let a = test_data(m * k, seed);
     let b = test_data(k * n, seed.wrapping_add(1));
@@ -49,8 +39,8 @@ fn assert_prepacked_matches_packing(m: usize, k: usize, n: usize, seed: u64) {
             (Some(bias.as_slice()), FusedAct::Sigmoid),
         ] {
             let mut reference = vec![f32::NAN; m * n];
-            kernel::gemm_bias_act(
-                packing_reference(backend),
+            kernel::gemm_bias_act_into(
+                backend,
                 &a,
                 &b,
                 bias_opt,
@@ -59,6 +49,7 @@ fn assert_prepacked_matches_packing(m: usize, k: usize, n: usize, seed: u64) {
                 m,
                 k,
                 n,
+                &mut Vec::new(),
             );
             let mut prepacked = vec![f32::NAN; m * n];
             kernel::gemm_bias_act_prepacked(backend, &a, &packed, bias_opt, act, &mut prepacked, m);
@@ -86,8 +77,9 @@ proptest! {
         assert_prepacked_matches_packing(m, k, n, seed);
     }
 
-    /// A whole dense layer served from resident panels equals the packing
-    /// path bitwise, for every backend and batch size.
+    /// A whole dense layer served from its resident strips equals the
+    /// generic packing kernel over the row-major weights it was built from,
+    /// bitwise, for both backends and every batch size.
     #[test]
     fn dense_layer_prepacked_forward_matches_packing(
         batch in 1usize..14,
@@ -95,12 +87,32 @@ proptest! {
         out_dim in 1usize..40,
         seed in 0u64..1_000,
     ) {
-        let layer = DenseLayer::random(in_dim, out_dim, Activation::Relu, seed);
-        let x = Matrix::from_vec(batch, in_dim, test_data(batch * in_dim, seed)).unwrap();
+        let weights = test_data(in_dim * out_dim, seed.wrapping_add(1));
+        let bias = test_data(out_dim, seed.wrapping_add(2));
+        let layer = DenseLayer::new(
+            Matrix::from_vec(in_dim, out_dim, weights.clone()).unwrap(),
+            Matrix::row_vector(&bias),
+            Activation::Relu,
+        )
+        .unwrap();
+        let x = test_data(batch * in_dim, seed);
         for backend in KernelBackend::all() {
-            let reference = layer.forward_with(packing_reference(backend), &x).unwrap();
-            let served = layer.forward_with(backend, &x).unwrap();
-            prop_assert_eq!(reference.as_slice(), served.as_slice());
+            let mut reference = vec![f32::NAN; batch * out_dim];
+            kernel::gemm_bias_act_into(
+                backend,
+                &x,
+                &weights,
+                Some(&bias),
+                FusedAct::Relu,
+                &mut reference,
+                batch,
+                in_dim,
+                out_dim,
+                &mut Vec::new(),
+            );
+            let mut served = vec![f32::NAN; batch * out_dim];
+            layer.forward_into(backend, &x, batch, &mut served);
+            prop_assert_eq!(&reference, &served);
         }
     }
 }
@@ -126,19 +138,12 @@ fn prepacked_matches_packing_on_block_boundary_shapes() {
 
 #[test]
 fn repacked_weights_serve_new_values_bitwise() {
-    // set_weights re-packs: the layer must serve the *new* weights on the
-    // prepacked path, bitwise equal to a fresh layer built from them.
+    // set_weights re-packs: the layer must serve the *new* weights, bitwise
+    // equal to a fresh layer built from them.
     let mut layer = DenseLayer::random(33, 17, Activation::Relu, 7);
     let replacement = Matrix::from_vec(33, 17, test_data(33 * 17, 99)).unwrap();
     layer.set_weights(replacement.clone()).unwrap();
     let fresh = DenseLayer::new(replacement, layer.bias().clone(), Activation::Relu).unwrap();
     let x = Matrix::from_vec(6, 33, test_data(6 * 33, 101)).unwrap();
-    assert_eq!(
-        layer
-            .forward_with(KernelBackend::BlockedPrepacked, &x)
-            .unwrap(),
-        fresh
-            .forward_with(KernelBackend::BlockedPrepacked, &x)
-            .unwrap()
-    );
+    assert_eq!(layer.forward(&x).unwrap(), fresh.forward(&x).unwrap());
 }

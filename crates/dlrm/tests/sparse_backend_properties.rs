@@ -1,6 +1,6 @@
-//! Property tests pinning the vectorized sparse gather-reduce backends to
+//! Property tests pinning the vectorized sparse gather-reduce backend to
 //! the `Scalar` correctness oracle — **bitwise**, not within tolerance:
-//! the optimized kernels accumulate every output element in index order
+//! the production kernels accumulate every output element in index order
 //! with plain IEEE adds (AVX2 dispatch excludes FMA), so any difference at
 //! all is a bug.
 
@@ -42,7 +42,7 @@ const OPS: [ReductionOp; 3] = [ReductionOp::Sum, ReductionOp::Mean, ReductionOp:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Table-level gather-reduce: every optimized backend is bitwise equal
+    /// Table-level gather-reduce: the production backend is bitwise equal
     /// to the scalar oracle for every reduction operator, across dims that
     /// exercise the 32-wide tile, the 8-wide tile and the scalar tail.
     #[test]
@@ -57,27 +57,24 @@ proptest! {
         for op in OPS {
             let mut oracle = vec![f32::NAN; dim];
             table
-                .gather_reduce_into_with(&indices, op, &mut oracle, SparseBackend::Scalar)
+                .gather_reduce_into(&indices, op, &mut oracle, SparseBackend::Scalar)
                 .unwrap();
-            for backend in [SparseBackend::Vectorized, SparseBackend::VectorizedParallel] {
-                let mut out = vec![f32::NAN; dim];
-                table
-                    .gather_reduce_into_with(&indices, op, &mut out, backend)
-                    .unwrap();
-                prop_assert_eq!(
-                    &oracle,
-                    &out,
-                    "{:?} diverges from scalar oracle ({:?}, rows {}, dim {}, len {})",
-                    backend, op, rows, dim, len
-                );
-            }
+            let mut out = vec![f32::NAN; dim];
+            table
+                .gather_reduce_into(&indices, op, &mut out, SparseBackend::Vectorized)
+                .unwrap();
+            prop_assert_eq!(
+                &oracle,
+                &out,
+                "diverges from scalar oracle ({:?}, rows {}, dim {}, len {})",
+                op, rows, dim, len
+            );
         }
     }
 
     /// Batched bag-level gather-reduce with the feature-matrix layout
-    /// (row stride + offset): the table-major vectorized sweep and the
-    /// sample-band parallel partitioner land bitwise-identical blocks and
-    /// never touch bytes outside them.
+    /// (row stride + offset): the table-major vectorized sweep lands
+    /// bitwise-identical blocks and never touches bytes outside them.
     #[test]
     fn bag_batched_reduce_matches_oracle_bitwise(
         num_tables in 1usize..5,
@@ -90,7 +87,7 @@ proptest! {
             .map(|t| table_for(rows, dim, seed.wrapping_add(t as u64)))
             .collect();
         for op in OPS {
-            let bag = EmbeddingBag::new(tables.clone(), op);
+            let bag = EmbeddingBag::new(tables.clone(), op).unwrap();
             let batch_indices: Vec<Vec<Vec<u32>>> = (0..batch)
                 .map(|s| {
                     (0..num_tables)
@@ -109,27 +106,27 @@ proptest! {
                 &batch_indices, &mut oracle, stride, offset, SparseBackend::Scalar,
             )
             .unwrap();
-            for backend in [SparseBackend::Vectorized, SparseBackend::VectorizedParallel] {
-                let mut out = vec![f32::NAN; batch * stride];
-                bag.reduce_batch_into_with(&batch_indices, &mut out, stride, offset, backend)
-                    .unwrap();
-                for (i, (a, b)) in oracle.iter().zip(&out).enumerate() {
-                    let col = i % stride;
-                    if (offset..offset + width).contains(&col) {
-                        prop_assert_eq!(a, b, "{:?} {:?} diverges at element {}", backend, op, i);
-                    } else {
-                        // Outside the reduced block both paths must leave
-                        // the buffer untouched.
-                        prop_assert!(b.is_nan(), "{:?} wrote outside its block at {}", backend, i);
-                    }
+            let mut out = vec![f32::NAN; batch * stride];
+            bag.reduce_batch_into_with(
+                &batch_indices, &mut out, stride, offset, SparseBackend::Vectorized,
+            )
+            .unwrap();
+            for (i, (a, b)) in oracle.iter().zip(&out).enumerate() {
+                let col = i % stride;
+                if (offset..offset + width).contains(&col) {
+                    prop_assert_eq!(a, b, "{:?} diverges at element {}", op, i);
+                } else {
+                    // Outside the reduced block both paths must leave
+                    // the buffer untouched.
+                    prop_assert!(b.is_nan(), "wrote outside its block at {}", i);
                 }
             }
         }
     }
 
-    /// Error equivalence: the optimized backends report the same
-    /// out-of-bounds index, table annotation and table-count mismatch the
-    /// scalar loop discovers first.
+    /// Error equivalence: the production backend reports the same
+    /// out-of-bounds index and table annotation the scalar loop discovers
+    /// first.
     #[test]
     fn error_selection_matches_oracle(
         bad_sample in 0usize..4,
@@ -139,7 +136,8 @@ proptest! {
         let bag = EmbeddingBag::new(
             (0..3).map(|t| table_for(32, 8, seed + t)).collect(),
             ReductionOp::Sum,
-        );
+        )
+        .unwrap();
         let mut batch_indices: Vec<Vec<Vec<u32>>> = (0..4)
             .map(|s| (0..3).map(|t| indices_for(32, 4, seed ^ (s * 7 + t) as u64)).collect())
             .collect();
@@ -149,70 +147,46 @@ proptest! {
         let oracle_err = bag
             .reduce_batch_into_with(&batch_indices, &mut out, stride, 0, SparseBackend::Scalar)
             .unwrap_err();
-        for backend in [SparseBackend::Vectorized, SparseBackend::VectorizedParallel] {
-            let err = bag
-                .reduce_batch_into_with(&batch_indices, &mut out, stride, 0, backend)
-                .unwrap_err();
-            match (&oracle_err, &err) {
-                (
-                    DlrmError::IndexOutOfBounds { index: i1, rows: r1, table: t1 },
-                    DlrmError::IndexOutOfBounds { index: i2, rows: r2, table: t2 },
-                ) => {
-                    prop_assert_eq!(i1, i2);
-                    prop_assert_eq!(r1, r2);
-                    prop_assert_eq!(t1, t2);
-                }
-                _ => prop_assert!(false, "error kinds diverged: {:?} vs {:?}", oracle_err, err),
-            }
-        }
+        let err = bag
+            .reduce_batch_into_with(&batch_indices, &mut out, stride, 0, SparseBackend::Vectorized)
+            .unwrap_err();
+        prop_assert!(
+            matches!(oracle_err, DlrmError::IndexOutOfBounds { .. }),
+            "{:?}",
+            oracle_err
+        );
+        prop_assert_eq!(oracle_err, err);
     }
 }
 
-/// A batch large enough to clear the parallel partitioner's byte threshold
-/// (2 MB gathered) must still be bitwise identical — sample bands have
-/// disjoint outputs and identical per-block accumulation order.
+/// A bag whose tables disagree on `dim` used to panic inside the production
+/// kernel's width assert and return `ShapeMismatch` from the oracle — one
+/// hostile input, two answers. It is now rejected where it is built, so no
+/// reduce path (or `DlrmModel::from_parts`) can be handed one.
 #[test]
-fn parallel_partitioner_is_bitwise_identical_above_threshold() {
-    let rows = 1024;
-    let dim = 32;
-    let table = table_for(rows, dim, 77);
-    let bag = EmbeddingBag::new(vec![table], ReductionOp::Sum);
-    // 1024 samples × 32 lookups × 128 B = 4 MB gathered — double the spawn
-    // threshold, so multi-core hosts genuinely fork sample bands here.
-    let batch_indices: Vec<Vec<Vec<u32>>> = (0..1024)
-        .map(|s| vec![indices_for(rows, 32, s as u64)])
-        .collect();
-    let mut scalar = vec![0.0f32; 1024 * dim];
-    bag.reduce_batch_into_with(&batch_indices, &mut scalar, dim, 0, SparseBackend::Scalar)
-        .unwrap();
-    let mut parallel = vec![0.0f32; 1024 * dim];
-    bag.reduce_batch_into_with(
-        &batch_indices,
-        &mut parallel,
-        dim,
-        0,
-        SparseBackend::VectorizedParallel,
-    )
-    .unwrap();
-    assert_eq!(scalar, parallel);
+fn mixed_width_bag_is_rejected_at_construction() {
+    let tables = vec![table_for(16, 8, 1), table_for(16, 16, 2)];
+    let err = EmbeddingBag::new(tables, ReductionOp::Sum).unwrap_err();
+    assert!(
+        matches!(&err, DlrmError::InvalidConfig(msg) if msg.contains("table 1 is 16 wide")),
+        "{err:?}"
+    );
+    assert!(EmbeddingBag::new(Vec::new(), ReductionOp::Sum).is_ok());
 }
 
-/// The streamer-facing single-request path: every backend agrees bitwise
-/// through `reduce_into_slice_with` as well.
+/// A single request is a batch of one: the allocating wrapper agrees bitwise
+/// with the oracle through the same batch entry point.
 #[test]
 fn single_request_slice_path_matches_across_backends() {
     let bag = EmbeddingBag::new(
         (0..4).map(|t| table_for(128, 32, 1000 + t)).collect(),
         ReductionOp::Sum,
-    );
+    )
+    .unwrap();
     let request: Vec<Vec<u32>> = (0..4).map(|t| indices_for(128, 20, t as u64)).collect();
     let mut oracle = vec![0.0f32; 4 * 32];
-    bag.reduce_into_slice_with(&request, &mut oracle, SparseBackend::Scalar)
+    bag.reduce_batch_into_with(&[&request], &mut oracle, 4 * 32, 0, SparseBackend::Scalar)
         .unwrap();
-    for backend in [SparseBackend::Vectorized, SparseBackend::VectorizedParallel] {
-        let mut out = vec![0.0f32; 4 * 32];
-        bag.reduce_into_slice_with(&request, &mut out, backend)
-            .unwrap();
-        assert_eq!(oracle, out, "{backend:?} diverged");
-    }
+    let production = bag.sparse_lengths_reduce(&request).unwrap();
+    assert_eq!(oracle, production.as_slice());
 }

@@ -1,5 +1,5 @@
-//! Environment knobs for the serving layer, mirroring the warn-once
-//! contract of `CENTAUR_KERNEL_BACKEND`: a pure `parse_*` function returns
+//! Environment knobs for the serving layer, all under one warn-once
+//! contract: a pure `parse_*` function returns
 //! `None` for malformed values so callers can distinguish "unset" from
 //! "misspelled", and the env-reading accessor warns exactly once (via
 //! `OnceLock`) before falling back to the built-in default.

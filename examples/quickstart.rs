@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference_probs = model.forward_batch(&batch.dense, &batch.sparse)?;
     for (i, (a, r)) in accelerator_probs.iter().zip(&reference_probs).enumerate() {
         println!("sample {i}: centaur={a:.6} reference={r:.6}");
-        assert!((a - r).abs() < 1e-4, "accelerator result diverged");
+        assert_eq!(a, r, "accelerator result diverged");
     }
 
     // 4. Predicted latency of the three system design points on the full

@@ -1,13 +1,13 @@
-//! Property tests for the batch-major forward path: for random model
-//! shapes, batch sizes and index patterns, `DlrmModel::forward_batch`
-//! (one GEMM per MLP layer with `m = batch`) must be numerically equal to
-//! looping the per-sample `forward_sample_ws` path, under **every** kernel
-//! backend — and the same equivalence must hold end to end through the
-//! accelerator's `CentaurRuntime::infer_batch`.
+//! Property tests for the one forward path: for random model shapes, batch
+//! sizes and index patterns, a batch of N through
+//! `DlrmModel::forward_batch_into` (one GEMM per MLP layer with `m = N`)
+//! must be bitwise equal to N batches of one through the same function, on
+//! the oracle and the production backend — and the same equivalence must
+//! hold end to end through the accelerator's `CentaurRuntime`.
 
 use centaur::CentaurRuntime;
 use centaur_dlrm::kernel::KernelBackend;
-use centaur_dlrm::{BatchWorkspace, DlrmModel, Matrix, ModelConfig, ModelWorkspace};
+use centaur_dlrm::{BatchWorkspace, DlrmModel, Matrix, ModelConfig};
 use proptest::prelude::*;
 
 /// Builds a small but shape-diverse model configuration from raw draws.
@@ -53,11 +53,31 @@ fn indices_for(config: &ModelConfig, batch: usize, seed: u64) -> Vec<Vec<Vec<u32
         .collect()
 }
 
+/// `forward_batch_into` on a fresh workspace.
+fn forward(
+    model: &DlrmModel,
+    backend: KernelBackend,
+    dense: &Matrix,
+    batch_indices: &[Vec<Vec<u32>>],
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; batch_indices.len()];
+    model
+        .forward_batch_into(
+            backend,
+            dense,
+            batch_indices,
+            &mut out,
+            &mut BatchWorkspace::new(),
+        )
+        .expect("forward succeeds");
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batch-major `forward_batch` equals the per-sample workspace path for
-    /// every backend, on random shapes and batches.
+    /// A batch of N equals N batches of one on both backends, on random
+    /// shapes and batches — and the two backends equal each other.
     #[test]
     fn forward_batch_matches_per_sample_path(
         num_tables in 1usize..5,
@@ -75,34 +95,25 @@ proptest! {
         });
         let batch_indices = indices_for(&config, batch, seed);
 
+        let oracle = forward(&model, KernelBackend::Naive, &dense, &batch_indices);
         for backend in KernelBackend::all() {
-            let batched = model
-                .forward_batch_with(backend, &dense, &batch_indices)
-                .expect("batched forward succeeds");
-            prop_assert_eq!(batched.len(), batch);
+            let batched = forward(&model, backend, &dense, &batch_indices);
+            prop_assert_eq!(&batched, &oracle, "{:?} diverged from the oracle", backend);
 
-            let mut ws = ModelWorkspace::new();
-            for (i, indices) in batch_indices.iter().enumerate() {
-                let single = model
-                    .forward_sample_ws(backend, dense.row(i), indices, &mut ws)
-                    .expect("per-sample forward succeeds");
-                // The blocked GEMM accumulates each output row in the same
-                // order regardless of m, so the two paths agree bitwise.
-                prop_assert_eq!(
-                    batched[i],
-                    single,
-                    "{:?} sample {} diverged",
-                    backend,
-                    i
-                );
+            for i in 0..batch {
+                let row = Matrix::row_vector(dense.row(i));
+                let single = forward(&model, backend, &row, &batch_indices[i..=i]);
+                // The kernels accumulate each output row in the same order
+                // regardless of m, so the two agree bitwise.
+                prop_assert_eq!(batched[i], single[0], "{:?} sample {}", backend, i);
             }
         }
     }
 
     /// The same equivalence holds through the accelerator datapath:
     /// `CentaurRuntime::infer_batch` (batch-major EB-Streamer gather +
-    /// batched dense complex) equals both the per-sample runtime path and
-    /// the reference model.
+    /// batched dense complex) equals both `infer_sample` per sample (a
+    /// batch of one) and the reference model.
     #[test]
     fn runtime_infer_batch_matches_per_sample_and_reference(
         num_tables in 1usize..4,
@@ -125,7 +136,7 @@ proptest! {
                 .infer_batch(&dense, &batch_indices)
                 .expect("batched accelerator inference succeeds");
 
-            // Per-sample accelerator path.
+            // One call per sample.
             for (i, indices) in batch_indices.iter().enumerate() {
                 let single = runtime
                     .infer_sample(dense.row(i), indices)
@@ -133,20 +144,16 @@ proptest! {
                 prop_assert_eq!(accelerated[i], single, "{:?} sample {}", backend, i);
             }
 
-            // Reference model, batch-major.
-            let reference = model
-                .forward_batch_with(backend, &dense, &batch_indices)
-                .expect("reference forward succeeds");
-            for (a, r) in accelerated.iter().zip(&reference) {
-                prop_assert!((a - r).abs() < 1e-5, "{:?}: {} vs {}", backend, a, r);
-            }
+            // Reference model: the same kernels in the same order.
+            let reference = forward(&model, backend, &dense, &batch_indices);
+            prop_assert_eq!(&accelerated, &reference, "{:?}", backend);
         }
     }
 
     /// The runtime's remainder-wave path: batches that are **not** a
     /// multiple of `BATCH_WAVE_SAMPLES` leave a short final wave in
     /// `infer_batch_into`'s gather→dense pipeline, which must stay bitwise
-    /// identical to the per-sample path — the serving layer's dynamic
+    /// identical to one call per sample — the serving layer's dynamic
     /// batcher dispatches exactly such ragged batch sizes all the time.
     #[test]
     fn remainder_wave_batches_match_per_sample_path(
@@ -165,21 +172,25 @@ proptest! {
         let batch_indices = indices_for(&config, batch, seed);
 
         let mut runtime = CentaurRuntime::harpv2(model).expect("model fits on chip");
-        let batched = runtime
-            .infer_batch(&dense, &batch_indices)
-            .expect("ragged batched inference succeeds");
-        prop_assert_eq!(batched.len(), batch);
-        for (i, indices) in batch_indices.iter().enumerate() {
-            let single = runtime
-                .infer_sample(dense.row(i), indices)
-                .expect("per-sample inference succeeds");
-            prop_assert_eq!(
-                batched[i],
-                single,
-                "sample {} of ragged batch {} diverged",
-                i,
-                batch
-            );
+        for backend in KernelBackend::all() {
+            runtime.set_backend(backend);
+            let batched = runtime
+                .infer_batch(&dense, &batch_indices)
+                .expect("ragged batched inference succeeds");
+            prop_assert_eq!(batched.len(), batch);
+            for (i, indices) in batch_indices.iter().enumerate() {
+                let single = runtime
+                    .infer_sample(dense.row(i), indices)
+                    .expect("per-sample inference succeeds");
+                prop_assert_eq!(
+                    batched[i],
+                    single,
+                    "{:?}: sample {} of ragged batch {} diverged",
+                    backend,
+                    i,
+                    batch
+                );
+            }
         }
     }
 
@@ -199,13 +210,11 @@ proptest! {
             let dense = Matrix::from_fn(batch, 5, |r, c| (r as f32 - c as f32) * 0.2);
             let batch_indices = indices_for(&config, batch, seed);
             let mut out = vec![0.0f32; batch];
+            let backend = KernelBackend::BlockedPrepacked;
             model
-                .forward_batch_into(KernelBackend::Blocked, &dense, &batch_indices, &mut out, &mut ws)
+                .forward_batch_into(backend, &dense, &batch_indices, &mut out, &mut ws)
                 .expect("batched forward succeeds");
-            let fresh = model
-                .forward_batch_with(KernelBackend::Blocked, &dense, &batch_indices)
-                .expect("fresh-workspace forward succeeds");
-            prop_assert_eq!(out, fresh);
+            prop_assert_eq!(out, forward(&model, backend, &dense, &batch_indices));
         }
     }
 }

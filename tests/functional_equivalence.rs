@@ -3,11 +3,21 @@
 //! model shapes and request patterns.
 
 use centaur::CentaurRuntime;
-use centaur_dlrm::{DlrmModel, KernelBackend, ModelConfig, PaperModel};
-use centaur_workload::{IndexDistribution, RequestGenerator};
+use centaur_dlrm::{BatchWorkspace, DlrmModel, KernelBackend, ModelConfig, PaperModel};
+use centaur_workload::{FunctionalBatch, IndexDistribution, RequestGenerator};
 
 fn scaled(model: PaperModel, rows: u64) -> ModelConfig {
     model.config().with_rows_per_table(rows)
+}
+
+/// The reference model's forward pass on an explicit backend.
+fn reference(model: &DlrmModel, backend: KernelBackend, batch: &FunctionalBatch) -> Vec<f32> {
+    let mut out = vec![0.0f32; batch.sparse.len()];
+    let mut ws = BatchWorkspace::new();
+    model
+        .forward_batch_into(backend, &batch.dense, &batch.sparse, &mut out, &mut ws)
+        .expect("reference inference succeeds");
+    out
 }
 
 #[test]
@@ -25,29 +35,24 @@ fn centaur_matches_reference_for_every_paper_model_on_every_backend() {
             let accelerated = runtime
                 .infer_batch(&batch.dense, &batch.sparse)
                 .expect("accelerator inference succeeds");
-            let reference = model
-                .forward_batch_with(backend, &batch.dense, &batch.sparse)
-                .expect("reference inference succeeds");
-
-            assert_eq!(accelerated.len(), reference.len());
-            for (i, (a, r)) in accelerated.iter().zip(&reference).enumerate() {
-                assert!(
-                    (a - r).abs() < 1e-4,
-                    "{paper_model}/{backend:?} sample {i}: accelerator {a} vs reference {r}"
-                );
+            // Accelerator and model run the same kernels in the same order:
+            // bitwise, not within a tolerance.
+            assert_eq!(
+                accelerated,
+                reference(&model, backend, &batch),
+                "{paper_model}/{backend:?}: accelerator vs reference"
+            );
+            for a in &accelerated {
                 assert!((0.0..=1.0).contains(a), "probability out of range: {a}");
             }
             per_backend.push(accelerated);
         }
-        // The backends must agree with each other on the final probabilities.
-        for later in &per_backend[1..] {
-            for (a, b) in per_backend[0].iter().zip(later) {
-                assert!(
-                    (a - b).abs() < 1e-4,
-                    "{paper_model}: backends disagree ({a} vs {b})"
-                );
-            }
-        }
+        // Oracle and production do one multiply and one add per `k`, `k`
+        // ascending: the final probabilities agree bitwise too.
+        assert_eq!(
+            per_backend[0], per_backend[1],
+            "{paper_model}: backends disagree"
+        );
     }
 }
 
@@ -71,34 +76,12 @@ fn centaur_matches_reference_under_skewed_traffic() {
             let mut generator = RequestGenerator::new(&config, distribution, seed);
             let batch = generator.functional_batch(6);
             let accelerated = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
-            let reference = model
-                .forward_batch_with(backend, &batch.dense, &batch.sparse)
-                .unwrap();
-            for (a, r) in accelerated.iter().zip(&reference) {
-                assert!((a - r).abs() < 1e-4, "{backend:?}: {a} vs {r}");
-            }
+            assert_eq!(
+                accelerated,
+                reference(&model, backend, &batch),
+                "{backend:?}"
+            );
         }
-    }
-}
-
-#[test]
-fn prepacked_runtime_is_bitwise_identical_to_packing_runtime() {
-    // The whole accelerator datapath — EB-Streamer gathers, bottom MLP,
-    // interaction, top MLP, sigmoid — served from resident prepacked
-    // panels must equal the on-the-fly-packing path *exactly*, not within
-    // tolerance: prepacking only changes when panels are laid out, never
-    // what the microkernels accumulate.
-    let config = scaled(PaperModel::Dlrm1, 512);
-    let model = DlrmModel::random(&config, 17).unwrap();
-    let mut runtime = CentaurRuntime::harpv2(model).unwrap();
-    let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 19);
-    for batch_size in [1usize, 5, 64, 70] {
-        let batch = generator.functional_batch(batch_size);
-        runtime.set_backend(KernelBackend::Blocked);
-        let packing = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
-        runtime.set_backend(KernelBackend::BlockedPrepacked);
-        let prepacked = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
-        assert_eq!(packing, prepacked, "batch {batch_size} diverged");
     }
 }
 
@@ -136,7 +119,8 @@ fn empty_lookup_lists_reduce_to_zero_and_still_infer() {
     let sparse = vec![vec![vec![1, 2], vec![], vec![63]]];
     let ours = runtime.infer_batch(&dense, &sparse).unwrap();
     let reference = model.forward_batch(&dense, &sparse).unwrap();
-    assert!((ours[0] - reference[0]).abs() < 1e-5);
+    assert_eq!(ours, reference);
+    assert!((0.0..=1.0).contains(&ours[0]));
 }
 
 /// FNV-1a over the little-endian bit patterns of `values`.

@@ -6,11 +6,9 @@
 //! Everything is measured inside a single `#[test]` so no concurrent test
 //! in this binary can perturb the allocation counter.
 
-use centaur_dlrm::kernel::{KernelBackend, Workspace};
-use centaur_dlrm::{Activation, Matrix, Mlp, ModelConfig};
-use centaur_dlrm::{
-    BatchWorkspace, DlrmModel, EmbeddingTable, FeatureInteraction, ModelWorkspace, ReductionOp,
-};
+use centaur_dlrm::kernel::{global_backend, global_sparse_backend, Workspace};
+use centaur_dlrm::{Activation, Matrix, Mlp, ModelConfig, PaperModel};
+use centaur_dlrm::{BatchWorkspace, DlrmModel, EmbeddingTable, FeatureInteraction, ReductionOp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,36 +68,37 @@ fn allocations_during<F: FnMut()>(mut f: F) -> u64 {
 
 #[test]
 fn steady_state_inference_paths_do_not_allocate() {
-    // The parallel backend spawns threads (which allocate); the guarantee
-    // covers the deterministic single-threaded backends.
-    let backend = KernelBackend::Blocked;
+    // The production backend: what `CentaurRuntime` and the serving layer
+    // run by default, at every size — nothing spawns a thread per call.
+    let backend = global_backend();
 
     // --- MlpStack::forward via a Workspace --------------------------------
     let mlp = Mlp::random(&[13, 64, 32, 8], Activation::Relu, 3).unwrap();
     let x = Matrix::from_fn(4, 13, |r, c| (r as f32 - c as f32) * 0.1);
     let mut ws = Workspace::new();
     // Warm-up grows every buffer to its high-water mark.
-    mlp.forward_ws(backend, x.as_slice(), 4, 13, &mut ws)
+    mlp.forward_batch_ws(backend, x.as_slice(), 4, 13, &mut ws)
         .unwrap();
     let allocs = allocations_during(|| {
         for _ in 0..10 {
-            mlp.forward_ws(backend, x.as_slice(), 4, 13, &mut ws)
+            mlp.forward_batch_ws(backend, x.as_slice(), 4, 13, &mut ws)
                 .unwrap();
         }
     });
-    assert_eq!(allocs, 0, "Mlp::forward_ws allocated in steady state");
+    assert_eq!(allocs, 0, "Mlp::forward_batch_ws allocated in steady state");
 
     // --- Embedding gather/reduce into a preallocated buffer ---------------
     let table = EmbeddingTable::random(512, 32, 7);
     let indices: Vec<u32> = (0..40).map(|i| (i * 13) % 512).collect();
     let mut reduced = vec![0.0f32; 32];
+    let sparse_backend = global_sparse_backend();
     table
-        .gather_reduce_into(&indices, ReductionOp::Sum, &mut reduced)
+        .gather_reduce_into(&indices, ReductionOp::Sum, &mut reduced, sparse_backend)
         .unwrap();
     let allocs = allocations_during(|| {
         for op in [ReductionOp::Sum, ReductionOp::Mean, ReductionOp::Max] {
             table
-                .gather_reduce_into(&indices, op, &mut reduced)
+                .gather_reduce_into(&indices, op, &mut reduced, sparse_backend)
                 .unwrap();
         }
     });
@@ -111,12 +110,12 @@ fn steady_state_inference_paths_do_not_allocate() {
     let mut interact_out = vec![0.0f32; fi.output_dim()];
     let allocs = allocations_during(|| {
         for _ in 0..10 {
-            fi.interact_into(features.as_slice(), &mut interact_out);
+            fi.interact_batch_into(features.as_slice(), 1, &mut interact_out);
         }
     });
-    assert_eq!(allocs, 0, "interact_into allocated in steady state");
+    assert_eq!(allocs, 0, "interact_batch_into allocated in steady state");
 
-    // --- Full model sample through a ModelWorkspace -----------------------
+    // --- One sample through the model: a batch of one -----------------------
     let config = ModelConfig::builder()
         .name("zero-alloc")
         .num_tables(4)
@@ -142,20 +141,22 @@ fn steady_state_inference_paths_do_not_allocate() {
     let sparse: Vec<Vec<u32>> = (0..4)
         .map(|t| (0..8u32).map(|i| (t as u32 * 31 + i * 7) % 256).collect())
         .collect();
-    let mut model_ws = ModelWorkspace::new();
-    let warm = model
-        .forward_sample_ws(backend, dense.row(0), &sparse, &mut model_ws)
+    let one = [sparse];
+    let mut batch_ws = BatchWorkspace::new();
+    let mut warm = [0.0f32];
+    model
+        .forward_batch_into(backend, &dense, &one, &mut warm, &mut batch_ws)
         .unwrap();
     let mut probs = [0.0f32; 10];
     let allocs = allocations_during(|| {
-        for p in probs.iter_mut() {
-            *p = model
-                .forward_sample_ws(backend, dense.row(0), &sparse, &mut model_ws)
+        for p in probs.chunks_mut(1) {
+            model
+                .forward_batch_into(backend, &dense, &one, p, &mut batch_ws)
                 .unwrap();
         }
     });
-    assert_eq!(allocs, 0, "forward_sample_ws allocated in steady state");
-    assert!(probs.iter().all(|&p| (p - warm).abs() < 1e-7));
+    assert_eq!(allocs, 0, "a batch of one allocated in steady state");
+    assert!(probs.iter().all(|&p| p == warm[0]));
 
     // --- Batch-major inference through a BatchWorkspace --------------------
     // The whole batch flows through one GEMM per layer; after the workspace
@@ -174,7 +175,6 @@ fn steady_state_inference_paths_do_not_allocate() {
                 .collect()
         })
         .collect();
-    let mut batch_ws = BatchWorkspace::new();
     let mut batch_out = vec![0.0f32; batch];
     model
         .forward_batch_into(
@@ -202,12 +202,20 @@ fn steady_state_inference_paths_do_not_allocate() {
     assert_eq!(allocs, 0, "forward_batch_into allocated in steady state");
     assert_eq!(batch_out, warm_batch);
 
-    // The batched result must equal the per-sample path exactly.
-    for (i, sparse) in batch_sparse.iter().enumerate() {
-        let single = model
-            .forward_sample_ws(backend, batch_dense.row(i), sparse, &mut model_ws)
+    // The batched result must equal one batch-of-one call per sample exactly.
+    for i in 0..batch {
+        let row = Matrix::row_vector(batch_dense.row(i));
+        let mut single = [0.0f32];
+        model
+            .forward_batch_into(
+                backend,
+                &row,
+                &batch_sparse[i..=i],
+                &mut single,
+                &mut batch_ws,
+            )
             .unwrap();
-        assert_eq!(batch_out[i], single, "sample {i} diverged");
+        assert_eq!(batch_out[i], single[0], "sample {i} diverged");
     }
 
     // --- Batched inference through the accelerator runtime -----------------
@@ -215,7 +223,7 @@ fn steady_state_inference_paths_do_not_allocate() {
     // feature/interaction SRAM models, index SRAM) follow the same
     // high-water-mark discipline.
     let mut runtime = centaur::CentaurRuntime::harpv2(model.clone()).unwrap();
-    runtime.set_backend(backend);
+    assert_eq!(runtime.backend(), backend);
     runtime
         .infer_batch_into(&batch_dense, &batch_sparse, &mut batch_out)
         .unwrap();
@@ -233,11 +241,10 @@ fn steady_state_inference_paths_do_not_allocate() {
     // The cached sparse path: register-tiled gather kernels, the index-SRAM
     // chunking and the hot-row cache model's sampled tag observation must
     // all run without heap traffic once the streamer has served one
-    // request. (`VectorizedParallel` is excluded like `BlockedParallel`:
-    // thread spawns allocate by nature.)
+    // request.
     use centaur_dlrm::SparseBackend;
     let mut streamer = centaur::EbStreamer::default();
-    streamer.set_sparse_backend(SparseBackend::Vectorized);
+    assert_eq!(streamer.sparse_backend(), SparseBackend::Vectorized);
     let bag = model.embeddings();
     let stride = bag.num_tables() * bag.dim();
     let mut reduced_batch = vec![0.0f32; batch * stride];
@@ -298,38 +305,68 @@ fn steady_state_inference_paths_do_not_allocate() {
         "serving stage + batched inference allocated in steady state"
     );
 
-    // --- Prepacked serving steady state -------------------------------------
-    // The default serving backend feeds the GEMM microkernels from panels
-    // packed once at model load: booting the runtime re-packed nothing
-    // (replica clones copy panels), steady-state serving re-packs nothing
-    // and allocates nothing, and the results stay bitwise identical to the
-    // on-the-fly-packing path just measured.
-    let packs_before_serving = centaur_dlrm::prepack_events();
+    // The GEMM is fed from strips packed once at model load: booting the
+    // runtime re-packed nothing (replica clones copy strips) and neither did
+    // any of the serving above.
     assert_eq!(
-        packs_before_serving - packs_before_model,
+        centaur_dlrm::prepack_events() - packs_before_model,
         total_layers,
-        "runtime boot and staging must not re-prepack any layer"
+        "runtime boot, staging and steady-state serving must never re-prepack"
     );
-    runtime.set_backend(KernelBackend::BlockedPrepacked);
-    let warm_prepacked = serve_stage
-        .run_batch(&mut runtime, &staged)
-        .unwrap()
-        .to_vec();
-    assert_eq!(warm_prepacked, warm_batch, "prepacked serving diverged");
-    let allocs = allocations_during(|| {
-        for _ in 0..10 {
-            serve_stage.run_batch(&mut runtime, &staged).unwrap();
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "prepacked serving stage allocated in steady state"
-    );
-    assert_eq!(
-        centaur_dlrm::prepack_events(),
-        packs_before_serving,
-        "steady-state serving must never re-prepack"
-    );
+
+    // --- Past the old per-call spawn thresholds -----------------------------
+    // Until per-call threading was deleted, a GEMM of 2mkn ≥ 2^22 FLOPs and
+    // a bag reduce of ≥ 2 MB gathered each spawned (and so allocated) scoped
+    // threads on any host with two hardware threads. DLRM(6) at batch 64
+    // runs 64×256×256 layers (8.4 MFLOP), DLRM(3) at batch 64 gathers
+    // 64 × 400 × 128 B = 3.3 MB; the thresholds counted FLOPs and gathered
+    // bytes, not table size, so scaled-down tables reach them all the same.
+    {
+        let config = PaperModel::Dlrm6.config().with_rows_per_table(512);
+        let wide = DlrmModel::random(&config, 13).unwrap();
+        let mut generator = centaur_workload::RequestGenerator::new(
+            &config,
+            centaur_workload::IndexDistribution::Uniform,
+            17,
+        );
+        let request = generator.functional_batch(64);
+        let mut out = vec![0.0f32; 64];
+        let mut wide_runtime = centaur::CentaurRuntime::harpv2(wide).unwrap();
+        wide_runtime
+            .infer_batch_into(&request.dense, &request.sparse, &mut out)
+            .unwrap();
+        let allocs = allocations_during(|| {
+            for _ in 0..3 {
+                wide_runtime
+                    .infer_batch_into(&request.dense, &request.sparse, &mut out)
+                    .unwrap();
+            }
+        });
+        assert_eq!(allocs, 0, "DLRM(6) batch-64 infer_batch_into allocated");
+
+        let config = PaperModel::Dlrm3.config().with_rows_per_table(512);
+        let lookup_heavy = DlrmModel::random(&config, 13).unwrap();
+        let mut generator = centaur_workload::RequestGenerator::new(
+            &config,
+            centaur_workload::IndexDistribution::Uniform,
+            19,
+        );
+        let request = generator.functional_batch(64);
+        let gathered = 64 * config.gathered_bytes_per_sample();
+        assert!(gathered >= 2 << 20, "{gathered} B gathered");
+        let mut ws = BatchWorkspace::new();
+        lookup_heavy
+            .forward_batch_into(backend, &request.dense, &request.sparse, &mut out, &mut ws)
+            .unwrap();
+        let allocs = allocations_during(|| {
+            for _ in 0..3 {
+                lookup_heavy
+                    .forward_batch_into(backend, &request.dense, &request.sparse, &mut out, &mut ws)
+                    .unwrap();
+            }
+        });
+        assert_eq!(allocs, 0, "DLRM(3) batch-64 forward_batch_into allocated");
+    }
 
     // --- Overload-protected queue steady state ------------------------------
     // The shedding/deadline path: an admission-bounded queue with dequeue
@@ -494,13 +531,10 @@ fn steady_state_inference_paths_do_not_allocate() {
     // EDF pop, route, batch-serve, complete — must not touch the heap.
     use centaur_serve::{BatchServer, MixServer};
     let tenant_b_model = DlrmModel::random(&config, 12).unwrap();
-    let mut mix_engines = vec![
+    let mix_engines = vec![
         centaur::CentaurRuntime::harpv2(model.clone()).unwrap(),
         centaur::CentaurRuntime::harpv2(tenant_b_model).unwrap(),
     ];
-    for engine in &mut mix_engines {
-        engine.set_backend(backend);
-    }
     let tenant_of: Vec<usize> = (0..batch).map(|s| s % 2).collect();
     let mut mix_server = MixServer::new(mix_engines, &requests, &tenant_of, batch);
     let edf_queue = ArrivalQueue::with_config(AdmissionConfig {
