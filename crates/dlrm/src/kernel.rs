@@ -70,13 +70,23 @@ const LANES: usize = 8;
 /// prefetched pass with chunked vector adds into the L1-resident
 /// accumulator (never a second pass over the rows).
 const GATHER_TILE: usize = 32;
-/// How many rows ahead the gather-reduce kernels prefetch. Embedding
-/// gathers are latency-bound on large tables (every index is a likely
-/// L2/L3 miss); with the index list known up front, prefetching ~8 rows
-/// ahead keeps several misses in flight. Measured on DLRM(1)-shaped
-/// gathers: distances 4–24 are within noise of each other and all well
-/// ahead of no-prefetch, so the distance only needs to be "a few rows".
-const GATHER_PREFETCH_DISTANCE: usize = 8;
+/// The gather kernels' prefetch window, in rows: how far the prefetch
+/// cursor of [`gather_lists_sum`] runs ahead of the accumulate loop, and
+/// the size of the burst that opens it (64 rows of 128 B = 8 KB in flight).
+///
+/// Chosen by sweep on the reference host (2 vCPUs, THP `madvise`): DLRM(3),
+/// five 200 000 × 32 tables, 256 Zipf-0.99 batches of 64, µs per
+/// `reduce_batch_into` call, fastest / median of nine interleaved rounds —
+/// no prefetch 340 / 398, 8 rows 246 / 270, 16 rows 231 / 244, 32 rows
+/// 189 / 214, 48 rows 163 / 197, **64 rows 162 / 178**, 96 rows 171 / 200,
+/// 128 rows 157 / 195, 192 rows 172 / 191, 256 rows 173 / 212; DLRM(1)
+/// (20-row lists) 60 / 85 with none, 40 / 47 at 32, 36 / 40 at 64, 35 / 42
+/// at 128, 39 / 45 at 256; uniform indices show the same plateau with more
+/// spread. Flat from 48 to 128 rows, so 64. The window counts rows *across*
+/// list boundaries: counted inside one list, as it was before the sequence
+/// kernel, distances 4–24 were within noise of each other — a 20-row list
+/// has no room to show more.
+const GATHER_PREFETCH_DISTANCE: usize = 64;
 /// Which GEMM implementation executes the dense math.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
@@ -727,44 +737,70 @@ fn prefetch_row(data: &[f32], base: usize, dim: usize) {
     }
 }
 
-/// Upper bound on rows prefetched per upcoming index list (8 KB of 32-wide
-/// rows — enough to cover a whole production-length list without flooding
-/// the load ports on pathological thousand-lookup bags).
-const GATHER_LIST_PREFETCH_CAP: usize = 64;
-
-/// Prefetches an upcoming index list's rows (up to
-/// [`GATHER_LIST_PREFETCH_CAP`]). The in-kernel prefetcher can only see one
-/// list, so the last [`GATHER_PREFETCH_DISTANCE`] rows of every list go
-/// unprefetched — on short production lists (10–30 lookups) that is a
-/// third or more of all gathers, and on skewed traffic the cold tail
-/// misses are exactly the latency that dominates. Table-major batch loops
-/// call this for sample `s + 1`'s list right before reducing sample `s`,
-/// pipelining the whole next list's misses behind the current sample's
-/// arithmetic.
+/// Issues the opening burst of a prefetch window over a flat index
+/// stream: its first [`GATHER_PREFETCH_DISTANCE`] rows. [`gather_lists_sum`]
+/// opens its own window the same way; this is for a caller that holds the
+/// stream flat and has other work between filling it and gathering — the
+/// EB-Streamer's tag pass over an index-SRAM fill — so that work runs under
+/// the first misses instead of ahead of them. It shows where fills are
+/// small: a batch-1 fill is one 20-row list, the burst covers all of it and
+/// the tag pass lasts about one memory latency (`serve_single`
+/// `throughput_per_s` 235.6 k with this call against 219.3 k without and
+/// 216.9 k before the window, medians of nine three-way runs; no difference
+/// at batch 64, where a fill is 1 280–5 120 rows).
 #[inline]
-pub fn prefetch_gather_list(data: &[f32], dim: usize, indices: &[u32]) {
-    for &idx in indices.iter().take(GATHER_LIST_PREFETCH_CAP) {
+pub fn prefetch_window(data: &[f32], dim: usize, indices: &[u32]) {
+    for &idx in indices.iter().take(GATHER_PREFETCH_DISTANCE) {
         prefetch_row(data, idx as usize * dim, dim);
     }
 }
 
-/// `out += Σ rows[indices]` over a flat row-major `[rows, dim]` table:
-/// the vectorized gather-**sum** inner loop (accumulate-into semantics, so
-/// chunked streams — the EB-Streamer's SRAM-sized index chunks — can fold
-/// into one running accumulator).
+/// `out[at..at + dim] += Σ rows[indices]` for every `(indices, at)` of
+/// `lists`, in order, over a flat row-major `[rows, dim]` table: the
+/// vectorized gather-**sum** inner loop of every production sparse path
+/// (accumulate-into semantics — callers zero a block first, and a list cut
+/// by an index-SRAM boundary folds into the same block across calls).
 ///
-/// The accumulator lives in [`GATHER_TILE`]-float register tiles that stay
-/// resident across the whole index list, while upcoming rows are software-
-/// prefetched [`GATHER_PREFETCH_DISTANCE`] indices ahead — embedding
-/// gathers on realistic tables miss L2 on almost every row, and the known
-/// index stream lets several misses overlap instead of serialising on the
-/// accumulate chain. On x86-64 with AVX2 the same body is re-compiled with
-/// 256-bit vectors and dispatched at runtime (no FMA — there is no fused
-/// op here at all, each element does the same IEEE add in index order, so
-/// results are **bitwise identical** to the scalar oracle).
+/// **One rolling prefetch window per call, not one per list.** Embedding
+/// gathers on realistic tables miss L2 on almost every row and are bound
+/// by memory latency, so what matters is how many misses are in flight.
+/// The whole sequence is known up front — it is what the index SRAM holds —
+/// so a prefetch cursor opens with one burst of
+/// [`GATHER_PREFETCH_DISTANCE`] rows and then stays exactly that many rows
+/// ahead of the accumulate loop, *across list boundaries*. A window that
+/// restarts per list leaves the head of every list unprefetched (or, with
+/// a burst per list, the load queue draining at every list's tail), and
+/// production lists are 10–80 rows long.
 ///
-/// An empty index list leaves `out` untouched (callers zero-fill first,
-/// matching the `SparseLengthsSum` empty-segment convention).
+/// Per output block the accumulator lives in [`GATHER_TILE`]-float register
+/// tiles across its whole list, and every element takes the same IEEE add
+/// in index order whatever the prefetcher does: on x86-64 with AVX2 the
+/// same body is re-compiled with 256-bit vectors and dispatched at runtime
+/// (no FMA — there is no fused op here at all), so results are **bitwise
+/// identical** to the scalar oracle.
+///
+/// An empty list leaves its block untouched (the `SparseLengthsSum`
+/// empty-segment convention is the caller's zero-fill).
+///
+/// # Panics
+///
+/// Panics if a block reaches past `out` or any index addresses past the end
+/// of `data` — callers validate indices first to report real errors.
+pub fn gather_lists_sum<'a, I>(data: &[f32], dim: usize, lists: I, out: &mut [f32])
+where
+    I: Iterator<Item = (&'a [u32], usize)> + Clone,
+{
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: guarded by the runtime AVX2 check above.
+        return unsafe { gather_lists_sum_avx2(data, dim, lists, out) };
+    }
+    gather_lists_sum_impl(data, dim, lists, out);
+}
+
+/// `out += Σ rows[indices]`: [`gather_lists_sum`] over one list, whose
+/// window is the opening burst plus a cursor that runs out
+/// [`GATHER_PREFETCH_DISTANCE`] rows before the list does.
 ///
 /// # Panics
 ///
@@ -772,15 +808,10 @@ pub fn prefetch_gather_list(data: &[f32], dim: usize, indices: &[u32]) {
 /// `data` — callers validate indices first to report real errors.
 pub fn gather_rows_sum(data: &[f32], dim: usize, indices: &[u32], out: &mut [f32]) {
     assert_eq!(out.len(), dim, "gather output width mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        return unsafe { gather_rows_sum_avx2(data, dim, indices, out) };
-    }
-    gather_rows_sum_impl(data, dim, indices, out);
+    gather_lists_sum(data, dim, std::iter::once((indices, 0)), out);
 }
 
-/// [`gather_rows_sum_impl`] compiled with AVX2 codegen.
+/// [`gather_lists_sum_impl`] compiled with AVX2 codegen.
 ///
 /// # Safety
 ///
@@ -788,47 +819,61 @@ pub fn gather_rows_sum(data: &[f32], dim: usize, indices: &[u32], out: &mut [f32
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 // SAFETY: unsafe solely because of `#[target_feature(enable = "avx2")]` —
-// the body is safe Rust (bounds-checked row slices; the only intrinsic is
-// the non-faulting prefetch inside `prefetch_row`). Sole precondition: the
-// running CPU supports AVX2, verified by the one caller
-// (`gather_rows_sum`) via `avx2_available()` before dispatching here.
-unsafe fn gather_rows_sum_avx2(data: &[f32], dim: usize, indices: &[u32], out: &mut [f32]) {
-    gather_rows_sum_impl(data, dim, indices, out);
+// the body is safe Rust (bounds-checked row and block slices; the only
+// intrinsic is the non-faulting prefetch inside `prefetch_row`). Sole
+// precondition: the running CPU supports AVX2, verified by the one caller
+// (`gather_lists_sum`) via `avx2_available()` before dispatching here.
+unsafe fn gather_lists_sum_avx2<'a, I>(data: &[f32], dim: usize, lists: I, out: &mut [f32])
+where
+    I: Iterator<Item = (&'a [u32], usize)> + Clone,
+{
+    gather_lists_sum_impl(data, dim, lists, out);
 }
 
 /// Shared body of the gather-sum kernel; `inline(always)` so the
 /// `target_feature` wrapper re-compiles it under AVX2 codegen.
 ///
-/// One pass over the index list, always: the fast path keeps the whole
-/// accumulator in registers when the row is exactly [`GATHER_TILE`] wide
-/// (the paper's 32-float rows); any other width accumulates each row with
-/// the chunked vector add — the accumulator is a single L1-resident
-/// stretch of `out`, and every row is fetched exactly once with the
-/// prefetcher running ahead.
+/// `ahead` is the prefetch cursor: a second walk of the same sequence,
+/// flattened, that takes one step per accumulated row and so keeps its
+/// opening lead until it runs off the end. Each row is fetched exactly
+/// once: the fast path keeps a block's whole accumulator in registers when
+/// the row is exactly [`GATHER_TILE`] wide (the paper's 32-float rows); any
+/// other width accumulates with the chunked vector add into the L1-resident
+/// block.
 #[inline(always)]
-fn gather_rows_sum_impl(data: &[f32], dim: usize, indices: &[u32], out: &mut [f32]) {
-    if dim == GATHER_TILE {
-        let mut acc = [0.0f32; GATHER_TILE];
-        acc.copy_from_slice(out);
-        for (i, &idx) in indices.iter().enumerate() {
-            if let Some(&pf) = indices.get(i + GATHER_PREFETCH_DISTANCE) {
+fn gather_lists_sum_impl<'a, I>(data: &[f32], dim: usize, lists: I, out: &mut [f32])
+where
+    I: Iterator<Item = (&'a [u32], usize)> + Clone,
+{
+    let mut ahead = lists.clone().flat_map(|(indices, _)| indices).fuse();
+    for &pf in ahead.by_ref().take(GATHER_PREFETCH_DISTANCE) {
+        prefetch_row(data, pf as usize * dim, dim);
+    }
+    for (indices, at) in lists {
+        let block = &mut out[at..at + dim];
+        if dim == GATHER_TILE {
+            let mut acc = [0.0f32; GATHER_TILE];
+            acc.copy_from_slice(block);
+            for &idx in indices {
+                if let Some(&pf) = ahead.next() {
+                    prefetch_row(data, pf as usize * dim, dim);
+                }
+                let base = idx as usize * dim;
+                let row = &data[base..base + GATHER_TILE];
+                for (a, &r) in acc.iter_mut().zip(row) {
+                    *a += r;
+                }
+            }
+            block.copy_from_slice(&acc);
+            continue;
+        }
+        for &idx in indices {
+            if let Some(&pf) = ahead.next() {
                 prefetch_row(data, pf as usize * dim, dim);
             }
             let base = idx as usize * dim;
-            let row = &data[base..base + GATHER_TILE];
-            for (a, &r) in acc.iter_mut().zip(row) {
-                *a += r;
-            }
+            add_assign(block, &data[base..base + dim]);
         }
-        out.copy_from_slice(&acc);
-        return;
-    }
-    for (i, &idx) in indices.iter().enumerate() {
-        if let Some(&pf) = indices.get(i + GATHER_PREFETCH_DISTANCE) {
-            prefetch_row(data, pf as usize * dim, dim);
-        }
-        let base = idx as usize * dim;
-        add_assign(out, &data[base..base + dim]);
     }
 }
 
@@ -868,16 +913,21 @@ unsafe fn gather_rows_max_avx2(data: &[f32], dim: usize, indices: &[u32], out: &
     gather_rows_max_impl(data, dim, indices, out);
 }
 
-/// Shared body of the gather-max kernel (same single-pass structure as
-/// [`gather_rows_sum_impl`]).
+/// Shared body of the gather-max kernel: [`gather_lists_sum_impl`]'s
+/// single pass and prefetch window over the one list it is given.
 #[inline(always)]
 fn gather_rows_max_impl(data: &[f32], dim: usize, indices: &[u32], out: &mut [f32]) {
     let first = indices[0] as usize * dim;
+    let rest = &indices[1..];
+    let mut ahead = rest.iter();
+    for &pf in ahead.by_ref().take(GATHER_PREFETCH_DISTANCE) {
+        prefetch_row(data, pf as usize * dim, dim);
+    }
     if dim == GATHER_TILE {
         let mut acc = [0.0f32; GATHER_TILE];
         acc.copy_from_slice(&data[first..first + GATHER_TILE]);
-        for (i, &idx) in indices[1..].iter().enumerate() {
-            if let Some(&pf) = indices[1..].get(i + GATHER_PREFETCH_DISTANCE) {
+        for &idx in rest {
+            if let Some(&pf) = ahead.next() {
                 prefetch_row(data, pf as usize * dim, dim);
             }
             let base = idx as usize * dim;
@@ -892,8 +942,8 @@ fn gather_rows_max_impl(data: &[f32], dim: usize, indices: &[u32], out: &mut [f3
         return;
     }
     out.copy_from_slice(&data[first..first + dim]);
-    for (i, &idx) in indices[1..].iter().enumerate() {
-        if let Some(&pf) = indices[1..].get(i + GATHER_PREFETCH_DISTANCE) {
+    for &idx in rest {
+        if let Some(&pf) = ahead.next() {
             prefetch_row(data, pf as usize * dim, dim);
         }
         let base = idx as usize * dim;
@@ -1186,6 +1236,57 @@ mod tests {
         let mut acc = row.clone();
         scale(&mut acc, 0.5);
         assert_eq!(acc[4], row[4] * 0.5);
+    }
+
+    #[test]
+    fn gather_lists_sum_matches_the_scalar_loop_bitwise() {
+        let rows = 23;
+        // Empty, one-row and longer-than-the-window lists; the sequence
+        // ends on the table's last row, where the prefetch cursor has
+        // nothing beyond to point at.
+        let lens = [3, 0, 1, GATHER_PREFETCH_DISTANCE + 9, 0, 2];
+        let mut lists: Vec<Vec<u32>> = lens
+            .iter()
+            .enumerate()
+            .map(|(l, &len)| (0..len).map(|i| ((i * 7 + l * 3) % rows) as u32).collect())
+            .collect();
+        *lists.last_mut().unwrap().last_mut().unwrap() = rows as u32 - 1;
+        for dim in [0, 4, GATHER_TILE, GATHER_TILE + 1] {
+            let data = fill(rows, dim, |i, j| {
+                ((i * 13 + j * 7) % 19) as f32 * 0.37 - 2.1
+            });
+            let stride = dim + 3;
+            // The first three lists alone are a sequence shorter than the
+            // window: the opening burst covers all of it.
+            for take in [3, lists.len()] {
+                let mut out = vec![0.625f32; lists.len() * stride];
+                let mut expected = out.clone();
+                for (l, list) in lists.iter().enumerate().take(take) {
+                    for &idx in list {
+                        for j in 0..dim {
+                            expected[l * stride + 1 + j] += data[idx as usize * dim + j];
+                        }
+                    }
+                }
+                let sequence = lists
+                    .iter()
+                    .enumerate()
+                    .take(take)
+                    .map(|(l, list)| (list.as_slice(), l * stride + 1));
+                gather_lists_sum(&data, dim, sequence, &mut out);
+                assert_eq!(out, expected, "dim {dim}, {take} lists");
+            }
+            // One list is a sequence of one.
+            let mut one = vec![0.625f32; dim];
+            gather_rows_sum(&data, dim, &lists[3], &mut one);
+            let mut expected = vec![0.625f32; dim];
+            for &idx in &lists[3] {
+                for j in 0..dim {
+                    expected[j] += data[idx as usize * dim + j];
+                }
+            }
+            assert_eq!(one, expected, "dim {dim}, one list");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! with plain IEEE adds (AVX2 dispatch excludes FMA), so any difference at
 //! all is a bug.
 
-use centaur_dlrm::kernel::SparseBackend;
+use centaur_dlrm::kernel::{gather_lists_sum, SparseBackend};
 use centaur_dlrm::{DlrmError, EmbeddingBag, EmbeddingTable, ReductionOp};
 use proptest::prelude::*;
 
@@ -70,6 +70,51 @@ proptest! {
                 op, rows, dim, len
             );
         }
+    }
+
+    /// The sequence kernel itself, under one rolling prefetch window:
+    /// every block is bitwise what a row-at-a-time loop leaves in it,
+    /// whatever the mix of empty, one-row and longer-than-any-window lists,
+    /// for sequences shorter than any window too, with the table's last row
+    /// as the final index (the prefetch cursor has nothing beyond it to
+    /// point at), across widths on and off the 32-wide register tile.
+    #[test]
+    fn list_sequence_sum_matches_row_at_a_time_bitwise(
+        rows in 1usize..300,
+        dim_choice in 0usize..6,
+        num_lists in 0usize..12,
+        seed in 0u64..10_000,
+    ) {
+        let dim = [0, 4, 8, 32, 33, 64][dim_choice];
+        let table = table_for(rows, dim, seed);
+        let mut lists: Vec<Vec<u32>> = (0..num_lists)
+            .map(|l| {
+                let len = [0, 1, 2, 7, 20, 80, 150, 260][(seed as usize + l * 5) % 8];
+                indices_for(rows, len, seed ^ (l as u64 * 977))
+            })
+            .collect();
+        if let Some(last) = lists.last_mut() {
+            last.push(rows as u32 - 1);
+        }
+        let stride = dim + 2;
+        let mut out = vec![0.625f32; num_lists * stride];
+        let mut expected = out.clone();
+        for (l, list) in lists.iter().enumerate() {
+            for &idx in list {
+                let row = table.row(idx).unwrap();
+                for (acc, x) in expected[l * stride + 1..][..dim].iter_mut().zip(row) {
+                    *acc += x;
+                }
+            }
+        }
+        let sequence = lists
+            .iter()
+            .enumerate()
+            .map(|(l, list)| (list.as_slice(), l * stride + 1));
+        gather_lists_sum(table.as_slice(), dim, sequence, &mut out);
+        // Accumulated into, not overwritten; the gaps between blocks keep
+        // their fill.
+        prop_assert_eq!(&out, &expected, "rows {}, dim {}, lists {:?}", rows, dim, lists);
     }
 
     /// Batched bag-level gather-reduce with the feature-matrix layout

@@ -275,6 +275,40 @@ fn steady_state_inference_paths_do_not_allocate() {
         "streamer diverged from scalar oracle"
     );
 
+    // The multi-fill path: a 48-index SRAM against 16 samples x 8 lookups
+    // per table is three fills a table, each with its own segment directory
+    // and prefetch window, and the one 100-index list spans three fills by
+    // itself.
+    let mut long_sparse = batch_sparse.clone();
+    long_sparse[5][2] = (0..100u32).map(|i| (i * 29) % 256).collect();
+    let mut small_streamer = centaur::EbStreamer::with_components(
+        centaur::ChipletLinkConfig::harpv2(),
+        centaur::sparse::SparseIndexSram::new(48),
+        centaur::sparse::EmbeddingReductionUnit::harpv2_sized(),
+    );
+    small_streamer
+        .gather_reduce_batch_into(bag, &long_sparse, &mut reduced_batch, stride, 0)
+        .unwrap();
+    let fills_per_call = small_streamer.index_sram().loads();
+    assert!(fills_per_call >= 4 * 3, "{fills_per_call} fills");
+    let allocs = allocations_during(|| {
+        for _ in 0..10 {
+            small_streamer
+                .gather_reduce_batch_into(bag, &long_sparse, &mut reduced_batch, stride, 0)
+                .unwrap();
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "multi-fill EB-Streamer gather allocated in steady state"
+    );
+    bag.reduce_batch_into_with(&long_sparse, &mut oracle, stride, 0, SparseBackend::Scalar)
+        .unwrap();
+    assert_eq!(
+        reduced_batch, oracle,
+        "multi-fill streamer diverged from scalar oracle"
+    );
+
     // --- Serving steady state: stage + batched inference --------------------
     // The serving layer's per-replica staging (`ReplicaStage`) copies a
     // coalesced batch of requests into batch-major buffers and runs the
