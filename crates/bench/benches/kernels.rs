@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks of the kernels underlying every experiment:
 //! the `SparseLengthsSum` gather/reduce (allocating and zero-alloc paths),
-//! the GEMM backends (naive oracle vs production), the PE-array tiled GEMM
-//! and the dot-product feature interaction.
+//! the GEMM backends (naive oracle vs production), the PE-array tiled GEMM,
+//! the dot-product feature interaction and the random embedding-table fill.
 
 use centaur::dense::MlpUnit;
 use centaur::sparse::EbStreamer;
 use centaur_dlrm::kernel::{self, FusedAct, KernelBackend};
-use centaur_dlrm::{EmbeddingBag, FeatureInteraction, Matrix};
+use centaur_dlrm::{EmbeddingBag, EmbeddingTable, FeatureInteraction, Matrix};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -113,11 +113,21 @@ fn bench_interaction(c: &mut Criterion) {
     });
 }
 
+fn bench_embedding_fill(c: &mut Criterion) {
+    // One paper-size table (25.6 MB) built from scratch: the mapping, its
+    // first touch and the fill — a fifth of a DLRM(1)/(3) cold start's
+    // table work.
+    c.bench_function("embedding_table_random_200000x32", |b| {
+        b.iter(|| EmbeddingTable::random(200_000, 32, black_box(7)))
+    });
+}
+
 criterion_group!(
     kernels,
     bench_gather_reduce,
     bench_gemm_backends,
     bench_gemm,
-    bench_interaction
+    bench_interaction,
+    bench_embedding_fill
 );
 criterion_main!(kernels);

@@ -115,15 +115,19 @@ fn bench_prepacked_fused_layer(c: &mut Criterion) {
 
 fn bench_prepacked_dlrm6_layers(c: &mut Criterion) {
     // Every distinct dense-layer shape of DLRM(6) at the ledger's
-    // `offline_mlp` batch: m = 16 is a 6 + 6 + 4 split of the row tiles,
-    // and the 1-wide output layer is a narrow strip on its own.
+    // `offline_mlp` batch, m = 16 (one 16-row tile under AVX-512, a
+    // 6 + 6 + 4 split under AVX2), and at m = 64, the `serve_batched` /
+    // `offline_embed` wave (four 16-row tiles, or 6·10 + 4). The 1-wide
+    // output layer is a narrow strip on its own.
     let config = PaperModel::Dlrm6.config();
-    let m = 16usize;
     let shapes: BTreeSet<(usize, usize)> = [config.bottom_mlp_dims(), config.top_mlp_dims()]
         .iter()
         .flat_map(|dims| dims.windows(2).map(|pair| (pair[0], pair[1])))
         .collect();
-    for (k, n) in shapes {
+    for (m, (k, n)) in [16usize, 64]
+        .into_iter()
+        .flat_map(|m| shapes.iter().map(move |&shape| (m, shape)))
+    {
         let (a, b, mut out) = inputs(m, k, n);
         let packed = PrepackedWeights::pack(&b, k, n);
         c.bench_function(&format!("gemm_prepacked_dlrm6_{m}x{k}x{n}"), |bench| {

@@ -6,6 +6,7 @@
 //! Caffe2's `SparseLengthsSum` in Figure 2 of the paper).
 
 use crate::error::DlrmError;
+use crate::fill::fill_centred_uniform;
 use crate::kernel::{
     add_assign, gather_lists_sum, gather_rows_max, gather_rows_sum, global_sparse_backend,
     max_assign, scale, SparseBackend,
@@ -13,8 +14,6 @@ use crate::kernel::{
 use crate::row_store::RowStore;
 use crate::tensor::Matrix;
 use crate::EMBEDDING_ELEM_BYTES;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Element-wise operator used to combine gathered embedding rows.
@@ -73,18 +72,22 @@ impl EmbeddingTable {
     }
 
     /// Creates a table with uniform random values in `[-0.5, 0.5)`, seeded
-    /// deterministically.
+    /// deterministically: row-major, element `i` is the `i`-th draw of
+    /// `StdRng::seed_from_u64(seed).gen::<f32>() - 0.5` (the vendored
+    /// xoshiro256** stream), bit for bit.
+    ///
+    /// The fill is lane-parallel where the CPU has AVX-512F: eight runs of
+    /// the same stream, each started with xoshiro's jump-ahead, advance side
+    /// by side. It writes the same bits as the one-draw-at-a-time loop (the
+    /// tail, and the whole fill elsewhere) in 40 % of its time: 2.5 vs
+    /// 6.1–6.3 ms for a 200 000 × 32 table, mapping and first touch
+    /// included. Table fills are most of a paper-size model's cold start.
     ///
     /// # Panics
     ///
     /// Panics when `rows * dim` elements overflow the address space.
     pub fn random(rows: usize, dim: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self::filled(rows, dim, |data| {
-            for x in data {
-                *x = rng.gen::<f32>() - 0.5;
-            }
-        })
+        Self::filled(rows, dim, |data| fill_centred_uniform(data, seed))
     }
 
     /// Creates a table from a generator function `f(row, col)`.
@@ -610,6 +613,9 @@ pub fn sparse_lengths_sum(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fill::CHUNK;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_table() -> EmbeddingTable {
         // Row r is [r, r+0.5, r+1.0, r+1.5]
@@ -767,24 +773,24 @@ mod tests {
     /// `(rows, dim)` shapes whose lengths sit at 0, 1, one element either
     /// side of one and two huge pages (where the mapped backing starts and
     /// where its advised prefix grows), and a tail that is a multiple of
-    /// neither a huge page nor a small one. Miri runs the heap backing
-    /// only, at sizes it can walk.
+    /// neither a huge page nor a small one; and, for the lane fill of
+    /// [`EmbeddingTable::random`], one element either side of one and two
+    /// of its chunks (the seams between chunks and the scalar tail; a chunk
+    /// is 2 MB today, so these coincide with the huge-page lengths) and the
+    /// paper's 200 000 × 32 table. Miri runs the heap backing only, at sizes
+    /// it can walk, and one chunk exactly.
     fn row_store_shapes() -> Vec<(usize, usize)> {
         if cfg!(miri) {
-            return vec![(0, 32), (1, 1), (7, 3), (33, 32)];
+            return vec![(0, 32), (1, 1), (7, 3), (33, 32), (CHUNK / 32, 32)];
         }
         let huge = (2 << 20) / EMBEDDING_ELEM_BYTES;
-        vec![
-            (0, 32),
-            (1, 1),
-            (huge - 1, 1),
-            (huge, 1),
-            (huge + 1, 1),
-            (2 * huge - 1, 1),
-            (2 * huge, 1),
-            (2 * huge + 1, 1),
-            (20_001, 32),
-        ]
+        let mut shapes = vec![(0, 32), (1, 1), (20_001, 32), (200_000, 32)];
+        for len in [huge, 2 * huge, CHUNK, 2 * CHUNK] {
+            shapes.extend([(len - 1, 1), (len, 1), (len + 1, 1)]);
+        }
+        shapes.sort_unstable();
+        shapes.dedup();
+        shapes
     }
 
     #[test]

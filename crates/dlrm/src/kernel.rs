@@ -6,7 +6,7 @@
 //! `DenseLayer`/`Mlp` forward passes, the feature interaction and the
 //! embedding gather/reduce — routes through this module.
 //!
-//! # The GEMM: a 6×16 register tile over 16-column strips
+//! # The GEMM: an R×16 register tile over 16-column strips
 //!
 //! **Why strips.** `B` (`[k, n]`) is cut into `KC × NC` blocks and each
 //! block is stored as 16-column strips: `kcb` rows × 16 floats, contiguous,
@@ -17,18 +17,36 @@
 //! tile inner), and consecutive `k` steps read consecutive cache lines (in
 //! a row-major block they would sit `nc·4` bytes apart).
 //!
-//! **Why 6×16.** The tile's accumulators live in registers across the whole
-//! `k` block; per `k` step it loads one strip row (2 vectors), broadcasts
-//! one element of each `A` row (1) and forms a product (1, there is no FMA).
-//! An `R × 16` tile therefore needs `2R + 4` of AVX2's 16 vector registers:
-//! `R = 6` fits exactly, 8 rows need 20 and spill accumulators on every
-//! step. Row remainders run the same body at `R = 4` and `R = 1`.
+//! **Why 6×16 on AVX2 and 16×16 on AVX-512.** The tile's accumulators live
+//! in registers across the whole `k` block; per `k` step it loads one strip
+//! row, broadcasts one element of each `A` row and forms a product (there
+//! is no FMA). One body, `tile::<R>`, is instantiated at the full-tile
+//! height that fits each vector unit, and `sweep_block` runs the widest
+//! unit the CPU has (detected once):
+//!
+//! - AVX2: a strip row is 2 of the 16 ymm registers, so an `R × 16` tile
+//!   needs `2R` accumulators + 2 + 1 + 1 = `2R + 4`. `R = 6` fits
+//!   exactly; 8 rows need 20 and spill on every step. Remainders run 4
+//!   and 1 rows. The portable build uses the same heights.
+//! - AVX-512F: a strip row is exactly one of the 32 zmm registers, so
+//!   16 rows need 16 accumulators + 1 + 1 + 1 = 19, with room to spare.
+//!   LLVM keeps all 16 accumulators in zmm0–15 and emits one
+//!   `vmulps mem{1to16}` + `vaddps` per row and `k`, with no spills and one
+//!   bounds check per `k`. Remainders run 8, 4 and 1 rows.
+//!
+//! Full-tile heights swept under AVX-512 on the reference host
+//! (`offline_mlp`: DLRM(6) at batch 16; one binary per height, seeds 11–13
+//! at 12 s, samples per second): 8 rows (8 + 8) 231–237 k, 12 rows
+//! (12 + 4) 188–191 k, **16 rows (one tile) 251–252 k**, against 156 k for
+//! the AVX2 6-row build (6 + 6 + 4, the parent). Traced (seed 7),
+//! `kernel.gemm_gflops` moves from 54.4 to 88.2.
 //!
 //! **Same bits everywhere.** Every output element gets one IEEE multiply
-//! and one add per `k`, `k` ascending, whatever tile height or strip it
-//! lands in; the AVX2 build of the tile excludes FMA because a fused
-//! multiply-add rounds differently. The two backends are therefore
-//! **bitwise identical**:
+//! and one add per `k`, `k` ascending, whatever tile height, unit or strip
+//! it lands in. No build enables FMA: a fused multiply-add rounds once
+//! where the oracle rounds twice, so it would change the model's bits
+//! (and the pinned output hashes), and what it would gain on this host is
+//! unmeasured. The two backends are therefore **bitwise identical**:
 //!
 //! - [`KernelBackend::Naive`] — the textbook `ijk` triple loop. Slow by
 //!   design; kept as the correctness oracle the production kernel is
@@ -51,9 +69,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Rows of a full register tile: `2·MR` accumulator vectors + 2 strip-row
-/// vectors + 1 broadcast + 1 product = AVX2's 16 registers exactly.
+/// Rows of a full register tile on AVX2 (and in the scalar build): `2·MR`
+/// accumulator vectors + 2 strip-row vectors + 1 broadcast + 1 product =
+/// AVX2's 16 registers exactly.
 const MR: usize = 6;
+/// Rows of a full register tile on AVX-512: `MR_AVX512` accumulator
+/// vectors + 1 strip-row vector + 1 broadcast + 1 product = 19 of the 32.
+const MR_AVX512: usize = 16;
 /// Columns of the register tile and of a packed strip of `B`.
 const TJ: usize = 16;
 /// `k`-dimension block size: one packed strip spans at most `KC` rows of `B`.
@@ -385,14 +407,54 @@ fn strip_offset(kcb: usize, nc: usize, kk: usize, j: usize) -> usize {
     kcb * TJ * s + kk * TJ.min(nc - s * TJ) + j % TJ
 }
 
+/// The vector units the sweep is compiled for, narrowest first. Each is a
+/// build of the one [`sweep_block_impl`] body at the full-tile height that
+/// fits its register file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SimdUnit {
+    /// Baseline codegen at [`MR`] rows: the portable build, and the only
+    /// one off x86-64.
+    Scalar,
+    /// 256-bit AVX2, 16 registers: [`MR`]-row tiles.
+    Avx2,
+    /// 512-bit AVX-512F, 32 registers: [`MR_AVX512`]-row tiles.
+    Avx512,
+}
+
+impl SimdUnit {
+    /// Every unit, narrowest first.
+    #[cfg(test)]
+    const ALL: [SimdUnit; 3] = [SimdUnit::Scalar, SimdUnit::Avx2, SimdUnit::Avx512];
+
+    /// Whether the running CPU has this unit, detected once per unit.
+    fn available(self) -> bool {
+        match self {
+            SimdUnit::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            SimdUnit::Avx2 => avx2_available(),
+            #[cfg(target_arch = "x86_64")]
+            SimdUnit::Avx512 => avx512_available(),
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdUnit::Avx2 | SimdUnit::Avx512 => false,
+        }
+    }
+
+    /// The widest unit the running CPU has, detected once.
+    fn widest() -> SimdUnit {
+        static WIDEST: OnceLock<SimdUnit> = OnceLock::new();
+        *WIDEST.get_or_init(|| {
+            [SimdUnit::Avx512, SimdUnit::Avx2]
+                .into_iter()
+                .find(|unit| unit.available())
+                .unwrap_or(SimdUnit::Scalar)
+        })
+    }
+}
+
 /// Accumulates `out[.., jc..jc + nc] += a[.., kc..kc + kcb] · block` for
 /// one strip-packed block — the sweep shared by the on-the-fly-packing and
-/// prepacked kernels (where the block comes from is the only difference).
-///
-/// On x86-64 with AVX2 the body is re-compiled with 256-bit vectors and
-/// dispatched at runtime. FMA is deliberately **not** enabled: a fused
-/// multiply-add rounds once where the scalar build rounds twice, and the
-/// AVX2 build must do the scalar build's arithmetic, 8 lanes at a time.
+/// prepacked kernels (where the block comes from is the only difference) —
+/// on the widest vector unit the running CPU has.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn sweep_block(
@@ -406,12 +468,46 @@ fn sweep_block(
     k: usize,
     n: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        return unsafe { sweep_block_avx2(a, block, out, m, kc, kcb, jc, k, n) };
+    sweep_block_on(SimdUnit::widest(), a, block, out, m, kc, kcb, jc, k, n);
+}
+
+/// [`sweep_block`] on a given unit: the x86-64 units re-compile the body
+/// with 256- or 512-bit vectors. FMA is deliberately **not** enabled on
+/// either: a fused multiply-add rounds once where the scalar build rounds
+/// twice, and every build must do the scalar build's arithmetic, 8 or 16
+/// lanes at a time.
+///
+/// # Panics
+///
+/// Panics if the running CPU lacks `unit`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn sweep_block_on(
+    unit: SimdUnit,
+    a: &[f32],
+    block: &[f32],
+    out: &mut [f32],
+    m: usize,
+    kc: usize,
+    kcb: usize,
+    jc: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(unit.available(), "{unit:?} is not available on this CPU");
+    match unit {
+        SimdUnit::Scalar => sweep_block_impl::<MR>(a, block, out, m, kc, kcb, jc, k, n),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `unit.available()` asserted above is the cached runtime
+        // AVX2 check, the wrapper's sole precondition.
+        SimdUnit::Avx2 => unsafe { sweep_block_avx2(a, block, out, m, kc, kcb, jc, k, n) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `unit.available()` asserted above is the cached runtime
+        // AVX-512F check, the wrapper's sole precondition.
+        SimdUnit::Avx512 => unsafe { sweep_block_avx512(a, block, out, m, kc, kcb, jc, k, n) },
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdUnit::Avx2 | SimdUnit::Avx512 => unreachable!("no x86 units off x86-64"),
     }
-    sweep_block_impl(a, block, out, m, kc, kcb, jc, k, n);
 }
 
 /// Whether the running CPU supports AVX2, detected once.
@@ -421,8 +517,15 @@ fn avx2_available() -> bool {
     *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
 }
 
-/// [`sweep_block_impl`] compiled with AVX2 codegen (256-bit vector mul +
-/// add, no FMA — see [`sweep_block`] for why fusion is excluded).
+/// Whether the running CPU (and OS) supports AVX-512F, detected once.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx512_available() -> bool {
+    static AVX512: OnceLock<bool> = OnceLock::new();
+    *AVX512.get_or_init(|| std::is_x86_feature_detected!("avx512f"))
+}
+
+/// [`sweep_block_impl`] at [`MR`] rows compiled with AVX2 codegen (256-bit
+/// vector mul + add, no FMA — see [`sweep_block_on`] for why).
 ///
 /// # Safety
 ///
@@ -433,7 +536,7 @@ fn avx2_available() -> bool {
 // SAFETY: unsafe solely because of `#[target_feature(enable = "avx2")]` —
 // the body is safe Rust (bounds-checked slices, no raw pointers) recompiled
 // under AVX2 codegen. Sole precondition: the running CPU supports AVX2,
-// which the one caller (`sweep_block`) verifies via `avx2_available()`
+// which the one caller (`sweep_block_on`) asserts via `avx2_available()`
 // (cached `is_x86_feature_detected!`) before dispatching here.
 unsafe fn sweep_block_avx2(
     a: &[f32],
@@ -446,19 +549,50 @@ unsafe fn sweep_block_avx2(
     k: usize,
     n: usize,
 ) {
-    sweep_block_impl(a, block, out, m, kc, kcb, jc, k, n);
+    sweep_block_impl::<MR>(a, block, out, m, kc, kcb, jc, k, n);
 }
 
-/// Shared body of the sweep; `inline(always)` (as is [`tile`]) so the
-/// `target_feature` wrapper re-compiles all of it under AVX2 codegen.
+/// [`sweep_block_impl`] at [`MR_AVX512`] rows compiled with AVX-512F
+/// codegen: a strip row is one 512-bit register, so each accumulator row
+/// is one register too (mul + add, no FMA — see [`sweep_block_on`]).
+///
+/// # Safety
+///
+/// The caller must ensure the running CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: unsafe solely because of `#[target_feature(enable = "avx512f")]`
+// — the body is safe Rust (bounds-checked slices, no raw pointers)
+// recompiled under AVX-512F codegen. Sole precondition: the running CPU
+// supports AVX-512F, which the one caller (`sweep_block_on`) asserts via
+// `avx512_available()` (cached `is_x86_feature_detected!`) first.
+unsafe fn sweep_block_avx512(
+    a: &[f32],
+    block: &[f32],
+    out: &mut [f32],
+    m: usize,
+    kc: usize,
+    kcb: usize,
+    jc: usize,
+    k: usize,
+    n: usize,
+) {
+    sweep_block_impl::<MR_AVX512>(a, block, out, m, kc, kcb, jc, k, n);
+}
+
+/// Shared body of the sweep at full-tile height `FULL`; `inline(always)`
+/// (as is [`tile`]) so each `target_feature` wrapper re-compiles all of it
+/// under its own codegen.
 ///
 /// Strip outer, row tile inner: one strip (≤ `KC·TJ` floats, 16 KB) stays
 /// in L1 while every row tile of `a` streams over it. Full tiles are
-/// [`MR`] rows; the row remainder takes one 4-row tile if it fits and
+/// `FULL` rows; the row remainder takes one 8-row tile if it fits (only a
+/// 16-row build has a remainder that large), one 4-row tile if it fits and
 /// single rows after that.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn sweep_block_impl(
+fn sweep_block_impl<const FULL: usize>(
     a: &[f32],
     block: &[f32],
     out: &mut [f32],
@@ -472,9 +606,13 @@ fn sweep_block_impl(
     for (s, strip) in block.chunks(kcb * TJ).enumerate() {
         let col = jc + s * TJ;
         let mut i = 0;
-        while i + MR <= m {
-            tile::<MR>(a, strip, out, i, kc, kcb, col, k, n);
-            i += MR;
+        while i + FULL <= m {
+            tile::<FULL>(a, strip, out, i, kc, kcb, col, k, n);
+            i += FULL;
+        }
+        if FULL > 8 && i + 8 <= m {
+            tile::<8>(a, strip, out, i, kc, kcb, col, k, n);
+            i += 8;
         }
         if i + 4 <= m {
             tile::<4>(a, strip, out, i, kc, kcb, col, k, n);
@@ -490,8 +628,8 @@ fn sweep_block_impl(
 /// The `R × TJ` register tile: rows `i..i + R` of `out`, columns
 /// `col..col + w`, accumulated over one strip (`kcb` rows of `w ≤ TJ`
 /// floats). The accumulators are loaded from `out` once, live in registers
-/// across the whole `k` block and are stored once (see [`MR`] for why full
-/// tiles are 6 rows).
+/// across the whole `k` block and are stored once (see [`MR`] and
+/// [`MR_AVX512`] for the full-tile heights).
 ///
 /// The `R` rows of `a` are sliced to exactly `kcb` and a full-width strip
 /// is viewed as `kcb` arrays of `TJ`, so the inner loop indexes nothing
@@ -1123,26 +1261,40 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_avx2_tile_bodies_agree_bitwise() {
-        // m = 11 runs one tile of each height (6 + 4 + 1) per strip; n = 37
-        // is two full strips and a 5-wide one. `sweep_block` is the AVX2
-        // wrapper wherever AVX2 is present and the scalar body elsewhere
-        // (where this test is vacuous), `sweep_block_impl` is the baseline
-        // build of the same body; a non-zero `out` checks they accumulate.
-        let (m, k, n) = (11, 70, 37);
-        let (a, b) = inexact_operands(m, k, n);
-        let mut block = vec![0.0; k * n];
-        pack_strips(&b, n, 0, 0, k, &mut block);
-        let mut scalar = vec![0.625; m * n];
-        sweep_block_impl(&a, &block, &mut scalar, m, 0, k, 0, k, n);
-        let mut dispatched = vec![0.625; m * n];
-        sweep_block(&a, &block, &mut dispatched, m, 0, k, 0, k, n);
-        assert_eq!(scalar, dispatched);
-        // And both are the oracle's arithmetic, started from the same value.
-        for i in 0..m {
-            for j in 0..n {
-                let oracle = (0..k).fold(0.625f32, |acc, kk| acc + a[i * k + kk] * b[kk * n + j]);
-                assert_eq!(scalar[i * n + j], oracle, "element ({i}, {j})");
+    fn every_tile_instantiation_matches_the_oracle_bitwise() {
+        // m = 29 runs one tile of each height of the 16-row build per strip
+        // (16 + 8 + 4 + 1), m = 11 one of each of the 6-row builds
+        // (6 + 4 + 1); n = 37 is two full strips and a 5-wide one. Every
+        // unit the running CPU has is called directly, not only the
+        // dispatcher's choice, so an AVX-512 host still tests the AVX2
+        // build; a non-zero `out` checks they accumulate.
+        let units: Vec<SimdUnit> = SimdUnit::ALL
+            .into_iter()
+            .filter(|unit| unit.available())
+            .collect();
+        assert!(units.contains(&SimdUnit::widest()));
+        // Under Miri detection reports the compile-time features, so this
+        // is what makes CI's `+avx512f` Miri job reach the 16-row wrapper
+        // (and, through the same check, the lane fill's).
+        if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+            assert_eq!(SimdUnit::widest(), SimdUnit::Avx512);
+        }
+        for m in [29, 11] {
+            let (k, n) = (70, 37);
+            let (a, b) = inexact_operands(m, k, n);
+            let mut block = vec![0.0; k * n];
+            pack_strips(&b, n, 0, 0, k, &mut block);
+            for &unit in &units {
+                let mut out = vec![0.625; m * n];
+                sweep_block_on(unit, &a, &block, &mut out, m, 0, k, 0, k, n);
+                // The oracle's arithmetic, started from the same value.
+                for i in 0..m {
+                    for j in 0..n {
+                        let oracle =
+                            (0..k).fold(0.625f32, |acc, kk| acc + a[i * k + kk] * b[kk * n + j]);
+                        assert_eq!(out[i * n + j], oracle, "{unit:?}, m {m}, ({i}, {j})");
+                    }
+                }
             }
         }
     }

@@ -46,6 +46,7 @@
 pub mod config;
 pub mod embedding;
 pub mod error;
+mod fill;
 pub mod interaction;
 pub mod kernel;
 pub mod mlp;

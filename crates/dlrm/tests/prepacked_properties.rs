@@ -3,7 +3,7 @@
 //! `B`): `PrepackedWeights` only moves *when* `B` is laid out in strips
 //! (once at load instead of per call), so on either backend resident strips
 //! must produce exactly the bytes the per-call pack does — across
-//! ragged shapes that hit the 6-, 4- and 1-row tiles, the narrow last strip
+//! ragged shapes that hit the 16-, 8-, 6-, 4- and 1-row tiles, the narrow last strip
 //! and the `KC = 256` / `NC = 512` block boundaries, with and without fused
 //! bias/activation epilogues.
 
@@ -32,12 +32,13 @@ fn assert_prepacked_matches_packing(m: usize, k: usize, n: usize, seed: u64) {
     let packed = PrepackedWeights::pack(&b, k, n);
     assert_eq!(packed.k(), k);
     assert_eq!(packed.n(), n);
-    for backend in KernelBackend::all() {
-        for (bias_opt, act) in [
-            (None, FusedAct::Identity),
-            (Some(bias.as_slice()), FusedAct::Relu),
-            (Some(bias.as_slice()), FusedAct::Sigmoid),
-        ] {
+    for (bias_opt, act) in [
+        (None, FusedAct::Identity),
+        (Some(bias.as_slice()), FusedAct::Relu),
+        (Some(bias.as_slice()), FusedAct::Sigmoid),
+    ] {
+        let mut oracle = None;
+        for backend in KernelBackend::all() {
             let mut reference = vec![f32::NAN; m * n];
             kernel::gemm_bias_act_into(
                 backend,
@@ -57,6 +58,12 @@ fn assert_prepacked_matches_packing(m: usize, k: usize, n: usize, seed: u64) {
             assert_eq!(
                 reference, prepacked,
                 "{backend:?}/{act:?} diverged at {m}x{k}x{n} (seed {seed})"
+            );
+            // And every backend is the oracle's (`Naive`, first) bits.
+            let oracle = oracle.get_or_insert(prepacked.clone());
+            assert_eq!(
+                *oracle, prepacked,
+                "{backend:?}/{act:?} left the oracle at {m}x{k}x{n} (seed {seed})"
             );
         }
     }
@@ -120,11 +127,13 @@ proptest! {
 #[test]
 fn prepacked_matches_packing_on_block_boundary_shapes() {
     // Every row split of the 6/4/1 tiles (m = 13 is 6+6+1, 11 is 6+4+1,
-    // 16 is 6+6+4), against widths with no, one and several full 16-column
-    // strips and a narrow last one, and depths and widths one either side
-    // of KC = 256 and NC = 512 so multi-block walks and their remainder
-    // blocks are covered.
-    for m in (1..=13).chain([16, 64]) {
+    // 16 is 6+6+4) and of the AVX-512 build's 16/8/4/1 tiles (17 is 16+1,
+    // 24 is 16+8, 28 is 16+8+4, 29 is 16+8+4+1, 31 ends on three single
+    // rows, 32 and 48 are whole tiles, 71 is 16·4+4+1+1+1), against widths
+    // with no, one and several full 16-column strips and a narrow last one,
+    // and depths and widths one either side of KC = 256 and NC = 512 so
+    // multi-block walks and their remainder blocks are covered.
+    for m in (1..=13).chain([16, 17, 24, 28, 29, 31, 32, 48, 64, 71]) {
         for k in [1, 255, 256, 257, 513] {
             for n in [1, 15, 16, 17, 31, 33, 513] {
                 assert_prepacked_matches_packing(m, k, n, 42);
