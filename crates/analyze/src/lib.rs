@@ -58,16 +58,13 @@ pub fn analyze_sources(sources: &[(String, String)], readme: &str) -> Analysis {
     let mut raw: Vec<Diagnostic> = Vec::new();
     let mut inventory = Vec::new();
     let mut env = lints::env_registry::EnvRegistry::default();
-    let mut bench = lints::bench_schema::BenchSchema::default();
     for file in &files {
         raw.extend(lints::alloc_free::check(file));
         raw.extend(lints::unsafe_audit::check(file, &mut inventory));
         raw.extend(lints::lock_discipline::check(file));
         env.check_file(file);
-        bench.check_file(file);
     }
     raw.extend(env.finish(readme));
-    raw.extend(bench.finish());
 
     // Suppressions are per-file; group findings by path, then apply.
     let by_path: BTreeMap<&str, &SourceFile> = files.iter().map(|f| (f.path.as_str(), f)).collect();

@@ -142,7 +142,7 @@ impl EnvRegistry {
 mod tests {
     use super::*;
 
-    const README: &str = "Knobs: CENTAUR_SERVE_SLO_MS and CENTAUR_SERVE_QUEUE_DEPTH.";
+    const README: &str = "Knobs: CENTAUR_SERVE_HEDGE_MS and CENTAUR_SERVE_QUARANTINE_STRIKES.";
 
     fn run(files: &[(&str, &str)]) -> Vec<String> {
         let mut reg = EnvRegistry::default();
@@ -157,7 +157,10 @@ mod tests {
 
     #[test]
     fn knob_extraction_handles_prefixes_and_prose() {
-        assert_eq!(knobs_in("CENTAUR_SERVE_SLO_MS"), ["CENTAUR_SERVE_SLO_MS"]);
+        assert_eq!(
+            knobs_in("CENTAUR_SERVE_HEDGE_MS"),
+            ["CENTAUR_SERVE_HEDGE_MS"]
+        );
         assert_eq!(
             knobs_in("set CENTAUR_A=1 and CENTAUR_B=2"),
             ["CENTAUR_A", "CENTAUR_B"]
@@ -190,7 +193,7 @@ mod tests {
     fn read_outside_registry_module_is_flagged() {
         let out = run(&[(
             "crates/serve/src/harness.rs",
-            r#"fn f() { let v = std::env::var("CENTAUR_SERVE_SLO_MS"); }"#,
+            r#"fn f() { let v = std::env::var("CENTAUR_SERVE_HEDGE_MS"); }"#,
         )]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].contains("outside the registry modules"));
@@ -200,12 +203,12 @@ mod tests {
     fn registry_read_with_parser_passes_without_parser_fails() {
         let good = run(&[(
             "crates/serve/src/env.rs",
-            r#"pub fn slo() -> f64 { match std::env::var("CENTAUR_SERVE_SLO_MS") { Ok(v) => parse_serve_slo_ms(&v).unwrap_or(5.0), Err(_) => 5.0 } }"#,
+            r#"pub fn hedge() -> f64 { match std::env::var("CENTAUR_SERVE_HEDGE_MS") { Ok(v) => parse_serve_hedge_ms(&v).unwrap_or(5.0), Err(_) => 5.0 } }"#,
         )]);
         assert!(good.is_empty(), "{good:?}");
         let bad = run(&[(
             "crates/serve/src/env.rs",
-            r#"pub fn slo() -> f64 { std::env::var("CENTAUR_SERVE_SLO_MS").unwrap().parse().unwrap() }"#,
+            r#"pub fn hedge() -> f64 { std::env::var("CENTAUR_SERVE_HEDGE_MS").unwrap().parse().unwrap() }"#,
         )]);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].contains("without a `parse_*` helper"));

@@ -8,11 +8,9 @@
 //! | `unsafe-audit`       | every `unsafe` site carries a `// SAFETY:` comment within 3 lines |
 //! | `lock-discipline`    | no nested `.lock()` under a live guard; `Condvar::wait` only inside a retry loop; no foreign guard held across a wait |
 //! | `env-knob-registry`  | every `CENTAUR_*` knob is read via the warn-once parsers and documented in README |
-//! | `bench-schema`       | JSON keys written into `BENCH_*.json` match the declared schema consts |
 //! | `suppression`        | (framework) suppressions are well-formed, reasoned, and actually silence something |
 
 pub mod alloc_free;
-pub mod bench_schema;
 pub mod env_registry;
 pub mod lock_discipline;
 pub mod unsafe_audit;
@@ -25,7 +23,6 @@ pub const RULES: &[&str] = &[
     "unsafe-audit",
     "lock-discipline",
     "env-knob-registry",
-    "bench-schema",
     "suppression",
 ];
 

@@ -22,7 +22,7 @@ options:
   -h, --help         this text
 
 rules: alloc-free-path, unsafe-audit, lock-discipline, env-knob-registry,
-bench-schema, suppression. Suppress inline with
+suppression. Suppress inline with
 `// lint: allow(<rule>) — <reason>` (the reason is mandatory).";
 
 struct Options {

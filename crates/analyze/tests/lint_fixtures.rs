@@ -169,47 +169,6 @@ fn env_registry_fixture_reports_rogue_read_and_missing_doc() {
 }
 
 #[test]
-fn bench_schema_fixture_reports_all_four_mismatch_kinds() {
-    let (findings, _) = run(
-        "crates/bench/src/fixture_bench.rs",
-        include_str!("fixtures/bench_schema_bad.rs"),
-        "",
-    );
-    let expected = [
-        // Declared column never written, reported at the const.
-        (
-            "crates/bench/src/fixture_bench.rs:4: [bench-schema]",
-            "`\"ghost\"` is never written",
-        ),
-        // Written column never declared, reported at the write.
-        (
-            "crates/bench/src/fixture_bench.rs:7: [bench-schema]",
-            "undeclared column `\"rogue\"`",
-        ),
-        // Writer with no schema const at all.
-        (
-            "crates/bench/src/fixture_bench.rs:10: [bench-schema]",
-            "no schema const `BENCH_ORPHAN_COLUMNS`",
-        ),
-        // Trajectory filename with no schema const.
-        (
-            "crates/bench/src/fixture_bench.rs:15: [bench-schema]",
-            "no `BENCH_PHANTOM_COLUMNS` schema exists",
-        ),
-    ];
-    for (loc, detail) in expected {
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.starts_with(loc) && f.contains(detail)),
-            "expected `{loc}` … `{detail}`:\n{}",
-            findings.join("\n")
-        );
-    }
-    assert_eq!(findings.len(), expected.len(), "{findings:?}");
-}
-
-#[test]
 fn suppression_fixture_reports_reasonless_and_unused_suppressions() {
     let (findings, suppressed) = run(
         "crates/serve/src/fixture_suppression.rs",

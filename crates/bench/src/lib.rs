@@ -17,7 +17,6 @@
 
 pub mod report;
 pub mod runner;
-pub mod schema;
 
 pub use report::TextTable;
 pub use runner::{BatchSweepPoint, BatchThroughputPoint, ExperimentRunner, SystemComparison};

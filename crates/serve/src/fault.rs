@@ -10,12 +10,13 @@
 //! Plans are either built explicitly ([`FaultPlan::new`]), sampled
 //! deterministically from a seeded [`FaultSpec`] via the workload crate's
 //! [`FaultScheduleSampler`](centaur_workload::FaultScheduleSampler)
-//! ([`FaultPlan::seeded`]), or parsed from the `CENTAUR_SERVE_FAULT_PLAN`
-//! environment knob ([`FaultPlan::parse`], format documented there).
+//! ([`FaultPlan::seeded`]), or parsed from text ([`FaultPlan::parse`],
+//! format documented there).
 
 use centaur::CentaurError;
 use centaur_workload::FaultScheduleSampler;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// What an injected fault does to the replica worker that polls it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +141,8 @@ impl FaultPlan {
         FaultPlan::new(events)
     }
 
-    /// Parses the `CENTAUR_SERVE_FAULT_PLAN` format: comma-separated
-    /// events, each `kind:replica:at_ms` with kind one of
+    /// Parses a fault plan: comma-separated events, each
+    /// `kind:replica:at_ms` with kind one of
     /// `crash`/`transient`, `stall:replica:at_ms:stall_ms`, or
     /// `degraded:replica:at_ms:factor` (persistent `factor`× slowdown,
     /// factor ≥ 2). Examples: `crash:0:50`,
@@ -249,8 +250,8 @@ impl FaultPlan {
     }
 }
 
-/// A compact, copyable description of a seeded fault plan — what a sweep
-/// cell carries so [`FaultPlan::seeded`] can materialize the schedule once
+/// A compact, copyable description of a seeded fault plan — what a tenant
+/// spec carries so [`FaultPlan::seeded`] can materialize the schedule once
 /// the replay window and replica count are known.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
@@ -377,8 +378,8 @@ impl FaultSpec {
 
 /// Per-replica fault schedule a worker polls once per coalesced batch.
 /// Event state survives a replica restart (the guard lives in the
-/// supervisor, outside the crashing worker body), so a fired crash never
-/// re-fires against the restarted replica.
+/// replica's runner, outside the crashing worker body), so a fired crash
+/// never re-fires against the restarted replica.
 #[derive(Debug, Clone)]
 pub struct FaultGuard {
     events: Vec<(f64, FaultKind)>,
@@ -446,13 +447,32 @@ impl FaultGuard {
     ///
     /// Panics when a [`FaultKind::Crash`] event is due.
     pub fn intercept(&mut self, replica: usize, now_s: f64) -> Result<(), CentaurError> {
+        self.intercept_abortable(replica, now_s, &AtomicBool::new(false))
+    }
+
+    /// [`intercept`](Self::intercept), except that a due stall ends early
+    /// once `abort` is set: a run that already aborted does not wait out
+    /// its straggler.
+    pub(crate) fn intercept_abortable(
+        &mut self,
+        replica: usize,
+        now_s: f64,
+        abort: &AtomicBool,
+    ) -> Result<(), CentaurError> {
         match self.poll(now_s) {
             None => Ok(()),
             Some(FaultKind::Crash) => {
                 panic!("injected fault: replica {replica} crash at {now_s:.4} s into the replay")
             }
             Some(FaultKind::Stall { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis));
+                let until = Instant::now() + Duration::from_millis(millis);
+                while !abort.load(Ordering::Relaxed) {
+                    let now = Instant::now();
+                    if now >= until {
+                        break;
+                    }
+                    std::thread::sleep((until - now).min(Duration::from_millis(5)));
+                }
                 Ok(())
             }
             Some(FaultKind::Transient) => Err(CentaurError::NotInitialised(

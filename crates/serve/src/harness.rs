@@ -1,25 +1,20 @@
 //! The serving harness: an open-loop load generator replays a seeded
 //! [`QueryStream`] against a pool of replica workers behind the shared
-//! [`ArrivalQueue`], and the recorded per-request completions are digested
-//! into tail-latency and goodput-under-SLO reports.
+//! [`ArrivalQueue`](crate::ArrivalQueue), and the recorded per-request
+//! completions are digested into tail-latency and goodput-under-SLO
+//! figures. The replay itself runs on the one serving engine.
 
-use crate::fault::{FaultGuard, FaultPlan, FaultSpec};
+use crate::engine;
+use crate::fault::FaultPlan;
+use crate::mix::MixServer;
 use crate::policy::BatchPolicy;
-use crate::queue::{AdmissionConfig, ArrivalQueue, DequeueOrder, QueuedRequest};
-use crate::server::{BatchServer, SoloServer};
+use crate::queue::{AdmissionConfig, DequeueOrder};
 use crate::stage::ReplicaStage;
-use crate::supervisor::{
-    supervise_replica, watchdog_monitor, HealthBoard, InFlightSlot, Supervision, SupervisorShared,
-};
+use crate::supervisor::Supervision;
 use centaur::{CentaurConfig, CentaurError, CentaurRuntime};
 use centaur_dlrm::config::ModelConfig;
 use centaur_dlrm::{DlrmModel, InferenceRequest, InferenceResponse, RejectReason, RejectedRequest};
-use centaur_workload::{
-    IndexDistribution, LatencySummary, QueryStream, RequestGenerator, TrafficShape,
-};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use centaur_workload::{IndexDistribution, LatencySummary, QueryStream, RequestGenerator};
 use std::time::{Duration, Instant};
 
 /// One served request's record: scheduled arrival, completion time and the
@@ -154,9 +149,11 @@ pub struct ServeOptions {
     /// overdue batches are hedged to a healthy sibling (first result wins,
     /// the straggler's duplicate is suppressed) and persistently slow
     /// replicas are quarantined with exponential-backoff re-admission.
-    /// `None` (the default) leaves stalls visible in the tail, the PR 7
-    /// behaviour. Ignored on the unsupervised path, which gets a fail-stop
-    /// stall abort instead (see [`serve_replay_with`]).
+    /// `None` (the default) leaves stalls visible in the tail. Requires
+    /// [`supervision`](Self::supervision): a run with `Some` here and no
+    /// supervision is rejected as [`CentaurError::InvalidConfig`] (the
+    /// fail-stop path gets a stall abort instead, see
+    /// [`serve_replay_with`]).
     pub hedge: Option<HedgeConfig>,
 }
 
@@ -215,10 +212,6 @@ impl ServeOptions {
         }
     }
 }
-
-/// What one replica worker hands back: its completions and batch count, or
-/// the datapath error that stopped it — wrapped in the panic-guard's result.
-pub(crate) type WorkerResult = std::thread::Result<Result<(Vec<Completion>, usize), CentaurError>>;
 
 /// Everything recorded by one serving run.
 #[derive(Debug, Clone)]
@@ -416,7 +409,8 @@ pub fn serve_replay(
 /// experiment promptly: the queue closes, the generator stops replaying the
 /// remaining schedule, and the failure — a panic's original payload
 /// included — is surfaced as soon as the workers unwind, not after the
-/// full arrival schedule has played out. Set
+/// full arrival schedule has played out. With an SLO set, a batch held past
+/// twice the SLO (floored at 250 ms) aborts the run the same way. Set
 /// [`ServeOptions::supervision`] to trade that fail-stop contract for
 /// crash-tolerant supervision (see [`serve_replay_faulted`]).
 ///
@@ -424,7 +418,10 @@ pub fn serve_replay(
 ///
 /// Returns an error when `requests` and `stream` disagree in length, the
 /// replica pool is empty, a request's shape does not match the replicas'
-/// model, or the accelerator datapath fails mid-run.
+/// model, [`ServeOptions::hedge`] is set without
+/// [`ServeOptions::supervision`], a batch stalls past the abort deadline
+/// ([`CentaurError::ReplicaStalled`]), or the accelerator datapath fails
+/// mid-run.
 ///
 /// # Panics
 ///
@@ -461,6 +458,10 @@ pub fn serve_replay_with(
 /// every replica dead — abort with the first crash's original panic
 /// payload.
 ///
+/// This is the serving engine with one tenant and one arrival stream; the
+/// shared multi-tenant pool ([`crate::run_mix_cell`]) is the same engine
+/// with one stream per tenant.
+///
 /// # Errors
 ///
 /// See [`serve_replay_with`]; under supervision, datapath errors are
@@ -493,638 +494,17 @@ pub fn serve_replay_faulted(
         request.check_shape(&model_config)?;
     }
 
-    let queue = ArrivalQueue::with_config(options.admission());
-    // Worst case every request is shed: pre-grow the log so the shedding
-    // path stays allocation-free in steady state.
-    queue.reserve_shed(requests.len());
-    let slo_s = options.slo_s();
-    let abort = AtomicBool::new(false);
-    let mut outcome = match options.supervision {
-        None => serve_unsupervised(
-            replicas, requests, stream, policy, &queue, slo_s, &abort, plan,
-        )?,
-        Some(supervision) => serve_supervised(
-            replicas,
-            requests,
-            stream,
-            policy,
-            &queue,
-            options,
-            &abort,
-            plan,
-            supervision,
-        ),
-    };
-    outcome.failed = queue.failed();
-    outcome.retries = queue.retries();
-    outcome.shed_admission = queue.shed_admission();
-    outcome.shed_expired = queue.shed_expired();
-    outcome.hedges = queue.hedges();
-    outcome.hedge_wins = queue.hedge_wins();
-    outcome.duplicates_suppressed = queue.duplicates_suppressed();
-    outcome.rejections = queue
-        .take_shed()
+    let servers = replicas
         .into_iter()
-        .map(|(shed, reason)| RejectedRequest {
-            id: requests[shed.index].id,
-            reason,
-            retries: shed.retries,
-        })
+        .map(|runtime| MixServer::new(vec![runtime], requests, &[0], policy.max_batch()))
         .collect();
-    Ok(outcome)
-}
-
-/// The open-loop load generator: release each query at its scheduled offset
-/// (bursts of overdue queries release back to back). Sleeps are sliced so a
-/// failed worker's abort is observed within milliseconds, not at the end of
-/// the schedule.
-///
-/// Several generators can feed one queue (a multi-tenant shared pool):
-/// `index_offset` shifts this stream's indices into the merged request set,
-/// and the queue closes only when the *last* generator finishes —
-/// `generators_left` counts down across them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_arrivals(
-    queue: &ArrivalQueue,
-    stream: &QueryStream,
-    slo_s: f64,
-    abort: &AtomicBool,
-    start: Instant,
-    index_offset: usize,
-    generators_left: &AtomicUsize,
-) {
-    'replay: for (index, arrival_s) in stream.replay() {
-        let target = start + Duration::from_secs_f64(arrival_s);
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                break 'replay;
-            }
-            let now = Instant::now();
-            if now >= target {
-                break;
-            }
-            std::thread::sleep((target - now).min(Duration::from_millis(5)));
-        }
-        let queued = QueuedRequest {
-            index: index + index_offset,
-            arrival_s,
-            deadline_s: arrival_s + slo_s,
-            retries: 0,
-            hedged: false,
-        };
-        if !queue.push(queued) && queue.is_closed() {
-            // A worker failed and closed the queue mid-run.
-            break 'replay;
-        }
-    }
-    if generators_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-        queue.close();
-    }
-}
-
-/// The fail-stop serving path (pre-supervision contract): one guarded
-/// worker per replica; any panic or datapath error aborts the run. With a
-/// finite SLO, a stall monitor watches every worker's in-flight slot and
-/// aborts the replay once any batch has been held past twice the SLO — the
-/// fail-stop answer to a stalled replica (a diagnostic naming the replica,
-/// not a hang until generator close).
-#[allow(clippy::too_many_arguments)]
-fn serve_unsupervised(
-    mut replicas: Vec<CentaurRuntime>,
-    requests: &[InferenceRequest],
-    stream: &QueryStream,
-    policy: BatchPolicy,
-    queue: &ArrivalQueue,
-    slo_s: f64,
-    abort: &AtomicBool,
-    plan: &FaultPlan,
-) -> Result<ServeOutcome, CentaurError> {
-    let mut worker_results: Vec<WorkerResult> = Vec::new();
-    let pool_size = replicas.len();
-    let slots: Vec<InFlightSlot> = (0..pool_size)
-        .map(|_| InFlightSlot::new(policy.max_batch()))
-        .collect();
-    let stalled: Mutex<Option<(usize, u64)>> = Mutex::new(None);
-    // Align the deadline clock with the replay start (setup between queue
-    // construction and here must not eat into the schedule).
-    queue.restart_clock();
-    std::thread::scope(|scope| {
-        let start = queue.start();
-        let slots = &slots;
-        let stalled = &stalled;
-        let handles: Vec<_> = replicas
-            .drain(..)
-            .enumerate()
-            .map(|(index, runtime)| {
-                let server = SoloServer::new(runtime, requests, policy.max_batch());
-                let guard = plan.guard_for(index);
-                scope.spawn(move || {
-                    guard_worker(queue, abort, move || {
-                        worker_loop(queue, server, policy, start, guard, &slots[index], index)
-                    })
-                })
-            })
-            .collect();
-        if slo_s.is_finite() {
-            let deadline_s = (slo_s * 2.0).max(STALL_ABORT_FLOOR_S);
-            scope.spawn(move || {
-                stall_abort_monitor(queue, slots, deadline_s, start, abort, stalled);
-            });
-        }
-
-        let generators = AtomicUsize::new(1);
-        replay_arrivals(queue, stream, slo_s, abort, start, 0, &generators);
-
-        // The guard already catches panics inside the worker body, so the
-        // thread result and the guard result collapse into one layer.
-        worker_results = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(Err))
-            .collect();
-    });
-    let mut outcome = ServeOutcome {
-        completions: Vec::with_capacity(requests.len()),
-        batches: 0,
-        slo_s,
-        shed_admission: 0,
-        shed_expired: 0,
-        failed: 0,
-        retries: 0,
-        restarts: 0,
-        replicas_lost: 0,
-        hedges: 0,
-        hedge_wins: 0,
-        duplicates_suppressed: 0,
-        quarantines: 0,
-        readmissions: 0,
-        rejections: Vec::new(),
-    };
-    let mut failure: Option<CentaurError> = None;
-    for result in worker_results {
-        match result {
-            // A panicking worker takes precedence: re-raise its payload.
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(Ok((completions, batches))) => {
-                outcome.completions.extend(completions);
-                outcome.batches += batches;
-            }
-            Ok(Err(error)) => failure = failure.or(Some(error)),
-        }
-    }
-    // A stall abort outranks the secondary errors it caused downstream
-    // (workers unwound by the abort-close), but never a real panic above.
-    if let Some((replica, held_ms)) = *stalled.lock().expect("stall diagnostic poisoned") {
-        return Err(CentaurError::ReplicaStalled { replica, held_ms });
-    }
-    if let Some(error) = failure {
-        return Err(error);
-    }
-    Ok(outcome)
-}
-
-/// Floor for the fail-stop stall-abort deadline. A saturated host can
-/// deschedule a worker for tens of milliseconds mid-batch (observed ~40 ms
-/// in the overload sweep at 2× capacity), which is indistinguishable from a
-/// short stall by hold time alone — so a tight-SLO replay only aborts when
-/// the hold dwarfs any plausible preemption, not at a bare `2 × SLO`.
-const STALL_ABORT_FLOOR_S: f64 = 0.25;
-
-/// The fail-stop stall watchdog: polls every worker's in-flight slot and,
-/// when any published batch has been held past `deadline_s` (twice the
-/// SLO, floored at [`STALL_ABORT_FLOOR_S`]), records the straggler's
-/// identity and abort-closes the queue so the generator and the healthy
-/// siblings stop promptly. The stalled worker itself is left to wake and
-/// observe the abort — the replay is over either way.
-fn stall_abort_monitor(
-    queue: &ArrivalQueue,
-    slots: &[InFlightSlot],
-    deadline_s: f64,
-    start: Instant,
-    abort: &AtomicBool,
-    stalled: &Mutex<Option<(usize, u64)>>,
-) {
-    let tick = Duration::from_secs_f64((deadline_s / 4.0).clamp(100e-6, 50e-3));
-    while !queue.is_aborted() && !queue.is_finished() {
-        std::thread::sleep(tick);
-        let now_s = start.elapsed().as_secs_f64();
-        for (replica, slot) in slots.iter().enumerate() {
-            let Some((dispatched_s, _)) = slot.probe() else {
-                continue;
-            };
-            let held_s = now_s - dispatched_s;
-            if held_s <= deadline_s {
-                continue;
-            }
-            *stalled.lock().expect("stall diagnostic poisoned") =
-                Some((replica, (held_s * 1e3) as u64));
-            abort.store(true, Ordering::Relaxed);
-            queue.close_abort();
-            return;
-        }
-    }
-}
-
-/// The supervised serving path: one supervisor per replica recovers crashed
-/// workers' in-flight batches, restarts replicas against the pool-wide
-/// budget, and lets survivors absorb the load. With
-/// [`ServeOptions::hedge`] set, a watchdog monitor additionally hedges
-/// overdue batches to healthy siblings and quarantines persistent
-/// stragglers. Panics only on the unrecoverable path, re-raising the first
-/// crash's preserved payload.
-#[allow(clippy::too_many_arguments)]
-fn serve_supervised<'a>(
-    mut replicas: Vec<CentaurRuntime>,
-    requests: &'a [InferenceRequest],
-    stream: &QueryStream,
-    policy: BatchPolicy,
-    queue: &ArrivalQueue,
-    options: ServeOptions,
-    abort: &AtomicBool,
-    plan: &FaultPlan,
-    supervision: Supervision,
-) -> ServeOutcome {
-    let slo_s = options.slo_s();
-    let pool_size = replicas.len();
-    let shared = SupervisorShared::new(pool_size, requests.len());
-    let slots: Vec<InFlightSlot> = (0..pool_size)
-        .map(|_| InFlightSlot::new(policy.max_batch()))
-        .collect();
-    // Without hedging the board is disabled — it never strikes, never
-    // quarantines — so the hedge-free paths stay byte-for-byte the PR 7
-    // behaviour.
-    let health = match options.hedge {
-        Some(hedge) => HealthBoard::new(
-            pool_size,
-            hedge.timeout.as_secs_f64(),
-            hedge.quarantine_strikes,
-            hedge.quarantine_backoff,
-        ),
-        None => HealthBoard::disabled(pool_size),
-    };
-    // Restarts boot from a fresh shard clone, never from state a panic
-    // unwound through.
-    let template = Mutex::new(replicas[0].clone());
-    let max_batch = policy.max_batch();
-    let respawn = {
-        let template = &template;
-        move || {
-            SoloServer::new(
-                template.lock().expect("template poisoned").clone(),
-                requests,
-                max_batch,
-            )
-        }
-    };
-    // The template clone above copies the MLPs and scratch only (the
-    // embedding tables are shared handles), but it and the set-up before it
-    // ran *after* the queue captured its construction-time clock; restart
-    // the deadline clock here so the replay schedule is measured from when
-    // the replay actually begins.
-    queue.restart_clock();
-    std::thread::scope(|scope| {
-        let start = queue.start();
-        let shared = &shared;
-        let slots = &slots;
-        let health = &health;
-        let respawn: &(dyn Fn() -> SoloServer<'a> + Sync) = &respawn;
-        for (index, runtime) in replicas.drain(..).enumerate() {
-            let guard = plan.guard_for(index);
-            let server = SoloServer::new(runtime, requests, max_batch);
-            scope.spawn(move || {
-                supervise_replica(
-                    queue,
-                    server,
-                    respawn,
-                    policy,
-                    start,
-                    supervision,
-                    guard,
-                    &slots[index],
-                    health,
-                    shared,
-                    abort,
-                    index,
-                );
-            });
-        }
-        if let Some(hedge) = options.hedge {
-            scope.spawn(move || {
-                watchdog_monitor(
-                    queue,
-                    slots,
-                    health,
-                    true,
-                    hedge.timeout.as_secs_f64(),
-                    max_batch,
-                    start,
-                );
-            });
-        }
-        let generators = AtomicUsize::new(1);
-        replay_arrivals(queue, stream, slo_s, abort, start, 0, &generators);
-    });
-    if queue.is_aborted() {
-        // Unrecoverable: every replica died. Re-raise the first crash.
-        let payload = shared
-            .payload
-            .lock()
-            .expect("payload slot poisoned")
-            .take()
-            .unwrap_or_else(|| Box::new("supervised run aborted without a payload"));
-        std::panic::resume_unwind(payload);
-    }
-    let live = shared.live.load(Ordering::Acquire);
-    let completions =
-        std::mem::take(&mut *shared.completions.lock().expect("completions poisoned"));
-    ServeOutcome {
-        completions,
-        batches: shared.batches.load(Ordering::Relaxed),
-        slo_s,
-        shed_admission: 0,
-        shed_expired: 0,
-        failed: 0,
-        retries: 0,
-        restarts: shared.restarts.load(Ordering::Relaxed),
-        replicas_lost: pool_size - live,
-        hedges: 0,
-        hedge_wins: 0,
-        duplicates_suppressed: 0,
-        quarantines: health.quarantines(),
-        readmissions: health.readmissions(),
-        rejections: Vec::new(),
-    }
-}
-
-/// Runs one worker body under a panic/failure guard: when the body panics
-/// or returns an error, the shared abort flag flips and the queue
-/// abort-closes so the generator and sibling workers stop promptly instead
-/// of playing out the rest of the schedule (a plain close would leave
-/// siblings waiting on the dead worker's in-flight batch forever). The
-/// panic payload (or error) is returned unaltered for the harness to
-/// surface.
-pub(crate) fn guard_worker<F>(queue: &ArrivalQueue, abort: &AtomicBool, body: F) -> WorkerResult
-where
-    F: FnOnce() -> Result<(Vec<Completion>, usize), CentaurError>,
-{
-    let result = catch_unwind(AssertUnwindSafe(body));
-    if !matches!(result, Ok(Ok(_))) {
-        abort.store(true, Ordering::Relaxed);
-        queue.close_abort();
-    }
-    result
-}
-
-/// One replica's serving loop: pop a coalesced batch, publish it in-flight
-/// (dispatch-stamped so the stall monitor can see it), serve it through the
-/// replica's [`BatchServer`] backend, record completions. Runs until the
-/// queue is closed and drained. The fault guard injects this replica's
-/// scheduled faults with fail-stop consequences: a crash event's panic and
-/// a transient event's error both abort the run (the unprotected baseline),
-/// and a degraded event persistently stretches every later batch's service.
-pub(crate) fn worker_loop<S: BatchServer>(
-    queue: &ArrivalQueue,
-    mut server: S,
-    policy: BatchPolicy,
-    start: Instant,
-    mut guard: FaultGuard,
-    inflight: &InFlightSlot,
-    replica: usize,
-) -> Result<(Vec<Completion>, usize), CentaurError> {
-    let mut completions = Vec::new();
-    let mut batches = 0usize;
-    // Reused across iterations: the queue's pop buffer and the probability
-    // scratch — the steady-state loop allocates nothing once these reach
-    // their high-water marks.
-    let mut batch: Vec<QueuedRequest> = Vec::with_capacity(policy.max_batch());
-    let mut probabilities: Vec<f32> = Vec::with_capacity(policy.max_batch());
-    while queue.pop_batch(policy, &mut batch) {
-        let dispatched_s = start.elapsed().as_secs_f64();
-        inflight.publish(&batch, dispatched_s);
-        guard.intercept(replica, dispatched_s)?;
-        server.serve_batch(&batch, &mut probabilities)?;
-        let served_s = start.elapsed().as_secs_f64();
-        guard.apply_degradation(Duration::from_secs_f64(served_s - dispatched_s));
-        inflight.clear();
-        let completed_s = start.elapsed().as_secs_f64();
-        batches += 1;
-        for (queued, &probability) in batch.iter().zip(&probabilities) {
-            completions.push(Completion {
-                id: server.request_id(queued.index),
-                arrival_s: queued.arrival_s,
-                completed_s,
-                probability,
-            });
-        }
-        queue.complete(batch.len());
-    }
-    Ok((completions, batches))
-}
-
-/// One cell of a serving sweep, digested for reporting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Which tenant this row accounts for: `-` for single-model cells, the
-    /// tenant's name for multi-tenant mix rows.
-    pub tenant: String,
-    /// Pool topology the row was measured under: `single` for single-model
-    /// cells, `isolated` / `shared` for multi-tenant mix rows.
-    pub pool: String,
-    /// Offered load in queries per second.
-    pub offered_qps: f64,
-    /// Traffic-shape label (`poisson`, `bursty`, `onoff`).
-    pub traffic: String,
-    /// Batching policy label (`fifo`, `dynamic64w1ms`, …).
-    pub policy: String,
-    /// Replica shards serving the queue.
-    pub replicas: usize,
-    /// The SLO this cell measured goodput against, in milliseconds
-    /// (`None` = no SLO; goodput equals throughput).
-    pub slo_ms: Option<f64>,
-    /// Requests completed (in time or not).
-    pub completed: usize,
-    /// Accelerator batches dispatched.
-    pub batches: usize,
-    /// Mean coalesced batch size.
-    pub mean_batch: f64,
-    /// Sustained completions per second.
-    pub achieved_qps: f64,
-    /// Completions that met the SLO, per second of span.
-    pub goodput_qps: f64,
-    /// Requests shed (admission + expiry).
-    pub shed: usize,
-    /// Requests shed at the admission gate.
-    pub shed_admission: usize,
-    /// Requests shed at dequeue (deadline already passed).
-    pub shed_expired: usize,
-    /// Completions that arrived after their deadline.
-    pub deadline_misses: usize,
-    /// Fault-plan label the cell ran under (`none`, `c1`, `c1s1t2`, …).
-    pub faults: String,
-    /// Requests permanently failed (retry budget exhausted).
-    pub failed: usize,
-    /// Availability: completed / (completed + failed).
-    pub availability: f64,
-    /// Replica restarts the supervisor performed.
-    pub restarts: usize,
-    /// Re-serve attempts after crashes/datapath errors.
-    pub retries: usize,
-    /// Replicas dead at the end of the run (beyond the restart budget).
-    pub replicas_lost: usize,
-    /// Overdue batches' riders hedged to a sibling replica.
-    pub hedges: usize,
-    /// Hedged requests whose clone answered first.
-    pub hedge_wins: usize,
-    /// Duplicate results discarded by first-result-wins suppression.
-    pub duplicates_suppressed: usize,
-    /// Replica quarantine entries the health board performed.
-    pub quarantines: usize,
-    /// Quarantined replicas re-admitted after their backoff probe.
-    pub readmissions: usize,
-    /// End-to-end latency digest.
-    pub latency: LatencySummary,
-}
-
-/// One cell's specification for [`run_serve_cell`]: the offered load, the
-/// traffic shape carrying it, how many queries to replay and how to serve
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeCell {
-    /// Offered load in queries per second (long-run mean of the shape).
-    pub offered_qps: f64,
-    /// Traffic shape modulating the arrivals.
-    pub shape: TrafficShape,
-    /// Number of queries replayed.
-    pub queries: usize,
-    /// Batching policy serving the queue.
-    pub policy: BatchPolicy,
-    /// Replica shards serving the queue.
-    pub replicas: usize,
-    /// SLO/overload-protection options for the run.
-    pub options: ServeOptions,
-    /// Seeded fault schedule injected into the run (none by default). The
-    /// concrete [`FaultPlan`] is materialized by [`run_serve_cell`] once
-    /// the replay window is known, unless `CENTAUR_SERVE_FAULT_PLAN`
-    /// overrides it.
-    pub faults: FaultSpec,
-    /// Seed for the request set and the arrival schedule.
-    pub seed: u64,
-}
-
-impl ServeCell {
-    /// The pre-overload-sweep cell: stationary Poisson arrivals, no SLO, no
-    /// shedding.
-    pub fn poisson(
-        offered_qps: f64,
-        queries: usize,
-        policy: BatchPolicy,
-        replicas: usize,
-        seed: u64,
-    ) -> Self {
-        ServeCell {
-            offered_qps,
-            shape: TrafficShape::Poisson,
-            queries,
-            policy,
-            replicas,
-            options: ServeOptions::default(),
-            faults: FaultSpec::none(),
-            seed,
-        }
-    }
-
-    /// Same cell under a different traffic shape.
-    pub fn with_shape(mut self, shape: TrafficShape) -> Self {
-        self.shape = shape;
-        self
-    }
-
-    /// Same cell under different SLO/overload-protection options.
-    pub fn with_options(mut self, options: ServeOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Same cell under a seeded fault schedule.
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
-        self
-    }
-}
-
-/// Runs one serving cell end to end: pre-generates the request set and the
-/// shaped arrival schedule, boots the cell's replica shards of `model`
-/// (one registration, cloned), replays the stream and digests the result.
-///
-/// # Errors
-///
-/// Propagates registration and serving errors; fails when zero queries are
-/// requested.
-pub fn run_serve_cell(
-    model: &DlrmModel,
-    accel_config: CentaurConfig,
-    distribution: IndexDistribution,
-    cell: ServeCell,
-) -> Result<ServeReport, CentaurError> {
-    let config = model.config().clone();
-    let requests = generate_requests(&config, distribution, cell.seed, cell.queries);
-    let stream = QueryStream::generate(
-        cell.shape.process(cell.offered_qps),
-        cell.queries,
-        cell.seed ^ 0xA11,
-    );
-    let pool = CentaurRuntime::replica_pool(model.clone(), accel_config, cell.replicas)?;
-    // A faulted cell materializes its seeded schedule over the expected
-    // replay window (mean arrival span at the offered load) unless the
-    // CENTAUR_SERVE_FAULT_PLAN knob pins an explicit plan.
-    let plan = if cell.faults.is_none() {
-        FaultPlan::none()
-    } else {
-        let window_s = cell.queries as f64 / cell.offered_qps.max(1e-9);
-        crate::env::serve_fault_plan()
-            .unwrap_or_else(|| FaultPlan::seeded(cell.faults, cell.replicas, window_s))
-    };
-    let outcome = serve_replay_faulted(pool, &requests, &stream, cell.policy, cell.options, &plan)?;
-    // An overload cell may legitimately shed *everything* (deep overload,
-    // every deadline blown before the workers catch up): that is a valid
-    // measurement — zero completions, zero goodput, an all-zero latency
-    // digest — not an error.
-    let latency = outcome.latency_summary().unwrap_or_default();
-    Ok(ServeReport {
-        tenant: "-".to_string(),
-        pool: "single".to_string(),
-        offered_qps: cell.offered_qps,
-        traffic: cell.shape.label().to_string(),
-        policy: cell.policy.label(),
-        replicas: cell.replicas,
-        slo_ms: cell.options.slo.map(|slo| slo.as_secs_f64() * 1e3),
-        completed: outcome.completions.len(),
-        batches: outcome.batches,
-        mean_batch: outcome.mean_batch(),
-        achieved_qps: outcome.achieved_qps(),
-        goodput_qps: outcome.goodput_qps(),
-        shed: outcome.shed(),
-        shed_admission: outcome.shed_admission,
-        shed_expired: outcome.shed_expired,
-        deadline_misses: outcome.deadline_misses(),
-        faults: plan.label(),
-        failed: outcome.failed,
-        availability: outcome.availability(),
-        restarts: outcome.restarts,
-        retries: outcome.retries,
-        replicas_lost: outcome.replicas_lost,
-        hedges: outcome.hedges,
-        hedge_wins: outcome.hedge_wins,
-        duplicates_suppressed: outcome.duplicates_suppressed,
-        quarantines: outcome.quarantines,
-        readmissions: outcome.readmissions,
-        latency,
-    })
+    engine::serve(servers, requests, &[(0, stream)], policy, options, plan)
 }
 
 /// Measures the single-sample service time of `model` on one runtime shard
 /// and returns the implied batch-1 FIFO saturation capacity in queries per
-/// second — the anchor serving sweeps use to place offered loads below and
-/// above the un-batched knee.
+/// second — the anchor a deployment sizes its pools and offered loads
+/// from (see `examples/ads_ranking.rs`).
 ///
 /// # Errors
 ///
@@ -1157,8 +537,8 @@ pub fn calibrate_fifo_capacity_qps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use centaur_dlrm::{PaperModel, RejectReason};
-    use centaur_workload::ArrivalProcess;
+    use centaur_dlrm::PaperModel;
+    use centaur_workload::{ArrivalProcess, TrafficShape};
 
     fn small_model() -> DlrmModel {
         let config = PaperModel::Dlrm1.config().with_rows_per_table(512);
@@ -1297,92 +677,130 @@ mod tests {
         );
     }
 
+    /// Fail-stop, a replica's panic aborts the replay promptly (the
+    /// generator stops, siblings unwind) and resurfaces with its original
+    /// payload.
     #[test]
     fn guarded_worker_preserves_the_panic_payload_and_aborts() {
-        let queue = ArrivalQueue::new();
-        let abort = AtomicBool::new(false);
-        let result = guard_worker(&queue, &abort, || panic!("replica blew up"));
-        let payload = result.expect_err("panic must be caught, not swallowed");
-        assert_eq!(
-            payload.downcast_ref::<&str>().copied(),
-            Some("replica blew up"),
-            "payload survives for resume_unwind"
-        );
-        assert!(abort.load(Ordering::Relaxed), "abort flag flips");
-        assert!(queue.is_closed(), "queue closes so the generator stops");
+        let model = small_model();
+        let requests = generate_requests(model.config(), IndexDistribution::Uniform, 3, 400);
+        // A 20 s schedule the abort must cut short.
+        let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 2);
+        let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 1).unwrap();
+        let plan = FaultPlan::parse("crash:0:40").unwrap();
+        let started = Instant::now();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_replay_faulted(
+                pool,
+                &requests,
+                &stream,
+                BatchPolicy::Fifo,
+                ServeOptions::default(),
+                &plan,
+            )
+        }))
+        .expect_err("panic must be re-raised, not swallowed");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("payload survives for resume_unwind");
         assert!(
-            queue.is_aborted(),
-            "abort-close so siblings are not left waiting on the dead \
-             worker's in-flight batch"
+            message.contains("injected fault") && message.contains("replica 0"),
+            "{message}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the abort stopped the generator"
         );
     }
 
+    /// Fail-stop, an injected transient error ends the run as an error,
+    /// promptly.
     #[test]
     fn guarded_worker_flags_errors_too() {
-        let queue = ArrivalQueue::new();
-        let abort = AtomicBool::new(false);
-        let result = guard_worker(&queue, &abort, || {
-            Err(CentaurError::NotInitialised("synthetic failure"))
-        });
-        assert!(matches!(result, Ok(Err(_))));
-        assert!(abort.load(Ordering::Relaxed));
-        assert!(queue.is_closed());
-    }
-
-    #[test]
-    fn run_serve_cell_produces_a_digest() {
         let model = small_model();
-        let report = run_serve_cell(
-            &model,
-            CentaurConfig::harpv2(),
-            IndexDistribution::Uniform,
-            ServeCell::poisson(5_000.0, 32, BatchPolicy::Fifo, 1, 9),
-        )
-        .unwrap();
-        assert_eq!(report.completed, 32);
-        assert_eq!(report.policy, "fifo");
-        assert_eq!(report.traffic, "poisson");
-        assert_eq!(report.replicas, 1);
-        assert_eq!(report.slo_ms, None);
-        assert_eq!(report.shed, 0);
-        assert_eq!(report.deadline_misses, 0);
-        assert!(report.achieved_qps > 0.0);
-        assert!(
-            (report.goodput_qps - report.achieved_qps).abs() < 1e-9,
-            "no SLO: goodput equals throughput"
+        let requests = generate_requests(model.config(), IndexDistribution::Uniform, 3, 400);
+        let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 2);
+        let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 1).unwrap();
+        let plan = FaultPlan::parse("transient:0:40").unwrap();
+        let started = Instant::now();
+        let result = serve_replay_faulted(
+            pool,
+            &requests,
+            &stream,
+            BatchPolicy::Fifo,
+            ServeOptions::default(),
+            &plan,
         );
-        assert!(report.latency.p50_s > 0.0);
-        assert!((report.mean_batch - 1.0).abs() < f64::EPSILON);
+        assert!(
+            matches!(result, Err(CentaurError::NotInitialised(_))),
+            "{result:?}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// A hedge config needs a supervised pool to hedge within; without one
+    /// the run is refused up front, before any arrival is replayed.
+    #[test]
+    fn hedging_without_supervision_is_a_config_error() {
+        let model = small_model();
+        let requests = generate_requests(model.config(), IndexDistribution::Uniform, 3, 400);
+        let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 2);
+        let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 1).unwrap();
+        let options = ServeOptions::default().hedged(HedgeConfig::new(Duration::from_millis(1)));
+        let started = Instant::now();
+        let result = serve_replay_with(pool, &requests, &stream, BatchPolicy::Fifo, options);
+        assert!(
+            matches!(result, Err(CentaurError::InvalidConfig(_))),
+            "{result:?}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "refused up front"
+        );
     }
 
     #[test]
-    fn run_serve_cell_reports_goodput_under_a_shaped_overload() {
+    fn overload_protection_accounts_a_bursty_overload() {
         let model = small_model();
-        let cell = ServeCell::poisson(
-            400_000.0,
-            192,
+        let requests = generate_requests(model.config(), IndexDistribution::Uniform, 13, 192);
+        let stream = QueryStream::generate(TrafficShape::Bursty.process(400_000.0), 192, 13);
+        let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 1).unwrap();
+        let outcome = serve_replay_with(
+            pool,
+            &requests,
+            &stream,
             BatchPolicy::deadline_wave(Duration::from_micros(500)),
-            1,
-            13,
-        )
-        .with_shape(TrafficShape::Bursty)
-        .with_options(ServeOptions::overload_protected(
-            Duration::from_millis(2),
-            64,
-        ));
-        let report = run_serve_cell(
-            &model,
-            CentaurConfig::harpv2(),
-            IndexDistribution::Uniform,
-            cell,
+            ServeOptions::overload_protected(Duration::from_millis(2), 64),
         )
         .unwrap();
-        assert_eq!(report.traffic, "bursty");
-        assert_eq!(report.slo_ms, Some(2.0));
-        assert_eq!(report.completed + report.shed, 192, "full accounting");
-        assert_eq!(report.shed, report.shed_admission + report.shed_expired);
+        assert_eq!(outcome.slo_s, 0.002);
+        assert_eq!(outcome.failed, 0);
+        assert_eq!(
+            outcome.completions.len() + outcome.shed(),
+            192,
+            "full accounting"
+        );
+        assert_eq!(outcome.rejections.len(), outcome.shed());
+        assert_eq!(
+            outcome.reject_count(RejectReason::QueueFull),
+            outcome
+                .rejections
+                .iter()
+                .filter(|r| r.reason == RejectReason::QueueFull)
+                .count(),
+            "admission sheds are the queue-full refusals"
+        );
+        assert_eq!(
+            outcome.reject_count(RejectReason::DeadlineExpired),
+            outcome
+                .rejections
+                .iter()
+                .filter(|r| r.reason == RejectReason::DeadlineExpired)
+                .count(),
+            "expiry sheds are the deadline refusals"
+        );
         assert!(
-            report.goodput_qps <= report.achieved_qps + 1e-9,
+            outcome.goodput_qps() <= outcome.achieved_qps() + 1e-9,
             "goodput can never exceed throughput"
         );
     }
@@ -1451,31 +869,6 @@ mod tests {
             .expect("the failed request is surfaced");
         assert_eq!(rejection.id, requests[10].id);
         assert_eq!(rejection.retries, 1, "exhausted budget rides the refusal");
-    }
-
-    #[test]
-    fn run_serve_cell_with_faults_reports_availability_columns() {
-        let model = small_model();
-        let cell = ServeCell::poisson(20_000.0, 128, BatchPolicy::dynamic_wave(), 2, 19)
-            .with_options(ServeOptions::default().supervised(Supervision::default()))
-            .with_faults(FaultSpec::none().with_transients(2).with_seed(3));
-        let report = run_serve_cell(
-            &model,
-            CentaurConfig::harpv2(),
-            IndexDistribution::Uniform,
-            cell,
-        )
-        .unwrap();
-        assert_eq!(report.faults, "t2");
-        assert_eq!(
-            report.completed + report.shed + report.failed,
-            128,
-            "accounting invariant in the report"
-        );
-        assert!(report.retries >= 1, "transients forced re-serves");
-        assert_eq!(report.failed, 0, "default retry budget absorbs transients");
-        assert_eq!(report.availability, 1.0);
-        assert_eq!(report.replicas_lost, 0);
     }
 
     #[test]

@@ -32,10 +32,16 @@
 //!   [`CentaurRuntime`](centaur::CentaurRuntime) replica shards (one worker
 //!   thread each), recording per-request end-to-end latency against
 //!   *scheduled* arrivals (open-loop);
-//! * [`run_serve_cell`] / [`calibrate_fifo_capacity_qps`] — one sweep cell
-//!   (offered QPS × traffic shape × policy × replicas → [`ServeReport`],
-//!   now with goodput-under-SLO and shed counts) and the saturation-anchor
-//!   measurement the sweeps place their loads around.
+//! * [`run_mix_cell`] — a multi-tenant cell: per-tenant isolated pools or
+//!   one shared pool, one [`ServeReport`] row per tenant.
+//!
+//! Every harness runs on one private serving engine: one scoped pool run
+//! over N replica servers ([`MixServer`]; a single model is a one-tenant
+//! mix), N arrival streams, one worker loop and at most one monitor. The
+//! error policy comes from [`ServeOptions::supervision`]: `None` is
+//! fail-stop (the first error or panic aborts the run, and under an SLO so
+//! does a stalled batch), `Some` is supervision. Performance is measured by
+//! the `bench_ledger` benchmark, not here.
 //!
 //! ```no_run
 //! use centaur::{CentaurConfig, CentaurRuntime};
@@ -59,37 +65,29 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod engine;
 pub mod env;
 pub mod fault;
 pub mod harness;
 pub mod mix;
 pub mod policy;
 pub mod queue;
-pub mod server;
 pub mod stage;
 pub mod supervisor;
 
 pub use env::{
-    parse_serve_fault_plan, parse_serve_hedge_ms, parse_serve_mix, parse_serve_mix_slo_ms,
-    parse_serve_quarantine_backoff_ms, parse_serve_quarantine_strikes, parse_serve_queue_depth,
-    parse_serve_restart_budget, parse_serve_retry_limit, parse_serve_slo_ms, serve_fault_plan,
-    serve_hedge_ms, serve_mix, serve_mix_slo_ms, serve_quarantine_backoff_ms,
-    serve_quarantine_strikes, serve_queue_depth, serve_restart_budget, serve_retry_limit,
-    serve_slo_ms, DEFAULT_SERVE_QUARANTINE_BACKOFF_MS, DEFAULT_SERVE_QUARANTINE_STRIKES,
-    DEFAULT_SERVE_RESTART_BUDGET, DEFAULT_SERVE_RETRY_LIMIT, DEFAULT_SERVE_SLO_MS,
-    SERVE_FAULT_PLAN_VALUES, SERVE_HEDGE_MS_VALUES, SERVE_MIX_SLO_MS_VALUES, SERVE_MIX_VALUES,
-    SERVE_QUARANTINE_BACKOFF_MS_VALUES, SERVE_QUARANTINE_STRIKES_VALUES, SERVE_QUEUE_DEPTH_VALUES,
-    SERVE_RESTART_BUDGET_VALUES, SERVE_RETRY_LIMIT_VALUES, SERVE_SLO_MS_VALUES,
+    parse_serve_hedge_ms, parse_serve_quarantine_backoff_ms, parse_serve_quarantine_strikes,
+    serve_hedge_ms, serve_quarantine_backoff_ms, serve_quarantine_strikes,
+    DEFAULT_SERVE_QUARANTINE_BACKOFF_MS, DEFAULT_SERVE_QUARANTINE_STRIKES, SERVE_HEDGE_MS_VALUES,
+    SERVE_QUARANTINE_BACKOFF_MS_VALUES, SERVE_QUARANTINE_STRIKES_VALUES,
 };
 pub use fault::{FaultEvent, FaultGuard, FaultKind, FaultPlan, FaultSpec};
 pub use harness::{
-    calibrate_fifo_capacity_qps, generate_requests, run_serve_cell, serve_replay,
-    serve_replay_faulted, serve_replay_with, Completion, HedgeConfig, ServeCell, ServeOptions,
-    ServeOutcome, ServeReport,
+    calibrate_fifo_capacity_qps, generate_requests, serve_replay, serve_replay_faulted,
+    serve_replay_with, Completion, HedgeConfig, ServeOptions, ServeOutcome,
 };
-pub use mix::{run_mix_cell, MixServer, PoolMode, TenantSpec};
+pub use mix::{run_mix_cell, MixServer, PoolMode, ServeReport, TenantSpec};
 pub use policy::{relative_sample_cost, scaled_service_estimate, BatchPolicy};
 pub use queue::{AdmissionConfig, ArrivalQueue, DequeueOrder, QueuedRequest};
-pub use server::{BatchServer, SoloServer};
 pub use stage::ReplicaStage;
 pub use supervisor::{requeue_or_fail, HealthBoard, InFlightSlot, ReplicaHealth, Supervision};

@@ -9,48 +9,46 @@
 //! tenant specs:
 //!
 //! * **Isolated** ([`PoolMode::Isolated`]): each tenant gets its own
-//!   [`ArrivalQueue`] (earliest-deadline-first order), its own supervised
-//!   replica pool, its own SLO/retry/restart budgets, and its own fault
-//!   plan. Nothing is shared, so a fault plan targeting the heavy pool
-//!   cannot touch the light tenant's queue or replicas.
+//!   [`ArrivalQueue`](crate::ArrivalQueue) (earliest-deadline-first
+//!   order), its own supervised replica pool, its own SLO/retry/restart
+//!   budgets, and its own fault plan. Nothing is shared, so a fault plan
+//!   targeting the heavy pool cannot touch the light tenant's queue or replicas.
 //! * **Shared** ([`PoolMode::Shared`]): the merged request stream feeds one
 //!   FIFO queue with one deadline budget (the *loosest* tenant SLO), one
 //!   over-holding service estimate (the *largest* tenant estimate), pooled
 //!   replicas each able to serve every tenant ([`MixServer`]), pooled
 //!   admission depth and merged supervision/fault budgets — the
-//!   "one of everything" deployment the isolation sweep measures against.
+//!   "one of everything" deployment isolation is measured against.
+//!
+//! Both run on the one serving engine: isolated tenants each through
+//! [`serve_replay_faulted`], the shared pool
+//! as one engine run with one arrival stream per tenant.
 //!
 //! Per-tenant accounting holds in both: every generated request ends in
 //! exactly one of completed / shed / failed *per tenant* (asserted), and
 //! each tenant's row reports goodput, availability and per-reason
 //! rejections judged against that tenant's **own** SLO — in shared mode the
 //! pool only enforced the shared budget, which is exactly the violation the
-//! sweep exposes.
+//! rows expose.
 //!
 //! Availability on mix rows is *answered availability*: `completed /
-//! generated`. The single-model rows report `completed / (completed +
-//! failed)` (sheds excluded as deliberate flow control); for cross-tenant
-//! isolation the question is "what fraction of this tenant's traffic got an
-//! answer", and a light tenant shed behind a heavy backlog is exactly the
-//! harm being measured, so sheds count against mix availability.
+//! generated`. [`ServeOutcome::availability`] reports `completed /
+//! (completed + failed)` (sheds excluded as deliberate flow control); for
+//! cross-tenant isolation the question is "what fraction of this tenant's
+//! traffic got an answer", and a light tenant shed behind a heavy backlog
+//! is exactly the harm being measured, so sheds count against mix
+//! availability.
 
+use crate::engine;
 use crate::fault::{FaultPlan, FaultSpec};
-use crate::harness::{
-    generate_requests, guard_worker, replay_arrivals, worker_loop, ServeOptions, ServeOutcome,
-    ServeReport, WorkerResult,
-};
+use crate::harness::{generate_requests, serve_replay_faulted, ServeOptions, ServeOutcome};
 use crate::policy::BatchPolicy;
-use crate::queue::{ArrivalQueue, DequeueOrder, QueuedRequest};
-use crate::server::BatchServer;
+use crate::queue::{DequeueOrder, QueuedRequest};
 use crate::stage::ReplicaStage;
-use crate::supervisor::{
-    supervise_replica, HealthBoard, InFlightSlot, Supervision, SupervisorShared,
-};
+use crate::supervisor::Supervision;
 use centaur::{CentaurConfig, CentaurError, CentaurRuntime};
 use centaur_dlrm::{DlrmModel, InferenceRequest, RejectReason, RejectedRequest};
-use centaur_workload::{IndexDistribution, ModelMix, QueryStream, TenantTraffic};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use centaur_workload::{IndexDistribution, LatencySummary, ModelMix, QueryStream, TenantTraffic};
 use std::time::Duration;
 
 /// One tenant of a multi-tenant serving mix: its model, traffic slice, SLO
@@ -165,21 +163,26 @@ impl PoolMode {
     }
 }
 
-/// The multi-tenant serving backend for a shared pool: each replica owns
-/// one engine (runtime shard + staging buffers) per tenant and routes every
-/// request in a popped batch to its tenant's engine, scattering the
-/// probabilities back into batch order. Steady state allocates nothing once
-/// the per-tenant scratch buffers reach their high-water marks.
+/// A replica's serving backend: one engine (runtime shard + staging
+/// buffers) per tenant. Tenant `t` owns the contiguous index range
+/// `starts[t]..starts[t + 1]` of the request set (the last range runs to
+/// its end); every request in a popped batch is routed to its tenant's
+/// engine and the probabilities are scattered back into batch order. A
+/// single model is a one-tenant server (`starts = [0]`). Steady state
+/// allocates nothing once the scratch buffers reach their high-water
+/// marks.
+#[derive(Clone)]
 pub struct MixServer<'a> {
     requests: &'a [InferenceRequest],
-    tenant_of: &'a [usize],
+    starts: Vec<usize>,
     engines: Vec<TenantEngine>,
-    /// Per-tenant scratch: positions in the current batch owned by each
-    /// tenant.
-    positions: Vec<Vec<usize>>,
+    /// Scratch: positions in the current batch owned by the tenant being
+    /// served, and its staged requests.
+    positions: Vec<usize>,
     staged: Vec<&'a InferenceRequest>,
 }
 
+#[derive(Clone)]
 struct TenantEngine {
     runtime: CentaurRuntime,
     stage: ReplicaStage,
@@ -187,86 +190,90 @@ struct TenantEngine {
 
 impl<'a> MixServer<'a> {
     /// A backend routing `requests` across one engine per tenant:
-    /// `engines[t]` serves every request whose `tenant_of[index]` is `t`.
+    /// `engines[t]` serves every request whose index lies in
+    /// `starts[t]..starts[t + 1]`.
     ///
     /// # Panics
     ///
-    /// Panics when `tenant_of` does not cover `requests`, maps a request to
-    /// a missing engine, or `engines` is empty.
+    /// Panics when `engines` is empty, `starts` does not hold one
+    /// ascending start per engine beginning at 0, or a start lies past the
+    /// end of `requests`.
     pub fn new(
         engines: Vec<CentaurRuntime>,
         requests: &'a [InferenceRequest],
-        tenant_of: &'a [usize],
+        starts: &[usize],
         max_batch: usize,
     ) -> Self {
         assert!(
             !engines.is_empty(),
             "a mix server needs at least one engine"
         );
-        assert_eq!(
-            tenant_of.len(),
-            requests.len(),
-            "tenant map must cover the merged request set"
-        );
+        assert_eq!(starts.len(), engines.len(), "one start per engine");
+        assert_eq!(starts[0], 0, "the first tenant starts at index 0");
         assert!(
-            tenant_of.iter().all(|&t| t < engines.len()),
-            "every request must map to an engine"
+            starts.windows(2).all(|w| w[0] <= w[1]) && starts[starts.len() - 1] <= requests.len(),
+            "tenant starts must ascend within the request set"
         );
-        let engines: Vec<TenantEngine> = engines
+        let engines = engines
             .into_iter()
-            .map(|runtime| {
-                let config = runtime.model().config().clone();
-                TenantEngine {
-                    stage: ReplicaStage::new(&config, max_batch),
-                    runtime,
-                }
+            .map(|runtime| TenantEngine {
+                stage: ReplicaStage::new(runtime.model().config(), max_batch),
+                runtime,
             })
-            .collect();
-        let positions = engines
-            .iter()
-            .map(|_| Vec::with_capacity(max_batch))
             .collect();
         MixServer {
             requests,
-            tenant_of,
+            starts: starts.to_vec(),
             engines,
-            positions,
+            positions: Vec::with_capacity(max_batch),
             staged: Vec::with_capacity(max_batch),
         }
     }
-}
 
-impl BatchServer for MixServer<'_> {
-    fn serve_batch(
+    /// Serves `batch`, writing one probability per entry into `out`
+    /// (cleared first, same order as `batch`). An error fails the whole
+    /// attempt — the supervised loop then re-serves request by request so
+    /// a poison request cannot burn its co-riders' retry budgets.
+    ///
+    /// # Errors
+    ///
+    /// Returns the accelerator datapath error that failed the attempt.
+    pub fn serve_batch(
         &mut self,
         batch: &[QueuedRequest],
         out: &mut Vec<f32>,
     ) -> Result<(), CentaurError> {
         out.clear();
         out.resize(batch.len(), 0.0);
-        for positions in &mut self.positions {
-            positions.clear();
-        }
-        for (position, queued) in batch.iter().enumerate() {
-            self.positions[self.tenant_of[queued.index]].push(position);
-        }
         for (tenant, engine) in self.engines.iter_mut().enumerate() {
-            let positions = &self.positions[tenant];
-            if positions.is_empty() {
+            let first = self.starts[tenant];
+            let end = self
+                .starts
+                .get(tenant + 1)
+                .copied()
+                .unwrap_or(self.requests.len());
+            self.positions.clear();
+            self.staged.clear();
+            for (position, queued) in batch.iter().enumerate() {
+                if (first..end).contains(&queued.index) {
+                    self.positions.push(position);
+                    self.staged.push(&self.requests[queued.index]);
+                }
+            }
+            if self.staged.is_empty() {
                 continue;
             }
-            self.staged.clear();
-            self.staged
-                .extend(positions.iter().map(|&p| &self.requests[batch[p].index]));
             let probabilities = engine.stage.run_batch(&mut engine.runtime, &self.staged)?;
-            for (&position, &probability) in positions.iter().zip(probabilities) {
+            for (&position, &probability) in self.positions.iter().zip(probabilities) {
                 out[position] = probability;
             }
         }
         Ok(())
     }
 
-    fn request_id(&self, index: usize) -> u64 {
+    /// The wire-level id of the request a [`QueuedRequest::index`] refers
+    /// to.
+    pub fn request_id(&self, index: usize) -> u64 {
         self.requests[index].id
     }
 }
@@ -383,14 +390,7 @@ fn run_tenant_pool(
         order: DequeueOrder::Edf,
         hedge: None,
     };
-    let outcome = crate::harness::serve_replay_faulted(
-        pool,
-        &requests,
-        &stream,
-        tenant.policy(),
-        options,
-        &plan,
-    )?;
+    let outcome = serve_replay_faulted(pool, &requests, &stream, tenant.policy(), options, &plan)?;
     Ok(tenant_report(
         tenant,
         PoolMode::Isolated,
@@ -413,24 +413,21 @@ fn run_shared(
     seed: u64,
 ) -> Result<Vec<ServeReport>, CentaurError> {
     // Merge the per-tenant request sets, re-stamped with ids dense across
-    // the merged stream so completions/rejections map back to tenants.
+    // the merged stream: tenant `t` owns the ids from `starts[t]` up to the
+    // next tenant's start, which is how completions and rejections map back.
     let mut merged: Vec<InferenceRequest> = Vec::new();
-    let mut tenant_of: Vec<usize> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::new();
-    let mut generated: Vec<usize> = Vec::new();
-    let mut streams: Vec<QueryStream> = Vec::new();
+    let mut starts: Vec<usize> = Vec::with_capacity(tenants.len());
+    let mut streams: Vec<QueryStream> = Vec::with_capacity(tenants.len());
     for (tenant_index, tenant) in tenants.iter().enumerate() {
         let config = tenant.model.config().clone();
         let queries = tenant.traffic.queries(total_queries);
         let request_seed = tenant_seed(seed, tenant_index);
         let requests = generate_requests(&config, tenant.distribution, request_seed, queries);
-        offsets.push(merged.len());
+        starts.push(merged.len());
         for request in requests {
             let id = merged.len() as u64;
-            tenant_of.push(tenant_index);
             merged.push(request.with_id(id));
         }
-        generated.push(queries);
         streams.push(QueryStream::generate(
             tenant.traffic.process(total_qps),
             queries,
@@ -453,14 +450,13 @@ fn run_shared(
         .map(|t| t.admission_depth)
         .try_fold(0usize, |sum, depth| depth.map(|d| sum + d));
     let replicas: usize = tenants.iter().map(|t| t.replicas).sum::<usize>().max(1);
-    let supervision = merge_supervision(tenants);
     let faults = merge_faults(tenants);
     let policy = BatchPolicy::deadline_wave(shared_estimate);
     let options = ServeOptions {
         slo: Some(shared_slo),
         admission_depth: shared_depth,
         shed_expired: true,
-        supervision,
+        supervision: merge_supervision(tenants),
         order: DequeueOrder::Fifo,
         hedge: None,
     };
@@ -473,74 +469,28 @@ fn run_shared(
 
     // Every pooled replica can serve every tenant: one engine per tenant
     // per replica (each tenant's model registered once, shards cloned).
-    let mut per_tenant_pools: Vec<Vec<CentaurRuntime>> = Vec::with_capacity(tenants.len());
-    for tenant in tenants {
-        per_tenant_pools.push(CentaurRuntime::replica_pool(
-            tenant.model.clone(),
-            accel,
-            replicas,
-        )?);
-    }
     let mut replica_engines: Vec<Vec<CentaurRuntime>> = (0..replicas)
         .map(|_| Vec::with_capacity(tenants.len()))
         .collect();
-    for pool in per_tenant_pools {
-        for (replica, runtime) in pool.into_iter().enumerate() {
-            replica_engines[replica].push(runtime);
+    for tenant in tenants {
+        let pool = CentaurRuntime::replica_pool(tenant.model.clone(), accel, replicas)?;
+        for (engines, runtime) in replica_engines.iter_mut().zip(pool) {
+            engines.push(runtime);
         }
     }
-
-    let queue = ArrivalQueue::with_config(options.admission());
-    queue.reserve_shed(merged.len());
-    let slo_s = shared_slo.as_secs_f64();
-    let abort = AtomicBool::new(false);
-    let mut outcome = match supervision {
-        None => shared_unsupervised(
-            replica_engines,
-            &merged,
-            &tenant_of,
-            &streams,
-            &offsets,
-            policy,
-            &queue,
-            slo_s,
-            &abort,
-            &plan,
-        )?,
-        Some(supervision) => shared_supervised(
-            replica_engines,
-            &merged,
-            &tenant_of,
-            &streams,
-            &offsets,
-            policy,
-            &queue,
-            slo_s,
-            &abort,
-            &plan,
-            supervision,
-        ),
-    };
-    outcome.failed = queue.failed();
-    outcome.retries = queue.retries();
-    outcome.shed_admission = queue.shed_admission();
-    outcome.shed_expired = queue.shed_expired();
-    outcome.rejections = queue
-        .take_shed()
+    let servers = replica_engines
         .into_iter()
-        .map(|(shed, reason)| RejectedRequest {
-            id: merged[shed.index].id,
-            reason,
-            retries: shed.retries,
-        })
+        .map(|engines| MixServer::new(engines, &merged, &starts, policy.max_batch()))
         .collect();
+    let arrivals: Vec<(usize, &QueryStream)> = starts.iter().copied().zip(&streams).collect();
+    let outcome = engine::serve(servers, &merged, &arrivals, policy, options, &plan)?;
 
-    let split = split_by_tenant(&outcome, &tenant_of, tenants);
+    let split = split_by_tenant(&outcome, &starts, tenants);
     Ok(tenants
         .iter()
-        .zip(split.iter())
-        .zip(generated)
-        .map(|((tenant, tenant_outcome), generated)| {
+        .zip(&split)
+        .zip(&streams)
+        .map(|((tenant, tenant_outcome), stream)| {
             tenant_report(
                 tenant,
                 PoolMode::Shared,
@@ -548,7 +498,7 @@ fn run_shared(
                 policy.label(),
                 replicas,
                 plan.label(),
-                generated,
+                stream.len(),
                 tenant_outcome,
             )
         })
@@ -583,231 +533,117 @@ fn merge_faults(tenants: &[TenantSpec]) -> FaultSpec {
     merged
 }
 
-/// The shared pool's fail-stop path: mirrors the single-model harness but
-/// with [`MixServer`] replicas and one generator thread per tenant stream.
-#[allow(clippy::too_many_arguments)]
-fn shared_unsupervised(
-    mut replica_engines: Vec<Vec<CentaurRuntime>>,
-    merged: &[InferenceRequest],
-    tenant_of: &[usize],
-    streams: &[QueryStream],
-    offsets: &[usize],
-    policy: BatchPolicy,
-    queue: &ArrivalQueue,
-    slo_s: f64,
-    abort: &AtomicBool,
-    plan: &FaultPlan,
-) -> Result<ServeOutcome, CentaurError> {
-    let mut worker_results: Vec<WorkerResult> = Vec::new();
-    let generators = AtomicUsize::new(streams.len());
-    let slots: Vec<InFlightSlot> = (0..replica_engines.len())
-        .map(|_| InFlightSlot::new(policy.max_batch()))
-        .collect();
-    // Align the deadline clock with the replay start (setup between queue
-    // construction and here must not eat into the schedule).
-    queue.restart_clock();
-    std::thread::scope(|scope| {
-        let start = queue.start();
-        let generators = &generators;
-        let slots = &slots;
-        let handles: Vec<_> = replica_engines
-            .drain(..)
-            .enumerate()
-            .map(|(index, engines)| {
-                let server = MixServer::new(engines, merged, tenant_of, policy.max_batch());
-                let guard = plan.guard_for(index);
-                scope.spawn(move || {
-                    guard_worker(queue, abort, move || {
-                        worker_loop(queue, server, policy, start, guard, &slots[index], index)
-                    })
-                })
-            })
-            .collect();
-        for (stream, &offset) in streams.iter().zip(offsets) {
-            scope.spawn(move || {
-                replay_arrivals(queue, stream, slo_s, abort, start, offset, generators);
-            });
-        }
-        worker_results = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(Err))
-            .collect();
-    });
-    let mut outcome = empty_outcome(merged.len(), slo_s);
-    let mut failure: Option<CentaurError> = None;
-    for result in worker_results {
-        match result {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(Ok((completions, batches))) => {
-                outcome.completions.extend(completions);
-                outcome.batches += batches;
-            }
-            Ok(Err(error)) => failure = failure.or(Some(error)),
-        }
-    }
-    if let Some(error) = failure {
-        return Err(error);
-    }
-    Ok(outcome)
-}
-
-/// The shared pool's supervised path: mirrors the single-model supervised
-/// harness with [`MixServer`] replicas respawned from per-tenant template
-/// shards, and one generator thread per tenant stream.
-#[allow(clippy::too_many_arguments)]
-fn shared_supervised<'a>(
-    mut replica_engines: Vec<Vec<CentaurRuntime>>,
-    merged: &'a [InferenceRequest],
-    tenant_of: &'a [usize],
-    streams: &[QueryStream],
-    offsets: &[usize],
-    policy: BatchPolicy,
-    queue: &ArrivalQueue,
-    slo_s: f64,
-    abort: &AtomicBool,
-    plan: &FaultPlan,
-    supervision: Supervision,
-) -> ServeOutcome {
-    let pool_size = replica_engines.len();
-    let shared = SupervisorShared::new(pool_size, merged.len());
-    let slots: Vec<InFlightSlot> = (0..pool_size)
-        .map(|_| InFlightSlot::new(policy.max_batch()))
-        .collect();
-    // The mix sweeps measure cross-tenant isolation, not tail tolerance: a
-    // disabled board keeps every replica permanently healthy.
-    let health = HealthBoard::disabled(pool_size);
-    // Restarts boot from fresh shard clones, never from state a panic
-    // unwound through.
-    let template = Mutex::new(replica_engines[0].clone());
-    let max_batch = policy.max_batch();
-    let respawn = {
-        let template = &template;
-        move || {
-            MixServer::new(
-                template.lock().expect("template poisoned").clone(),
-                merged,
-                tenant_of,
-                max_batch,
-            )
-        }
-    };
-    let generators = AtomicUsize::new(streams.len());
-    // The MixServer template clone above copies each tenant's MLPs and
-    // scratch only (embedding tables are shared handles), but it and the
-    // set-up before it ran *after* the queue captured its construction-time
-    // clock; restart the deadline clock so the replay schedule starts now,
-    // not at queue construction.
-    queue.restart_clock();
-    std::thread::scope(|scope| {
-        let start = queue.start();
-        let shared = &shared;
-        let generators = &generators;
-        let slots = &slots;
-        let health = &health;
-        let respawn: &(dyn Fn() -> MixServer<'a> + Sync) = &respawn;
-        for (index, engines) in replica_engines.drain(..).enumerate() {
-            let guard = plan.guard_for(index);
-            let server = MixServer::new(engines, merged, tenant_of, max_batch);
-            scope.spawn(move || {
-                supervise_replica(
-                    queue,
-                    server,
-                    respawn,
-                    policy,
-                    start,
-                    supervision,
-                    guard,
-                    &slots[index],
-                    health,
-                    shared,
-                    abort,
-                    index,
-                );
-            });
-        }
-        for (stream, &offset) in streams.iter().zip(offsets) {
-            scope.spawn(move || {
-                replay_arrivals(queue, stream, slo_s, abort, start, offset, generators);
-            });
-        }
-    });
-    if queue.is_aborted() {
-        // Unrecoverable: every replica died. Re-raise the first crash.
-        let payload = shared
-            .payload
-            .lock()
-            .expect("payload slot poisoned")
-            .take()
-            .unwrap_or_else(|| Box::new("shared mix run aborted without a payload"));
-        std::panic::resume_unwind(payload);
-    }
-    let live = shared.live.load(Ordering::Acquire);
-    let completions =
-        std::mem::take(&mut *shared.completions.lock().expect("completions poisoned"));
-    let mut outcome = empty_outcome(merged.len(), slo_s);
-    outcome.completions = completions;
-    outcome.batches = shared.batches.load(Ordering::Relaxed);
-    outcome.restarts = shared.restarts.load(Ordering::Relaxed);
-    outcome.replicas_lost = pool_size - live;
-    outcome
-}
-
-fn empty_outcome(capacity: usize, slo_s: f64) -> ServeOutcome {
-    ServeOutcome {
-        completions: Vec::with_capacity(capacity),
-        batches: 0,
-        slo_s,
-        shed_admission: 0,
-        shed_expired: 0,
-        failed: 0,
-        retries: 0,
-        restarts: 0,
-        replicas_lost: 0,
-        hedges: 0,
-        hedge_wins: 0,
-        duplicates_suppressed: 0,
-        quarantines: 0,
-        readmissions: 0,
-        rejections: Vec::new(),
-    }
-}
-
 /// Splits a shared pool's outcome into per-tenant outcomes by mapping every
-/// completion and rejection id back through `tenant_of`. Per-tenant rows
-/// are judged against the tenant's **own** SLO (the pool only enforced the
-/// shared one); pool-level counters that cannot be attributed to one tenant
-/// (batches, retries, restarts, replicas lost) are carried on every row.
+/// completion and rejection id back to the tenant whose range holds it.
+/// Per-tenant rows are judged against the tenant's **own** SLO (the pool
+/// only enforced the shared one); pool-level counters that cannot be
+/// attributed to one tenant (batches, retries, restarts, replicas lost,
+/// hedging and quarantine counts) are carried on every row.
 fn split_by_tenant(
     outcome: &ServeOutcome,
-    tenant_of: &[usize],
+    starts: &[usize],
     tenants: &[TenantSpec],
 ) -> Vec<ServeOutcome> {
-    let mut split: Vec<ServeOutcome> = tenants
+    let tenant_of = |id: u64| starts.partition_point(|&start| start as u64 <= id) - 1;
+    tenants
         .iter()
-        .map(|tenant| {
-            let mut empty = empty_outcome(0, tenant.slo.as_secs_f64());
-            empty.batches = outcome.batches;
-            empty.retries = outcome.retries;
-            empty.restarts = outcome.restarts;
-            empty.replicas_lost = outcome.replicas_lost;
-            empty
+        .enumerate()
+        .map(|(t, tenant)| {
+            let rejections: Vec<RejectedRequest> = outcome
+                .rejections
+                .iter()
+                .filter(|r| tenant_of(r.id) == t)
+                .copied()
+                .collect();
+            let count = |reason| rejections.iter().filter(|r| r.reason == reason).count();
+            ServeOutcome {
+                completions: outcome
+                    .completions
+                    .iter()
+                    .filter(|c| tenant_of(c.id) == t)
+                    .copied()
+                    .collect(),
+                batches: outcome.batches,
+                slo_s: tenant.slo.as_secs_f64(),
+                shed_admission: count(RejectReason::QueueFull),
+                shed_expired: count(RejectReason::DeadlineExpired),
+                failed: count(RejectReason::Failed),
+                retries: outcome.retries,
+                restarts: outcome.restarts,
+                replicas_lost: outcome.replicas_lost,
+                hedges: outcome.hedges,
+                hedge_wins: outcome.hedge_wins,
+                duplicates_suppressed: outcome.duplicates_suppressed,
+                quarantines: outcome.quarantines,
+                readmissions: outcome.readmissions,
+                rejections,
+            }
         })
-        .collect();
-    for completion in &outcome.completions {
-        split[tenant_of[completion.id as usize]]
-            .completions
-            .push(*completion);
-    }
-    for rejection in &outcome.rejections {
-        let tenant = &mut split[tenant_of[rejection.id as usize]];
-        tenant.rejections.push(*rejection);
-        match rejection.reason {
-            RejectReason::QueueFull => tenant.shed_admission += 1,
-            RejectReason::DeadlineExpired => tenant.shed_expired += 1,
-            RejectReason::Failed => tenant.failed += 1,
-        }
-    }
-    split
+        .collect()
+}
+
+/// One tenant's row of a multi-tenant cell ([`run_mix_cell`]), digested
+/// for reporting.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeReport {
+    /// Which tenant this row accounts for.
+    pub tenant: String,
+    /// Pool topology the row was measured under: `isolated` or `shared`.
+    pub pool: String,
+    /// Offered load in queries per second.
+    pub offered_qps: f64,
+    /// Traffic-shape label (`poisson`, `bursty`, `onoff`).
+    pub traffic: String,
+    /// Batching policy label (`fifo`, `dynamic64w1ms`, …).
+    pub policy: String,
+    /// Replica shards serving the queue.
+    pub replicas: usize,
+    /// The tenant's own SLO, in milliseconds, that goodput is judged
+    /// against.
+    pub slo_ms: f64,
+    /// Requests completed (in time or not).
+    pub completed: usize,
+    /// Accelerator batches dispatched.
+    pub batches: usize,
+    /// Mean coalesced batch size.
+    pub mean_batch: f64,
+    /// Sustained completions per second.
+    pub achieved_qps: f64,
+    /// Completions that met the SLO, per second of span.
+    pub goodput_qps: f64,
+    /// Requests shed (admission + expiry).
+    pub shed: usize,
+    /// Requests shed at the admission gate.
+    pub shed_admission: usize,
+    /// Requests shed at dequeue (deadline already passed).
+    pub shed_expired: usize,
+    /// Completions that arrived after their deadline.
+    pub deadline_misses: usize,
+    /// Fault-plan label the cell ran under (`none`, `c1`, `c1s1t2`, …).
+    pub faults: String,
+    /// Requests permanently failed (retry budget exhausted).
+    pub failed: usize,
+    /// Answered availability: completed / generated (see the module
+    /// docs).
+    pub availability: f64,
+    /// Replica restarts the supervisor performed.
+    pub restarts: usize,
+    /// Re-serve attempts after crashes/datapath errors.
+    pub retries: usize,
+    /// Replicas dead at the end of the run (beyond the restart budget).
+    pub replicas_lost: usize,
+    /// Overdue batches' riders hedged to a sibling replica.
+    pub hedges: usize,
+    /// Hedged requests whose clone answered first.
+    pub hedge_wins: usize,
+    /// Duplicate results discarded by first-result-wins suppression.
+    pub duplicates_suppressed: usize,
+    /// Replica quarantine entries the health board performed.
+    pub quarantines: usize,
+    /// Quarantined replicas re-admitted after their backoff probe.
+    pub readmissions: usize,
+    /// End-to-end latency digest.
+    pub latency: LatencySummary,
 }
 
 /// One tenant's report row, with the per-tenant isolation invariant
@@ -846,7 +682,7 @@ fn tenant_report(
         traffic: tenant.traffic.shape.label().to_string(),
         policy: policy_label,
         replicas,
-        slo_ms: Some(tenant.slo.as_secs_f64() * 1e3),
+        slo_ms: tenant.slo.as_secs_f64() * 1e3,
         completed: outcome.completions.len(),
         batches: outcome.batches,
         mean_batch: outcome.mean_batch(),
@@ -902,7 +738,8 @@ mod tests {
             .with_service_estimate(Duration::from_millis(2))
             .with_admission_depth(64)
             .with_replicas(2)
-            .supervised(Supervision::default()),
+            .supervised(Supervision::default())
+            .with_faults(FaultSpec::crashes(1).with_seed(42)),
         ]
     }
 
@@ -933,8 +770,8 @@ mod tests {
             36
         );
         assert!((reports[0].offered_qps - 2_800.0).abs() < 1e-9);
-        assert_eq!(reports[0].slo_ms, Some(5.0));
-        assert_eq!(reports[1].slo_ms, Some(20.0));
+        assert_eq!(reports[0].slo_ms, 5.0);
+        assert_eq!(reports[1].slo_ms, 20.0);
         // Per-tenant calibrated policies are distinguishable in the labels.
         assert_ne!(reports[0].policy, reports[1].policy);
         assert!(reports[0].policy.contains("e300us"));
@@ -968,8 +805,83 @@ mod tests {
         assert_eq!(reports[0].replicas, 3);
         assert_eq!(reports[0].policy, reports[1].policy);
         // Per-tenant SLO columns keep each tenant's own budget.
-        assert_eq!(reports[0].slo_ms, Some(5.0));
-        assert_eq!(reports[1].slo_ms, Some(20.0));
+        assert_eq!(reports[0].slo_ms, 5.0);
+        assert_eq!(reports[1].slo_ms, 20.0);
+    }
+
+    /// A crash plan on the heavy tenant stays in its own pool when pools
+    /// are isolated, and taints every row when the pool is shared.
+    #[test]
+    fn isolation_confines_stress_to_the_heavy_tenant_pool() {
+        let cell = |mode| {
+            run_mix_cell(
+                CentaurConfig::harpv2(),
+                &two_tenants(),
+                mode,
+                4_000.0,
+                120,
+                11,
+            )
+            .unwrap()
+        };
+        let isolated = cell(PoolMode::Isolated);
+        let (light, heavy) = (&isolated[0], &isolated[1]);
+        assert_eq!(light.tenant, "light");
+        assert_eq!(heavy.tenant, "heavy");
+        assert_eq!(heavy.traffic, "heavytail");
+        assert_eq!(heavy.faults, "c1", "the crash plan lands on the heavy pool");
+        assert_eq!(
+            light.faults, "none",
+            "the isolated light pool never sees the heavy tenant's faults"
+        );
+        // Each tenant row is judged against its own SLO and runs its own
+        // calibrated deadline policy; the heavy model's budgets are larger.
+        assert!(heavy.slo_ms > light.slo_ms);
+        assert_ne!(light.policy, heavy.policy);
+        // The merged pool-level fault plan taints every shared row: there
+        // is no per-tenant fault budget.
+        let shared = cell(PoolMode::Shared);
+        assert!(shared
+            .iter()
+            .all(|r| r.pool == "shared" && r.faults == "c1"));
+    }
+
+    /// The fail-stop stall abort holds for a shared pool too: a 2 s stall
+    /// in one of two unsupervised tenants' pooled replicas aborts the run
+    /// with a diagnostic long before the stall would end.
+    #[test]
+    fn shared_fail_stop_pool_aborts_a_stalled_replica() {
+        let tenant = |name: &str, paper: PaperModel, share: f64| {
+            TenantSpec::new(
+                name,
+                tiny_model(paper, 12),
+                TenantTraffic::new(share, TrafficShape::Poisson),
+                Duration::from_millis(10),
+            )
+        };
+        let tenants = [
+            tenant("light", PaperModel::Dlrm1, 0.5),
+            tenant("heavy", PaperModel::Dlrm6, 0.5)
+                .with_faults(FaultSpec::none().with_stalls(1).with_stall_ms(2_000)),
+        ];
+        let started = std::time::Instant::now();
+        let result = run_mix_cell(
+            CentaurConfig::harpv2(),
+            &tenants,
+            PoolMode::Shared,
+            1_000.0,
+            400,
+            5,
+        );
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(result, Err(CentaurError::ReplicaStalled { .. })),
+            "expected a stall abort, got {result:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(1_500),
+            "stall abort surfaced in {elapsed:?}, not after the 2 s stall"
+        );
     }
 
     #[test]
@@ -978,23 +890,18 @@ mod tests {
         let heavy = tiny_model(PaperModel::Dlrm6, 6);
         let light_requests = generate_requests(light.config(), IndexDistribution::Uniform, 7, 3);
         let heavy_requests = generate_requests(heavy.config(), IndexDistribution::Uniform, 8, 3);
-        let mut merged = Vec::new();
-        let mut tenant_of = Vec::new();
-        for request in light_requests {
-            let id = merged.len() as u64;
-            tenant_of.push(0);
-            merged.push(request.with_id(id));
-        }
-        for request in heavy_requests {
-            let id = merged.len() as u64;
-            tenant_of.push(1);
-            merged.push(request.with_id(id));
-        }
+        let merged: Vec<InferenceRequest> = light_requests
+            .into_iter()
+            .chain(heavy_requests)
+            .enumerate()
+            .map(|(id, request)| request.with_id(id as u64))
+            .collect();
         let engines = vec![
             CentaurRuntime::new(light.clone(), CentaurConfig::harpv2()).unwrap(),
             CentaurRuntime::new(heavy.clone(), CentaurConfig::harpv2()).unwrap(),
         ];
-        let mut server = MixServer::new(engines, &merged, &tenant_of, 8);
+        // Tenant 0 owns requests 0..3, tenant 1 owns 3..6.
+        let mut server = MixServer::new(engines, &merged, &[0, 3], 8);
         // An interleaved batch across both tenants.
         let batch: Vec<QueuedRequest> = [0usize, 3, 1, 4, 2, 5]
             .iter()
@@ -1009,7 +916,7 @@ mod tests {
         let mut probe = [0.0f32];
         for (queued, &probability) in batch.iter().zip(&out) {
             let request = &merged[queued.index];
-            let reference = if tenant_of[queued.index] == 0 {
+            let reference = if queued.index < 3 {
                 &mut light_ref
             } else {
                 &mut heavy_ref
@@ -1025,6 +932,25 @@ mod tests {
             assert_eq!(probability, probe[0], "request {}", queued.index);
         }
         assert_eq!(server.request_id(4), 4);
+    }
+
+    /// A single model is a one-tenant server: it serves a batch, echoes
+    /// ids, and reuses its buffers for a smaller batch.
+    #[test]
+    fn one_tenant_mix_server_serves_batches_and_echoes_ids() {
+        let model = tiny_model(PaperModel::Dlrm1, 3);
+        let requests = generate_requests(model.config(), IndexDistribution::Uniform, 4, 8);
+        let runtime = CentaurRuntime::new(model, CentaurConfig::harpv2()).unwrap();
+        let mut server = MixServer::new(vec![runtime], &requests, &[0], 4);
+        let batch: Vec<QueuedRequest> = (0..4).map(|i| QueuedRequest::new(i, 0.0)).collect();
+        let mut out = Vec::new();
+        server.serve_batch(&batch, &mut out).unwrap();
+        assert_eq!(out.len(), 4, "one probability per batch entry");
+        assert!(out.iter().all(|p| (0.0..=1.0).contains(p)));
+        assert_eq!(server.request_id(3), requests[3].id);
+        // A second serve reuses the buffers and can shrink the batch.
+        server.serve_batch(&batch[..2], &mut out).unwrap();
+        assert_eq!(out.len(), 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The replica supervisor: crash-tolerant serving on top of the arrival
-//! queue's in-flight accounting.
+//! The replica supervisor's parts: crash-tolerant serving on top of the
+//! arrival queue's in-flight accounting. The serving engine's worker loop
+//! and monitor drive them.
 //!
-//! Pre-supervision, any replica-worker panic or datapath error aborted the
-//! whole replay (`guard_worker` flips the abort flag and closes the queue).
+//! Fail-stop, any replica panic or datapath error aborts the whole replay.
 //! Supervision replaces that all-or-nothing contract with the production
 //! one — node loss is routine, the pool degrades gracefully:
 //!
@@ -19,25 +19,16 @@
 //!   admission/deadline machinery;
 //! * only unrecoverable states abort: when the **last** live replica dies,
 //!   the run aborts with the *first* crash's original panic payload
-//!   preserved, exactly like the unsupervised path.
+//!   preserved, exactly like the fail-stop path.
 //!
 //! The accounting invariant this module exists to uphold: every request the
 //! queue ever accepted ends in exactly one of completed / shed / failed.
 
-use crate::fault::FaultGuard;
-use crate::harness::Completion;
-use crate::policy::BatchPolicy;
 use crate::queue::{ArrivalQueue, QueuedRequest};
-use crate::server::BatchServer;
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// How often a quarantined worker re-checks its re-admission probe (and
-/// whether the replay is still running).
-const QUARANTINE_PROBE_TICK: Duration = Duration::from_micros(500);
+use std::time::Duration;
 
 /// EWMA smoothing factor for per-replica batch service time: each new
 /// observation carries this weight.
@@ -271,12 +262,6 @@ impl HealthBoard {
         }
     }
 
-    /// A board that never strikes or quarantines — for pools that run the
-    /// supervised loop without a watchdog (hedging disabled).
-    pub fn disabled(replicas: usize) -> Self {
-        HealthBoard::new(replicas, f64::INFINITY, u32::MAX, Duration::from_secs(1))
-    }
-
     /// Records one served batch: updates the service-time EWMA, counts a
     /// strike when service exceeded the timeout, and otherwise credits a
     /// clean batch (probation works back to healthy after
@@ -392,14 +377,9 @@ impl HealthBoard {
     }
 }
 
-/// State shared between the harness and every supervised replica: recorded
-/// completions, pool-wide budgets and the first crash's preserved payload.
+/// State every replica of one run shares: the pool-wide restart budget, the
+/// live count and the first crash's preserved payload.
 pub(crate) struct SupervisorShared {
-    /// Completions from every replica (pre-reserved to the request count so
-    /// the recording path never allocates).
-    pub completions: Mutex<Vec<Completion>>,
-    /// Accelerator batches dispatched across the pool.
-    pub batches: AtomicUsize,
     /// Restarts consumed from the pool-wide budget.
     pub restarts: AtomicUsize,
     /// Replicas still alive (dead = crashed beyond the restart budget).
@@ -410,14 +390,17 @@ pub(crate) struct SupervisorShared {
 }
 
 impl SupervisorShared {
-    pub fn new(replicas: usize, requests: usize) -> Self {
+    pub fn new(replicas: usize) -> Self {
         SupervisorShared {
-            completions: Mutex::new(Vec::with_capacity(requests)),
-            batches: AtomicUsize::new(0),
             restarts: AtomicUsize::new(0),
             live: AtomicUsize::new(replicas),
             payload: Mutex::new(None),
         }
+    }
+
+    /// Takes the preserved payload, if a replica died.
+    pub fn take_payload(&self) -> Option<Box<dyn Any + Send>> {
+        self.payload.lock().expect("payload slot poisoned").take()
     }
 
     /// Claims one restart from the pool-wide budget; `false` once spent.
@@ -451,249 +434,10 @@ impl SupervisorShared {
     }
 }
 
-/// One supervised replica: runs [`supervised_worker_loop`] under a panic
-/// guard, and on a crash recovers the in-flight batch (requeue against the
-/// retry budget), then restarts the replica with a fresh `respawn()`-built
-/// backend while the pool-wide restart budget lasts. A replica beyond the
-/// budget stays dead; the death of the *last* replica flips the abort flag
-/// and abandons the queue so the harness can re-raise the preserved panic
-/// payload.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn supervise_replica<S: BatchServer>(
-    queue: &ArrivalQueue,
-    mut server: S,
-    respawn: &(dyn Fn() -> S + Sync),
-    policy: BatchPolicy,
-    start: Instant,
-    supervision: Supervision,
-    mut guard: FaultGuard,
-    inflight: &InFlightSlot,
-    health: &HealthBoard,
-    shared: &SupervisorShared,
-    abort: &AtomicBool,
-    replica: usize,
-) {
-    loop {
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            supervised_worker_loop(
-                queue,
-                &mut server,
-                policy,
-                start,
-                supervision.retry_limit,
-                &mut guard,
-                inflight,
-                health,
-                shared,
-                replica,
-            )
-        }));
-        let payload = match crashed {
-            Ok(()) => return, // queue drained (or aborted); clean exit
-            Err(payload) => payload,
-        };
-        // Crash recovery: the published batch went down with the worker —
-        // requeue it (original arrival stamps) against the retry budget.
-        let (riders, hedged) = inflight.recover();
-        for request in riders {
-            requeue_or_fail(queue, request, supervision.retry_limit, hedged);
-        }
-        if shared.try_consume_restart(supervision.restart_budget) {
-            // Fresh backend (shard clone + staging buffers): never reuse
-            // state a panic unwound through.
-            server = respawn();
-            continue;
-        }
-        // Beyond the restart budget: this replica stays dead. Survivors
-        // absorb the load; only the last death is unrecoverable.
-        if shared.replica_died(payload) {
-            abort.store(true, Ordering::Relaxed);
-            queue.close_abort();
-        }
-        return;
-    }
-}
-
-/// One supervised replica's serving loop. Differences from the unsupervised
-/// loop: the replica's health gates every pull (quarantined replicas park
-/// on backoff probes instead of taking work), every batch is published
-/// in-flight — dispatch-stamped for the watchdog — before anything can
-/// fail, the fault guard is polled once per batch (crash events panic
-/// here, inside the supervisor's catch), injected transients and real
-/// datapath errors strike the replica's health and requeue work against
-/// the retry budget instead of killing the run, and a failing batch is
-/// re-served request-by-request so one poison request cannot burn its
-/// co-riders' budgets. Completions resolve through
-/// [`ArrivalQueue::complete_batch`] so a hedged sibling's result is
-/// counted once and a straggler's duplicate answer is discarded.
-#[allow(clippy::too_many_arguments)]
-fn supervised_worker_loop<S: BatchServer>(
-    queue: &ArrivalQueue,
-    server: &mut S,
-    policy: BatchPolicy,
-    start: Instant,
-    retry_limit: u32,
-    guard: &mut FaultGuard,
-    inflight: &InFlightSlot,
-    health: &HealthBoard,
-    shared: &SupervisorShared,
-    replica: usize,
-) {
-    let mut batch: Vec<QueuedRequest> = Vec::with_capacity(policy.max_batch());
-    let mut probabilities: Vec<f32> = Vec::with_capacity(policy.max_batch());
-    let mut primary: Vec<bool> = Vec::with_capacity(policy.max_batch());
-    loop {
-        // Quarantine gate: a distrusted replica stops pulling work until
-        // its backoff probe expires (or the replay ends around it).
-        while !health.may_pull(replica, start.elapsed().as_secs_f64()) {
-            if queue.is_aborted() || queue.is_finished() {
-                return;
-            }
-            std::thread::sleep(QUARANTINE_PROBE_TICK);
-        }
-        if !queue.pop_batch(policy, &mut batch) {
-            return;
-        }
-        let dispatched_s = start.elapsed().as_secs_f64();
-        inflight.publish(&batch, dispatched_s);
-        if guard.intercept(replica, dispatched_s).is_err() {
-            // Injected transient: the whole batch's attempt failed, the
-            // replica survives — struck, not crashed. Retry or fail each
-            // rider.
-            health.record_transient(replica, start.elapsed().as_secs_f64());
-            let hedged = inflight.clear();
-            for &request in &batch {
-                requeue_or_fail(queue, request, retry_limit, hedged);
-            }
-            continue;
-        }
-        match server.serve_batch(&batch, &mut probabilities) {
-            Ok(()) => {
-                let served_s = start.elapsed().as_secs_f64();
-                guard.apply_degradation(Duration::from_secs_f64(served_s - dispatched_s));
-                let hedged = inflight.clear();
-                queue.complete_batch(&batch, hedged, &mut primary);
-                record(shared, &*server, &batch, &probabilities, &primary, start);
-                health.record_service(
-                    replica,
-                    start.elapsed().as_secs_f64() - dispatched_s,
-                    start.elapsed().as_secs_f64(),
-                );
-            }
-            Err(_) if batch.len() == 1 => {
-                health.record_transient(replica, start.elapsed().as_secs_f64());
-                let hedged = inflight.clear();
-                requeue_or_fail(queue, batch[0], retry_limit, hedged);
-            }
-            Err(_) => {
-                // Poison isolation: one bad request failed the whole batch.
-                // Re-serve request-by-request so the innocent co-riders
-                // complete now and only the poison burns its retry budget.
-                health.record_transient(replica, start.elapsed().as_secs_f64());
-                let hedged = inflight.clear();
-                for i in 0..batch.len() {
-                    let request = batch[i];
-                    match server.serve_batch(&batch[i..=i], &mut probabilities) {
-                        Ok(()) => {
-                            queue.complete_batch(&batch[i..=i], hedged, &mut primary);
-                            record(
-                                shared,
-                                &*server,
-                                &batch[i..=i],
-                                &probabilities,
-                                &primary,
-                                start,
-                            );
-                        }
-                        Err(_) => requeue_or_fail(queue, request, retry_limit, hedged),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Records one served batch's completions into the shared log (pre-reserved
-/// — no allocation) and counts the dispatch. `primary` is the mask
-/// [`ArrivalQueue::complete_batch`] produced: suppressed duplicates are
-/// discarded here, never recorded twice.
-fn record<S: BatchServer>(
-    shared: &SupervisorShared,
-    server: &S,
-    batch: &[QueuedRequest],
-    probabilities: &[f32],
-    primary: &[bool],
-    start: Instant,
-) {
-    let completed_s = start.elapsed().as_secs_f64();
-    let mut completions = shared.completions.lock().expect("completions poisoned");
-    for ((queued, &probability), &keep) in batch.iter().zip(probabilities).zip(primary) {
-        if !keep {
-            continue;
-        }
-        completions.push(Completion {
-            id: server.request_id(queued.index),
-            arrival_s: queued.arrival_s,
-            completed_s,
-            probability,
-        });
-    }
-    drop(completions);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The stall watchdog: polls every replica's [`InFlightSlot`] on a tick a
-/// quarter of the hedge timeout and, when a published batch's age crosses
-/// the timeout, strikes the straggler's health and — once per dispatch,
-/// `hedge` permitting — clones the overdue riders back into the queue so a
-/// healthy sibling races the stall. Ages are measured per *dispatch*
-/// (escalating multiples of the timeout), so one long stall strikes
-/// repeatedly while a busy-but-healthy replica is left alone. All
-/// bookkeeping is preallocated before the loop: a fault-free replay runs
-/// this monitor allocation-free.
-pub(crate) fn watchdog_monitor(
-    queue: &ArrivalQueue,
-    slots: &[InFlightSlot],
-    health: &HealthBoard,
-    hedge: bool,
-    timeout_s: f64,
-    max_batch: usize,
-    start: Instant,
-) {
-    let tick = Duration::from_secs_f64((timeout_s / 4.0).clamp(100e-6, 50e-3));
-    // Per replica: the dispatch stamp last seen and how many times that
-    // same dispatch has already been struck.
-    let mut book: Vec<(f64, u32)> = vec![(f64::NAN, 0); slots.len()];
-    let mut riders: Vec<QueuedRequest> = Vec::with_capacity(max_batch);
-    while !queue.is_aborted() && !queue.is_finished() {
-        std::thread::sleep(tick);
-        let now_s = start.elapsed().as_secs_f64();
-        for (replica, slot) in slots.iter().enumerate() {
-            let Some((dispatched_s, hedged)) = slot.probe() else {
-                book[replica] = (f64::NAN, 0);
-                continue;
-            };
-            if book[replica].0 != dispatched_s {
-                book[replica] = (dispatched_s, 0);
-            }
-            let strikes = book[replica].1;
-            if now_s - dispatched_s <= timeout_s * (strikes + 1) as f64 {
-                continue;
-            }
-            book[replica].1 = strikes + 1;
-            health.record_overdue(replica, now_s);
-            if hedge && !hedged && slot.overdue_riders(now_s, timeout_s, &mut riders) {
-                for &rider in riders.iter() {
-                    queue.hedge(rider);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::BatchPolicy;
 
     #[test]
     fn in_flight_slot_publishes_and_recovers_the_exact_batch() {
@@ -817,33 +561,18 @@ mod tests {
     }
 
     #[test]
-    fn disabled_health_board_never_quarantines() {
-        let board = HealthBoard::disabled(1);
-        for i in 0..100 {
-            board.record_service(0, 1e9, i as f64);
-        }
-        assert_eq!(
-            board.health(0),
-            ReplicaHealth::Healthy,
-            "an infinite timeout never registers a strike"
-        );
-        assert!(board.may_pull(0, 1.0));
-        assert_eq!(board.quarantines(), 0);
-    }
-
-    #[test]
     fn restart_budget_is_pool_wide_and_exact() {
-        let shared = SupervisorShared::new(2, 0);
+        let shared = SupervisorShared::new(2);
         assert!(shared.try_consume_restart(2));
         assert!(shared.try_consume_restart(2));
         assert!(!shared.try_consume_restart(2), "budget of 2 allows 2");
         assert_eq!(shared.restarts.load(Ordering::Relaxed), 2);
-        assert!(!SupervisorShared::new(1, 0).try_consume_restart(0));
+        assert!(!SupervisorShared::new(1).try_consume_restart(0));
     }
 
     #[test]
     fn last_replica_death_is_flagged_and_first_payload_kept() {
-        let shared = SupervisorShared::new(2, 0);
+        let shared = SupervisorShared::new(2);
         assert!(
             !shared.replica_died(Box::new("first crash")),
             "one of two deaths is survivable"
@@ -852,7 +581,7 @@ mod tests {
             shared.replica_died(Box::new("second crash")),
             "last death is unrecoverable"
         );
-        let payload = shared.payload.lock().unwrap().take().unwrap();
+        let payload = shared.take_payload().unwrap();
         assert_eq!(
             payload.downcast_ref::<&str>().copied(),
             Some("first crash"),

@@ -563,14 +563,14 @@ fn steady_state_inference_paths_do_not_allocate() {
     // position scratch and the output buffer, sustained fault-free
     // multi-tenant serving — push with interleaved per-tenant deadlines,
     // EDF pop, route, batch-serve, complete — must not touch the heap.
-    use centaur_serve::{BatchServer, MixServer};
+    use centaur_serve::MixServer;
     let tenant_b_model = DlrmModel::random(&config, 12).unwrap();
     let mix_engines = vec![
         centaur::CentaurRuntime::harpv2(model.clone()).unwrap(),
         centaur::CentaurRuntime::harpv2(tenant_b_model).unwrap(),
     ];
-    let tenant_of: Vec<usize> = (0..batch).map(|s| s % 2).collect();
-    let mut mix_server = MixServer::new(mix_engines, &requests, &tenant_of, batch);
+    let tenant_of: Vec<usize> = (0..batch).map(|s| s * 2 / batch).collect();
+    let mut mix_server = MixServer::new(mix_engines, &requests, &[0, batch / 2], batch);
     let edf_queue = ArrivalQueue::with_config(AdmissionConfig {
         max_depth: None,
         shed_expired: false,
