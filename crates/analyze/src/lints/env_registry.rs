@@ -1,19 +1,14 @@
-//! `env-knob-registry`: every `CENTAUR_*` environment knob is read
-//! through the warn-once parsers and documented in the README.
+//! `env-knob-registry`: the workspace reads no `CENTAUR_*` environment
+//! knob, and any knob name in production code is documented in the README.
 //!
-//! The repo's contract (established in PR 4 and held since) is that a
-//! misspelled knob value *warns once* naming the accepted set instead of
-//! silently defaulting. That only works if every `std::env::var` read of
-//! a `CENTAUR_*` knob lives in the registry module that implements the
-//! contract — and a knob nobody can find in the README may as well not
-//! exist. Three checks:
+//! Every tuning value is set in code, so a run's behaviour follows from
+//! its arguments alone — and a knob nobody can find in the README may as
+//! well not exist. Two checks:
 //!
 //! 1. every knob literal appearing in production code is documented in
 //!    `README.md`;
 //! 2. every `env::var("CENTAUR_…")` read site lives in a registry module
-//!    ([`REGISTRY_MODULES`]);
-//! 3. every read site's enclosing function calls a `parse_*` helper (the
-//!    unit-testable half of the warn-once contract).
+//!    ([`REGISTRY_MODULES`], empty: any read is a finding).
 //!
 //! Knob literals that appear **only** in test code (e.g. a `set_var` in a
 //! test) are exempt from the README requirement.
@@ -23,18 +18,17 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 
-/// The modules allowed to read `CENTAUR_*` knobs from the environment —
-/// each implements the warn-once `OnceLock` + `parse_*` contract.
-pub const REGISTRY_MODULES: &[&str] = &["crates/serve/src/env.rs"];
+/// The modules allowed to read `CENTAUR_*` knobs from the environment:
+/// none, since every tuning value is set in code.
+pub const REGISTRY_MODULES: &[&str] = &[];
 
 /// Cross-file state accumulated by [`check_file`], resolved by [`finish`].
 #[derive(Debug, Default)]
 pub struct EnvRegistry {
     /// knob → first (path, line) sighting in non-test code.
     production_knobs: BTreeMap<String, (String, u32)>,
-    /// `env::var("CENTAUR_…")` read sites: (knob, path, line, enclosing
-    /// fn calls a `parse_*` helper).
-    read_sites: Vec<(String, String, u32, bool)>,
+    /// `env::var("CENTAUR_…")` read sites: (knob, path, line).
+    read_sites: Vec<(String, String, u32)>,
 }
 
 /// Extracts `CENTAUR_[A-Z0-9_]+` knob names from a string literal.
@@ -76,17 +70,7 @@ impl EnvRegistry {
                     && file.tokens[i - 1].is_punct('(')
                     && file.tokens[i - 2].is_ident("var");
                 if is_read {
-                    let has_parser = file
-                        .enclosing_fn(i)
-                        .and_then(|f| f.body)
-                        .map(|(lo, hi)| {
-                            file.tokens[lo..=hi]
-                                .iter()
-                                .any(|t| t.kind == TokenKind::Ident && t.text.starts_with("parse_"))
-                        })
-                        .unwrap_or(false);
-                    self.read_sites
-                        .push((knob, file.path.clone(), t.line, has_parser));
+                    self.read_sites.push((knob, file.path.clone(), t.line));
                 }
             }
         }
@@ -107,29 +91,16 @@ impl EnvRegistry {
                 });
             }
         }
-        for (knob, path, line, has_parser) in &self.read_sites {
-            let in_registry = REGISTRY_MODULES.iter().any(|m| path.ends_with(m));
-            if !in_registry {
+        for (knob, path, line) in &self.read_sites {
+            if !REGISTRY_MODULES.iter().any(|m| path.ends_with(m)) {
                 out.push(Diagnostic {
                     path: path.clone(),
                     line: *line,
                     rule: "env-knob-registry",
                     message: format!(
                         "`{knob}` is read from the environment outside the \
-                         registry modules ({}) — route it through a warn-once \
-                         accessor there instead",
+                         registry modules [{}] — set the value in code instead",
                         REGISTRY_MODULES.join(", ")
-                    ),
-                });
-            } else if !has_parser {
-                out.push(Diagnostic {
-                    path: path.clone(),
-                    line: *line,
-                    rule: "env-knob-registry",
-                    message: format!(
-                        "`{knob}` is read without a `parse_*` helper in the \
-                         enclosing function — the warn-once contract needs a \
-                         pure, unit-testable parser"
                     ),
                 });
             }
@@ -172,7 +143,7 @@ mod tests {
     #[test]
     fn undocumented_production_knob_is_flagged() {
         let out = run(&[(
-            "crates/serve/src/env.rs",
+            "crates/serve/src/harness.rs",
             r#"pub fn f() { let _ = parse_x("CENTAUR_SECRET_KNOB"); }"#,
         )]);
         assert_eq!(out.len(), 1, "{out:?}");
@@ -197,20 +168,5 @@ mod tests {
         )]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].contains("outside the registry modules"));
-    }
-
-    #[test]
-    fn registry_read_with_parser_passes_without_parser_fails() {
-        let good = run(&[(
-            "crates/serve/src/env.rs",
-            r#"pub fn hedge() -> f64 { match std::env::var("CENTAUR_SERVE_HEDGE_MS") { Ok(v) => parse_serve_hedge_ms(&v).unwrap_or(5.0), Err(_) => 5.0 } }"#,
-        )]);
-        assert!(good.is_empty(), "{good:?}");
-        let bad = run(&[(
-            "crates/serve/src/env.rs",
-            r#"pub fn hedge() -> f64 { std::env::var("CENTAUR_SERVE_HEDGE_MS").unwrap().parse().unwrap() }"#,
-        )]);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("without a `parse_*` helper"));
     }
 }

@@ -7,7 +7,7 @@
 //! | `alloc-free-path`    | zero-alloc steady-state serving: `*_into`/`*_ws` hot-path functions must not lexically allocate |
 //! | `unsafe-audit`       | every `unsafe` site carries a `// SAFETY:` comment within 3 lines |
 //! | `lock-discipline`    | no nested `.lock()` under a live guard; `Condvar::wait` only inside a retry loop; no foreign guard held across a wait |
-//! | `env-knob-registry`  | every `CENTAUR_*` knob is read via the warn-once parsers and documented in README |
+//! | `env-knob-registry`  | no `CENTAUR_*` knob is read from the environment (the registry is empty), and every knob name in production code is documented in README |
 //! | `suppression`        | (framework) suppressions are well-formed, reasoned, and actually silence something |
 
 pub mod alloc_free;

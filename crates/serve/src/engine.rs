@@ -110,9 +110,10 @@ pub(crate) fn serve(
     }
     let replicas = servers.len();
     let queue = ArrivalQueue::with_config(options.admission());
-    // Worst case every request is shed: pre-grow the log so the shedding
-    // path stays allocation-free in steady state.
-    queue.reserve_shed(requests.len());
+    // Size the fate table for every index and the shed log for the worst
+    // case (every request shed), so the replay stays allocation-free in
+    // steady state.
+    queue.reserve(requests.len());
     let health = options.hedge.map(|hedge| {
         HealthBoard::new(
             replicas,
@@ -306,9 +307,8 @@ impl Pool {
                 self.abort();
                 return Ok(log);
             };
-            let (riders, hedged) = self.slots[replica].recover();
-            for request in riders {
-                requeue_or_fail(&self.queue, request, supervision.retry_limit, hedged);
+            for request in self.slots[replica].recover() {
+                requeue_or_fail(&self.queue, request, supervision.retry_limit);
             }
             if self.shared.try_consume_restart(supervision.restart_budget) {
                 server = template.lock().expect("template poisoned").clone();
@@ -364,9 +364,9 @@ impl Pool {
                 // survives — struck, not crashed.
                 let retry_limit = self.retry_limit(error)?;
                 self.strike(replica);
-                let hedged = inflight.clear();
+                inflight.clear();
                 for &request in &batch {
-                    requeue_or_fail(queue, request, retry_limit, hedged);
+                    requeue_or_fail(queue, request, retry_limit);
                 }
                 continue;
             }
@@ -374,8 +374,8 @@ impl Pool {
                 Ok(()) => {
                     let served_s = self.now_s();
                     guard.apply_degradation(Duration::from_secs_f64(served_s - dispatched_s));
-                    let hedged = inflight.clear();
-                    self.record(server, &batch, &probabilities, hedged, &mut primary, log);
+                    inflight.clear();
+                    self.record(server, &batch, &probabilities, &mut primary, log);
                     if let Some(health) = &self.health {
                         let now_s = self.now_s();
                         health.record_service(replica, now_s - dispatched_s, now_s);
@@ -384,18 +384,16 @@ impl Pool {
                 Err(error) => {
                     let retry_limit = self.retry_limit(error)?;
                     self.strike(replica);
-                    let hedged = inflight.clear();
+                    inflight.clear();
                     if batch.len() == 1 {
-                        requeue_or_fail(queue, batch[0], retry_limit, hedged);
+                        requeue_or_fail(queue, batch[0], retry_limit);
                         continue;
                     }
                     for i in 0..batch.len() {
                         let one = &batch[i..=i];
                         match server.serve_batch(one, &mut probabilities) {
-                            Ok(()) => {
-                                self.record(server, one, &probabilities, hedged, &mut primary, log)
-                            }
-                            Err(_) => requeue_or_fail(queue, batch[i], retry_limit, hedged),
+                            Ok(()) => self.record(server, one, &probabilities, &mut primary, log),
+                            Err(_) => requeue_or_fail(queue, batch[i], retry_limit),
                         }
                     }
                 }
@@ -425,11 +423,10 @@ impl Pool {
         server: &MixServer<'_>,
         batch: &[QueuedRequest],
         probabilities: &[f32],
-        hedged: bool,
         primary: &mut Vec<bool>,
         log: &mut ReplicaLog,
     ) {
-        self.queue.complete_batch(batch, hedged, primary);
+        self.queue.complete_batch(batch, primary);
         let completed_s = self.now_s();
         for ((queued, &probability), &keep) in batch.iter().zip(probabilities).zip(primary.iter()) {
             if keep {

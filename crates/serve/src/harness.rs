@@ -8,7 +8,7 @@ use crate::engine;
 use crate::fault::FaultPlan;
 use crate::mix::MixServer;
 use crate::policy::BatchPolicy;
-use crate::queue::{AdmissionConfig, DequeueOrder};
+use crate::queue::AdmissionConfig;
 use crate::stage::ReplicaStage;
 use crate::supervisor::Supervision;
 use centaur::{CentaurConfig, CentaurError, CentaurRuntime};
@@ -47,6 +47,13 @@ impl Completion {
     }
 }
 
+/// Health strikes before a struck replica is quarantined: one overdue batch
+/// is noise, three in a row is a slow node.
+const QUARANTINE_STRIKES: u32 = 3;
+
+/// First quarantine backoff; each repeat offence doubles it.
+const QUARANTINE_BACKOFF: Duration = Duration::from_millis(25);
+
 /// The tail-tolerance layer's tuning: how stale an in-flight batch must be
 /// before the watchdog hedges it to a sibling, and how the straggler's
 /// health strikes convert into quarantine.
@@ -72,14 +79,12 @@ impl HedgeConfig {
     pub const FALLBACK_TIMEOUT: Duration = Duration::from_millis(5);
 
     /// A hedge config with an explicit timeout and the built-in quarantine
-    /// defaults (see [`crate::env::DEFAULT_SERVE_QUARANTINE_STRIKES`]).
+    /// tuning: 3 strikes, a 25 ms first backoff.
     pub fn new(timeout: Duration) -> Self {
         HedgeConfig {
             timeout,
-            quarantine_strikes: crate::env::DEFAULT_SERVE_QUARANTINE_STRIKES,
-            quarantine_backoff: Duration::from_secs_f64(
-                crate::env::DEFAULT_SERVE_QUARANTINE_BACKOFF_MS / 1e3,
-            ),
+            quarantine_strikes: QUARANTINE_STRIKES,
+            quarantine_backoff: QUARANTINE_BACKOFF,
         }
     }
 
@@ -90,36 +95,23 @@ impl HedgeConfig {
         self
     }
 
-    /// The deployment-default config: the timeout comes from
-    /// `CENTAUR_SERVE_HEDGE_MS` when set, else is derived from the tenant
-    /// SLO and the policy's calibrated service estimate — twice the
-    /// estimate (a healthy batch at double its expected service is a
-    /// straggler) capped at half the SLO (hedging later leaves the sibling
-    /// no budget to answer in), floored at [`Self::MIN_TIMEOUT`], falling
-    /// back to [`Self::FALLBACK_TIMEOUT`] when neither anchor exists.
-    /// Quarantine tuning comes from the `CENTAUR_SERVE_QUARANTINE_*` knobs.
+    /// The deployment-default config, with the quarantine tuning of
+    /// [`new`](Self::new). The timeout is derived from the tenant SLO and
+    /// the policy's calibrated service estimate — twice the estimate (a
+    /// healthy batch at double its expected service is a straggler) capped
+    /// at half the SLO (hedging later leaves the sibling no budget to
+    /// answer in), floored at [`Self::MIN_TIMEOUT`], falling back to
+    /// [`Self::FALLBACK_TIMEOUT`] when neither anchor exists.
     pub fn derived(slo: Option<Duration>, policy: BatchPolicy) -> Self {
-        let timeout = match crate::env::serve_hedge_ms() {
-            Some(ms) => Duration::from_secs_f64(ms / 1e3),
-            None => {
-                let from_estimate = policy.dispatch_slack().map(|estimate| estimate * 2);
-                let from_slo = slo.map(|slo| slo / 2);
-                match (from_estimate, from_slo) {
-                    (Some(estimate), Some(slo)) => estimate.min(slo),
-                    (Some(estimate), None) => estimate,
-                    (None, Some(slo)) => slo,
-                    (None, None) => Self::FALLBACK_TIMEOUT,
-                }
-                .max(Self::MIN_TIMEOUT)
-            }
+        let from_estimate = policy.dispatch_slack().map(|estimate| estimate * 2);
+        let from_slo = slo.map(|slo| slo / 2);
+        let timeout = match (from_estimate, from_slo) {
+            (Some(estimate), Some(slo)) => estimate.min(slo),
+            (Some(estimate), None) => estimate,
+            (None, Some(slo)) => slo,
+            (None, None) => Self::FALLBACK_TIMEOUT,
         };
-        HedgeConfig {
-            timeout,
-            quarantine_strikes: crate::env::serve_quarantine_strikes(),
-            quarantine_backoff: Duration::from_secs_f64(
-                crate::env::serve_quarantine_backoff_ms() / 1e3,
-            ),
-        }
+        HedgeConfig::new(timeout.max(Self::MIN_TIMEOUT))
     }
 }
 
@@ -142,9 +134,6 @@ pub struct ServeOptions {
     /// requeued (original arrival stamps), replicas restart up to the
     /// budget, and only unrecoverable states abort.
     pub supervision: Option<Supervision>,
-    /// Dequeue order for the backlog: FIFO (default) or
-    /// earliest-deadline-first.
-    pub order: DequeueOrder,
     /// Tail tolerance under supervision: `Some` arms the stall watchdog —
     /// overdue batches are hedged to a healthy sibling (first result wins,
     /// the straggler's duplicate is suppressed) and persistently slow
@@ -185,12 +174,6 @@ impl ServeOptions {
         self
     }
 
-    /// The same options under a different dequeue order.
-    pub fn with_order(mut self, order: DequeueOrder) -> Self {
-        self.order = order;
-        self
-    }
-
     /// The same options with the stall watchdog armed (supervised runs
     /// only): overdue batches hedge to a sibling and slow replicas are
     /// quarantined per `hedge`.
@@ -208,7 +191,6 @@ impl ServeOptions {
         AdmissionConfig {
             max_depth: self.admission_depth,
             shed_expired: self.shed_expired,
-            order: self.order,
         }
     }
 }
@@ -873,8 +855,6 @@ mod tests {
 
     #[test]
     fn derived_hedge_timeouts_follow_the_slo_and_service_estimate() {
-        // Env knobs are unset in the test suite, so derivation anchors on
-        // the arguments alone.
         assert_eq!(
             HedgeConfig::derived(None, BatchPolicy::Fifo).timeout,
             HedgeConfig::FALLBACK_TIMEOUT,

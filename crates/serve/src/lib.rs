@@ -13,10 +13,12 @@
 //!   deadline-aware dynamic batching (additionally dispatch partial when
 //!   the oldest held request's SLO slack runs out);
 //! * [`ArrivalQueue`] — the shared arrival queue between the open-loop load
-//!   generator and the replica workers, with an optional admission gate
-//!   (bounded depth, shed at enqueue) and dequeue shedding of already-dead
-//!   requests, both configured through [`AdmissionConfig`] /
-//!   [`ServeOptions`] and always counted — never silent;
+//!   generator and the replica workers: one backlog in earliest-deadline
+//!   order (arrival order when every request carries the same SLO), one
+//!   fate byte per request for first-result-wins hedging, an optional
+//!   admission gate (bounded depth, shed at enqueue) and dequeue shedding
+//!   of already-dead requests, both configured through [`AdmissionConfig`]
+//!   / [`ServeOptions`] and always counted — never silent;
 //! * [`ReplicaStage`] — per-replica staging buffers that copy a coalesced
 //!   batch into batch-major form and run the accelerator's batched path,
 //!   zero heap allocations in steady state;
@@ -40,8 +42,9 @@
 //! mix), N arrival streams, one worker loop and at most one monitor. The
 //! error policy comes from [`ServeOptions::supervision`]: `None` is
 //! fail-stop (the first error or panic aborts the run, and under an SLO so
-//! does a stalled batch), `Some` is supervision. Performance is measured by
-//! the `bench_ledger` benchmark, not here.
+//! does a stalled batch), `Some` is supervision. Every tuning value is set in
+//! code; the crate reads no environment variables. Performance is measured
+//! by the `bench_ledger` benchmark, not here.
 //!
 //! ```no_run
 //! use centaur::{CentaurConfig, CentaurRuntime};
@@ -66,7 +69,6 @@
 #![warn(rust_2018_idioms)]
 
 mod engine;
-pub mod env;
 pub mod fault;
 pub mod harness;
 pub mod mix;
@@ -75,12 +77,6 @@ pub mod queue;
 pub mod stage;
 pub mod supervisor;
 
-pub use env::{
-    parse_serve_hedge_ms, parse_serve_quarantine_backoff_ms, parse_serve_quarantine_strikes,
-    serve_hedge_ms, serve_quarantine_backoff_ms, serve_quarantine_strikes,
-    DEFAULT_SERVE_QUARANTINE_BACKOFF_MS, DEFAULT_SERVE_QUARANTINE_STRIKES, SERVE_HEDGE_MS_VALUES,
-    SERVE_QUARANTINE_BACKOFF_MS_VALUES, SERVE_QUARANTINE_STRIKES_VALUES,
-};
 pub use fault::{FaultEvent, FaultGuard, FaultKind, FaultPlan, FaultSpec};
 pub use harness::{
     calibrate_fifo_capacity_qps, generate_requests, serve_replay, serve_replay_faulted,
@@ -88,6 +84,6 @@ pub use harness::{
 };
 pub use mix::{run_mix_cell, MixServer, PoolMode, ServeReport, TenantSpec};
 pub use policy::{relative_sample_cost, scaled_service_estimate, BatchPolicy};
-pub use queue::{AdmissionConfig, ArrivalQueue, DequeueOrder, QueuedRequest};
+pub use queue::{AdmissionConfig, ArrivalQueue, QueuedRequest};
 pub use stage::ReplicaStage;
 pub use supervisor::{requeue_or_fail, HealthBoard, InFlightSlot, ReplicaHealth, Supervision};

@@ -9,12 +9,13 @@
 //! tenant specs:
 //!
 //! * **Isolated** ([`PoolMode::Isolated`]): each tenant gets its own
-//!   [`ArrivalQueue`](crate::ArrivalQueue) (earliest-deadline-first
-//!   order), its own supervised replica pool, its own SLO/retry/restart
-//!   budgets, and its own fault plan. Nothing is shared, so a fault plan
-//!   targeting the heavy pool cannot touch the light tenant's queue or replicas.
+//!   [`ArrivalQueue`](crate::ArrivalQueue), its own supervised replica
+//!   pool, its own SLO/retry/restart budgets, and its own fault plan.
+//!   Nothing is shared, so a fault plan targeting the heavy pool cannot
+//!   touch the light tenant's queue or replicas.
 //! * **Shared** ([`PoolMode::Shared`]): the merged request stream feeds one
-//!   FIFO queue with one deadline budget (the *loosest* tenant SLO), one
+//!   queue with one deadline budget (the *loosest* tenant SLO, so the
+//!   queue's deadline order is arrival order across the tenants), one
 //!   over-holding service estimate (the *largest* tenant estimate), pooled
 //!   replicas each able to serve every tenant ([`MixServer`]), pooled
 //!   admission depth and merged supervision/fault budgets — the
@@ -31,9 +32,10 @@
 //! pool only enforced the shared budget, which is exactly the violation the
 //! rows expose.
 //!
-//! Availability on mix rows is *answered availability*: `completed /
-//! generated`. [`ServeOutcome::availability`] reports `completed /
-//! (completed + failed)` (sheds excluded as deliberate flow control); for
+//! Availability on mix rows is *answered availability*
+//! ([`ServeReport::availability`]): `completed / generated`.
+//! [`ServeOutcome::availability`] reports `completed / (completed +
+//! failed)` (sheds excluded as deliberate flow control); for
 //! cross-tenant isolation the question is "what fraction of this tenant's
 //! traffic got an answer", and a light tenant shed behind a heavy backlog
 //! is exactly the harm being measured, so sheds count against mix
@@ -43,12 +45,12 @@ use crate::engine;
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::harness::{generate_requests, serve_replay_faulted, ServeOptions, ServeOutcome};
 use crate::policy::BatchPolicy;
-use crate::queue::{DequeueOrder, QueuedRequest};
+use crate::queue::QueuedRequest;
 use crate::stage::ReplicaStage;
 use crate::supervisor::Supervision;
 use centaur::{CentaurConfig, CentaurError, CentaurRuntime};
 use centaur_dlrm::{DlrmModel, InferenceRequest, RejectReason, RejectedRequest};
-use centaur_workload::{IndexDistribution, LatencySummary, ModelMix, QueryStream, TenantTraffic};
+use centaur_workload::{IndexDistribution, ModelMix, QueryStream, TenantTraffic};
 use std::time::Duration;
 
 /// One tenant of a multi-tenant serving mix: its model, traffic slice, SLO
@@ -146,10 +148,10 @@ impl TenantSpec {
 /// Pool topology for a multi-tenant run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolMode {
-    /// Per-tenant queue + pool + budgets, EDF dispatch.
+    /// Per-tenant queue + pool + budgets.
     Isolated,
-    /// One FIFO queue, one pooled replica set, one shared budget of
-    /// everything — the baseline.
+    /// One queue under the loosest SLO, one pooled replica set, one shared
+    /// budget of everything — the baseline.
     Shared,
 }
 
@@ -324,7 +326,7 @@ pub fn run_mix_cell(
 }
 
 /// Isolated topology: one thread per tenant, each running the standard
-/// single-model harness against its own queue (EDF order), pool, SLO and
+/// single-model harness against its own queue, pool, SLO and
 /// fault plan. The tenants run concurrently — they still contend for the
 /// host like co-located pools do — but share no serving state.
 fn run_isolated(
@@ -387,7 +389,6 @@ fn run_tenant_pool(
         admission_depth: tenant.admission_depth,
         shed_expired: true,
         supervision: tenant.supervision,
-        order: DequeueOrder::Edf,
         hedge: None,
     };
     let outcome = serve_replay_faulted(pool, &requests, &stream, tenant.policy(), options, &plan)?;
@@ -399,11 +400,11 @@ fn run_tenant_pool(
         tenant.replicas,
         plan.label(),
         queries,
-        &outcome,
+        outcome,
     ))
 }
 
-/// Shared-everything topology: merged stream, one FIFO queue, pooled
+/// Shared-everything topology: merged stream, one queue, pooled
 /// replicas each serving every tenant, one shared budget of everything.
 fn run_shared(
     accel: CentaurConfig,
@@ -457,7 +458,6 @@ fn run_shared(
         admission_depth: shared_depth,
         shed_expired: true,
         supervision: merge_supervision(tenants),
-        order: DequeueOrder::Fifo,
         hedge: None,
     };
     let plan = if faults.is_none() {
@@ -488,7 +488,7 @@ fn run_shared(
     let split = split_by_tenant(&outcome, &starts, tenants);
     Ok(tenants
         .iter()
-        .zip(&split)
+        .zip(split)
         .zip(&streams)
         .map(|((tenant, tenant_outcome), stream)| {
             tenant_report(
@@ -523,14 +523,11 @@ fn merge_supervision(tenants: &[TenantSpec]) -> Option<Supervision> {
 /// summed into one spec. In a shared pool a fault "targeting" one tenant
 /// hits a replica every tenant depends on — which is the point.
 fn merge_faults(tenants: &[TenantSpec]) -> FaultSpec {
-    let mut merged = FaultSpec::none();
-    for tenant in tenants {
-        if tenant.faults.is_none() {
-            continue;
-        }
-        merged = merged.merge(tenant.faults);
-    }
-    merged
+    tenants
+        .iter()
+        .map(|t| t.faults)
+        .filter(|faults| !faults.is_none())
+        .fold(FaultSpec::none(), FaultSpec::merge)
 }
 
 /// Splits a shared pool's outcome into per-tenant outcomes by mapping every
@@ -563,28 +560,20 @@ fn split_by_tenant(
                     .filter(|c| tenant_of(c.id) == t)
                     .copied()
                     .collect(),
-                batches: outcome.batches,
                 slo_s: tenant.slo.as_secs_f64(),
                 shed_admission: count(RejectReason::QueueFull),
                 shed_expired: count(RejectReason::DeadlineExpired),
                 failed: count(RejectReason::Failed),
-                retries: outcome.retries,
-                restarts: outcome.restarts,
-                replicas_lost: outcome.replicas_lost,
-                hedges: outcome.hedges,
-                hedge_wins: outcome.hedge_wins,
-                duplicates_suppressed: outcome.duplicates_suppressed,
-                quarantines: outcome.quarantines,
-                readmissions: outcome.readmissions,
                 rejections,
+                ..*outcome
             }
         })
         .collect()
 }
 
-/// One tenant's row of a multi-tenant cell ([`run_mix_cell`]), digested
-/// for reporting.
-#[derive(Debug, Clone, PartialEq)]
+/// One tenant's row of a multi-tenant cell ([`run_mix_cell`]): the labels
+/// it was measured under and the tenant's own [`ServeOutcome`].
+#[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Which tenant this row accounts for.
     pub tenant: String,
@@ -601,49 +590,27 @@ pub struct ServeReport {
     /// The tenant's own SLO, in milliseconds, that goodput is judged
     /// against.
     pub slo_ms: f64,
-    /// Requests completed (in time or not).
-    pub completed: usize,
-    /// Accelerator batches dispatched.
-    pub batches: usize,
-    /// Mean coalesced batch size.
-    pub mean_batch: f64,
-    /// Sustained completions per second.
-    pub achieved_qps: f64,
-    /// Completions that met the SLO, per second of span.
-    pub goodput_qps: f64,
-    /// Requests shed (admission + expiry).
-    pub shed: usize,
-    /// Requests shed at the admission gate.
-    pub shed_admission: usize,
-    /// Requests shed at dequeue (deadline already passed).
-    pub shed_expired: usize,
-    /// Completions that arrived after their deadline.
-    pub deadline_misses: usize,
     /// Fault-plan label the cell ran under (`none`, `c1`, `c1s1t2`, …).
     pub faults: String,
-    /// Requests permanently failed (retry budget exhausted).
-    pub failed: usize,
-    /// Answered availability: completed / generated (see the module
-    /// docs).
-    pub availability: f64,
-    /// Replica restarts the supervisor performed.
-    pub restarts: usize,
-    /// Re-serve attempts after crashes/datapath errors.
-    pub retries: usize,
-    /// Replicas dead at the end of the run (beyond the restart budget).
-    pub replicas_lost: usize,
-    /// Overdue batches' riders hedged to a sibling replica.
-    pub hedges: usize,
-    /// Hedged requests whose clone answered first.
-    pub hedge_wins: usize,
-    /// Duplicate results discarded by first-result-wins suppression.
-    pub duplicates_suppressed: usize,
-    /// Replica quarantine entries the health board performed.
-    pub quarantines: usize,
-    /// Quarantined replicas re-admitted after their backoff probe.
-    pub readmissions: usize,
-    /// End-to-end latency digest.
-    pub latency: LatencySummary,
+    /// Requests this tenant generated; every one is accounted in
+    /// `outcome`.
+    pub generated: usize,
+    /// The tenant's outcome, judged against its own SLO. In a shared pool
+    /// the counters no single tenant owns (batches, retries, restarts,
+    /// replicas lost, hedging and quarantine counts) are the pool's.
+    pub outcome: ServeOutcome,
+}
+
+impl ServeReport {
+    /// Answered availability: completed / generated, `1.0` when the tenant
+    /// generated nothing (see the module docs for why sheds count here).
+    pub fn availability(&self) -> f64 {
+        if self.generated == 0 {
+            1.0
+        } else {
+            self.outcome.completions.len() as f64 / self.generated as f64
+        }
+    }
 }
 
 /// One tenant's report row, with the per-tenant isolation invariant
@@ -658,7 +625,7 @@ fn tenant_report(
     replicas: usize,
     faults_label: String,
     generated: usize,
-    outcome: &ServeOutcome,
+    outcome: ServeOutcome,
 ) -> ServeReport {
     assert_eq!(
         outcome.accounted(),
@@ -668,13 +635,6 @@ fn tenant_report(
         tenant.name,
         mode.label(),
     );
-    // Answered availability: what fraction of this tenant's generated
-    // traffic got an answer (see the module docs for why sheds count here).
-    let availability = if generated == 0 {
-        1.0
-    } else {
-        outcome.completions.len() as f64 / generated as f64
-    };
     ServeReport {
         tenant: tenant.name.clone(),
         pool: mode.label().to_string(),
@@ -683,27 +643,9 @@ fn tenant_report(
         policy: policy_label,
         replicas,
         slo_ms: tenant.slo.as_secs_f64() * 1e3,
-        completed: outcome.completions.len(),
-        batches: outcome.batches,
-        mean_batch: outcome.mean_batch(),
-        achieved_qps: outcome.achieved_qps(),
-        goodput_qps: outcome.goodput_qps(),
-        shed: outcome.shed(),
-        shed_admission: outcome.shed_admission,
-        shed_expired: outcome.shed_expired,
-        deadline_misses: outcome.deadline_misses(),
         faults: faults_label,
-        failed: outcome.failed,
-        availability,
-        restarts: outcome.restarts,
-        retries: outcome.retries,
-        replicas_lost: outcome.replicas_lost,
-        hedges: outcome.hedges,
-        hedge_wins: outcome.hedge_wins,
-        duplicates_suppressed: outcome.duplicates_suppressed,
-        quarantines: outcome.quarantines,
-        readmissions: outcome.readmissions,
-        latency: outcome.latency_summary().unwrap_or_default(),
+        generated,
+        outcome,
     }
 }
 
@@ -761,14 +703,8 @@ mod tests {
         assert_eq!(reports[1].tenant, "heavy");
         assert_eq!(reports[1].traffic, "heavytail");
         // 70/30 split of 120 queries at 4k qps.
-        assert_eq!(
-            reports[0].completed + reports[0].shed + reports[0].failed,
-            84
-        );
-        assert_eq!(
-            reports[1].completed + reports[1].shed + reports[1].failed,
-            36
-        );
+        assert_eq!(reports[0].outcome.accounted(), 84);
+        assert_eq!(reports[1].outcome.accounted(), 36);
         assert!((reports[0].offered_qps - 2_800.0).abs() < 1e-9);
         assert_eq!(reports[0].slo_ms, 5.0);
         assert_eq!(reports[1].slo_ms, 20.0);
@@ -792,14 +728,8 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].pool, "shared");
         assert_eq!(reports[1].pool, "shared");
-        assert_eq!(
-            reports[0].completed + reports[0].shed + reports[0].failed,
-            84
-        );
-        assert_eq!(
-            reports[1].completed + reports[1].shed + reports[1].failed,
-            36
-        );
+        assert_eq!(reports[0].outcome.accounted(), 84);
+        assert_eq!(reports[1].outcome.accounted(), 36);
         // Shared pool: both rows report the pooled replica count and the
         // shared (over-holding) policy.
         assert_eq!(reports[0].replicas, 3);

@@ -2,6 +2,22 @@
 //! workers: requests land as they arrive and workers coalesce them into
 //! batches according to the [`BatchPolicy`].
 //!
+//! Two structures hold the queue's state:
+//!
+//! * the **backlog**, one `VecDeque` kept in deadline order. Dequeue is
+//!   always earliest deadline first, ties in enqueue order. An arrival
+//!   whose deadline is no earlier than the back's appends; a requeue, a
+//!   hedge clone or an arrival from a second interleaved generator that
+//!   is more urgent is inserted at its deadline's place. Without an SLO
+//!   every deadline ties, and with one SLO per queue deadline order is
+//!   arrival order, so FIFO needs no path of its own;
+//! * the **fate table**, one byte per request index: how many copies of
+//!   the request are live (the original, plus at most one hedge clone)
+//!   and whether its result has been counted. First-result-wins hedging,
+//!   suppressing a stale copy, and refusing to hedge an answered request
+//!   all read it, so the queue needs no word from the worker about
+//!   whether a batch was hedged.
+//!
 //! Overload protection lives here as two independently switchable gates
 //! configured through [`AdmissionConfig`]:
 //!
@@ -18,9 +34,8 @@
 
 use crate::policy::BatchPolicy;
 use centaur_dlrm::RejectReason;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One queued query: which pre-generated request arrived, when it was
@@ -80,32 +95,9 @@ impl QueuedRequest {
     }
 }
 
-/// The order [`ArrivalQueue::pop_batch`] hands out backlogged requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DequeueOrder {
-    /// Arrival order — the pre-EDF behaviour and the default.
-    #[default]
-    Fifo,
-    /// Earliest-deadline-first: the backlog is a min-heap on `deadline_s`,
-    /// ties broken by enqueue order, no-deadline (`INFINITY`) requests last.
-    /// Under mixed-urgency backlog this serves the most perishable work
-    /// first instead of letting it expire behind patient arrivals.
-    Edf,
-}
-
-impl DequeueOrder {
-    /// Short label for report output (`fifo`, `edf`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            DequeueOrder::Fifo => "fifo",
-            DequeueOrder::Edf => "edf",
-        }
-    }
-}
-
 /// Overload-protection knobs for an [`ArrivalQueue`]. The default is fully
-/// permissive (unbounded depth, no shedding, FIFO order) — exactly the
-/// pre-admission behaviour.
+/// permissive (unbounded depth, no shedding) — exactly the pre-admission
+/// behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionConfig {
     /// Refuse new requests while the queue already holds this many.
@@ -113,130 +105,48 @@ pub struct AdmissionConfig {
     pub max_depth: Option<usize>,
     /// Drop already-dead requests at dequeue instead of serving them.
     pub shed_expired: bool,
-    /// Dequeue order for the backlog.
-    pub order: DequeueOrder,
 }
 
-/// One heap entry in an EDF backlog. Ordered by deadline (via `total_cmp`,
-/// so `INFINITY` deadlines sort last), then by enqueue sequence so equal
-/// deadlines keep their arrival order and the heap order is total.
-#[derive(Debug, Clone, Copy)]
-struct EdfEntry {
-    deadline_s: f64,
-    seq: u64,
-    request: QueuedRequest,
-}
+/// One request's fate: the live copies (original plus hedge clone, in the
+/// backlog or in flight) in the low bits, and [`Fate::DONE`] once one copy
+/// has decided the request — completed, shed or failed. The done bit stays
+/// set until the index is pushed again, so every later copy, requeue or
+/// hedge of an answered request is suppressed or refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Fate(u8);
 
-impl PartialEq for EdfEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl Fate {
+    const DONE: u8 = 0x80;
+    /// A freshly admitted request: one copy, nothing counted yet — the only
+    /// state [`ArrivalQueue::hedge`] accepts.
+    const LIVE: Fate = Fate(1);
+
+    fn done(self) -> bool {
+        self.0 & Self::DONE != 0
     }
-}
 
-impl Eq for EdfEntry {}
-
-impl PartialOrd for EdfEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EdfEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.deadline_s
-            .total_cmp(&other.deadline_s)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The queued-but-unserved requests, in whichever order the queue was
-/// configured to dispatch. Both shapes reuse their buffers at steady state —
-/// pushes into drained capacity never allocate.
-#[derive(Debug)]
-enum Backlog {
-    Fifo(VecDeque<QueuedRequest>),
-    Edf {
-        heap: BinaryHeap<Reverse<EdfEntry>>,
-        /// Monotonic enqueue counter for deterministic tie-breaks. Requeued
-        /// requests take a fresh sequence number (they re-enter the heap
-        /// now) while keeping their original arrival/deadline stamps.
-        seq: u64,
-    },
-}
-
-impl Backlog {
-    fn new(order: DequeueOrder) -> Self {
-        match order {
-            DequeueOrder::Fifo => Backlog::Fifo(VecDeque::new()),
-            DequeueOrder::Edf => Backlog::Edf {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            },
+    /// Resolves one copy reaching a terminal state and returns whether it
+    /// speaks for the request (count it) or is a duplicate (suppress it).
+    /// The first *completion* always speaks; a fail or shed only does as
+    /// the last copy standing, since a live sibling may still answer.
+    fn resolve(&mut self, completion: bool) -> bool {
+        assert!(self.0 & !Self::DONE > 0, "resolved a copy that is not live");
+        self.0 -= 1;
+        let counted = !self.done() && (completion || self.0 == 0);
+        if counted {
+            self.0 |= Self::DONE;
         }
+        counted
     }
-
-    fn push(&mut self, request: QueuedRequest) {
-        match self {
-            Backlog::Fifo(queue) => queue.push_back(request),
-            Backlog::Edf { heap, seq } => {
-                heap.push(Reverse(EdfEntry {
-                    deadline_s: request.deadline_s,
-                    seq: *seq,
-                    request,
-                }));
-                *seq += 1;
-            }
-        }
-    }
-
-    /// The next request to dispatch: oldest arrival (FIFO) or earliest
-    /// deadline (EDF).
-    fn pop_next(&mut self) -> Option<QueuedRequest> {
-        match self {
-            Backlog::Fifo(queue) => queue.pop_front(),
-            Backlog::Edf { heap, .. } => heap.pop().map(|Reverse(entry)| entry.request),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Backlog::Fifo(queue) => queue.len(),
-            Backlog::Edf { heap, .. } => heap.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Bookkeeping for one hedged request: how many copies (original + hedge
-/// clone) still exist anywhere — backlog or in flight — and whether the
-/// request's fate (completed, shed, or failed) has already been counted.
-/// A `copies == 0 && done` entry is a **pending-hedge marker**: the worker
-/// resolved the whole batch before the watchdog's [`ArrivalQueue::hedge`]
-/// call landed, and the marker makes that late call cancel instead of
-/// dispatching a duplicate of an already-answered request.
-#[derive(Debug, Clone, Copy)]
-struct HedgeEntry {
-    index: usize,
-    copies: usize,
-    done: bool,
-}
-
-/// How one copy of a (possibly hedged) request resolves when it reaches a
-/// terminal state.
-enum CopyFate {
-    /// This copy speaks for the request — count it.
-    Counted,
-    /// Another copy already decided the request's fate — suppress this one
-    /// and count nothing.
-    Suppressed,
 }
 
 #[derive(Debug)]
 struct QueueState {
-    backlog: Backlog,
+    /// Queued-but-unserved requests in dispatch order: deadline, then
+    /// enqueue order. Reuses its buffer at steady state.
+    backlog: VecDeque<QueuedRequest>,
+    /// One entry per request index ever pushed (or reserved).
+    fate: Vec<Fate>,
     closed: bool,
     aborted: bool,
     in_flight: usize,
@@ -247,7 +157,6 @@ struct QueueState {
     hedged: usize,
     hedge_wins: usize,
     duplicates: usize,
-    hedge_entries: Vec<HedgeEntry>,
     shed_log: Vec<(QueuedRequest, RejectReason)>,
 }
 
@@ -258,66 +167,36 @@ impl QueueState {
         self.backlog.is_empty() && self.in_flight == 0
     }
 
-    /// Whether `index` is hedged and its fate is already counted — every
-    /// remaining copy is a duplicate to suppress.
-    fn hedge_done(&self, index: usize) -> bool {
-        self.hedge_entries
-            .iter()
-            .any(|e| e.index == index && e.done)
-    }
-
-    /// Resolves one copy of a request reaching a terminal state. The first
-    /// *completion* always speaks for the request; a fail/shed only does
-    /// when it is the last copy standing (a live sibling may still answer).
-    /// `hedged` is the worker's in-flight-slot flag: when set and no entry
-    /// exists yet, the watchdog marked this dispatch overdue but its
-    /// `hedge()` has not landed — a pending-hedge marker is left so it
-    /// cancels.
-    fn resolve_copy(&mut self, index: usize, completion: bool, hedged: bool) -> CopyFate {
-        let Some(pos) = self.hedge_entries.iter().position(|e| e.index == index) else {
-            if hedged {
-                self.hedge_entries.push(HedgeEntry {
-                    index,
-                    copies: 0,
-                    done: true,
-                });
+    /// Adds `request` to the backlog at its deadline's place, after every
+    /// request with an equal or earlier deadline (`total_cmp`, so
+    /// `INFINITY` sorts last). The common case — no earlier than the back —
+    /// is a plain append.
+    fn enqueue(&mut self, request: QueuedRequest) {
+        let deadline = request.deadline_s;
+        match self.backlog.back() {
+            Some(back) if back.deadline_s.total_cmp(&deadline).is_gt() => {
+                let at = self
+                    .backlog
+                    .partition_point(|q| q.deadline_s.total_cmp(&deadline).is_le());
+                self.backlog.insert(at, request);
             }
-            return CopyFate::Counted;
-        };
-        let entry = &mut self.hedge_entries[pos];
-        entry.copies -= 1;
-        let last = entry.copies == 0;
-        let fate = if !entry.done && (completion || last) {
-            entry.done = true;
-            CopyFate::Counted
-        } else {
-            CopyFate::Suppressed
-        };
-        if last {
-            self.hedge_entries.swap_remove(pos);
+            _ => self.backlog.push_back(request),
         }
-        fate
     }
 
     /// Pops the next dispatchable request off the backlog: suppresses
-    /// backlog copies of already-answered hedged requests, sheds expired
-    /// requests when `shed` is set (hedge-aware — an expired copy with a
-    /// live sibling suppresses instead of counting a shed), and marks the
-    /// returned request in flight.
+    /// copies of already-decided requests, sheds expired requests when
+    /// `shed` is set (an expired copy with a live sibling is suppressed
+    /// instead of counted), and marks the returned request in flight.
     fn next_live(&mut self, shed: bool, now_s: f64) -> Option<QueuedRequest> {
-        while let Some(request) = self.backlog.pop_next() {
-            if self.hedge_done(request.index) {
-                let _ = self.resolve_copy(request.index, false, false);
-                self.duplicates += 1;
-                continue;
-            }
-            if shed && request.deadline_s < now_s {
-                match self.resolve_copy(request.index, false, false) {
-                    CopyFate::Counted => {
-                        self.shed_expired += 1;
-                        self.shed_log.push((request, RejectReason::DeadlineExpired));
-                    }
-                    CopyFate::Suppressed => self.duplicates += 1,
+        while let Some(request) = self.backlog.pop_front() {
+            let fate = &mut self.fate[request.index];
+            if fate.done() || (shed && request.deadline_s < now_s) {
+                if fate.resolve(false) {
+                    self.shed_expired += 1;
+                    self.shed_log.push((request, RejectReason::DeadlineExpired));
+                } else {
+                    self.duplicates += 1;
                 }
                 continue;
             }
@@ -351,7 +230,8 @@ impl ArrivalQueue {
     pub fn with_config(config: AdmissionConfig) -> Self {
         ArrivalQueue {
             state: Mutex::new(QueueState {
-                backlog: Backlog::new(config.order),
+                backlog: VecDeque::new(),
+                fate: Vec::new(),
                 closed: false,
                 aborted: false,
                 in_flight: 0,
@@ -362,12 +242,21 @@ impl ArrivalQueue {
                 hedged: 0,
                 hedge_wins: 0,
                 duplicates: 0,
-                hedge_entries: Vec::new(),
                 shed_log: Vec::new(),
             }),
             nonempty: Condvar::new(),
             config,
             start: Mutex::new(Instant::now()),
+        }
+    }
+
+    /// Releases the lock after a copy left the queue's books, waking every
+    /// waiter when that drained a closed queue so idle workers can exit.
+    fn unlock_settled(&self, state: MutexGuard<'_, QueueState>) {
+        let wake = state.closed && state.drained();
+        drop(state);
+        if wake {
+            self.nonempty.notify_all();
         }
     }
 
@@ -393,6 +282,7 @@ impl ArrivalQueue {
     /// `false` without enqueueing when the queue is closed, or when the
     /// admission gate sheds the request because the queue is already at its
     /// depth bound (counted in [`shed_admission`](Self::shed_admission)).
+    /// An admitted request starts a fresh fate: one live copy, undecided.
     #[must_use = "a rejected push means the request was shed, not queued"]
     pub fn push(&self, request: QueuedRequest) -> bool {
         let mut state = self.state.lock().expect("queue poisoned");
@@ -406,7 +296,12 @@ impl ArrivalQueue {
                 return false;
             }
         }
-        state.backlog.push(request);
+        if request.index >= state.fate.len() {
+            // Only a queue that was never reserved grows here.
+            state.fate.resize(request.index + 1, Fate::default());
+        }
+        state.fate[request.index] = Fate::LIVE;
+        state.enqueue(request);
         drop(state);
         self.nonempty.notify_one();
         true
@@ -448,54 +343,37 @@ impl ArrivalQueue {
     /// [`requeue`](Self::requeue) or [`fail`](Self::fail) — and the queue
     /// does not report itself drained while anything is in flight, so a
     /// crashed worker's batch can be recovered and requeued even after
-    /// `close()`. Hedge-free paths only; hedged pools must resolve through
+    /// `close()`. Hedge-free paths only: this does not touch the fate
+    /// table, so hedged pools must resolve through
     /// [`complete_batch`](Self::complete_batch).
     pub fn complete(&self, n: usize) {
         let mut state = self.state.lock().expect("queue poisoned");
         state.in_flight -= n;
-        let wake = state.closed && state.drained();
-        drop(state);
-        if wake {
-            self.nonempty.notify_all();
-        }
+        self.unlock_settled(state);
     }
 
     /// Marks every request in `batch` served, resolving hedge copies
-    /// first-result-wins. `hedged` is the flag the worker took from its
-    /// in-flight slot when clearing it: `true` means the watchdog marked
-    /// this dispatch overdue, so a hedge clone either already raced (an
-    /// entry exists) or is about to be enqueued (no entry yet — a
-    /// pending-hedge marker is left so the late [`hedge`](Self::hedge)
-    /// call cancels instead of duplicating an answered request).
-    ///
-    /// `primary` (cleared first) gets one flag per batch entry: `true` when
-    /// the worker should record this completion, `false` when the result is
-    /// a suppressed duplicate — counted once in
-    /// [`duplicates_suppressed`](Self::duplicates_suppressed) — whose
-    /// answer must be discarded.
-    pub fn complete_batch(&self, batch: &[QueuedRequest], hedged: bool, primary: &mut Vec<bool>) {
+    /// first-result-wins. `primary` (cleared first) gets one flag per batch
+    /// entry: `true` when the worker should record this completion, `false`
+    /// when another copy already answered the request — a suppressed
+    /// duplicate, counted once in
+    /// [`duplicates_suppressed`](Self::duplicates_suppressed), whose answer
+    /// must be discarded. A request completed here is decided: a later
+    /// [`hedge`](Self::hedge) of it is refused.
+    pub fn complete_batch(&self, batch: &[QueuedRequest], primary: &mut Vec<bool>) {
         primary.clear();
         let mut state = self.state.lock().expect("queue poisoned");
+        state.in_flight -= batch.len();
         for request in batch {
-            state.in_flight -= 1;
-            match state.resolve_copy(request.index, true, hedged) {
-                CopyFate::Counted => {
-                    if request.hedged {
-                        state.hedge_wins += 1;
-                    }
-                    primary.push(true);
-                }
-                CopyFate::Suppressed => {
-                    state.duplicates += 1;
-                    primary.push(false);
-                }
+            let counted = state.fate[request.index].resolve(true);
+            if !counted {
+                state.duplicates += 1;
+            } else if request.hedged {
+                state.hedge_wins += 1;
             }
+            primary.push(counted);
         }
-        let wake = state.closed && state.drained();
-        drop(state);
-        if wake {
-            self.nonempty.notify_all();
-        }
+        self.unlock_settled(state);
     }
 
     /// Re-enqueues a **hedge clone** of an overdue in-flight request so a
@@ -507,35 +385,22 @@ impl ArrivalQueue {
     /// `generated = completed + shed + failed` stays exact with hedges
     /// counted separately.
     ///
-    /// Returns `false` without enqueueing when the request is already
-    /// hedged (copies are bounded at two), when its fate was already
-    /// counted (the original finished between the watchdog's overdue check
-    /// and this call — the pending-hedge marker is cancelled here), or
-    /// when the queue aborted.
+    /// Returns `false` without enqueueing unless the request is live with
+    /// exactly one copy: when it is already hedged (copies are bounded at
+    /// two), when its fate was already decided (the original finished
+    /// between the watchdog's overdue check and this call), or when the
+    /// queue aborted.
     pub fn hedge(&self, request: QueuedRequest) -> bool {
         let mut state = self.state.lock().expect("queue poisoned");
-        if state.aborted {
+        if state.aborted || state.fate.get(request.index) != Some(&Fate::LIVE) {
             return false;
         }
-        if let Some(pos) = state
-            .hedge_entries
-            .iter()
-            .position(|e| e.index == request.index)
-        {
-            if state.hedge_entries[pos].done && state.hedge_entries[pos].copies == 0 {
-                state.hedge_entries.swap_remove(pos);
-            }
-            return false;
-        }
-        state.hedge_entries.push(HedgeEntry {
-            index: request.index,
-            copies: 2,
-            done: false,
-        });
+        state.fate[request.index] = Fate(2);
         state.hedged += 1;
-        let mut clone = request;
-        clone.hedged = true;
-        state.backlog.push(clone);
+        state.enqueue(QueuedRequest {
+            hedged: true,
+            ..request
+        });
         drop(state);
         self.nonempty.notify_one();
         true
@@ -549,55 +414,39 @@ impl ArrivalQueue {
     /// instead of re-queued: re-serving it could only produce a duplicate.
     pub fn requeue(&self, request: QueuedRequest) {
         let mut state = self.state.lock().expect("queue poisoned");
-        if state.hedge_done(request.index) {
-            state.in_flight -= 1;
-            let _ = state.resolve_copy(request.index, false, false);
+        state.in_flight -= 1;
+        let fate = &mut state.fate[request.index];
+        if fate.done() {
+            fate.resolve(false);
             state.duplicates += 1;
-            let wake = state.closed && state.drained();
-            drop(state);
-            if wake {
-                self.nonempty.notify_all();
-            }
+            self.unlock_settled(state);
             return;
         }
-        state.in_flight -= 1;
         state.retries += 1;
-        state.backlog.push(request);
+        state.enqueue(request);
         drop(state);
         self.nonempty.notify_one();
     }
 
     /// Marks one in-flight request permanently failed (retry budget
     /// exhausted): counted, logged with [`RejectReason::Failed`], never
-    /// silent. `hedged` carries the worker's in-flight-slot flag exactly
-    /// as in [`complete_batch`](Self::complete_batch); a failed copy whose
-    /// hedge sibling is still live resolves as suppressed — the sibling
-    /// decides the request's fate.
-    pub fn fail(&self, request: QueuedRequest, hedged: bool) {
+    /// silent. A failed copy whose hedge sibling is still live resolves as
+    /// suppressed — the sibling decides the request's fate.
+    pub fn fail(&self, request: QueuedRequest) {
         let mut state = self.state.lock().expect("queue poisoned");
         state.in_flight -= 1;
-        match state.resolve_copy(request.index, false, hedged) {
-            CopyFate::Counted => {
-                state.failed += 1;
-                state.shed_log.push((request, RejectReason::Failed));
-            }
-            CopyFate::Suppressed => state.duplicates += 1,
+        if state.fate[request.index].resolve(false) {
+            state.failed += 1;
+            state.shed_log.push((request, RejectReason::Failed));
+        } else {
+            state.duplicates += 1;
         }
-        let wake = state.closed && state.drained();
-        drop(state);
-        if wake {
-            self.nonempty.notify_all();
-        }
+        self.unlock_settled(state);
     }
 
     /// Queued-but-unserved requests right now.
     pub fn depth(&self) -> usize {
         self.state.lock().expect("queue poisoned").backlog.len()
-    }
-
-    /// The dequeue order this queue was configured with.
-    pub fn order(&self) -> DequeueOrder {
-        self.config.order
     }
 
     /// Requests shed at the admission gate so far.
@@ -651,13 +500,16 @@ impl ArrivalQueue {
         self.state.lock().expect("queue poisoned").in_flight
     }
 
-    /// Pre-grows the shed log so steady-state shedding never allocates.
-    pub fn reserve_shed(&self, additional: usize) {
-        self.state
-            .lock()
-            .expect("queue poisoned")
-            .shed_log
-            .reserve(additional);
+    /// Pre-sizes the queue for a request set of `requests` indices: the
+    /// fate table covers `0..requests` and the shed log holds `requests`
+    /// entries (every request shed, the worst case), so neither grows while
+    /// the set replays.
+    pub fn reserve(&self, requests: usize) {
+        let mut state = self.state.lock().expect("queue poisoned");
+        if state.fate.len() < requests {
+            state.fate.resize(requests, Fate::default());
+        }
+        state.shed_log.reserve(requests);
     }
 
     /// Drains and returns every shed request recorded so far with why it
@@ -706,10 +558,8 @@ impl ArrivalQueue {
         }
         // Hold-open deadline: the policy's max_wait, tightened for a
         // deadline-aware policy by when the most urgent held request must
-        // dispatch to finish inside its SLO. Under EDF the first request
-        // popped has the earliest deadline by construction; under FIFO the
-        // same holds because queue order is arrival order and each queue
-        // serves one tenant's uniform SLO.
+        // dispatch to finish inside its SLO. The backlog is deadline
+        // ordered, so the first request popped has the earliest deadline.
         let mut hold_until = Instant::now() + policy.max_wait();
         if let Some(slack) = policy.dispatch_slack() {
             let oldest_deadline_s = out[0].deadline_s;
@@ -830,7 +680,6 @@ mod tests {
         let queue = ArrivalQueue::with_config(AdmissionConfig {
             max_depth: None,
             shed_expired: true,
-            order: DequeueOrder::Fifo,
         });
         let total = 6;
         for i in 0..total {
@@ -905,7 +754,7 @@ mod tests {
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
         queue.complete(1);
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
-        queue.fail(batch[0].retry().retry(), false);
+        queue.fail(batch[0].retry().retry());
         assert_eq!(queue.failed(), 1);
         assert!(!queue.pop_batch(BatchPolicy::Fifo, &mut batch), "drained");
         let shed = queue.take_shed();
@@ -946,7 +795,6 @@ mod tests {
         let queue = ArrivalQueue::with_config(AdmissionConfig {
             max_depth: Some(2),
             shed_expired: false,
-            order: DequeueOrder::Fifo,
         });
         assert!(queue.push(request(0)));
         assert!(queue.push(request(1)));
@@ -977,7 +825,6 @@ mod tests {
         let queue = ArrivalQueue::with_config(AdmissionConfig {
             max_depth: None,
             shed_expired: true,
-            order: DequeueOrder::Fifo,
         });
         assert!(queue.push(dead_request(0)));
         assert!(queue.push(request(1)));
@@ -1015,7 +862,6 @@ mod tests {
         let queue = ArrivalQueue::with_config(AdmissionConfig {
             max_depth: None,
             shed_expired: true,
-            order: DequeueOrder::Fifo,
         });
         assert!(queue.push(dead_request(0)));
         assert!(queue.push(dead_request(1)));
@@ -1068,20 +914,12 @@ mod tests {
         );
     }
 
-    fn edf_queue() -> ArrivalQueue {
-        ArrivalQueue::with_config(AdmissionConfig {
-            max_depth: None,
-            shed_expired: false,
-            order: DequeueOrder::Edf,
-        })
-    }
-
-    /// Pins the EDF heap order: batches come out in non-decreasing deadline
-    /// order regardless of arrival order, equal deadlines keep arrival
-    /// order, and no-deadline requests sort last.
+    /// Pins the one backlog order: batches come out in non-decreasing
+    /// deadline order regardless of arrival order, equal deadlines keep
+    /// arrival order, and no-deadline requests sort last.
     #[test]
     fn edf_pops_in_deadline_order_not_arrival_order() {
-        let queue = edf_queue();
+        let queue = ArrivalQueue::new();
         let deadlines = [0.9, 0.3, f64::INFINITY, 0.3, 0.1];
         for (i, &deadline_s) in deadlines.iter().enumerate() {
             assert!(queue.push(QueuedRequest {
@@ -1110,7 +948,7 @@ mod tests {
 
     #[test]
     fn edf_requeue_resorts_by_deadline_and_keeps_stamps() {
-        let queue = edf_queue();
+        let queue = ArrivalQueue::new();
         // A patient request queued first, an urgent one second.
         assert!(queue.push(QueuedRequest::with_slo(0, 0.0, 60.0)));
         let mut batch = Vec::new();
@@ -1118,8 +956,8 @@ mod tests {
         let held = batch[0];
         assert!(queue.push(QueuedRequest::with_slo(1, 0.0, 1.0)));
         // Requeueing the patient request must not jump it ahead of the
-        // urgent one: it takes a fresh heap sequence but its original
-        // arrival/deadline stamps, so EDF re-sorts it behind index 1.
+        // urgent one: it re-enters now but keeps its original
+        // arrival/deadline stamps, so it sorts behind index 1.
         queue.requeue(held.retry());
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
         assert_eq!(batch[0].index, 1, "urgent request still dispatches first");
@@ -1130,15 +968,6 @@ mod tests {
         assert_eq!(batch[0].arrival_s, 0.0, "stamps survive the requeue");
         assert_eq!(batch[0].deadline_s, 60.0);
         queue.complete(1);
-    }
-
-    #[test]
-    fn dequeue_orders_label_distinctly() {
-        assert_eq!(DequeueOrder::Fifo.label(), "fifo");
-        assert_eq!(DequeueOrder::Edf.label(), "edf");
-        assert_eq!(DequeueOrder::default(), DequeueOrder::Fifo);
-        assert_eq!(edf_queue().order(), DequeueOrder::Edf);
-        assert_eq!(ArrivalQueue::new().order(), DequeueOrder::Fifo);
     }
 
     /// Walks the canonical hedge race: an in-flight request is hedged, the
@@ -1164,11 +993,11 @@ mod tests {
         assert_eq!(queue.in_flight(), 2);
         // The clone finishes first: counted, and attributed as a hedge win.
         let mut primary = Vec::new();
-        queue.complete_batch(&[clone], false, &mut primary);
+        queue.complete_batch(&[clone], &mut primary);
         assert_eq!(primary, vec![true]);
         assert_eq!(queue.hedge_wins(), 1);
         // The straggler's late answer is discarded once.
-        queue.complete_batch(&[original], true, &mut primary);
+        queue.complete_batch(&[original], &mut primary);
         assert_eq!(primary, vec![false]);
         assert_eq!(queue.duplicates_suppressed(), 1);
         queue.close();
@@ -1184,7 +1013,7 @@ mod tests {
         let original = batch[0];
         assert!(queue.hedge(original));
         let mut primary = Vec::new();
-        queue.complete_batch(&[original], true, &mut primary);
+        queue.complete_batch(&[original], &mut primary);
         assert_eq!(primary, vec![true], "first result is counted");
         assert_eq!(queue.hedge_wins(), 0, "the straggler won its own race");
         // The clone still sits in the backlog: the next pop suppresses it
@@ -1196,9 +1025,9 @@ mod tests {
         assert_eq!(queue.in_flight(), 0);
     }
 
-    /// The watchdog race: the worker resolves its batch (with the slot's
-    /// hedged flag set) before the monitor's `hedge()` call lands. The
-    /// pending-hedge marker must cancel the late hedge so no duplicate of
+    /// The watchdog race: the worker resolves its batch after the monitor
+    /// claimed it as overdue but before the monitor's `hedge()` call lands.
+    /// The request's done bit must cancel the late hedge so no duplicate of
     /// an answered request is ever dispatched.
     #[test]
     fn late_hedge_of_an_answered_request_is_cancelled() {
@@ -1208,8 +1037,8 @@ mod tests {
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
         let original = batch[0];
         let mut primary = Vec::new();
-        // Worker saw the slot marked hedged and completed first.
-        queue.complete_batch(&[original], true, &mut primary);
+        // The worker completes first.
+        queue.complete_batch(&[original], &mut primary);
         assert_eq!(primary, vec![true]);
         // The monitor's hedge call lands afterwards: cancelled, no clone.
         assert!(!queue.hedge(original), "late hedge is cancelled");
@@ -1217,6 +1046,37 @@ mod tests {
         assert_eq!(queue.hedges(), 0);
         queue.close();
         assert!(!queue.pop_batch(BatchPolicy::Fifo, &mut batch), "drained");
+    }
+
+    /// A decided request cannot be hedged, whatever decided it: the
+    /// queue learns nothing from the worker, and the done bit alone
+    /// refuses the clone until the index is pushed again.
+    #[test]
+    fn hedge_of_a_decided_request_is_refused_until_it_is_pushed_again() {
+        let queue = ArrivalQueue::new();
+        let mut batch = Vec::new();
+        let mut primary = Vec::new();
+        assert!(queue.push(request(0)));
+        assert!(queue.push(request(1)));
+        assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
+        let completed = batch[0];
+        queue.complete_batch(&[completed], &mut primary);
+        assert_eq!(primary, vec![true]);
+        assert!(!queue.hedge(completed), "an answered request is not hedged");
+        assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
+        let failed = batch[0];
+        queue.fail(failed);
+        assert!(!queue.hedge(failed), "a failed request is not hedged");
+        assert_eq!(queue.depth(), 0, "no clone was enqueued");
+        assert_eq!(queue.hedges(), 0);
+        // The same index admitted again starts a fresh fate.
+        assert!(queue.push(request(0)));
+        assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
+        assert!(queue.hedge(batch[0]), "a re-admitted request is live again");
+        queue.complete_batch(&batch, &mut primary);
+        queue.close();
+        assert!(!queue.pop_batch(BatchPolicy::Fifo, &mut batch), "drained");
+        assert_eq!(queue.duplicates_suppressed(), 1, "the clone was suppressed");
     }
 
     #[test]
@@ -1231,11 +1091,11 @@ mod tests {
         let clone = batch[0];
         // The straggler exhausts its retry budget while the clone is live:
         // the failure is suppressed, the clone decides the fate.
-        queue.fail(original, true);
+        queue.fail(original);
         assert_eq!(queue.failed(), 0, "a live sibling may still answer");
         assert_eq!(queue.duplicates_suppressed(), 1);
         let mut primary = Vec::new();
-        queue.complete_batch(&[clone], false, &mut primary);
+        queue.complete_batch(&[clone], &mut primary);
         assert_eq!(primary, vec![true]);
         assert_eq!(queue.hedge_wins(), 1);
         queue.close();
@@ -1252,8 +1112,8 @@ mod tests {
         assert!(queue.hedge(original));
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
         let clone = batch[0];
-        queue.fail(original, true);
-        queue.fail(clone, false);
+        queue.fail(original);
+        queue.fail(clone);
         assert_eq!(queue.failed(), 1, "the request failed exactly once");
         assert_eq!(queue.duplicates_suppressed(), 1);
         let shed = queue.take_shed();
@@ -1274,7 +1134,7 @@ mod tests {
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
         let clone = batch[0];
         let mut primary = Vec::new();
-        queue.complete_batch(&[clone], false, &mut primary);
+        queue.complete_batch(&[clone], &mut primary);
         assert_eq!(primary, vec![true]);
         // A transient error makes the straggler's worker requeue it — but
         // the request is already answered, so it must not re-enter.
@@ -1291,7 +1151,6 @@ mod tests {
         let queue = ArrivalQueue::with_config(AdmissionConfig {
             max_depth: None,
             shed_expired: true,
-            order: DequeueOrder::Fifo,
         });
         let short = QueuedRequest::with_slo(0, 0.0, 0.015);
         assert!(queue.push(short));
@@ -1309,7 +1168,7 @@ mod tests {
             });
             std::thread::sleep(Duration::from_millis(10));
             let mut primary = Vec::new();
-            queue.complete_batch(&[original], true, &mut primary);
+            queue.complete_batch(&[original], &mut primary);
             assert_eq!(primary, vec![true], "the original still answers");
             assert!(
                 !waiter.join().unwrap(),

@@ -30,10 +30,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// EWMA smoothing factor for per-replica batch service time: each new
-/// observation carries this weight.
-const SERVICE_EWMA_ALPHA: f64 = 0.2;
-
 /// Clean batches a replica on probation must serve to return to
 /// [`ReplicaHealth::Healthy`].
 const PROBATION_CLEAN_BATCHES: u32 = 2;
@@ -115,27 +111,24 @@ impl InFlightSlot {
         slot.hedged = false;
     }
 
-    /// Marks the current batch fully accounted (served/requeued/failed) and
-    /// returns whether the watchdog hedged it while it ran. The worker must
-    /// clear **before** resolving the batch against the queue: clearing
-    /// makes the monitor blind to this dispatch, so the returned flag is the
-    /// final word on whether a hedge raced (or is about to race) the batch.
-    pub fn clear(&self) -> bool {
-        let mut slot = self.slot.lock().expect("in-flight slot poisoned");
-        slot.batch.clear();
-        std::mem::take(&mut slot.hedged)
+    /// Marks the current batch fully accounted (served/requeued/failed):
+    /// the monitor stops watching it. A hedge the monitor already claimed
+    /// may still land afterwards; the queue refuses it once the request is
+    /// decided.
+    pub fn clear(&self) {
+        self.slot
+            .lock()
+            .expect("in-flight slot poisoned")
+            .batch
+            .clear();
     }
 
-    /// Takes whatever was in flight plus its hedged flag — the
-    /// crash-recovery path. The slot mutex is never poisoned by a worker
-    /// panic: workers only hold the lock inside
-    /// [`publish`](Self::publish)/[`clear`](Self::clear), which cannot
-    /// unwind mid-critical-section.
-    pub fn recover(&self) -> (Vec<QueuedRequest>, bool) {
-        let mut slot = self.slot.lock().expect("in-flight slot poisoned");
-        let batch = std::mem::take(&mut slot.batch);
-        let hedged = std::mem::take(&mut slot.hedged);
-        (batch, hedged)
+    /// Takes whatever was in flight — the crash-recovery path. The slot
+    /// mutex is never poisoned by a worker panic: workers only hold the
+    /// lock inside [`publish`](Self::publish)/[`clear`](Self::clear), which
+    /// cannot unwind mid-critical-section.
+    pub fn recover(&self) -> Vec<QueuedRequest> {
+        std::mem::take(&mut self.slot.lock().expect("in-flight slot poisoned").batch)
     }
 
     /// Watchdog probe: the current dispatch's stamp and hedged flag, or
@@ -171,21 +164,15 @@ impl InFlightSlot {
 /// Routes one failed serve attempt: requeue for another try while the
 /// request has retry budget left (original arrival stamp preserved —
 /// [`QueuedRequest::retry`] bumps only the count), otherwise fail it
-/// permanently with a counted [`RejectReason::Failed`] rejection. `hedged`
-/// carries the in-flight slot's flag so a hedged sibling's result is never
-/// double-counted (see [`ArrivalQueue::fail`]).
+/// permanently with a counted [`RejectReason::Failed`] rejection (a hedged
+/// request's live sibling still decides it, see [`ArrivalQueue::fail`]).
 ///
 /// [`RejectReason::Failed`]: centaur_dlrm::RejectReason::Failed
-pub fn requeue_or_fail(
-    queue: &ArrivalQueue,
-    request: QueuedRequest,
-    retry_limit: u32,
-    hedged: bool,
-) {
+pub fn requeue_or_fail(queue: &ArrivalQueue, request: QueuedRequest, retry_limit: u32) {
     if request.retries < retry_limit {
         queue.requeue(request.retry());
     } else {
-        queue.fail(request, hedged);
+        queue.fail(request);
     }
 }
 
@@ -210,8 +197,6 @@ pub enum ReplicaHealth {
 #[derive(Debug)]
 struct HealthState {
     state: ReplicaHealth,
-    /// EWMA of batch service time (seconds); `0.0` until the first batch.
-    ewma_service_s: f64,
     strikes: u32,
     clean: u32,
     quarantined_until_s: f64,
@@ -220,13 +205,12 @@ struct HealthState {
     readmissions: usize,
 }
 
-/// Pool-wide replica health scoring: per-replica EWMA of batch service
-/// time plus overdue/transient strike counts feed a
-/// [`ReplicaHealth`] state machine (Healthy → Probation → Quarantined).
-/// Workers consult [`may_pull`](Self::may_pull) before taking work;
-/// quarantined replicas re-admit via exponential-backoff probes. All state
-/// is per-replica behind its own mutex — scoring never contends with the
-/// arrival queue's lock.
+/// Pool-wide replica health scoring: per-replica overdue, transient and
+/// over-timeout service strikes feed a [`ReplicaHealth`] state machine
+/// (Healthy → Probation → Quarantined). Workers consult
+/// [`may_pull`](Self::may_pull) before taking work; quarantined replicas
+/// re-admit via exponential-backoff probes. All state is per-replica behind
+/// its own mutex — scoring never contends with the arrival queue's lock.
 #[derive(Debug)]
 pub struct HealthBoard {
     replicas: Vec<Mutex<HealthState>>,
@@ -246,7 +230,6 @@ impl HealthBoard {
                 .map(|_| {
                     Mutex::new(HealthState {
                         state: ReplicaHealth::Healthy,
-                        ewma_service_s: 0.0,
                         strikes: 0,
                         clean: 0,
                         quarantined_until_s: 0.0,
@@ -262,18 +245,12 @@ impl HealthBoard {
         }
     }
 
-    /// Records one served batch: updates the service-time EWMA, counts a
-    /// strike when service exceeded the timeout, and otherwise credits a
-    /// clean batch (probation works back to healthy after
-    /// [`PROBATION_CLEAN_BATCHES`] of them; healthy replicas decay one
-    /// strike per clean batch).
+    /// Records one served batch: counts a strike when service exceeded the
+    /// timeout, and otherwise credits a clean batch (probation works back
+    /// to healthy after [`PROBATION_CLEAN_BATCHES`] of them; healthy
+    /// replicas decay one strike per clean batch).
     pub fn record_service(&self, replica: usize, service_s: f64, now_s: f64) {
         let mut s = self.replicas[replica].lock().expect("health poisoned");
-        s.ewma_service_s = if s.ewma_service_s == 0.0 {
-            service_s
-        } else {
-            SERVICE_EWMA_ALPHA * service_s + (1.0 - SERVICE_EWMA_ALPHA) * s.ewma_service_s
-        };
         if service_s > self.timeout_s {
             self.strike(&mut s, now_s);
             return;
@@ -349,15 +326,6 @@ impl HealthBoard {
             .lock()
             .expect("health poisoned")
             .state
-    }
-
-    /// The replica's batch-service-time EWMA in seconds (`0.0` before its
-    /// first batch).
-    pub fn ewma_service_s(&self, replica: usize) -> f64 {
-        self.replicas[replica]
-            .lock()
-            .expect("health poisoned")
-            .ewma_service_s
     }
 
     /// Quarantine entries across the pool so far.
@@ -447,23 +415,23 @@ mod tests {
             QueuedRequest::new(4, 0.002).retry(),
         ];
         slot.publish(&batch, 0.01);
-        let (recovered, hedged) = slot.recover();
+        let recovered = slot.recover();
         assert_eq!(recovered.len(), 2);
         assert_eq!(recovered[0].index, 3);
         assert_eq!(recovered[1].retries, 1, "retry metadata survives recovery");
-        assert!(!hedged);
-        assert!(slot.recover().0.is_empty(), "recovery drains the slot");
+        assert!(slot.recover().is_empty(), "recovery drains the slot");
         slot.publish(&batch, 0.02);
-        assert!(!slot.clear(), "unhedged dispatch clears without a flag");
+        slot.clear();
+        assert_eq!(slot.probe(), None, "a cleared slot is idle");
         assert!(
-            slot.recover().0.is_empty(),
+            slot.recover().is_empty(),
             "cleared batches are not recovered"
         );
     }
 
     /// The watchdog handshake: an overdue dispatch is claimed exactly once,
-    /// an on-time or already-hedged one never, and the worker's `clear`
-    /// takes the hedged flag with it.
+    /// an on-time or already-hedged one never, and the next dispatch starts
+    /// unclaimed.
     #[test]
     fn overdue_riders_claims_an_overdue_dispatch_once() {
         let slot = InFlightSlot::new(4);
@@ -485,7 +453,8 @@ mod tests {
             !slot.overdue_riders(2.0, 0.001, &mut riders),
             "a dispatch is hedged at most once"
         );
-        assert!(slot.clear(), "the worker learns its dispatch was hedged");
+        assert_eq!(slot.probe(), Some((1.0, true)), "the claim is visible");
+        slot.clear();
         slot.publish(&batch, 3.0);
         assert_eq!(
             slot.probe(),
@@ -501,17 +470,17 @@ mod tests {
         // Budget 1: first failure requeues, second fails permanently.
         assert!(queue.push(QueuedRequest::new(0, 0.0)));
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
-        requeue_or_fail(&queue, batch[0], 1, false);
+        requeue_or_fail(&queue, batch[0], 1);
         assert_eq!(queue.depth(), 1, "first failure requeues");
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
         assert_eq!(batch[0].retries, 1);
-        requeue_or_fail(&queue, batch[0], 1, false);
+        requeue_or_fail(&queue, batch[0], 1);
         assert_eq!(queue.depth(), 0, "budget exhausted");
         assert_eq!(queue.failed(), 1);
         // Budget 0 fails immediately.
         assert!(queue.push(QueuedRequest::new(1, 0.0)));
         assert!(queue.pop_batch(BatchPolicy::Fifo, &mut batch));
-        requeue_or_fail(&queue, batch[0], 0, false);
+        requeue_or_fail(&queue, batch[0], 0);
         assert_eq!(queue.failed(), 2);
     }
 
@@ -554,7 +523,6 @@ mod tests {
         board.record_service(0, 0.002, 0.141);
         board.record_service(0, 0.002, 0.142);
         assert_eq!(board.health(0), ReplicaHealth::Healthy);
-        assert!(board.ewma_service_s(0) > 0.0);
         // The sibling replica was never touched.
         assert_eq!(board.health(1), ReplicaHealth::Healthy);
         assert_eq!(board.quarantines(), 2, "counts are per-pool sums");

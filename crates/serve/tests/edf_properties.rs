@@ -1,19 +1,12 @@
-//! Property tests pinning the earliest-deadline-first backlog order: under
-//! [`DequeueOrder::Edf`] the queue hands out whatever it holds in
-//! non-decreasing deadline order (ties by enqueue order, no-deadline
-//! requests last), and requeued requests keep their original arrival and
-//! deadline stamps — a retried request re-enters the heap *now* but is
-//! still judged against its original schedule.
+//! Property tests pinning the queue's one backlog order, earliest deadline
+//! first: the queue hands out whatever it holds in non-decreasing deadline
+//! order (ties by enqueue order, no-deadline requests last), and requeued
+//! requests keep their original arrival and deadline stamps — a retried
+//! request re-enters the backlog *now* but is still judged against its
+//! original schedule.
 
-use centaur_serve::{AdmissionConfig, ArrivalQueue, BatchPolicy, DequeueOrder, QueuedRequest};
+use centaur_serve::{ArrivalQueue, BatchPolicy, QueuedRequest};
 use proptest::prelude::*;
-
-fn edf_queue() -> ArrivalQueue {
-    ArrivalQueue::with_config(AdmissionConfig {
-        order: DequeueOrder::Edf,
-        ..AdmissionConfig::default()
-    })
-}
 
 /// Drains the whole backlog through `pop_batch` and returns the requests in
 /// the order the queue handed them out.
@@ -79,7 +72,7 @@ proptest! {
         deadline_choices in proptest::collection::vec(0..8u32, 1..48),
         max_batch in 1..9usize,
     ) {
-        let queue = edf_queue();
+        let queue = ArrivalQueue::new();
         let mut enqueue_order = Vec::new();
         for (index, &choice) in deadline_choices.iter().enumerate() {
             // choice 7 = no deadline; others land on a coarse grid so
@@ -115,7 +108,7 @@ proptest! {
         deadline_choices in proptest::collection::vec(0..6u32, 2..24),
         requeue_bits in proptest::collection::vec(0..2u8, 2..24),
     ) {
-        let queue = edf_queue();
+        let queue = ArrivalQueue::new();
         let mut originals = Vec::new();
         for (index, &choice) in deadline_choices.iter().enumerate() {
             let request = QueuedRequest {
@@ -161,7 +154,7 @@ proptest! {
         }
         // The tail of the drain — everything after the last requeue went
         // back in — is a pure EDF pop sequence again: once no more requeues
-        // disturb the heap, deadlines never decrease.
+        // disturb the backlog, deadlines never decrease.
         let last_retry = served.iter().rposition(|r| r.retries > 0).map_or(0, |p| p);
         for window in served[last_retry..].windows(2) {
             prop_assert!(

@@ -1,7 +1,8 @@
 //! Property tests pinning first-result-wins duplicate suppression: under
 //! every interleaving of hedge-dispatch, original-completion and
 //! hedge-completion (including the late-hedge race where the original
-//! resolves between the watchdog's overdue check and its `hedge()` call),
+//! resolves between the watchdog's overdue check and its `hedge()` call,
+//! refused by the request's done bit),
 //! each request is counted **exactly once** — never double-counted, never
 //! lost — and `generated = completed + failed` stays exact with every
 //! redundant copy landing in `duplicates_suppressed`.
@@ -32,11 +33,10 @@ fn pop_one(queue: &ArrivalQueue) -> QueuedRequest {
 }
 
 /// Resolves one copy as a completion and reports whether it was counted
-/// (`true`) or suppressed as a duplicate (`false`). `slot_hedged` is the
-/// flag the worker would have taken from its in-flight slot.
-fn complete_one(queue: &ArrivalQueue, copy: QueuedRequest, slot_hedged: bool) -> bool {
+/// (`true`) or suppressed as a duplicate (`false`).
+fn complete_one(queue: &ArrivalQueue, copy: QueuedRequest) -> bool {
     let mut primary = Vec::new();
-    queue.complete_batch(&[copy], slot_hedged, &mut primary);
+    queue.complete_batch(&[copy], &mut primary);
     primary[0]
 }
 
@@ -54,7 +54,7 @@ enum Interleaving {
     /// original is a duplicate.
     CloneWins,
     /// The watchdog marked the slot overdue but the original completed
-    /// before `hedge()` landed: the pending-hedge marker cancels the late
+    /// before `hedge()` landed: the request's done bit cancels the late
     /// hedge and no clone ever exists.
     LateHedgeCancelled,
     /// Hedged; the original fails while the clone is still live — the
@@ -124,11 +124,11 @@ proptest! {
                 }
             };
             match interleaving {
-                Interleaving::Plain => count(complete_one(&queue, original, false)),
-                Interleaving::PlainFail => queue.fail(original, false),
+                Interleaving::Plain => count(complete_one(&queue, original)),
+                Interleaving::PlainFail => queue.fail(original),
                 Interleaving::OriginalWins => {
                     prop_assert!(queue.hedge(original));
-                    count(complete_one(&queue, original, true));
+                    count(complete_one(&queue, original));
                     // The clone is now a dead copy in the backlog; the
                     // next pop scan suppresses it instead of handing it
                     // out (the following iteration's pop, or the final
@@ -137,35 +137,35 @@ proptest! {
                 Interleaving::CloneWins => {
                     prop_assert!(queue.hedge(original));
                     let clone = pop_one(&queue);
-                    count(complete_one(&queue, clone, false));
-                    count(complete_one(&queue, original, true));
+                    count(complete_one(&queue, clone));
+                    count(complete_one(&queue, original));
                 }
                 Interleaving::LateHedgeCancelled => {
-                    count(complete_one(&queue, original, true));
+                    count(complete_one(&queue, original));
                     prop_assert!(!queue.hedge(original), "late hedge must cancel");
                 }
                 Interleaving::OriginalFailsCloneWins => {
                     prop_assert!(queue.hedge(original));
-                    queue.fail(original, true);
+                    queue.fail(original);
                     let clone = pop_one(&queue);
-                    count(complete_one(&queue, clone, false));
+                    count(complete_one(&queue, clone));
                 }
                 Interleaving::CloneFailsOriginalWins => {
                     prop_assert!(queue.hedge(original));
                     let clone = pop_one(&queue);
-                    queue.fail(clone, false);
-                    count(complete_one(&queue, original, true));
+                    queue.fail(clone);
+                    count(complete_one(&queue, original));
                 }
                 Interleaving::BothFail => {
                     prop_assert!(queue.hedge(original));
-                    queue.fail(original, true);
+                    queue.fail(original);
                     let clone = pop_one(&queue);
-                    queue.fail(clone, false);
+                    queue.fail(clone);
                 }
                 Interleaving::CloneWinsOriginalRequeued => {
                     prop_assert!(queue.hedge(original));
                     let clone = pop_one(&queue);
-                    count(complete_one(&queue, clone, false));
+                    count(complete_one(&queue, clone));
                     queue.requeue(original.retry());
                 }
             }
@@ -208,7 +208,7 @@ proptest! {
     /// is popped in arbitrary batch sizes, and per request a coin decides
     /// whether the watchdog's `hedge()` lands before or after the original's
     /// completion. Early hedges spawn one clone each (suppressed when it
-    /// drains later); late hedges are cancelled by the pending-hedge marker.
+    /// drains later); late hedges are cancelled by the request's done bit.
     /// Either way every request completes exactly once.
     #[test]
     fn late_and_early_hedges_agree_on_the_ledger(
@@ -237,9 +237,9 @@ proptest! {
                 if hedge_bits[copy.index] == 1 {
                     prop_assert!(queue.hedge(copy), "early hedge enqueues a clone");
                     expected_hedges += 1;
-                    queue.complete_batch(&batch[i..=i], true, &mut primary);
+                    queue.complete_batch(&batch[i..=i], &mut primary);
                 } else {
-                    queue.complete_batch(&batch[i..=i], true, &mut primary);
+                    queue.complete_batch(&batch[i..=i], &mut primary);
                     prop_assert!(!queue.hedge(copy), "late hedge must cancel");
                 }
                 if primary[0] {

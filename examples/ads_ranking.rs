@@ -7,7 +7,7 @@
 //! The ranker is having a bad day: 3× its pooled capacity of heavy-tailed
 //! traffic plus a replica crash mid-replay — more work than the host can
 //! absorb. The example replays the same mix twice — **isolated**
-//! per-tenant pools (own EDF queue, own SLO / admission / fault budgets)
+//! per-tenant pools (own queue, own SLO / admission / fault budgets)
 //! versus one **shared-everything** pool — and shows that isolation
 //! confines the damage to the tenant that caused it: the filter's p99
 //! holds inside its own 5 ms SLO and the overloaded ranker pool sheds its
@@ -21,7 +21,7 @@ use centaur::CentaurConfig;
 use centaur_dlrm::{DlrmModel, PaperModel};
 use centaur_serve::{
     calibrate_fifo_capacity_qps, relative_sample_cost, run_mix_cell, scaled_service_estimate,
-    FaultSpec, PoolMode, Supervision, TenantSpec,
+    FaultSpec, PoolMode, ServeReport, Supervision, TenantSpec,
 };
 use centaur_workload::{IndexDistribution, TenantTraffic, TrafficShape};
 use std::time::Duration;
@@ -122,25 +122,30 @@ fn main() {
                 r.tenant,
                 r.pool,
                 r.offered_qps,
-                r.availability,
-                r.latency.p99_s * 1e3,
-                r.shed,
-                r.failed,
+                r.availability(),
+                p99_s(r) * 1e3,
+                r.outcome.shed(),
+                r.outcome.failed,
                 r.faults
             );
         }
         filter_rows.extend(rows.into_iter().filter(|r| r.tenant == "ctr-filter"));
     }
 
-    let isolated = &filter_rows[0];
-    let shared = &filter_rows[1];
+    let isolated = p99_s(&filter_rows[0]);
+    let shared = p99_s(&filter_rows[1]);
     println!(
         "\nIsolated pools pin the CTR filter at {:.3} ms p99 — inside its {} ms SLO — \
          while its overloaded neighbour sheds its own excess; shared-everything \
          drags the filter's p99 to {:.3} ms, {:.1}x past its deadline.",
-        isolated.latency.p99_s * 1e3,
+        isolated * 1e3,
         FILTER_SLO.as_millis(),
-        shared.latency.p99_s * 1e3,
-        shared.latency.p99_s / FILTER_SLO.as_secs_f64()
+        shared * 1e3,
+        shared / FILTER_SLO.as_secs_f64()
     );
+}
+
+/// A row's p99 end-to-end latency in seconds (`0` when nothing completed).
+fn p99_s(row: &ServeReport) -> f64 {
+    row.outcome.latency_summary().unwrap_or_default().p99_s
 }

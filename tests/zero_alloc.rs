@@ -407,17 +407,16 @@ fn steady_state_inference_paths_do_not_allocate() {
     // shedding, exercised through push (admitted + admission-shed) and
     // deadline-aware pop_batch (expired requests shed, live ones batched).
     // After the ring buffer and the shed log reach their high-water marks
-    // (one warm-up round + reserve_shed), sustained overload must not touch
+    // (one warm-up round + reserve), sustained overload must not touch
     // the heap — shedding is exactly the path that runs hottest when the
     // server is drowning.
-    use centaur_serve::{AdmissionConfig, ArrivalQueue, BatchPolicy, DequeueOrder, QueuedRequest};
+    use centaur_serve::{AdmissionConfig, ArrivalQueue, BatchPolicy, QueuedRequest};
     use std::time::Duration;
     let queue = ArrivalQueue::with_config(AdmissionConfig {
         max_depth: Some(8),
         shed_expired: true,
-        order: DequeueOrder::Fifo,
     });
-    queue.reserve_shed(256);
+    queue.reserve(256);
     let policy = BatchPolicy::Deadline {
         max_batch: 8,
         max_wait: Duration::ZERO,
@@ -467,7 +466,7 @@ fn steady_state_inference_paths_do_not_allocate() {
     // batched inference, hedge-aware completion through `complete_batch`
     // (every result primary — no duplicates to suppress), recording
     // completions into a pre-reserved log, and scoring the replica's
-    // service EWMA. Supervision plus an armed watchdog must cost nothing on
+    // service time. Supervision plus an armed watchdog must cost nothing on
     // the heap when nothing is stalling — crash recovery and hedge races
     // may allocate, every healthy batch served must not.
     use centaur_serve::{Completion, FaultGuard, HealthBoard, InFlightSlot};
@@ -520,8 +519,8 @@ fn steady_state_inference_paths_do_not_allocate() {
         served_staged.clear();
         served_staged.extend(served_batch.iter().map(|q| &requests[q.index]));
         let probabilities = serve_stage.run_batch(&mut runtime, &served_staged).unwrap();
-        assert!(!slot.clear(), "no watchdog hedged this healthy batch");
-        supervised_queue.complete_batch(&served_batch, false, &mut primary);
+        slot.clear();
+        supervised_queue.complete_batch(&served_batch, &mut primary);
         assert!(primary.iter().all(|&keep| keep), "every result is primary");
         completion_log.clear();
         for (queued, &probability) in served_batch.iter().zip(probabilities) {
@@ -556,10 +555,10 @@ fn steady_state_inference_paths_do_not_allocate() {
     assert_eq!(health.quarantines(), 0);
 
     // --- Multi-tenant EDF steady state --------------------------------------
-    // The isolated-pool dispatch path: an EDF-ordered arrival queue (binary
-    // heap backlog) feeding a `MixServer` that routes every queued request
-    // to its tenant's own engine and scatters the probabilities back into
-    // batch order. After warm-up has grown the heap, the per-tenant
+    // The isolated-pool dispatch path: an EDF-ordered arrival queue (a
+    // deadline-sorted backlog) feeding a `MixServer` that routes every
+    // queued request to its tenant's own engine and scatters the
+    // probabilities back into batch order. After warm-up has grown the backlog, the per-tenant
     // position scratch and the output buffer, sustained fault-free
     // multi-tenant serving — push with interleaved per-tenant deadlines,
     // EDF pop, route, batch-serve, complete — must not touch the heap.
@@ -574,14 +573,13 @@ fn steady_state_inference_paths_do_not_allocate() {
     let edf_queue = ArrivalQueue::with_config(AdmissionConfig {
         max_depth: None,
         shed_expired: false,
-        order: DequeueOrder::Edf,
     });
     let mut mix_out: Vec<f32> = Vec::with_capacity(batch);
     let mut edf_batch: Vec<QueuedRequest> = Vec::with_capacity(batch);
     let mut mix_round = |mix_out: &mut Vec<f32>, edf_batch: &mut Vec<QueuedRequest>| {
         for i in 0..batch {
-            // Interleaved urgencies so the heap genuinely re-sorts the
-            // backlog every round instead of degenerating to FIFO.
+            // Interleaved urgencies so the queue genuinely inserts by
+            // deadline every round instead of degenerating to appends.
             assert!(edf_queue.push(QueuedRequest {
                 index: i,
                 arrival_s: 0.0,
@@ -601,7 +599,7 @@ fn steady_state_inference_paths_do_not_allocate() {
         mix_server.serve_batch(edf_batch, mix_out).unwrap();
         edf_queue.complete(edf_batch.len());
     };
-    mix_round(&mut mix_out, &mut edf_batch); // warm-up: heap, scratch, output
+    mix_round(&mut mix_out, &mut edf_batch); // warm-up: backlog, scratch, output
                                              // Tenant 0 shares the solo model above, so its routed probabilities
                                              // must match the solo batched results exactly.
     for (position, queued) in edf_batch.iter().enumerate() {
