@@ -19,34 +19,38 @@
 //!
 //! **Why 6×16 on AVX2 and 16×16 on AVX-512.** The tile's accumulators live
 //! in registers across the whole `k` block; per `k` step it loads one strip
-//! row, broadcasts one element of each `A` row and forms a product (there
-//! is no FMA). One body, `tile::<R>`, is instantiated at the full-tile
-//! height that fits each vector unit, and `sweep_block` runs the widest
-//! unit the CPU has (detected once):
+//! row, broadcasts one element of each `A` row and issues one fused
+//! multiply-add per row. One body, `tile::<R>`, is instantiated at the
+//! full-tile height that fits each vector unit, and `sweep_block` runs the
+//! widest unit the CPU has (detected once):
 //!
-//! - AVX2: a strip row is 2 of the 16 ymm registers, so an `R × 16` tile
-//!   needs `2R` accumulators + 2 + 1 + 1 = `2R + 4`. `R = 6` fits
-//!   exactly; 8 rows need 20 and spill on every step. Remainders run 4
-//!   and 1 rows. The portable build uses the same heights.
-//! - AVX-512F: a strip row is exactly one of the 32 zmm registers, so
-//!   16 rows need 16 accumulators + 1 + 1 + 1 = 19, with room to spare.
+//! - AVX2 + FMA: a strip row is 2 of the 16 ymm registers, so an `R × 16`
+//!   tile needs `2R` accumulators + 2 + 1 = `2R + 3`. `R = 6` fits; 7
+//!   rows need 17 and spill on every step. Remainders run 4 and 1 rows.
+//!   The portable build uses the same heights.
+//! - AVX-512F + FMA: a strip row is exactly one of the 32 zmm registers,
+//!   so 16 rows need 16 accumulators + 1 + 1 = 18, with room to spare.
 //!   LLVM keeps all 16 accumulators in zmm0–15 and emits one
-//!   `vmulps mem{1to16}` + `vaddps` per row and `k`, with no spills and one
+//!   `vfmadd231ps mem{1to16}` per row and `k`, with no spills and one
 //!   bounds check per `k`. Remainders run 8, 4 and 1 rows.
 //!
 //! Full-tile heights swept under AVX-512 on the reference host
 //! (`offline_mlp`: DLRM(6) at batch 16; one binary per height, seeds 11–13
-//! at 12 s, samples per second): 8 rows (8 + 8) 231–237 k, 12 rows
-//! (12 + 4) 188–191 k, **16 rows (one tile) 251–252 k**, against 156 k for
-//! the AVX2 6-row build (6 + 6 + 4, the parent). Traced (seed 7),
-//! `kernel.gemm_gflops` moves from 54.4 to 88.2.
+//! at 12 s, samples per second, multiply and add still unfused): 8 rows
+//! (8 + 8) 231–237 k, 12 rows (12 + 4) 188–191 k, **16 rows (one tile)
+//! 251–252 k**, against 156 k for the AVX2 6-row build (6 + 6 + 4).
+//! Traced (seed 7), `kernel.gemm_gflops` moved from 54.4 to 88.2 — the
+//! unfused peak of two 512-bit operations per cycle. Fusing the step
+//! lifts that limit: the same traced row reads 124–132 fused, and
+//! `offline_mlp` runs 1.5× the unfused build's samples per second.
 //!
-//! **Same bits everywhere.** Every output element gets one IEEE multiply
-//! and one add per `k`, `k` ascending, whatever tile height, unit or strip
-//! it lands in. No build enables FMA: a fused multiply-add rounds once
-//! where the oracle rounds twice, so it would change the model's bits
-//! (and the pinned output hashes), and what it would gain on this host is
-//! unmeasured. The two backends are therefore **bitwise identical**:
+//! **Same bits everywhere.** Every output element gets one fused
+//! multiply-add per `k` (`f32::mul_add`: the exact `a·b + acc`, rounded
+//! once as IEEE defines it), `k` ascending, whatever tile height, unit or
+//! strip it lands in. A correctly rounded operation has one answer, so the
+//! bits do not depend on the unit or the host either: the portable build
+//! gets the same values from libm's `fmaf`. The two backends are therefore
+//! **bitwise identical**:
 //!
 //! - [`KernelBackend::Naive`] — the textbook `ijk` triple loop. Slow by
 //!   design; kept as the correctness oracle the production kernel is
@@ -70,11 +74,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Rows of a full register tile on AVX2 (and in the scalar build): `2·MR`
-/// accumulator vectors + 2 strip-row vectors + 1 broadcast + 1 product =
-/// AVX2's 16 registers exactly.
+/// accumulator vectors + 2 strip-row vectors + 1 broadcast = 15 of AVX2's
+/// 16 registers.
 const MR: usize = 6;
 /// Rows of a full register tile on AVX-512: `MR_AVX512` accumulator
-/// vectors + 1 strip-row vector + 1 broadcast + 1 product = 19 of the 32.
+/// vectors + 1 strip-row vector + 1 broadcast = 18 of the 32.
 const MR_AVX512: usize = 16;
 /// Columns of the register tile and of a packed strip of `B`.
 const TJ: usize = 16;
@@ -149,15 +153,15 @@ pub fn global_backend() -> KernelBackend {
 /// Which implementation executes the sparse embedding gather-reduce.
 ///
 /// The two are **bitwise identical**: every output element accumulates its
-/// rows in index order, the vector units only widen how many elements
-/// advance per step (and the AVX2 dispatch excludes FMA, exactly like the
-/// GEMM tile).
+/// rows in index order with one IEEE add each, and the vector units only
+/// widen how many elements advance per step (a gather-sum has no multiply,
+/// so there is nothing to fuse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparseBackend {
     /// Row-at-a-time accumulate loop — the correctness oracle.
     Scalar,
     /// Production: register-tiled accumulator with software prefetch of
-    /// upcoming rows and runtime-dispatched AVX2 (no FMA).
+    /// upcoming rows and runtime-dispatched AVX2.
     #[default]
     Vectorized,
 }
@@ -343,14 +347,15 @@ fn epilogue(out: &mut [f32], bias: Option<&[f32]>, act: FusedAct, m: usize, n: u
     }
 }
 
-/// The correctness oracle: textbook `ijk` loop, scalar accumulator, no
-/// blocking, strided access to `B` — intentionally unoptimized.
+/// The correctness oracle: textbook `ijk` loop, scalar accumulator, one
+/// fused multiply-add per `k`, no blocking, strided access to `B` —
+/// intentionally unoptimized.
 fn gemm_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a[i * k + kk] * b[kk * n + j];
+                acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
             }
             out[i * n + j] = acc;
         }
@@ -431,9 +436,9 @@ impl SimdUnit {
         match self {
             SimdUnit::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            SimdUnit::Avx2 => avx2_available(),
+            SimdUnit::Avx2 => avx2_available() && fma_available(),
             #[cfg(target_arch = "x86_64")]
-            SimdUnit::Avx512 => avx512_available(),
+            SimdUnit::Avx512 => avx512_available() && fma_available(),
             #[cfg(not(target_arch = "x86_64"))]
             SimdUnit::Avx2 | SimdUnit::Avx512 => false,
         }
@@ -472,10 +477,9 @@ fn sweep_block(
 }
 
 /// [`sweep_block`] on a given unit: the x86-64 units re-compile the body
-/// with 256- or 512-bit vectors. FMA is deliberately **not** enabled on
-/// either: a fused multiply-add rounds once where the scalar build rounds
-/// twice, and every build must do the scalar build's arithmetic, 8 or 16
-/// lanes at a time.
+/// with 256- or 512-bit vectors and FMA. The step is `f32::mul_add` on
+/// every unit, rounded once as IEEE defines it, so the vector units do the
+/// scalar build's arithmetic (libm `fmaf`), 8 or 16 lanes at a time.
 ///
 /// # Panics
 ///
@@ -499,11 +503,11 @@ fn sweep_block_on(
         SimdUnit::Scalar => sweep_block_impl::<MR>(a, block, out, m, kc, kcb, jc, k, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `unit.available()` asserted above is the cached runtime
-        // AVX2 check, the wrapper's sole precondition.
+        // AVX2 + FMA check, the wrapper's sole precondition.
         SimdUnit::Avx2 => unsafe { sweep_block_avx2(a, block, out, m, kc, kcb, jc, k, n) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `unit.available()` asserted above is the cached runtime
-        // AVX-512F check, the wrapper's sole precondition.
+        // AVX-512F + FMA check, the wrapper's sole precondition.
         SimdUnit::Avx512 => unsafe { sweep_block_avx512(a, block, out, m, kc, kcb, jc, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         SimdUnit::Avx2 | SimdUnit::Avx512 => unreachable!("no x86 units off x86-64"),
@@ -524,20 +528,28 @@ pub(crate) fn avx512_available() -> bool {
     *AVX512.get_or_init(|| std::is_x86_feature_detected!("avx512f"))
 }
 
-/// [`sweep_block_impl`] at [`MR`] rows compiled with AVX2 codegen (256-bit
-/// vector mul + add, no FMA — see [`sweep_block_on`] for why).
+/// Whether the running CPU supports FMA, detected once.
+#[cfg(target_arch = "x86_64")]
+fn fma_available() -> bool {
+    static FMA: OnceLock<bool> = OnceLock::new();
+    *FMA.get_or_init(|| std::is_x86_feature_detected!("fma"))
+}
+
+/// [`sweep_block_impl`] at [`MR`] rows compiled with AVX2 + FMA codegen
+/// (one 256-bit fused multiply-add per strip-row half, row and `k`).
 ///
 /// # Safety
 ///
-/// The caller must ensure the running CPU supports AVX2.
+/// The caller must ensure the running CPU supports AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-// SAFETY: unsafe solely because of `#[target_feature(enable = "avx2")]` —
-// the body is safe Rust (bounds-checked slices, no raw pointers) recompiled
-// under AVX2 codegen. Sole precondition: the running CPU supports AVX2,
-// which the one caller (`sweep_block_on`) asserts via `avx2_available()`
-// (cached `is_x86_feature_detected!`) before dispatching here.
+// SAFETY: unsafe solely because of `#[target_feature(enable = "avx2,fma")]`
+// — the body is safe Rust (bounds-checked slices, no raw pointers)
+// recompiled under AVX2 + FMA codegen. Sole precondition: the running CPU
+// supports both, which the one caller (`sweep_block_on`) asserts via
+// `avx2_available()` and `fma_available()` (cached
+// `is_x86_feature_detected!`) before dispatching here.
 unsafe fn sweep_block_avx2(
     a: &[f32],
     block: &[f32],
@@ -552,21 +564,23 @@ unsafe fn sweep_block_avx2(
     sweep_block_impl::<MR>(a, block, out, m, kc, kcb, jc, k, n);
 }
 
-/// [`sweep_block_impl`] at [`MR_AVX512`] rows compiled with AVX-512F
-/// codegen: a strip row is one 512-bit register, so each accumulator row
-/// is one register too (mul + add, no FMA — see [`sweep_block_on`]).
+/// [`sweep_block_impl`] at [`MR_AVX512`] rows compiled with AVX-512F +
+/// FMA codegen: a strip row is one 512-bit register, so each accumulator
+/// row is one register too, and each row and `k` is one fused
+/// multiply-add.
 ///
 /// # Safety
 ///
-/// The caller must ensure the running CPU supports AVX-512F.
+/// The caller must ensure the running CPU supports AVX-512F and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,fma")]
 #[allow(clippy::too_many_arguments)]
-// SAFETY: unsafe solely because of `#[target_feature(enable = "avx512f")]`
-// — the body is safe Rust (bounds-checked slices, no raw pointers)
-// recompiled under AVX-512F codegen. Sole precondition: the running CPU
-// supports AVX-512F, which the one caller (`sweep_block_on`) asserts via
-// `avx512_available()` (cached `is_x86_feature_detected!`) first.
+// SAFETY: unsafe solely because of
+// `#[target_feature(enable = "avx512f,fma")]` — the body is safe Rust
+// (bounds-checked slices, no raw pointers) recompiled under AVX-512F + FMA
+// codegen. Sole precondition: the running CPU supports both, which the one
+// caller (`sweep_block_on`) asserts via `avx512_available()` and
+// `fma_available()` (cached `is_x86_feature_detected!`) first.
 unsafe fn sweep_block_avx512(
     a: &[f32],
     block: &[f32],
@@ -633,10 +647,12 @@ fn sweep_block_impl<const FULL: usize>(
 ///
 /// The `R` rows of `a` are sliced to exactly `kcb` and a full-width strip
 /// is viewed as `kcb` arrays of `TJ`, so the inner loop indexes nothing
-/// the compiler cannot prove in range. A narrow last strip (`w < TJ`)
-/// accumulates in place in `out` instead. Per output element the order is
-/// `kk` ascending either way and for every `R`, so results do not depend on
-/// which tile a row or column lands in.
+/// the compiler cannot prove in range. A narrow last strip (`w < TJ`, e.g.
+/// a 1-wide output layer) runs one column at a time instead, its `R`
+/// accumulators (one per row) again in registers across the `k` block.
+/// Per output element the step is one `mul_add` per `kk`, `kk` ascending,
+/// either way and for every `R`, so results do not depend on which tile a
+/// row or column lands in.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tile<const R: usize>(
@@ -653,13 +669,16 @@ fn tile<const R: usize>(
     let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k + kc..][..kcb]);
     let w = strip.len() / kcb;
     if w < TJ {
-        for (kk, b_row) in strip.chunks_exact(w).enumerate() {
-            for (r, a_row) in a_rows.iter().enumerate() {
-                let av = a_row[kk];
-                let out_row = &mut out[(i + r) * n + col..][..w];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
+        for j in 0..w {
+            let mut acc: [f32; R] = std::array::from_fn(|r| out[(i + r) * n + col + j]);
+            for kk in 0..kcb {
+                let bv = strip[kk * w + j];
+                for r in 0..R {
+                    acc[r] = a_rows[r][kk].mul_add(bv, acc[r]);
                 }
+            }
+            for (r, &v) in acc.iter().enumerate() {
+                out[(i + r) * n + col + j] = v;
             }
         }
         return;
@@ -673,7 +692,7 @@ fn tile<const R: usize>(
         for r in 0..R {
             let av = a_rows[r][kk];
             for j in 0..TJ {
-                acc[r][j] += av * b_rows[kk][j];
+                acc[r][j] = av.mul_add(b_rows[kk][j], acc[r][j]);
             }
         }
     }
@@ -821,7 +840,7 @@ fn gemm_naive_prepacked(a: &[f32], pw: &PrepackedWeights, out: &mut [f32], m: us
                     let kcb = KC.min(k - kc);
                     let block = pw.block(jc, kc, kcb, nc);
                     for kk in 0..kcb {
-                        acc += a[i * k + kc + kk] * block[strip_offset(kcb, nc, kk, j)];
+                        acc = a[i * k + kc + kk].mul_add(block[strip_offset(kcb, nc, kk, j)], acc);
                     }
                 }
                 out[i * n + jc + j] = acc;
@@ -914,7 +933,7 @@ pub fn prefetch_window(data: &[f32], dim: usize, indices: &[u32]) {
 /// tiles across its whole list, and every element takes the same IEEE add
 /// in index order whatever the prefetcher does: on x86-64 with AVX2 the
 /// same body is re-compiled with 256-bit vectors and dispatched at runtime
-/// (no FMA — there is no fused op here at all), so results are **bitwise
+/// (there is no multiply here to fuse), so results are **bitwise
 /// identical** to the scalar oracle.
 ///
 /// An empty list leaves its block untouched (the `SparseLengthsSum`
@@ -1222,7 +1241,7 @@ mod tests {
                 k,
                 n,
             );
-            // One multiply and one add per `k`, `k` ascending, on both
+            // One fused multiply-add per `k`, `k` ascending, on both
             // backends: bitwise, not within a tolerance.
             assert_eq!(naive, blocked, "blocked mismatch at {m}x{k}x{n}");
         }
@@ -1274,9 +1293,13 @@ mod tests {
             .collect();
         assert!(units.contains(&SimdUnit::widest()));
         // Under Miri detection reports the compile-time features, so this
-        // is what makes CI's `+avx512f` Miri job reach the 16-row wrapper
-        // (and, through the same check, the lane fill's).
-        if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+        // is what makes CI's `+avx512f,+fma` Miri job reach the 16-row
+        // wrapper (and, through the same check, the lane fill's).
+        if cfg!(all(
+            target_arch = "x86_64",
+            target_feature = "avx512f",
+            target_feature = "fma"
+        )) {
             assert_eq!(SimdUnit::widest(), SimdUnit::Avx512);
         }
         for m in [29, 11] {
@@ -1290,12 +1313,45 @@ mod tests {
                 // The oracle's arithmetic, started from the same value.
                 for i in 0..m {
                     for j in 0..n {
-                        let oracle =
-                            (0..k).fold(0.625f32, |acc, kk| acc + a[i * k + kk] * b[kk * n + j]);
+                        let oracle = (0..k).fold(0.625f32, |acc, kk| {
+                            a[i * k + kk].mul_add(b[kk * n + j], acc)
+                        });
                         assert_eq!(out[i * n + j], oracle, "{unit:?}, m {m}, ({i}, {j})");
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_defined_step_is_fused() {
+        // k = 2: the first step leaves exactly `c` in the accumulator, the
+        // second is `x·x + c` with `x·x = 1 + 2⁻¹¹ + 2⁻²⁴`. Rounded once
+        // that is 2⁻²⁴; rounded after the multiply (a tie, to even) it is 0.
+        let x = 1.0 + 2f32.powi(-12);
+        let c = -(1.0 + 2f32.powi(-11));
+        let fused = 2f32.powi(-24);
+        assert_eq!(x.mul_add(x, c), fused);
+        assert_ne!(x * x + c, fused, "these operands must tell the two apart");
+        // m = 29 and n = 37 reach every tile height and a narrow strip.
+        let (m, k, n) = (29, 2, 37);
+        let a = fill(m, k, |_, kk| [1.0, x][kk]);
+        let b = fill(k, n, |kk, _| [c, x][kk]);
+        let expected = vec![fused; m * n];
+        let packed = PrepackedWeights::pack(&b, k, n);
+        for backend in KernelBackend::all() {
+            let mut out = vec![f32::NAN; m * n];
+            gemm(backend, &a, &b, &mut out, m, k, n);
+            assert_eq!(out, expected, "{backend:?}");
+            gemm_prepacked(backend, &a, &packed, &mut out, m);
+            assert_eq!(out, expected, "{backend:?} prepacked");
+        }
+        let mut block = vec![0.0; k * n];
+        pack_strips(&b, n, 0, 0, k, &mut block);
+        for unit in SimdUnit::ALL.into_iter().filter(|unit| unit.available()) {
+            let mut out = vec![0.0; m * n];
+            sweep_block_on(unit, &a, &block, &mut out, m, 0, k, 0, k, n);
+            assert_eq!(out, expected, "{unit:?}");
         }
     }
 

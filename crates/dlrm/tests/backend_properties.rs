@@ -27,7 +27,7 @@ fn assert_production_matches_oracle(m: usize, k: usize, n: usize, seed: u64) {
     kernel::gemm(KernelBackend::Naive, &a, &b, &mut oracle, m, k, n);
     let mut out = vec![f32::NAN; m * n];
     kernel::gemm(KernelBackend::BlockedPrepacked, &a, &b, &mut out, m, k, n);
-    // One multiply and one add per `k`, `k` ascending, on both: bitwise.
+    // One fused multiply-add per `k`, `k` ascending, on both: bitwise.
     assert_eq!(oracle, out, "diverges at {m}x{k}x{n} (seed {seed})");
 }
 

@@ -1,8 +1,8 @@
 //! Property tests pinning the vectorized sparse gather-reduce backend to
 //! the `Scalar` correctness oracle — **bitwise**, not within tolerance:
 //! the production kernels accumulate every output element in index order
-//! with plain IEEE adds (AVX2 dispatch excludes FMA), so any difference at
-//! all is a bug.
+//! with plain IEEE adds (there is no multiply to fuse), so any difference
+//! at all is a bug.
 
 use centaur_dlrm::kernel::{gather_lists_sum, SparseBackend};
 use centaur_dlrm::{DlrmError, EmbeddingBag, EmbeddingTable, ReductionOp};
