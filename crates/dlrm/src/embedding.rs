@@ -173,11 +173,22 @@ impl EmbeddingTable {
     /// validation pre-pass of the vectorized gather paths, which separate
     /// error discovery from the branch-free inner loop.
     ///
+    /// Valid lists, the common case, cost one branch-free or-fold of
+    /// `idx >= rows`, which vectorizes; only a list that fails it is walked
+    /// again to find its first invalid index.
+    ///
     /// # Errors
     ///
     /// Returns [`DlrmError::IndexOutOfBounds`] for the first invalid index.
     pub fn validate_indices(&self, indices: &[u32]) -> Result<(), DlrmError> {
-        match indices.iter().find(|&&idx| idx as usize >= self.rows) {
+        // Past `u32::MAX` rows every `u32` index is in bounds.
+        let Ok(rows) = u32::try_from(self.rows) else {
+            return Ok(());
+        };
+        if !indices.iter().fold(false, |bad, &idx| bad | (idx >= rows)) {
+            return Ok(());
+        }
+        match indices.iter().find(|&&idx| idx >= rows) {
             Some(&idx) => Err(DlrmError::IndexOutOfBounds {
                 index: idx as u64,
                 rows: self.rows as u64,
@@ -643,6 +654,40 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn validation_reports_the_first_invalid_index_in_list_order() {
+        let first_invalid = |t: &EmbeddingTable, indices: &[u32]| match t.validate_indices(indices)
+        {
+            Ok(()) => None,
+            Err(DlrmError::IndexOutOfBounds { index, rows, .. }) => {
+                assert_eq!(rows, t.rows() as u64);
+                Some(index)
+            }
+            Err(e) => panic!("unexpected error {e:?}"),
+        };
+        let t = small_table();
+        let rows = t.rows() as u32;
+        assert_eq!(first_invalid(&t, &[3, rows + 7, rows, 2]), Some(8 + 7));
+        assert_eq!(first_invalid(&t, &[3, rows, rows + 7, 2]), Some(8));
+        assert_eq!(first_invalid(&t, &[0, 7, 7, 1]), None);
+        assert_eq!(first_invalid(&t, &[]), None);
+        // A long valid run ahead of the invalid one, and one past it.
+        let mut long: Vec<u32> = (0..1000).map(|i| i % rows).collect();
+        long.insert(997, u32::MAX);
+        long.push(rows);
+        assert_eq!(first_invalid(&t, &long), Some(u64::from(u32::MAX)));
+        // Zero-width tables hold no rows, so any row count is free.
+        let widest = EmbeddingTable::zeros(u32::MAX as usize, 0);
+        assert_eq!(first_invalid(&widest, &[0, u32::MAX - 1]), None);
+        assert_eq!(
+            first_invalid(&widest, &[u32::MAX - 1, u32::MAX, 5]),
+            Some(u64::from(u32::MAX))
+        );
+        assert_eq!(first_invalid(&widest, &[]), None);
+        let wider = EmbeddingTable::zeros(u32::MAX as usize + 1, 0);
+        assert_eq!(first_invalid(&wider, &[u32::MAX, 0]), None);
     }
 
     #[test]

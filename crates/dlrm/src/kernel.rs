@@ -521,9 +521,10 @@ fn avx2_available() -> bool {
     *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
 }
 
-/// Whether the running CPU (and OS) supports AVX-512F, detected once.
+/// Whether the running CPU (and OS) supports AVX-512F, detected once —
+/// the one check every AVX-512F wrapper in the workspace dispatches on.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn avx512_available() -> bool {
+pub fn avx512_available() -> bool {
     static AVX512: OnceLock<bool> = OnceLock::new();
     *AVX512.get_or_init(|| std::is_x86_feature_detected!("avx512f"))
 }
