@@ -18,12 +18,7 @@
 //!   memory latency over misses in flight, and the rolling prefetch window
 //!   of `kernel::gather_lists_sum` is what it measures — on every row of
 //!   the uniform draw, on the cold tail of the Zipf one.
-//! - **`hot_row_observe_dlrm3_zipf_5120`** — the EB-Streamer's per-fill
-//!   tag pass alone (`HotRowCache::observe_rows`) over one DLRM(3) Zipf
-//!   index-SRAM fill: one table's 80 lookups for each of 64 samples,
-//!   5 120 indices. Divide the time by 5 120 for ns per index.
 
-use centaur::sparse::HotRowCache;
 use centaur_dlrm::kernel::SparseBackend;
 use centaur_dlrm::{DlrmModel, PaperModel};
 use centaur_workload::{IndexDistribution, RequestGenerator};
@@ -96,21 +91,5 @@ fn bench_sparse_gather(c: &mut Criterion) {
     }
 }
 
-fn bench_hot_row_observe(c: &mut Criterion) {
-    let config = PaperModel::Dlrm3.config();
-    let mut generator =
-        RequestGenerator::new(&config, IndexDistribution::production_skew(), 0x5EED);
-    let request = generator.functional_batch(64);
-    let fill: Vec<u32> = request
-        .sparse
-        .iter()
-        .flat_map(|sample| sample[0].iter().copied())
-        .collect();
-    let mut cache = HotRowCache::harpv2_sized();
-    c.bench_function(&format!("hot_row_observe_dlrm3_zipf_{}", fill.len()), |b| {
-        b.iter(|| cache.observe_rows(0, config.embedding_dim, black_box(&fill)))
-    });
-}
-
-criterion_group!(sparse_gather, bench_sparse_gather, bench_hot_row_observe);
+criterion_group!(sparse_gather, bench_sparse_gather);
 criterion_main!(sparse_gather);

@@ -111,12 +111,14 @@ impl CentaurRuntime {
 
     /// Selects the sparse backend for subsequent functional inferences
     /// (`Scalar` is the oracle pipeline; `Vectorized` runs the
-    /// register-tiled prefetching kernels through the hot-row cache).
+    /// register-tiled prefetching kernels). Neither runs the hot-row cache
+    /// model: [`CentaurRuntime::estimate_latency`] replays it on the timing
+    /// model's own streamer, whatever backend this one runs.
     pub fn set_sparse_backend(&mut self, backend: SparseBackend) {
         self.streamer.set_sparse_backend(backend);
     }
 
-    /// The EB-Streamer (exposes cache and unit counters).
+    /// The functional EB-Streamer (exposes unit counters).
     pub fn streamer(&self) -> &EbStreamer {
         &self.streamer
     }

@@ -1,11 +1,15 @@
 //! The EB-Streamer: the complete sparse accelerator pipeline that fetches
 //! sparse indices, streams embedding rows out of CPU memory over the
 //! chiplet links, and reduces them on the fly (Section IV-C).
+//!
+//! The functional path gathers every row from the tables; the hot-row
+//! cache model belongs to the timing path, which replays each request's
+//! trace through it ([`EbStreamer::execute_timing`]).
 
 use crate::chiplet::ChipletLinkConfig;
 use crate::error::CentaurError;
 use crate::sparse::gather_unit::EmbeddingGatherUnit;
-use crate::sparse::hot_row_cache::{HotRowCache, RowCacheTags};
+use crate::sparse::hot_row_cache::HotRowCache;
 use crate::sparse::index_sram::SparseIndexSram;
 use crate::sparse::reduction_unit::EmbeddingReductionUnit;
 use centaur_dlrm::kernel::{self, global_sparse_backend, SparseBackend};
@@ -42,8 +46,8 @@ impl SparseStageTiming {
         self.index_fetch_ns + self.gather_reduce_ns
     }
 
-    /// Hot-row cache hit fraction for the request (0 when the cache is
-    /// disabled, i.e. on the scalar oracle backend).
+    /// Hot-row cache hit fraction for the request (0 when it gathers
+    /// nothing).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -82,18 +86,13 @@ pub struct EbStreamer {
     gather_unit: EmbeddingGatherUnit,
     reduction_unit: EmbeddingReductionUnit,
     /// Which gather-reduce engine executes the functional path. `Scalar`
-    /// is the oracle (per-row accumulate, no cache); `Vectorized` runs the
-    /// register-tiled prefetching kernels through the hot-row cache.
+    /// is the oracle (per-row accumulate); `Vectorized` runs the
+    /// register-tiled prefetching kernels. Simulated time is the same on
+    /// both.
     backend: SparseBackend,
-    /// The hot-row cache (engaged on the vectorized backend).
+    /// The hot-row cache model the timing path replays every trace
+    /// through; its residency carries across requests.
     hot_cache: HotRowCache,
-    /// Persistent tag state for the timing path's trace replay — like the
-    /// functional cache, residency carries across requests, so a stream of
-    /// small skewed requests is predicted with warm-cache hit rates
-    /// instead of restarting from compulsory misses every call.
-    timing_tags: Option<RowCacheTags>,
-    /// Row width the timing tags were built for.
-    timing_row_bytes: u64,
     /// Reused segment directory for packed batch fills (high-water-mark
     /// capacity, cleared per fill — steady state stays zero-alloc).
     segments: Vec<GatherSegment>,
@@ -110,8 +109,6 @@ impl EbStreamer {
             reduction_unit: EmbeddingReductionUnit::harpv2_sized(),
             backend: global_sparse_backend(),
             hot_cache: HotRowCache::harpv2_sized(),
-            timing_tags: None,
-            timing_row_bytes: 0,
             segments: Vec::new(),
         }
     }
@@ -129,8 +126,6 @@ impl EbStreamer {
             reduction_unit,
             backend: global_sparse_backend(),
             hot_cache: HotRowCache::harpv2_sized(),
-            timing_tags: None,
-            timing_row_bytes: 0,
             segments: Vec::new(),
         }
     }
@@ -155,7 +150,8 @@ impl EbStreamer {
         &self.index_sram
     }
 
-    /// The hot-row cache (exposes hit/miss counters).
+    /// The hot-row cache model (exposes the cumulative hit/miss counts of
+    /// the timing replay).
     pub fn hot_row_cache(&self) -> &HotRowCache {
         &self.hot_cache
     }
@@ -170,12 +166,10 @@ impl EbStreamer {
         self.backend = backend;
     }
 
-    /// Swaps in a differently-budgeted hot-row cache (for ablations). The
-    /// timing path's tags are shaped by the cache's budget, so they are
-    /// dropped and rebuilt on the next [`EbStreamer::execute_timing`].
+    /// Swaps in a differently-budgeted hot-row cache (for ablations); the
+    /// next [`EbStreamer::execute_timing`] replays through it.
     pub fn set_hot_row_cache(&mut self, cache: HotRowCache) {
         self.hot_cache = cache;
-        self.timing_tags = None;
     }
 
     // ------------------------------------------------------------------
@@ -266,15 +260,14 @@ impl EbStreamer {
         let EbStreamer {
             index_sram,
             reduction_unit,
-            hot_cache,
             segments,
             ..
         } = self;
         // One packed SRAM fill serves as many samples of a table as fit:
-        // the per-fill cost (buffer swap, cache observation, EB-RU
-        // bookkeeping) amortizes across the whole batch instead of being
-        // paid once per (table, sample) — the measured ~4 ns/lookup the
-        // chunk-per-sample loop cost over the raw bag engine.
+        // the per-fill cost (buffer swap, EB-RU bookkeeping) amortizes
+        // across the whole batch instead of being paid once per (table,
+        // sample) — the measured ~4 ns/lookup the chunk-per-sample loop
+        // cost over the raw bag engine.
         let capacity = index_sram.capacity_indices().max(1);
         for (t, table) in bag.iter().enumerate() {
             let mut sample = 0usize;
@@ -323,12 +316,9 @@ impl EbStreamer {
                 if !index_sram.is_empty() {
                     index_sram.finish_load();
                 }
-                // The fill is the look-ahead the hardware has: its first
-                // misses start before the tag pass, and one prefetch window
-                // rolls over all of its segments.
+                // The fill is the look-ahead the hardware has: one prefetch
+                // window rolls over all of its segments.
                 let loaded = index_sram.contents();
-                kernel::prefetch_window(table.as_slice(), dim, loaded);
-                hot_cache.observe_rows(t as u32, dim, loaded);
                 reduction_unit.record_reductions(loaded.len() as u64);
                 let block_of = |sample: usize| sample * row_stride + row_offset + t * dim;
                 for seg in segments.iter().filter(|seg| seg.first) {
@@ -403,11 +393,10 @@ impl EbStreamer {
 
     /// Predicts the sparse-stage timing for one batched request.
     ///
-    /// On the vectorized backend the hot-row cache is replayed over the
-    /// trace's row stream (same geometry and replacement policy as the
-    /// functional cache): hits never cross the link, so only cold rows pay
-    /// CPU-memory transfers — on skewed traffic the effective gather
-    /// throughput rises above the raw link bandwidth.
+    /// The hot-row cache model is replayed over the trace's row stream,
+    /// whatever the functional backend: hits never cross the link, so only
+    /// cold rows pay CPU-memory transfers — on skewed traffic the effective
+    /// gather throughput rises above the raw link bandwidth.
     pub fn execute_timing(&mut self, trace: &InferenceTrace) -> SparseStageTiming {
         let layout = trace.layout();
         let total_lookups = trace.gather.total_lookups() as u64;
@@ -423,31 +412,8 @@ impl EbStreamer {
         }
 
         // Replay the hot-row cache over the trace (tags only — the timing
-        // path never touches row data). The tag state persists across
-        // requests, matching the functional cache's residency behaviour;
-        // serving a model with a different row width rebuilds it. The
-        // scalar oracle models the uncached pipeline.
-        let (cache_hits, cache_misses) = if self.backend == SparseBackend::Scalar {
-            (0, total_lookups)
-        } else {
-            if self.timing_tags.is_none() || self.timing_row_bytes != row_bytes {
-                let slots = self
-                    .hot_cache
-                    .slots_for_row_bytes(row_bytes.max(1) as usize);
-                self.timing_tags = Some(RowCacheTags::with_slots(slots));
-                self.timing_row_bytes = row_bytes;
-            }
-            let tags = self.timing_tags.as_mut().expect("built above");
-            let (hits_before, misses_before) = (tags.hits(), tags.misses());
-            for sample in &trace.gather.samples {
-                for (t, rows) in sample.rows_per_table.iter().enumerate() {
-                    for &row in rows {
-                        tags.access(RowCacheTags::key(t as u32, row));
-                    }
-                }
-            }
-            (tags.hits() - hits_before, tags.misses() - misses_before)
-        };
+        // path never touches row data).
+        let (cache_hits, cache_misses) = self.hot_cache.replay(trace);
         self.gather_unit.record_suppressed(cache_hits);
 
         // 1. Fetch the sparse index array into the index SRAM (possibly in
@@ -705,77 +671,42 @@ mod tests {
             .gather_reduce_batch_into(&bag, &batch_indices, &mut out, stride, 0)
             .unwrap();
         assert_eq!(oracle, out, "vectorized diverged from scalar streamer");
-        // The cache model observed the (heavily repeated) stream.
-        let cache = streamer.hot_row_cache();
-        assert!(cache.hits() + cache.misses() > 0);
         // Per-backend counters still advance identically.
         assert_eq!(streamer.reduction_unit().vectors_reduced(), 6 * 3 * 20);
     }
 
     #[test]
-    fn scalar_oracle_backend_never_touches_the_cache_model() {
-        let bag = EmbeddingBag::random(2, 64, 8, 3);
+    fn functional_gathers_leave_the_cache_model_alone_and_timing_counts_accumulate() {
+        let config = PaperModel::Dlrm1.config().with_rows_per_table(4096);
+        let hot = IndexDistribution::HotSet {
+            hot_rows: 64,
+            hot_fraction: 0.9,
+        };
+        let mut generator = RequestGenerator::new(&config, hot, 5);
+        let bag = EmbeddingBag::random(config.num_tables, 4096, config.embedding_dim, 3);
+        let stride = bag.num_tables() * bag.dim();
+        let batch = generator.functional_batch(16);
+        let mut out = vec![0.0f32; 16 * stride];
         let mut streamer = EbStreamer::default();
-        streamer.set_sparse_backend(SparseBackend::Scalar);
         streamer
-            .gather_reduce(&bag, &[vec![1, 1, 1], vec![2, 2, 2]])
+            .gather_reduce_batch_into(&bag, &batch.sparse, &mut out, stride, 0)
             .unwrap();
-        assert_eq!(streamer.hot_row_cache().hits(), 0);
-        assert_eq!(streamer.hot_row_cache().misses(), 0);
-    }
-
-    #[test]
-    fn timing_counts_cache_hits_on_skewed_traces_and_speeds_up_gathers() {
-        let config = PaperModel::Dlrm1.config();
-        // Skewed trace: hot rows recur, so the replayed cache must hit and
-        // the modelled gather time must shrink versus the scalar pipeline.
-        let mut generator = RequestGenerator::new(
-            &config,
-            IndexDistribution::HotSet {
-                hot_rows: 64,
-                hot_fraction: 0.9,
-            },
-            21,
-        );
-        let trace = generator.inference_trace(32);
-
-        let mut scalar = EbStreamer::default();
-        scalar.set_sparse_backend(SparseBackend::Scalar);
-        let uncached = scalar.execute_timing(&trace);
-        assert_eq!(uncached.cache_hits, 0);
-        assert_eq!(uncached.cache_hit_rate(), 0.0);
-        assert_eq!(scalar.gather_unit().requests_suppressed(), 0);
-
-        let mut vectorized = EbStreamer::default();
-        vectorized.set_sparse_backend(SparseBackend::Vectorized);
-        let cached = vectorized.execute_timing(&trace);
-        assert!(cached.cache_hits > 0, "hot-set trace must hit the cache");
-        assert!(cached.cache_hit_rate() > 0.5);
-        assert_eq!(
-            cached.cache_hits + cached.cache_misses,
-            cached.gather_requests
-        );
-        assert_eq!(
-            vectorized.gather_unit().requests_suppressed(),
-            cached.cache_hits
-        );
-        assert!(
-            cached.gather_reduce_ns < uncached.gather_reduce_ns,
-            "on-chip hits must shorten the modelled gather stream"
-        );
-        // Effective throughput may exceed the raw link bandwidth — that is
-        // the point of on-chip reuse.
-        assert!(
-            cached.effective_throughput().gigabytes_per_second()
-                > uncached.effective_throughput().gigabytes_per_second()
-        );
+        let cache = streamer.hot_row_cache();
+        assert_eq!(cache.hits() + cache.misses(), 0, "a gather probed the tags");
+        // The model's counts are the replay's, summed over requests.
+        let first = streamer.execute_timing(&generator.inference_trace(16));
+        let second = streamer.execute_timing(&generator.inference_trace(16));
+        let cache = streamer.hot_row_cache();
+        assert!(second.cache_hits > 0, "a warm hot set must hit");
+        assert_eq!(cache.hits(), first.cache_hits + second.cache_hits);
+        assert_eq!(cache.misses(), first.cache_misses + second.cache_misses);
     }
 
     #[test]
     fn swapping_the_cache_rebuilds_the_timing_tags() {
         let config = PaperModel::Dlrm1.config();
         // 64 hot rows in each of 5 tables: they all fit the HARPv2-sized
-        // cache and overflow a 64-slot one five times over.
+        // cache, and a one-row budget keeps one of them at a time.
         let hot = IndexDistribution::HotSet {
             hot_rows: 64,
             hot_fraction: 0.9,
@@ -783,15 +714,37 @@ mod tests {
         let trace = RequestGenerator::new(&config, hot, 21).inference_trace(32);
         let mut streamer = EbStreamer::default();
         let roomy = streamer.execute_timing(&trace);
-        streamer.set_hot_row_cache(HotRowCache::new(64 * config.row_bytes()));
+        assert!(
+            roomy.cache_hit_rate() > 0.5,
+            "rate {}",
+            roomy.cache_hit_rate()
+        );
+        assert_eq!(roomy.cache_hits + roomy.cache_misses, roomy.gather_requests);
+        assert_eq!(
+            streamer.gather_unit().requests_suppressed(),
+            roomy.cache_hits
+        );
+        streamer.set_hot_row_cache(HotRowCache::new(config.row_bytes()));
         let cramped = streamer.execute_timing(&trace);
+        assert_eq!(streamer.hot_row_cache().slots(), 1);
         // Tags kept from the first call would be warm and 8192 slots wide,
         // and would hit more often than the cold first call did.
         assert!(
             cramped.cache_hits < roomy.cache_hits,
-            "64 slots hit {} times, the HARPv2 budget {}",
+            "one slot hit {} times, the HARPv2 budget {}",
             cramped.cache_hits,
             roomy.cache_hits
+        );
+        assert_eq!(
+            streamer.gather_unit().requests_suppressed(),
+            roomy.cache_hits + cramped.cache_hits
+        );
+        // Hits never cross the link: the roomy cache shortens the modelled
+        // gather stream, and its effective throughput is the higher.
+        assert!(cramped.gather_reduce_ns > roomy.gather_reduce_ns);
+        assert!(
+            cramped.effective_throughput().gigabytes_per_second()
+                < roomy.effective_throughput().gigabytes_per_second()
         );
     }
 

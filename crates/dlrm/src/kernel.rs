@@ -522,9 +522,9 @@ fn avx2_available() -> bool {
 }
 
 /// Whether the running CPU (and OS) supports AVX-512F, detected once —
-/// the one check every AVX-512F wrapper in the workspace dispatches on.
+/// the one check every AVX-512F wrapper in this crate dispatches on.
 #[cfg(target_arch = "x86_64")]
-pub fn avx512_available() -> bool {
+pub(crate) fn avx512_available() -> bool {
     static AVX512: OnceLock<bool> = OnceLock::new();
     *AVX512.get_or_init(|| std::is_x86_feature_detected!("avx512f"))
 }
@@ -892,24 +892,6 @@ fn prefetch_row(data: &[f32], base: usize, dim: usize) {
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (data, base, dim);
-    }
-}
-
-/// Issues the opening burst of a prefetch window over a flat index
-/// stream: its first [`GATHER_PREFETCH_DISTANCE`] rows. [`gather_lists_sum`]
-/// opens its own window the same way; this is for a caller that holds the
-/// stream flat and has other work between filling it and gathering — the
-/// EB-Streamer's tag pass over an index-SRAM fill — so that work runs under
-/// the first misses instead of ahead of them. It shows where fills are
-/// small: a batch-1 fill is one 20-row list, the burst covers all of it and
-/// the tag pass lasts about one memory latency (`serve_single`
-/// `throughput_per_s` 235.6 k with this call against 219.3 k without and
-/// 216.9 k before the window, medians of nine three-way runs; no difference
-/// at batch 64, where a fill is 1 280–5 120 rows).
-#[inline]
-pub fn prefetch_window(data: &[f32], dim: usize, indices: &[u32]) {
-    for &idx in indices.iter().take(GATHER_PREFETCH_DISTANCE) {
-        prefetch_row(data, idx as usize * dim, dim);
     }
 }
 
