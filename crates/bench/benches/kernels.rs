@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the kernels underlying every experiment:
 //! the `SparseLengthsSum` gather/reduce (allocating and zero-alloc paths),
-//! the GEMM backends (naive oracle vs production), the PE-array tiled GEMM,
-//! the dot-product feature interaction and the random embedding-table fill.
+//! the EB-Streamer's check-and-count tax over the bag's gather, the GEMM
+//! backends (naive oracle vs production), the dot-product feature
+//! interaction and the random embedding-table fill.
 
-use centaur::dense::MlpUnit;
 use centaur::sparse::EbStreamer;
 use centaur_dlrm::kernel::{self, FusedAct, KernelBackend};
 use centaur_dlrm::{EmbeddingBag, EmbeddingTable, FeatureInteraction, Matrix};
@@ -89,14 +89,6 @@ fn bench_gemm(c: &mut Criterion) {
 
     c.bench_function("matrix_matmul_64x128x64", |b| {
         b.iter(|| black_box(&a).matmul(black_box(&w)).unwrap())
-    });
-
-    c.bench_function("mlp_unit_tiled_matmul_64x128x64", |b| {
-        b.iter_batched(
-            MlpUnit::harpv2,
-            |mut unit| unit.matmul(black_box(&a), black_box(&w)),
-            BatchSize::SmallInput,
-        )
     });
 }
 

@@ -1,6 +1,12 @@
 //! The dense accelerator complex assembled: MLP unit, feature-interaction
-//! unit, sigmoid unit and SRAM buffers, with both a functional datapath
-//! (numerically equivalent to the reference DLRM) and a timing model.
+//! unit, sigmoid unit and SRAM buffers, with a timing model, the capacity
+//! checks of its on-chip buffers and the counters of its units.
+//!
+//! The complex does no arithmetic of its own: its functional entry points
+//! run the reference model's batch body ([`DlrmModel::stage_features`] and
+//! [`DlrmModel::forward_staged_into`]) on the configured kernel backend,
+//! so bottom MLP, interaction, top MLP and sigmoid each have one
+//! implementation, and count what the units would have executed.
 
 use crate::dense::interaction_unit::FeatureInteractionUnit;
 use crate::dense::mlp_unit::MlpUnit;
@@ -8,8 +14,8 @@ use crate::dense::sigmoid_unit::SigmoidUnit;
 use crate::dense::sram::SramBuffer;
 use crate::error::CentaurError;
 use centaur_dlrm::config::ModelConfig;
-use centaur_dlrm::kernel::{global_backend, grow, KernelBackend, Workspace};
-use centaur_dlrm::model::DlrmModel;
+use centaur_dlrm::kernel::{global_backend, KernelBackend};
+use centaur_dlrm::model::{BatchWorkspace, DlrmModel};
 use serde::{Deserialize, Serialize};
 
 /// Timing of the dense stage of one batched request.
@@ -57,13 +63,10 @@ pub struct DenseAccelerator {
     weights_loaded: bool,
     /// Kernel backend executing the functional datapath.
     backend: KernelBackend,
-    /// MLP ping/pong scratch — models the on-chip activation SRAMs:
-    /// buffers are sized once and reused for every request.
-    ws: Workspace,
-    /// Interaction-input staging buffer (`[batch, num_features * dim]`).
-    features: Vec<f32>,
-    /// Interaction-output staging buffer (`[batch, dim + pairs]`).
-    interact_out: Vec<f32>,
+    /// The model's batch workspace — staged feature rows, interaction
+    /// output and MLP ping/pong — standing in for the on-chip activation
+    /// SRAMs: sized once and reused for every request.
+    ws: BatchWorkspace,
 }
 
 impl DenseAccelerator {
@@ -80,9 +83,7 @@ impl DenseAccelerator {
             per_layer_overhead_ns: 250.0,
             weights_loaded: false,
             backend: global_backend(),
-            ws: Workspace::new(),
-            features: Vec::new(),
-            interact_out: Vec::new(),
+            ws: BatchWorkspace::new(),
         }
     }
 
@@ -132,12 +133,10 @@ impl DenseAccelerator {
     /// # Errors
     ///
     /// Returns [`CentaurError::CapacityExceeded`] when the model's MLP
-    /// parameters do not fit on chip.
+    /// parameters do not fit on chip, or one sample's dense row or
+    /// interaction row does not fit its per-request buffer.
     pub fn load_model(&mut self, config: &ModelConfig) -> Result<(), CentaurError> {
-        self.weight_sram.clear();
-        self.weight_sram.store(config.mlp_bytes())?;
-        self.weights_loaded = true;
-        Ok(())
+        self.upload(config, config.mlp_bytes())
     }
 
     /// Uploads an instantiated model's MLP weights in their **prepacked
@@ -152,12 +151,28 @@ impl DenseAccelerator {
     ///
     /// # Errors
     ///
-    /// Returns [`CentaurError::CapacityExceeded`] when the packed strips do
-    /// not fit on chip.
+    /// Returns [`CentaurError::CapacityExceeded`] under the same
+    /// conditions as [`DenseAccelerator::load_model`].
     pub fn load_model_packed(&mut self, model: &DlrmModel) -> Result<(), CentaurError> {
-        self.weight_sram.clear();
         let resident = model.bottom_mlp().size_bytes() + model.top_mlp().size_bytes();
-        self.weight_sram.store(resident as u64)?;
+        self.upload(model.config(), resident as u64)
+    }
+
+    /// Stores `weight_bytes` of MLP weights, then checks that one sample's
+    /// dense row fits `SRAM_DenseFeature` and one interaction row fits
+    /// `SRAM_MLPinput`: a batch streams through those buffers in
+    /// as-large-as-fit waves, so a single sample is all they must hold.
+    fn upload(&mut self, config: &ModelConfig, weight_bytes: u64) -> Result<(), CentaurError> {
+        self.weight_sram.clear();
+        self.weight_sram.store(weight_bytes)?;
+        let f32_bytes = std::mem::size_of::<f32>() as u64;
+        for (sram, cols) in [
+            (&mut self.dense_feature_sram, config.dense_features),
+            (&mut self.mlp_input_sram, config.top_mlp_input_dim()),
+        ] {
+            sram.clear();
+            sram.store(cols as u64 * f32_bytes)?;
+        }
         self.weights_loaded = true;
         Ok(())
     }
@@ -166,24 +181,16 @@ impl DenseAccelerator {
     // Functional path
     // ------------------------------------------------------------------
 
-    /// The functional dense stage, batch-major over raw row-major buffers:
-    /// the whole batch flows through one GEMM per MLP layer (`m = batch`),
-    /// the interaction runs as one batched pass and the sigmoid unit
-    /// converts every logit in one sweep. `dense_rows` is
-    /// `[batch, dense_cols]`, `reduced_batch` is the EB-Streamer's
-    /// batch-major output — each sample's `[num_tables * dim]` reduced
-    /// embeddings back to back — and `out` receives one probability per
-    /// sample. A sample is a batch of one. The runtime's **waved** batch
-    /// pipeline carves a large batch into bounded sample waves and runs
-    /// gather → this per wave, so each wave's staging stays cache-resident
-    /// end to end.
+    /// The functional dense stage over reduced embeddings staged by the
+    /// caller: `dense_rows` is `[batch, dense_cols]`, `reduced_batch` is the
+    /// EB-Streamer's batch-major output — each sample's
+    /// `[num_tables * dim]` reduced embeddings back to back — and `out`
+    /// receives one probability per sample. A sample is a batch of one.
     ///
-    /// The math runs on the configured [`KernelBackend`] through the
-    /// accelerator's persistent staging buffers (fused GEMM + bias +
-    /// activation per layer, no intermediate matrices): steady-state
-    /// requests are allocation-free. Per-request SRAMs are refilled in
-    /// as-large-as-fit sample waves (double-buffered batch staging), so
-    /// large batches stream through the Table-III capacities.
+    /// The reduced rows are copied into the model's staged feature rows,
+    /// then [`DenseAccelerator::forward_staged_into`] runs the model's batch
+    /// body. The runtime skips the copy: its EB-Streamer gathers straight
+    /// into [`DenseAccelerator::stage_features`].
     ///
     /// # Errors
     ///
@@ -200,6 +207,72 @@ impl DenseAccelerator {
         reduced_batch: &[f32],
         out: &mut [f32],
     ) -> Result<(), CentaurError> {
+        self.check_request(dense_rows, batch, dense_cols, out)?;
+        let dim = model.config().embedding_dim;
+        let width = model.config().num_tables * dim;
+        if reduced_batch.len() != batch * width {
+            return Err(centaur_dlrm::DlrmError::BatchMismatch {
+                what: "reduced embedding elements vs batch",
+                left: reduced_batch.len(),
+                right: batch * width,
+            }
+            .into());
+        }
+        let stride = width + dim;
+        let features = self.stage_features(model, batch);
+        for (src, dst) in reduced_batch
+            .chunks_exact(width)
+            .zip(features.chunks_exact_mut(stride))
+        {
+            dst[dim..].copy_from_slice(src);
+        }
+        self.forward_staged_into(model, dense_rows, batch, dense_cols, out)
+    }
+
+    /// Stages the model's batch-major `[batch, (num_tables + 1) * dim]`
+    /// feature rows for `batch` samples (see [`DlrmModel::stage_features`]);
+    /// the caller reduces each sample's embeddings into its row at column
+    /// `dim`, then calls [`DenseAccelerator::forward_staged_into`].
+    pub fn stage_features(&mut self, model: &DlrmModel, batch: usize) -> &mut [f32] {
+        model.stage_features(batch, &mut self.ws)
+    }
+
+    /// Runs the model's batch body ([`DlrmModel::forward_staged_into`]) on
+    /// the staged rows with the configured [`KernelBackend`] — one GEMM per
+    /// MLP layer for the whole batch, one batched interaction pass, one
+    /// sigmoid sweep — and counts them on the MLP array and the interaction
+    /// PEs. Steady-state requests are allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`DenseAccelerator::forward_batch_rows_into`]; a failed
+    /// request advances no counter.
+    pub fn forward_staged_into(
+        &mut self,
+        model: &DlrmModel,
+        dense_rows: &[f32],
+        batch: usize,
+        dense_cols: usize,
+        out: &mut [f32],
+    ) -> Result<(), CentaurError> {
+        self.check_request(dense_rows, batch, dense_cols, out)?;
+        model.forward_staged_into(self.backend, dense_rows, dense_cols, &mut self.ws, out)?;
+        // One GEMM per layer for the whole batch, not one per sample, while
+        // every sample occupies an interaction PE.
+        let layers = model.bottom_mlp().num_layers() + model.top_mlp().num_layers();
+        self.mlp_unit.record_gemms(layers as u64);
+        self.interaction_unit.record_interactions(batch as u64);
+        Ok(())
+    }
+
+    /// The request checks every functional entry point runs first.
+    fn check_request(
+        &self,
+        dense_rows: &[f32],
+        batch: usize,
+        dense_cols: usize,
+        out: &[f32],
+    ) -> Result<(), CentaurError> {
         if !self.weights_loaded {
             return Err(CentaurError::NotInitialised("MLP weight SRAM"));
         }
@@ -211,8 +284,6 @@ impl DenseAccelerator {
             }
             .into());
         }
-        let dim = model.config().embedding_dim;
-        let num_tables = model.config().num_tables;
         if out.len() != batch {
             return Err(centaur_dlrm::DlrmError::BatchMismatch {
                 what: "dense rows vs output slots",
@@ -220,137 +291,6 @@ impl DenseAccelerator {
                 right: out.len(),
             }
             .into());
-        }
-        if reduced_batch.len() != batch * num_tables * dim {
-            return Err(centaur_dlrm::DlrmError::BatchMismatch {
-                what: "reduced embedding elements vs batch",
-                left: reduced_batch.len(),
-                right: batch * num_tables * dim,
-            }
-            .into());
-        }
-        let num_features = num_tables + 1;
-        let interact_width = dim + num_features * (num_features - 1) / 2;
-        let stride = num_features * dim;
-        grow(&mut self.features, batch * stride);
-        grow(&mut self.interact_out, batch * interact_width);
-
-        // Per-request buffers stream the batch in as-large-as-fit waves.
-        Self::stage_batch(
-            &mut self.dense_feature_sram,
-            (dense_cols * std::mem::size_of::<f32>()) as u64,
-            batch,
-        )?;
-
-        // 1. Bottom MLP over the whole batch — one GEMM per layer with
-        //    m = batch — scattered into feature row 0 of every sample.
-        {
-            let DenseAccelerator { ws, features, .. } = self;
-            let (bottom, cols) = model.bottom_mlp().forward_batch_ws(
-                self.backend,
-                dense_rows,
-                batch,
-                dense_cols,
-                ws,
-            )?;
-            if cols != dim {
-                return Err(centaur_dlrm::DlrmError::ShapeMismatch {
-                    op: "bottom MLP output vs embedding dim",
-                    lhs: (batch, dim),
-                    rhs: (batch, cols),
-                }
-                .into());
-            }
-            for (src, dst) in bottom
-                .chunks_exact(dim)
-                .zip(features.chunks_exact_mut(stride))
-            {
-                dst[..dim].copy_from_slice(src);
-            }
-        }
-        // One GEMM per layer for the whole batch, not one per sample.
-        self.mlp_unit
-            .record_gemms(model.bottom_mlp().num_layers() as u64);
-        for (src, dst) in reduced_batch
-            .chunks_exact(num_tables * dim)
-            .zip(self.features.chunks_exact_mut(stride))
-        {
-            dst[dim..stride].copy_from_slice(src);
-        }
-
-        // 2. Batched feature interaction over every sample's
-        //    [bottom; reduced embeddings] block.
-        {
-            let DenseAccelerator {
-                interaction_unit,
-                features,
-                interact_out,
-                ..
-            } = self;
-            interaction_unit.interact_batch_into(
-                &features[..batch * stride],
-                batch,
-                num_features,
-                dim,
-                &mut interact_out[..batch * interact_width],
-            )?;
-        }
-        Self::stage_batch(
-            &mut self.mlp_input_sram,
-            (interact_width * std::mem::size_of::<f32>()) as u64,
-            batch,
-        )?;
-
-        // 3. Top MLP with m = batch + 4. one sigmoid sweep over the batch.
-        let DenseAccelerator {
-            ws,
-            interact_out,
-            sigmoid_unit,
-            ..
-        } = self;
-        let (top, top_cols) = model.top_mlp().forward_batch_ws(
-            self.backend,
-            &interact_out[..batch * interact_width],
-            batch,
-            interact_width,
-            ws,
-        )?;
-        self.mlp_unit
-            .record_gemms(model.top_mlp().num_layers() as u64);
-        if top_cols == 1 {
-            sigmoid_unit.apply_slice(&top[..batch], out);
-        } else {
-            for (o, row) in out.iter_mut().zip(top.chunks_exact(top_cols)) {
-                *o = sigmoid_unit.apply(row[0]);
-            }
-        }
-        Ok(())
-    }
-
-    /// Refills a per-request SRAM with `batch` samples of `bytes_per_sample`
-    /// each, in as many full-buffer waves as the capacity requires — the
-    /// functional model of double-buffered batch staging.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CentaurError::CapacityExceeded`] when even a single sample
-    /// does not fit.
-    fn stage_batch(
-        sram: &mut SramBuffer,
-        bytes_per_sample: u64,
-        batch: usize,
-    ) -> Result<(), CentaurError> {
-        sram.clear();
-        if bytes_per_sample == 0 || batch == 0 {
-            return Ok(());
-        }
-        let per_wave = (sram.capacity_bytes() / bytes_per_sample).max(1) as usize;
-        let mut remaining = batch;
-        while remaining > 0 {
-            let wave = remaining.min(per_wave);
-            sram.clear();
-            sram.store(bytes_per_sample * wave as u64)?;
-            remaining -= wave;
         }
         Ok(())
     }

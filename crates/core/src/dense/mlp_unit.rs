@@ -6,7 +6,6 @@
 //! and each PE accumulates its output tile in a private SRAM buffer.
 
 use crate::dense::pe::{PeConfig, ProcessingEngine};
-use centaur_dlrm::tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// The spatial PE array executing GEMMs for the MLP layers.
@@ -60,51 +59,11 @@ impl MlpUnit {
     }
 
     /// Records `count` GEMMs dispatched to the array by the dense complex.
-    /// The functional datapath executes layer GEMMs through the optimized
-    /// kernel backend rather than the tile-by-tile model, but they still
-    /// occupy the array, so the utilization counter must advance.
+    /// The functional datapath runs the model's layer GEMMs on the kernel
+    /// backend; they still occupy the array, so the utilization counter
+    /// must advance.
     pub fn record_gemms(&mut self, count: u64) {
         self.gemms_executed += count;
-    }
-
-    /// Functional GEMM through the tiled, output-stationary dataflow:
-    /// `a` is `[m, k]` (inputs), `b` is `[k, n]` (weights); the result is
-    /// `[m, n]`, numerically identical to a flat matrix product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols(), b.rows(), "GEMM inner dimensions disagree");
-        self.gemms_executed += 1;
-        let t = self.pe.config().tile_dim;
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let mut out = Matrix::zeros(m, n);
-        // Output-stationary: each (mi, ni) output tile stays in its PE's
-        // accumulator while the k-dimension is streamed through.
-        for mi in (0..m).step_by(t) {
-            let m_end = (mi + t).min(m);
-            for ni in (0..n).step_by(t) {
-                let n_end = (ni + t).min(n);
-                let mut acc = Matrix::zeros(m_end - mi, n_end - ni);
-                for ki in (0..k).step_by(t) {
-                    let k_end = (ki + t).min(k);
-                    let a_tile =
-                        Matrix::from_fn(m_end - mi, k_end - ki, |r, c| a.get(mi + r, ki + c));
-                    let b_tile =
-                        Matrix::from_fn(k_end - ki, n_end - ni, |r, c| b.get(ki + r, ni + c));
-                    let partial = self.pe.tile_matmul(&a_tile, &b_tile);
-                    acc = &acc + &partial;
-                }
-                for r in 0..(m_end - mi) {
-                    for c in 0..(n_end - ni) {
-                        out.set(mi + r, ni + c, acc.get(r, c));
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Number of 32×32×32 tile GEMMs a `[m, k] × [k, n]` product requires.
@@ -175,18 +134,6 @@ mod tests {
         assert_eq!(unit.num_pes(), 16);
         // 16 of the 20 PEs → ~250 of the 313 GFLOPS.
         assert!((unit.peak_gflops() - 16.0 * 15.65).abs() < 1.0);
-    }
-
-    #[test]
-    fn tiled_matmul_matches_flat_matmul() {
-        let mut unit = MlpUnit::harpv2();
-        // Dimensions that do not divide evenly by 32 exercise edge tiles.
-        let a = Matrix::from_fn(45, 70, |r, c| ((r * 7 + c * 3) % 11) as f32 - 5.0);
-        let b = Matrix::from_fn(70, 33, |r, c| ((r + c) % 13) as f32 * 0.125);
-        let ours = unit.matmul(&a, &b);
-        let reference = a.matmul(&b).unwrap();
-        assert!(ours.max_abs_diff(&reference) < 1e-3);
-        assert_eq!(unit.gemms_executed(), 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! A single processing engine (PE): one instance of the FPGA floating-point
 //! matrix-multiply IP core, configured for 32×32 tile GEMMs (Section IV-D).
 
-use centaur_dlrm::tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Static parameters of a PE.
@@ -63,49 +62,21 @@ impl Default for PeConfig {
     }
 }
 
-/// One processing engine: functional tile GEMM plus cycle accounting.
+/// One processing engine: the configuration its cycle accounting reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProcessingEngine {
     config: PeConfig,
-    tiles_executed: u64,
 }
 
 impl ProcessingEngine {
     /// Creates a PE.
     pub fn new(config: PeConfig) -> Self {
-        ProcessingEngine {
-            config,
-            tiles_executed: 0,
-        }
+        ProcessingEngine { config }
     }
 
     /// The PE configuration.
     pub fn config(&self) -> &PeConfig {
         &self.config
-    }
-
-    /// Number of tile GEMMs executed so far.
-    pub fn tiles_executed(&self) -> u64 {
-        self.tiles_executed
-    }
-
-    /// Multiplies two tiles (`a` is `[m, k]`, `b` is `[k, n]`, with
-    /// `m, n, k ≤ tile_dim`), producing the `[m, n]` partial product the
-    /// output-stationary dataflow accumulates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand exceeds the tile dimension or the inner
-    /// dimensions disagree.
-    pub fn tile_matmul(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        let t = self.config.tile_dim;
-        assert!(
-            a.rows() <= t && a.cols() <= t && b.rows() <= t && b.cols() <= t,
-            "tile operands exceed the {t}x{t} PE tile"
-        );
-        assert_eq!(a.cols(), b.rows(), "tile inner dimensions disagree");
-        self.tiles_executed += 1;
-        a.matmul(b).expect("dimensions checked above")
     }
 }
 
@@ -134,35 +105,5 @@ mod tests {
         assert!(cycles > 100.0 && cycles < 10_000.0);
         let ns = pe.tile_gemm_ns();
         assert!((ns - cycles * 5.0).abs() < 1e-9, "200 MHz = 5 ns per cycle");
-    }
-
-    #[test]
-    fn tile_matmul_matches_reference() {
-        let mut pe = ProcessingEngine::default();
-        let a = Matrix::from_fn(32, 32, |r, c| ((r * 31 + c) % 7) as f32 - 3.0);
-        let b = Matrix::from_fn(32, 32, |r, c| ((r + c * 13) % 5) as f32 * 0.25);
-        let ours = pe.tile_matmul(&a, &b);
-        let reference = a.matmul(&b).unwrap();
-        assert!(ours.max_abs_diff(&reference) < 1e-5);
-        assert_eq!(pe.tiles_executed(), 1);
-    }
-
-    #[test]
-    fn partial_tiles_are_accepted() {
-        let mut pe = ProcessingEngine::default();
-        let a = Matrix::filled(5, 7, 1.0);
-        let b = Matrix::filled(7, 3, 2.0);
-        let out = pe.tile_matmul(&a, &b);
-        assert_eq!(out.shape(), (5, 3));
-        assert!((out.get(0, 0) - 14.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed")]
-    fn oversized_tile_panics() {
-        let mut pe = ProcessingEngine::default();
-        let a = Matrix::zeros(64, 32);
-        let b = Matrix::zeros(32, 32);
-        pe.tile_matmul(&a, &b);
     }
 }

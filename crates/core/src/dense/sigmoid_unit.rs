@@ -1,8 +1,8 @@
 //! The sigmoid unit that converts the top-MLP output into an event
 //! probability (Figure 9). A handful of pipeline stages of fixed-function
-//! logic — never a performance factor, but part of the functional datapath.
+//! logic — never a performance factor. Only its latency is modelled here;
+//! the functional sigmoid is the reference model's.
 
-use centaur_dlrm::tensor::sigmoid_scalar;
 use serde::{Deserialize, Serialize};
 
 /// The sigmoid unit.
@@ -27,28 +27,6 @@ impl SigmoidUnit {
         SigmoidUnit::new(8, 200.0)
     }
 
-    /// Applies the sigmoid to one pre-activation value.
-    pub fn apply(&self, x: f32) -> f32 {
-        sigmoid_scalar(x)
-    }
-
-    /// Applies the sigmoid to a batch of pre-activation values.
-    pub fn apply_batch(&self, xs: &[f32]) -> Vec<f32> {
-        xs.iter().map(|&x| self.apply(x)).collect()
-    }
-
-    /// Allocation-free [`SigmoidUnit::apply_batch`]: one vectorized sweep
-    /// over the batch of logits into a caller-owned output — the unit is
-    /// fully pipelined, so the batch-major datapath converts all logits in
-    /// one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn apply_slice(&self, xs: &[f32], out: &mut [f32]) {
-        centaur_dlrm::tensor::sigmoid_into(xs, out);
-    }
-
     /// Latency to produce `batch` probabilities, in nanoseconds (fully
     /// pipelined: fill + one value per cycle).
     pub fn latency_ns(&self, batch: usize) -> f64 {
@@ -65,24 +43,6 @@ impl Default for SigmoidUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sigmoid_matches_reference_and_bounds() {
-        let unit = SigmoidUnit::harpv2();
-        for &x in &[-10.0, -1.0, 0.0, 1.0, 10.0] {
-            let y = unit.apply(x);
-            assert!((y - sigmoid_scalar(x)).abs() < 1e-9);
-            assert!((0.0..=1.0).contains(&y));
-        }
-    }
-
-    #[test]
-    fn batch_application_preserves_order() {
-        let unit = SigmoidUnit::harpv2();
-        let out = unit.apply_batch(&[-1.0, 0.0, 1.0]);
-        assert_eq!(out.len(), 3);
-        assert!(out[0] < out[1] && out[1] < out[2]);
-    }
 
     #[test]
     fn latency_is_nanoseconds_scale() {

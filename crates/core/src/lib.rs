@@ -21,8 +21,8 @@
 //! * [`accelerator`] — the assembled timing model producing Figure 14's
 //!   IDX/EMB/DNF/MLP/Other breakdown;
 //! * [`runtime`] — the host-side software interface driving *functional*
-//!   inference through the same datapath, bit-for-bit comparable to the
-//!   reference DLRM in `centaur-dlrm`.
+//!   inference through both complexes, which run the reference DLRM's own
+//!   batch stages from `centaur-dlrm` behind their checks and counters.
 //!
 //! ## Quick example
 //!

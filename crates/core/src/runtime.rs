@@ -8,7 +8,7 @@ use crate::bpregs::{BasePointer, BasePointerRegs};
 use crate::dense::DenseAccelerator;
 use crate::error::CentaurError;
 use crate::sparse::EbStreamer;
-use centaur_dlrm::kernel::{grow, KernelBackend, SparseBackend};
+use centaur_dlrm::kernel::{KernelBackend, SparseBackend};
 use centaur_dlrm::model::{check_batch_inputs, DlrmModel};
 use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::trace::{InferenceTrace, TableLayout};
@@ -17,8 +17,8 @@ use centaur_dlrm::trace::{InferenceTrace, TableLayout};
 ///
 /// Large batches are carved into waves of this many samples, each wave
 /// running EB-Streamer gather → dense complex back to back, so the reduced
-/// embeddings are still cache-hot when the interaction unit consumes them
-/// and the staging buffers stay wave-sized instead of batch-sized. This is
+/// embeddings are still cache-hot when the interaction consumes them and
+/// the staged feature rows stay wave-sized instead of batch-sized. This is
 /// what fixed the DLRM(1) batch-major throughput decline from batch 16 to
 /// 128: at batch 128 the un-waved pipeline staged ~0.3 MB of intermediates
 /// on top of a ~1.2 MB gathered-row working set and fell out of L2. Waves
@@ -50,10 +50,6 @@ pub struct CentaurRuntime {
     streamer: EbStreamer,
     dense: DenseAccelerator,
     system: CentaurSystem,
-    /// Reused batch-major staging buffer (`[wave, num_tables * dim]`) for
-    /// reduced embeddings — grows to the high-water wave size and is reused
-    /// across requests.
-    reduced_batch: Vec<f32>,
 }
 
 impl CentaurRuntime {
@@ -62,10 +58,17 @@ impl CentaurRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`CentaurError::CapacityExceeded`] when the model's MLP does
-    /// not fit in the on-chip weight SRAM, or an MMIO error if the register
-    /// file cannot describe the model.
+    /// Returns [`DlrmError::InvalidConfig`] (wrapped in
+    /// [`CentaurError::Model`]) when the model's embedding bag does not
+    /// reduce by `Sum`, the one operator the EB-RU computes on the fly;
+    /// [`CentaurError::CapacityExceeded`] when the model's MLP does not fit
+    /// in the on-chip weight SRAM or one sample's dense or interaction row
+    /// does not fit its per-request buffer; or an MMIO error if the
+    /// register file cannot describe the model.
+    ///
+    /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
     pub fn new(model: DlrmModel, config: CentaurConfig) -> Result<Self, CentaurError> {
+        EbStreamer::check_streamable(model.embeddings())?;
         let layout = TableLayout::for_config(model.config());
         let mut bpregs = BasePointerRegs::new(model.config().num_tables);
 
@@ -90,7 +93,6 @@ impl CentaurRuntime {
             streamer: EbStreamer::new(config.link),
             dense,
             system: CentaurSystem::new(config),
-            reduced_batch: Vec::new(),
         })
     }
 
@@ -109,16 +111,18 @@ impl CentaurRuntime {
         self.streamer.sparse_backend()
     }
 
-    /// Selects the sparse backend for subsequent functional inferences
-    /// (`Scalar` is the oracle pipeline; `Vectorized` runs the
-    /// register-tiled prefetching kernels). Neither runs the hot-row cache
+    /// Selects the embedding bag's backend the EB-Streamer gathers on for
+    /// subsequent functional inferences (`Scalar` is the oracle;
+    /// `Vectorized` runs the register-tiled prefetching kernels). Outputs
+    /// and counters are the same on both. Neither runs the hot-row cache
     /// model: [`CentaurRuntime::estimate_latency`] replays it on the timing
     /// model's own streamer, whatever backend this one runs.
     pub fn set_sparse_backend(&mut self, backend: SparseBackend) {
         self.streamer.set_sparse_backend(backend);
     }
 
-    /// The functional EB-Streamer (exposes unit counters).
+    /// The functional EB-Streamer: its counters record the index-SRAM
+    /// fills and EB-RU reductions of every gather this runtime ran.
     pub fn streamer(&self) -> &EbStreamer {
         &self.streamer
     }
@@ -190,10 +194,10 @@ impl CentaurRuntime {
     /// Runs a batched functional inference; one probability per sample.
     ///
     /// This is the **batch-major** accelerator path: the EB-Streamer gathers
-    /// and reduces every sample's bags into one batch-major staging buffer,
-    /// then the dense complex runs one GEMM per MLP layer with `m = batch`,
-    /// one batched interaction pass and one sigmoid sweep — no per-sample
-    /// `m = 1` GEMMs.
+    /// and reduces every sample's bags straight into the model's staged
+    /// feature rows, then the dense complex runs one GEMM per MLP layer with
+    /// `m = batch`, one batched interaction pass and one sigmoid sweep — no
+    /// per-sample `m = 1` GEMMs.
     ///
     /// # Errors
     ///
@@ -264,38 +268,37 @@ impl CentaurRuntime {
             }
             .into());
         }
-        let stride = self.model.config().num_tables * self.model.config().embedding_dim;
+        let dim = self.model.config().embedding_dim;
+        let stride = self.model.interaction().num_features() * dim;
         let wave = BATCH_WAVE_SAMPLES.min(batch.max(1));
-        grow(&mut self.reduced_batch, wave * stride);
         let CentaurRuntime {
             model,
             streamer,
             dense: dense_complex,
-            reduced_batch,
             ..
         } = self;
-        // The batch streams through in bounded waves: gather one wave's
-        // reduced embeddings, run the dense complex on it while those rows
-        // are still cache-hot, then reuse the same wave-sized staging
-        // buffer for the next wave. Bitwise identical to processing the
-        // whole batch at once — GEMM output rows accumulate in the same
-        // order regardless of m.
-        for start in (0..batch).step_by(wave.max(1)) {
+        // The batch streams through in bounded waves, each one the model's
+        // own batch body: stage the wave's feature rows, gather its reduced
+        // embeddings straight into them at column `dim`, then run bottom
+        // MLP → interaction → top MLP → sigmoid while those rows are still
+        // cache-hot. Bitwise identical to processing the whole batch at
+        // once — GEMM output rows accumulate in the same order regardless
+        // of m.
+        for start in (0..batch).step_by(wave) {
             let end = (start + wave).min(batch);
             let n = end - start;
             streamer.gather_reduce_batch_into(
                 model.embeddings(),
                 &batch_indices[start..end],
-                &mut reduced_batch[..n * stride],
+                dense_complex.stage_features(model, n),
                 stride,
-                0,
+                dim,
             )?;
-            dense_complex.forward_batch_rows_into(
+            dense_complex.forward_staged_into(
                 model,
                 &dense_rows[start * cols..end * cols],
                 n,
                 cols,
-                &reduced_batch[..n * stride],
                 &mut out[start..end],
             )?;
         }
@@ -447,6 +450,55 @@ mod tests {
         let estimate = runtime.estimate_latency(&trace);
         assert!(estimate.total_ns() > 0.0);
         assert_eq!(estimate.batch, 8);
+    }
+
+    #[test]
+    fn non_sum_bags_are_rejected_at_registration() {
+        use centaur_dlrm::{DlrmError, EmbeddingBag, ReductionOp};
+        let model = small_model();
+        let tables = model.embeddings().iter().cloned().collect();
+        let mean = DlrmModel::from_parts(
+            model.config().clone(),
+            model.bottom_mlp().clone(),
+            EmbeddingBag::new(tables, ReductionOp::Mean).unwrap(),
+            model.top_mlp().clone(),
+        )
+        .unwrap();
+        assert!(matches!(
+            CentaurRuntime::harpv2(mean),
+            Err(CentaurError::Model(DlrmError::InvalidConfig(_)))
+        ));
+    }
+
+    #[test]
+    fn oversized_sample_rows_are_rejected_at_registration() {
+        // One sample's row must fit its 100 KB per-request buffer: 30 000
+        // dense features overflow SRAM_DenseFeature, and 230 tables make an
+        // interaction row of 4 + 231·230/2 floats that overflows
+        // SRAM_MLPinput. Both MLPs still fit the weight SRAM.
+        let boot = |tables, dense_features| {
+            let config = ModelConfig::builder()
+                .name("wide-rows")
+                .num_tables(tables)
+                .rows_per_table(8)
+                .embedding_dim(4)
+                .lookups_per_table(1)
+                .dense_features(dense_features)
+                .bottom_mlp(&[4])
+                .top_mlp(&[1])
+                .build()
+                .unwrap();
+            CentaurRuntime::harpv2(DlrmModel::random(&config, 1).unwrap())
+        };
+        for (tables, dense_features, resource) in
+            [(2, 30_000, "SRAM_DenseFeature"), (230, 13, "SRAM_MLPinput")]
+        {
+            match boot(tables, dense_features) {
+                Err(CentaurError::CapacityExceeded { resource: r, .. }) => assert_eq!(r, resource),
+                other => panic!("{resource}: booted with {other:?}"),
+            }
+        }
+        assert!(boot(2, 13).is_ok());
     }
 
     #[test]

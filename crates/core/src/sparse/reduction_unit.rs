@@ -1,9 +1,8 @@
 //! The embedding reduction unit (EB-RU): a row of scalar ALUs that reduce
 //! gathered embedding vectors on the fly as they stream in from the link
-//! (Figure 10).
+//! (Figure 10). The unit models throughput and counts reductions; the
+//! functional sum is the embedding bag's.
 
-use centaur_dlrm::tensor::Matrix;
-use centaur_dlrm::ReductionOp;
 use serde::{Deserialize, Serialize};
 
 /// The EB-RU: `num_alus` scalar adders running at the FPGA clock.
@@ -48,66 +47,7 @@ impl EmbeddingReductionUnit {
         self.vectors_reduced
     }
 
-    /// Reduces a stream of gathered embedding vectors (rows of `gathered`)
-    /// into a single vector, in place-accumulation order exactly as the
-    /// vectors arrive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gathered` is empty when `op` is [`ReductionOp::Max`]
-    /// (sum/mean of an empty stream is the zero vector).
-    pub fn reduce(&mut self, gathered: &Matrix, op: ReductionOp) -> Matrix {
-        let dim = gathered.cols();
-        let mut acc = vec![0.0f32; dim];
-        match op {
-            ReductionOp::Sum | ReductionOp::Mean => {
-                for row in gathered.iter_rows() {
-                    self.vectors_reduced += 1;
-                    for (a, &v) in acc.iter_mut().zip(row) {
-                        *a += v;
-                    }
-                }
-                if op == ReductionOp::Mean && gathered.rows() > 0 {
-                    let n = gathered.rows() as f32;
-                    for a in &mut acc {
-                        *a /= n;
-                    }
-                }
-            }
-            ReductionOp::Max => {
-                assert!(gathered.rows() > 0, "max-reduction of an empty stream");
-                acc.copy_from_slice(gathered.row(0));
-                self.vectors_reduced += 1;
-                for row in (1..gathered.rows()).map(|r| gathered.row(r)) {
-                    self.vectors_reduced += 1;
-                    for (a, &v) in acc.iter_mut().zip(row) {
-                        if v > *a {
-                            *a = v;
-                        }
-                    }
-                }
-            }
-        }
-        Matrix::from_vec(1, dim, acc).expect("accumulator has the right length")
-    }
-
-    /// Streams one gathered embedding vector into an accumulator (the
-    /// on-the-fly reduction the EB-RU performs as rows arrive off the
-    /// link), using the chunked SIMD-friendly add from the kernel layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn accumulate(&mut self, acc: &mut [f32], row: &[f32]) {
-        self.vectors_reduced += 1;
-        centaur_dlrm::kernel::add_assign(acc, row);
-    }
-
-    /// Records `vectors` reductions executed outside the per-row
-    /// [`EmbeddingReductionUnit::accumulate`] entry point — the vectorized
-    /// streamer path runs whole index chunks through the register-tiled
-    /// kernels and bulk-updates the EB-RU's occupancy counter afterwards,
-    /// keeping `vectors_reduced` equal across backends.
+    /// Records `vectors` embedding vectors reduced by the streamer.
     pub fn record_reductions(&mut self, vectors: u64) {
         self.vectors_reduced += vectors;
     }
@@ -138,38 +78,13 @@ impl Default for EmbeddingReductionUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use centaur_dlrm::EmbeddingTable;
 
     #[test]
-    fn reduce_matches_reference_sparse_lengths_sum() {
-        let table = EmbeddingTable::from_fn(16, 8, |r, c| (r * 8 + c) as f32 * 0.5);
-        let indices = [3u32, 7, 11];
-        let gathered = table.gather(&indices).unwrap();
+    fn record_reductions_counts_vectors() {
         let mut ru = EmbeddingReductionUnit::harpv2_sized();
-        let ours = ru.reduce(&gathered, ReductionOp::Sum);
-        let reference = table.gather_reduce(&indices, ReductionOp::Sum).unwrap();
-        assert!(ours.max_abs_diff(&reference) < 1e-6);
+        ru.record_reductions(3);
+        ru.record_reductions(0);
         assert_eq!(ru.vectors_reduced(), 3);
-    }
-
-    #[test]
-    fn reduce_mean_and_max() {
-        let table = EmbeddingTable::from_fn(4, 4, |r, _| r as f32);
-        let gathered = table.gather(&[0, 2]).unwrap();
-        let mut ru = EmbeddingReductionUnit::harpv2_sized();
-        let mean = ru.reduce(&gathered, ReductionOp::Mean);
-        assert!((mean.get(0, 0) - 1.0).abs() < 1e-6);
-        let max = ru.reduce(&gathered, ReductionOp::Max);
-        assert!((max.get(0, 0) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_sum_is_zero_vector() {
-        let mut ru = EmbeddingReductionUnit::harpv2_sized();
-        let empty = Matrix::zeros(0, 8);
-        let out = ru.reduce(&empty, ReductionOp::Sum);
-        assert_eq!(out.shape(), (1, 8));
-        assert!(out.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! sparse indices, streams embedding rows out of CPU memory over the
 //! chiplet links, and reduces them on the fly (Section IV-C).
 //!
-//! The functional path gathers every row from the tables; the hot-row
-//! cache model belongs to the timing path, which replays each request's
-//! trace through it ([`EbStreamer::execute_timing`]).
+//! The streamer is a timing model with checks and counters. Its functional
+//! entry point runs the embedding bag's own batch gather
+//! ([`EmbeddingBag::reduce_batch_into_with`]) behind the EB-RU's Sum-only
+//! check, then works out the index-SRAM fills and EB-RU reductions that
+//! gather costs; the bag's `Scalar` backend is the one sparse oracle. The
+//! hot-row cache model belongs to the timing path, which replays each
+//! request's trace through it ([`EbStreamer::execute_timing`]).
 
 use crate::chiplet::ChipletLinkConfig;
 use crate::error::CentaurError;
@@ -12,7 +16,7 @@ use crate::sparse::gather_unit::EmbeddingGatherUnit;
 use crate::sparse::hot_row_cache::HotRowCache;
 use crate::sparse::index_sram::SparseIndexSram;
 use crate::sparse::reduction_unit::EmbeddingReductionUnit;
-use centaur_dlrm::kernel::{self, global_sparse_backend, SparseBackend};
+use centaur_dlrm::kernel::{global_sparse_backend, SparseBackend};
 use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::trace::InferenceTrace;
 use centaur_dlrm::{EmbeddingBag, ReductionOp};
@@ -67,17 +71,6 @@ impl SparseStageTiming {
     }
 }
 
-/// One sample's slice of a packed index-SRAM fill: where the sample's
-/// indices for the current table landed and whether this is the first
-/// segment of the sample's list (oversized lists span multiple fills).
-#[derive(Debug, Clone, Copy)]
-struct GatherSegment {
-    sample: usize,
-    start: usize,
-    len: usize,
-    first: bool,
-}
-
 /// The sparse accelerator complex.
 #[derive(Debug, Clone)]
 pub struct EbStreamer {
@@ -85,17 +78,14 @@ pub struct EbStreamer {
     index_sram: SparseIndexSram,
     gather_unit: EmbeddingGatherUnit,
     reduction_unit: EmbeddingReductionUnit,
-    /// Which gather-reduce engine executes the functional path. `Scalar`
+    /// The embedding bag's backend the functional path runs on. `Scalar`
     /// is the oracle (per-row accumulate); `Vectorized` runs the
-    /// register-tiled prefetching kernels. Simulated time is the same on
-    /// both.
+    /// register-tiled prefetching kernels. Simulated time and counters are
+    /// the same on both.
     backend: SparseBackend,
     /// The hot-row cache model the timing path replays every trace
     /// through; its residency carries across requests.
     hot_cache: HotRowCache,
-    /// Reused segment directory for packed batch fills (high-water-mark
-    /// capacity, cleared per fill — steady state stays zero-alloc).
-    segments: Vec<GatherSegment>,
 }
 
 impl EbStreamer {
@@ -109,7 +99,6 @@ impl EbStreamer {
             reduction_unit: EmbeddingReductionUnit::harpv2_sized(),
             backend: global_sparse_backend(),
             hot_cache: HotRowCache::harpv2_sized(),
-            segments: Vec::new(),
         }
     }
 
@@ -126,7 +115,6 @@ impl EbStreamer {
             reduction_unit,
             backend: global_sparse_backend(),
             hot_cache: HotRowCache::harpv2_sized(),
-            segments: Vec::new(),
         }
     }
 
@@ -196,24 +184,24 @@ impl EbStreamer {
         Ok(out)
     }
 
-    /// Batch-major gather/reduce: streams **every** sample's gathers through
-    /// the index SRAM and reduction unit, accumulating each sample's reduced
-    /// tables directly into its row of a caller-owned `[batch, row_stride]`
-    /// buffer at column `row_offset` — exactly the layout of the dense
-    /// complex's batch-major feature matrix, so gathered rows land where the
-    /// interaction unit reads them with no intermediate staging matrices.
+    /// Batch-major gather/reduce: reduces every sample's bags into its row
+    /// of a caller-owned `[batch, row_stride]` buffer at column
+    /// `row_offset` — exactly the layout of the model's staged feature rows,
+    /// so gathered rows land where the interaction reads them.
     /// `batch_indices[s]` is sample `s`'s per-table index lists, so one
     /// request is `&[indices_per_table]`.
     ///
+    /// Three steps: the EB-RU's Sum-only check, the bag's own
+    /// [`EmbeddingBag::reduce_batch_into_with`] on this streamer's backend,
+    /// and the counters. Every lookup is one EB-RU reduction, and table
+    /// `t`'s `nₜ` indices across the batch stream through the index SRAM in
+    /// `⌈nₜ / capacity⌉` packed fills. A failed request counts nothing.
+    ///
     /// # Errors
     ///
-    /// Propagates index-out-of-bounds and table-count errors from the
-    /// reference tables and index-SRAM capacity errors; returns a shape
-    /// mismatch when `out` is not `batch * row_stride` long or a sample's
-    /// reduced block does not fit its row, and [`DlrmError::InvalidConfig`]
-    /// for bags whose reduction operator is not `Sum` — the EB-RU
-    /// accumulates rows as they stream in and cannot compute Mean/Max on
-    /// the fly.
+    /// Propagates index-out-of-bounds, table-count and shape errors from the
+    /// bag, and returns [`DlrmError::InvalidConfig`] for bags whose
+    /// reduction operator is not `Sum` (see [`EbStreamer::check_streamable`]).
     ///
     /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
     pub fn gather_reduce_batch_into<S: AsRef<[Vec<u32>]>>(
@@ -224,121 +212,28 @@ impl EbStreamer {
         row_stride: usize,
         row_offset: usize,
     ) -> Result<(), CentaurError> {
-        self.check_streamable(bag)?;
-        let width = bag.num_tables() * bag.dim();
-        if row_offset + width > row_stride || out.len() != batch_indices.len() * row_stride {
-            return Err(centaur_dlrm::DlrmError::ShapeMismatch {
-                op: "eb-streamer gather_reduce_batch_into",
-                lhs: (batch_indices.len(), row_stride),
-                rhs: (out.len(), row_offset + width),
-            }
-            .into());
+        Self::check_streamable(bag)?;
+        bag.reduce_batch_into_with(batch_indices, out, row_stride, row_offset, self.backend)?;
+        let (mut lookups, mut fills) = (0, 0);
+        for t in 0..bag.num_tables() {
+            let n: usize = batch_indices.iter().map(|s| s.as_ref()[t].len()).sum();
+            lookups += n;
+            fills += self.index_sram.chunks_needed(n);
         }
-        if self.backend == SparseBackend::Scalar {
-            for (sample, indices_per_table) in batch_indices.iter().enumerate() {
-                let base = sample * row_stride + row_offset;
-                self.stream_sample_scalar(
-                    bag,
-                    indices_per_table.as_ref(),
-                    &mut out[base..base + width],
-                )?;
-            }
-            return Ok(());
-        }
-        // Vectorized engine, table-major: validate the whole batch up
-        // front (same error-discovery order as the scalar loop), then run
-        // all samples' gathers for one table back to back — the table's
-        // hot rows stay cache- and L2-resident across the batch instead of
-        // every sample cycling the whole bag through the cache.
-        for indices_per_table in batch_indices {
-            bag.validate_request(indices_per_table.as_ref())?;
-        }
-        if row_stride == 0 {
-            return Ok(());
-        }
-        let dim = bag.dim();
-        let EbStreamer {
-            index_sram,
-            reduction_unit,
-            segments,
-            ..
-        } = self;
-        // One packed SRAM fill serves as many samples of a table as fit:
-        // the per-fill cost (buffer swap, EB-RU bookkeeping) amortizes
-        // across the whole batch instead of being paid once per (table,
-        // sample) — the measured ~4 ns/lookup the chunk-per-sample loop
-        // cost over the raw bag engine.
-        let capacity = index_sram.capacity_indices().max(1);
-        for (t, table) in bag.iter().enumerate() {
-            let mut sample = 0usize;
-            // Progress inside a list longer than the whole SRAM (it then
-            // spans several fills, accumulating into the same output row).
-            let mut resume_at = 0usize;
-            while sample < batch_indices.len() {
-                index_sram.begin_load();
-                segments.clear();
-                while sample < batch_indices.len() {
-                    let list = &batch_indices[sample].as_ref()[t];
-                    let remaining = &list[resume_at..];
-                    let space = capacity - index_sram.len();
-                    if remaining.is_empty() {
-                        if resume_at == 0 {
-                            // Empty bag: still zero the output slot below.
-                            segments.push(GatherSegment {
-                                sample,
-                                start: index_sram.len(),
-                                len: 0,
-                                first: true,
-                            });
-                        }
-                        sample += 1;
-                        resume_at = 0;
-                        continue;
-                    }
-                    if space == 0 {
-                        break;
-                    }
-                    let take = remaining.len().min(space);
-                    let start = index_sram.append(&remaining[..take])?;
-                    segments.push(GatherSegment {
-                        sample,
-                        start,
-                        len: take,
-                        first: resume_at == 0,
-                    });
-                    if take < remaining.len() {
-                        resume_at += take;
-                        break; // SRAM full mid-list; next fill resumes it.
-                    }
-                    sample += 1;
-                    resume_at = 0;
-                }
-                if !index_sram.is_empty() {
-                    index_sram.finish_load();
-                }
-                // The fill is the look-ahead the hardware has: one prefetch
-                // window rolls over all of its segments.
-                let loaded = index_sram.contents();
-                reduction_unit.record_reductions(loaded.len() as u64);
-                let block_of = |sample: usize| sample * row_stride + row_offset + t * dim;
-                for seg in segments.iter().filter(|seg| seg.first) {
-                    out[block_of(seg.sample)..][..dim].fill(0.0);
-                }
-                let lists = segments.iter().map(|seg| {
-                    (
-                        &loaded[seg.start..seg.start + seg.len],
-                        block_of(seg.sample),
-                    )
-                });
-                kernel::gather_lists_sum(table.as_slice(), dim, lists, out);
-            }
-        }
+        self.reduction_unit.record_reductions(lookups as u64);
+        self.index_sram.record_loads(fills as u64);
         Ok(())
     }
 
     /// The EB-RU only accumulates rows as they stream off the link, so only
-    /// `Sum` bags can be served.
-    fn check_streamable(&self, bag: &EmbeddingBag) -> Result<(), CentaurError> {
+    /// `Sum` bags can be served. The runtime runs this at registration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DlrmError::InvalidConfig`] naming the bag's operator.
+    ///
+    /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
+    pub fn check_streamable(bag: &EmbeddingBag) -> Result<(), CentaurError> {
         if bag.reduction_op() != ReductionOp::Sum {
             return Err(centaur_dlrm::DlrmError::InvalidConfig(format!(
                 "EB-Streamer reduces on the fly and supports {} only, got {}",
@@ -346,43 +241,6 @@ impl EbStreamer {
                 bag.reduction_op().op_name()
             ))
             .into());
-        }
-        Ok(())
-    }
-
-    /// The oracle: streams one sample's gathers a row at a time, chunking
-    /// each table's indices through the index SRAM and accumulating through
-    /// [`EmbeddingReductionUnit::accumulate`] into the sample's
-    /// `[num_tables * dim]` output block — bitwise identical to the
-    /// vectorized table-major sweep.
-    fn stream_sample_scalar(
-        &mut self,
-        bag: &EmbeddingBag,
-        indices_per_table: &[Vec<u32>],
-        out: &mut [f32],
-    ) -> Result<(), CentaurError> {
-        if indices_per_table.len() != bag.num_tables() {
-            return Err(centaur_dlrm::DlrmError::TableCountMismatch {
-                provided: indices_per_table.len(),
-                expected: bag.num_tables(),
-            }
-            .into());
-        }
-        let EbStreamer {
-            index_sram,
-            reduction_unit,
-            ..
-        } = self;
-        let dim = bag.dim();
-        for (t, indices) in indices_per_table.iter().enumerate() {
-            let row_out = &mut out[t * dim..(t + 1) * dim];
-            row_out.fill(0.0);
-            for chunk in indices.chunks(index_sram.capacity_indices().max(1)) {
-                index_sram.load(chunk)?;
-                for &idx in index_sram.contents() {
-                    reduction_unit.accumulate(row_out, bag.table(t).row(idx)?);
-                }
-            }
         }
         Ok(())
     }
@@ -499,7 +357,7 @@ mod tests {
         let reference = bag.sparse_lengths_reduce(&indices).unwrap();
         // Chunk boundaries do not reorder the accumulation: bitwise.
         assert_eq!(ours, reference);
-        assert!(streamer.index_sram().loads() >= 7);
+        assert_eq!(streamer.index_sram().loads(), 7);
     }
 
     #[test]
@@ -673,6 +531,38 @@ mod tests {
         assert_eq!(oracle, out, "vectorized diverged from scalar streamer");
         // Per-backend counters still advance identically.
         assert_eq!(streamer.reduction_unit().vectors_reduced(), 6 * 3 * 20);
+    }
+
+    #[test]
+    fn counters_do_not_depend_on_the_backend() {
+        // 6 samples x 3 tables x 20 indices at HARPv2 size: each table's
+        // 120 indices are one fill whichever engine gathers them.
+        let bag = EmbeddingBag::random(3, 256, 32, 13);
+        let batch_indices: Vec<Vec<Vec<u32>>> = (0..6)
+            .map(|s| {
+                (0..3)
+                    .map(|t| {
+                        (0..20u32)
+                            .map(|i| (s * 37 + t * 11 + i * 3) % 256)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let counts = |backend| {
+            let mut streamer = EbStreamer::default();
+            streamer.set_sparse_backend(backend);
+            let mut out = vec![0.0f32; 6 * 3 * 32];
+            streamer
+                .gather_reduce_batch_into(&bag, &batch_indices, &mut out, 3 * 32, 0)
+                .unwrap();
+            (
+                streamer.reduction_unit().vectors_reduced(),
+                streamer.index_sram().loads(),
+            )
+        };
+        assert_eq!(counts(SparseBackend::Scalar), (6 * 3 * 20, 3));
+        assert_eq!(counts(SparseBackend::Vectorized), (6 * 3 * 20, 3));
     }
 
     #[test]

@@ -297,22 +297,18 @@ impl DlrmModel {
         Ok(out)
     }
 
-    /// The zero-allocation hot path, and the only inference path: one batch
-    /// end to end with every intermediate written into `ws` and one
-    /// probability per sample written into `out`. A sample is a batch of
-    /// one.
+    /// The zero-allocation hot path: one batch end to end with every
+    /// intermediate written into `ws` and one probability per sample written
+    /// into `out`. A sample is a batch of one.
     ///
-    /// Stage by stage:
-    ///
-    /// 1. embedding gathers/reductions for **all** samples, straight into
-    ///    the batch-major `[batch, num_features * dim]` feature matrix;
-    /// 2. bottom MLP over the whole dense batch — one GEMM per layer with
-    ///    `m = batch`, its output scattered into feature row 0 of every
-    ///    sample;
-    /// 3. one batched feature-interaction pass producing the
-    ///    `[batch, interact_width]` top-MLP input;
-    /// 4. top MLP with `m = batch`, then one vectorized sigmoid sweep over
-    ///    the batch of logits.
+    /// It is the batch body's two pieces around the bag's gather:
+    /// [`DlrmModel::stage_features`] sizes the batch-major
+    /// `[batch, num_features * dim]` feature rows, the embedding bag reduces
+    /// every sample's bags straight into rows `1..=num_tables` of each
+    /// sample's block (column `dim` on), and
+    /// [`DlrmModel::forward_staged_into`] runs bottom MLP → interaction →
+    /// top MLP → sigmoid on them. The accelerator runtime runs the same two
+    /// pieces around its EB-Streamer.
     ///
     /// A batch of N equals N batches of one, bitwise: the kernels
     /// accumulate each output row in the same order regardless of `m`.
@@ -348,70 +344,93 @@ impl DlrmModel {
             });
         }
         let dim = self.config.embedding_dim;
-        let num_features = self.interaction.num_features();
-        let interact_width = self.interaction.output_dim();
-        let stride = num_features * dim;
+        let stride = self.interaction.num_features() * dim;
+        let features = self.stage_features(batch, ws);
+        self.embeddings
+            .reduce_batch_into(batch_indices, features, stride, dim)?;
+        self.forward_staged_into(backend, dense.as_slice(), dense_width, ws, out)
+    }
+
+    /// Piece one of the batch body: sizes `ws` for `batch` samples and
+    /// returns the batch-major `[batch, num_features * dim]` feature rows.
+    /// The caller reduces every sample's embeddings into columns
+    /// `dim..num_features * dim` of its row; column block 0 is the bottom
+    /// MLP's, which [`DlrmModel::forward_staged_into`] fills.
+    pub fn stage_features<'w>(&self, batch: usize, ws: &'w mut BatchWorkspace) -> &'w mut [f32] {
+        let stride = self.interaction.num_features() * self.config.embedding_dim;
         grow(&mut ws.features, batch * stride);
-        grow(&mut ws.interact, batch * interact_width);
+        grow(&mut ws.interact, batch * self.interaction.output_dim());
+        &mut ws.features[..batch * stride]
+    }
 
-        // 1. Embedding gathers + reductions for every sample, straight into
-        //    interaction feature rows 1..=num_tables of each sample's block,
-        //    on the production sparse engine (table-major vectorized
-        //    kernels).
-        self.embeddings.reduce_batch_into(
-            batch_indices,
-            &mut ws.features[..batch * stride],
-            stride,
-            dim,
-        )?;
-
-        // 2. Bottom MLP over the whole batch: one GEMM per layer with
-        //    m = batch, scattered into feature row 0 of every sample.
-        {
-            let BatchWorkspace { mlp, features, .. } = ws;
-            let (bottom, cols) = self.bottom_mlp.forward_batch_ws(
-                backend,
-                dense.as_slice(),
-                batch,
-                dense_width,
-                mlp,
-            )?;
-            if cols != dim {
-                return Err(DlrmError::ShapeMismatch {
-                    op: "bottom MLP output",
-                    lhs: (batch, dim),
-                    rhs: (batch, cols),
-                });
-            }
-            for (src, dst) in bottom
-                .chunks_exact(dim)
-                .zip(features.chunks_exact_mut(stride))
-            {
-                dst[..dim].copy_from_slice(src);
-            }
-        }
-
-        // 3. Batched dot-product feature interaction.
-        {
-            let BatchWorkspace {
-                features, interact, ..
-            } = ws;
-            self.interaction.interact_batch_into(
-                &features[..batch * stride],
-                batch,
-                &mut interact[..batch * interact_width],
-            );
-        }
-
-        // 4. Top MLP with m = batch, then one vectorized sigmoid sweep.
-        let BatchWorkspace { mlp, interact, .. } = ws;
-        let (top, top_cols) = self.top_mlp.forward_batch_ws(
-            backend,
-            &interact[..batch * interact_width],
-            batch,
-            interact_width,
+    /// Piece two of the batch body, over feature rows staged by
+    /// [`DlrmModel::stage_features`] for `out.len()` samples whose reduced
+    /// embeddings are in place:
+    ///
+    /// 1. bottom MLP over the whole dense batch (`[batch, dense_cols]`) —
+    ///    one GEMM per layer with `m = batch`, its output scattered into
+    ///    feature row 0 of every sample;
+    /// 2. one batched feature-interaction pass producing the
+    ///    `[batch, interact_width]` top-MLP input;
+    /// 3. top MLP with `m = batch`, then one vectorized sigmoid sweep over
+    ///    the batch of logits into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the bottom MLP's [`DlrmError::BatchMismatch`] or
+    /// [`DlrmError::ShapeMismatch`] when `dense_rows` is not
+    /// `[batch, dense_cols]` or `dense_cols` is not its input width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws` was not staged for at least `out.len()` samples.
+    pub fn forward_staged_into(
+        &self,
+        backend: KernelBackend,
+        dense_rows: &[f32],
+        dense_cols: usize,
+        ws: &mut BatchWorkspace,
+        out: &mut [f32],
+    ) -> Result<(), DlrmError> {
+        let batch = out.len();
+        let dim = self.config.embedding_dim;
+        let interact_width = self.interaction.output_dim();
+        let stride = self.interaction.num_features() * dim;
+        let BatchWorkspace {
             mlp,
-        )?;
+            features,
+            interact,
+        } = ws;
+        let features = &mut features[..batch * stride];
+        let interact = &mut interact[..batch * interact_width];
+
+        // 1. Bottom MLP over the whole batch: one GEMM per layer with
+        //    m = batch, scattered into feature row 0 of every sample.
+        let (bottom, cols) = self
+            .bottom_mlp
+            .forward_batch_ws(backend, dense_rows, batch, dense_cols, mlp)?;
+        if cols != dim {
+            return Err(DlrmError::ShapeMismatch {
+                op: "bottom MLP output",
+                lhs: (batch, dim),
+                rhs: (batch, cols),
+            });
+        }
+        for (src, dst) in bottom
+            .chunks_exact(dim)
+            .zip(features.chunks_exact_mut(stride))
+        {
+            dst[..dim].copy_from_slice(src);
+        }
+
+        // 2. Batched dot-product feature interaction.
+        self.interaction
+            .interact_batch_into(features, batch, interact);
+
+        // 3. Top MLP with m = batch, then one vectorized sigmoid sweep.
+        let (top, top_cols) =
+            self.top_mlp
+                .forward_batch_ws(backend, interact, batch, interact_width, mlp)?;
         if top_cols == 1 {
             crate::tensor::sigmoid_into(&top[..batch], out);
         } else {
