@@ -271,11 +271,11 @@ mod tests {
     #[test]
     fn speedups_fall_in_paper_range() {
         // The paper reports 1.7–17.2x end-to-end. Our simulated substrate
-        // reproduces the same order of magnitude; the one known deviation
-        // (documented in EXPERIMENTS.md) is that the lookup-heaviest models
-        // at batch 128 dip slightly below 1x because the paper's own
-        // measured EB-Streamer bandwidth (11.9 GB/s) is below the CPU's
-        // large-batch gather bandwidth there.
+        // reproduces the same order of magnitude; the known deviation
+        // (ROADMAP.md, "The reproduction misses the paper's headline") is
+        // that the lookup-heaviest models at large batches dip below 1x
+        // because the paper's own measured EB-Streamer bandwidth
+        // (11.9 GB/s) is below the CPU's large-batch gather bandwidth there.
         let mut speedups = Vec::new();
         for model in PaperModel::all() {
             for batch in [1usize, 16, 128] {

@@ -122,7 +122,10 @@ impl CentaurRuntime {
     }
 
     /// The functional EB-Streamer: its counters record the index-SRAM
-    /// fills and EB-RU reductions of every gather this runtime ran.
+    /// fills and EB-RU reductions of every gather this runtime ran, and
+    /// [`EbStreamer::gather_lanes`] the lanes its large waves run on. A
+    /// clone of the runtime gets lanes of its own, spawned at its first
+    /// large wave; dropping the runtime stops and joins them.
     pub fn streamer(&self) -> &EbStreamer {
         &self.streamer
     }
@@ -142,6 +145,9 @@ impl CentaurRuntime {
     /// replica clones the registered state. Every shard is `Send` (enforced
     /// at compile time), so a serving layer can move one onto each worker
     /// thread and run them concurrently — replicas share nothing mutable.
+    /// The replicas also share the CPUs their callers may use: each
+    /// EB-Streamer splits its large waves over `cpus / replicas` gather
+    /// lanes, so a pool as large as the CPU count gathers on one lane each.
     ///
     /// # Errors
     ///
@@ -155,7 +161,8 @@ impl CentaurRuntime {
         if replicas == 0 {
             return Err(CentaurError::NotInitialised("replica pool of size zero"));
         }
-        let first = CentaurRuntime::new(model, config)?;
+        let mut first = CentaurRuntime::new(model, config)?;
+        first.streamer.share_cpus_with(replicas);
         let mut pool = Vec::with_capacity(replicas);
         for _ in 1..replicas {
             pool.push(first.clone());
@@ -244,7 +251,7 @@ impl CentaurRuntime {
     /// Same as [`CentaurRuntime::infer_batch_into`]; the batch size is
     /// `batch_indices.len()` and `dense_rows` must hold exactly
     /// `batch * cols` values.
-    pub fn infer_batch_rows_into<S: AsRef<[Vec<u32>]>>(
+    pub fn infer_batch_rows_into<S: AsRef<[Vec<u32>]> + Sync>(
         &mut self,
         dense_rows: &[f32],
         cols: usize,
@@ -401,6 +408,64 @@ mod tests {
             }
         });
         assert!(CentaurRuntime::replica_pool(small_model(), CentaurConfig::harpv2(), 0).is_err());
+    }
+
+    #[test]
+    fn a_runtime_clone_serves_from_its_own_lane_and_drop_returns() {
+        let model = small_model();
+        let config = model.config().clone();
+        let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 41);
+        let batch = generator.functional_batch(6);
+        let mut one_lane = CentaurRuntime::harpv2(model.clone()).unwrap();
+        let reference = one_lane.infer_batch(&batch.dense, &batch.sparse).unwrap();
+        // Six samples of 100 lookups stay on one lane unless forced.
+        assert_eq!(one_lane.streamer().gather_lanes(), 1);
+
+        let mut first = CentaurRuntime::harpv2(model).unwrap();
+        first.streamer.force_lanes(2);
+        let mut clone = first.clone();
+        assert_eq!(
+            first.infer_batch(&batch.dense, &batch.sparse).unwrap(),
+            reference
+        );
+        assert_eq!(first.streamer().gather_lanes(), 2);
+        // The clone's lanes are its own, and not spawned until it serves.
+        assert_eq!(clone.streamer().gather_lanes(), 1);
+        assert_eq!(
+            clone.infer_batch(&batch.dense, &batch.sparse).unwrap(),
+            reference
+        );
+        assert_eq!(clone.streamer().gather_lanes(), 2);
+        let (ours, theirs) = (first.streamer.lane_threads(), clone.streamer.lane_threads());
+        assert_eq!((ours.len(), theirs.len()), (1, 1));
+        assert_ne!(ours, theirs);
+        // Counters are the same as one lane's.
+        for runtime in [&first, &clone] {
+            assert_eq!(
+                runtime.streamer().reduction_unit().vectors_reduced(),
+                one_lane.streamer().reduction_unit().vectors_reduced()
+            );
+            assert_eq!(
+                runtime.streamer().index_sram().loads(),
+                one_lane.streamer().index_sram().loads()
+            );
+        }
+        // Drop stops and joins the spawned helpers.
+        drop(first);
+        drop(clone);
+    }
+
+    #[test]
+    fn a_pool_as_large_as_the_cpus_gathers_on_one_lane() {
+        let model = small_model();
+        let config = model.config().clone();
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), cpus).unwrap();
+        // 64 samples of 100 lookups: a wave past the split threshold.
+        let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 43);
+        let batch = generator.functional_batch(64);
+        pool[0].infer_batch(&batch.dense, &batch.sparse).unwrap();
+        assert_eq!(pool[0].streamer().gather_lanes(), 1);
     }
 
     #[test]

@@ -67,8 +67,7 @@ impl EmbeddingGatherUnit {
     pub fn generate(&mut self, layout: &TableLayout, table: usize, row: u64) -> GatherRequest {
         let address = layout.address_of(EmbeddingAccess { table, row });
         let bytes = layout.row_bytes();
-        self.requests_generated += 1;
-        self.bytes_requested += bytes;
+        self.record_requests(1, bytes);
         GatherRequest {
             address,
             bytes,
@@ -76,19 +75,12 @@ impl EmbeddingGatherUnit {
         }
     }
 
-    /// Generates the full request stream for a set of per-table indices.
-    pub fn generate_all(
-        &mut self,
-        layout: &TableLayout,
-        rows_per_table: &[Vec<u64>],
-    ) -> Vec<GatherRequest> {
-        let mut out = Vec::with_capacity(rows_per_table.iter().map(Vec::len).sum());
-        for (table, rows) in rows_per_table.iter().enumerate() {
-            for &row in rows {
-                out.push(self.generate(layout, table, row));
-            }
-        }
-        out
+    /// Records the issue of `count` row reads of `row_bytes` each: the
+    /// counters of `count` [`EmbeddingGatherUnit::generate`] calls, without
+    /// building the requests.
+    pub fn record_requests(&mut self, count: u64, row_bytes: u64) {
+        self.requests_generated += count;
+        self.bytes_requested += count * row_bytes;
     }
 }
 
@@ -118,19 +110,17 @@ mod tests {
     fn counters_accumulate() {
         let layout = layout();
         let mut gu = EmbeddingGatherUnit::new();
-        let reqs = gu.generate_all(&layout, &[vec![0, 1], vec![5], vec![], vec![999]]);
-        assert_eq!(reqs.len(), 4);
+        let tables: Vec<usize> = [(0, 0), (0, 1), (1, 5), (3, 999)]
+            .into_iter()
+            .map(|(table, row)| gu.generate(&layout, table, row).table)
+            .collect();
+        assert_eq!(tables, vec![0, 0, 1, 3]);
         assert_eq!(gu.requests_generated(), 4);
         assert_eq!(gu.bytes_requested(), 4 * 128);
-    }
-
-    #[test]
-    fn request_stream_preserves_table_order() {
-        let layout = layout();
-        let mut gu = EmbeddingGatherUnit::new();
-        let reqs = gu.generate_all(&layout, &[vec![1], vec![2], vec![3], vec![4]]);
-        let tables: Vec<usize> = reqs.iter().map(|r| r.table).collect();
-        assert_eq!(tables, vec![0, 1, 2, 3]);
+        // Recording the same issue arithmetically moves the counters alike.
+        gu.record_requests(3, 128);
+        assert_eq!(gu.requests_generated(), 7);
+        assert_eq!(gu.bytes_requested(), 7 * 128);
     }
 
     #[test]

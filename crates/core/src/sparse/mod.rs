@@ -7,6 +7,7 @@
 pub mod gather_unit;
 pub mod hot_row_cache;
 pub mod index_sram;
+mod lanes;
 pub mod reduction_unit;
 pub mod streamer;
 

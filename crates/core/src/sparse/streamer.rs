@@ -9,19 +9,34 @@
 //! gather costs; the bag's `Scalar` backend is the one sparse oracle. The
 //! hot-row cache model belongs to the timing path, which replays each
 //! request's trace through it ([`EbStreamer::execute_timing`]).
+//!
+//! The paper's streamer keeps many embedding reads in flight; on a CPU host
+//! one core's outstanding misses bound a gather instead. So the functional
+//! path has **gather lanes**: the first wave of at least 4096 lookups
+//! (`SPLIT_MIN_LOOKUPS`) spawns one persistent helper thread per CPU the
+//! calling thread may use beyond its own, shared out among the runtime's
+//! replicas, and from then on every such wave is cut into contiguous
+//! sample ranges of about equal lookups, the caller reducing the first and
+//! each helper one other through the same bag gather. Each sample is still
+//! summed by one lane in index order, so bits, errors and counters are
+//! those of one lane. Small waves (batch-1 serving, DLRM(6)'s 160 lookups)
+//! lose more to the hand-off than a second core gains and never split; nor
+//! does a caller pinned to one CPU, or one of two replicas on two CPUs.
 
 use crate::chiplet::ChipletLinkConfig;
 use crate::error::CentaurError;
 use crate::sparse::gather_unit::EmbeddingGatherUnit;
 use crate::sparse::hot_row_cache::HotRowCache;
 use crate::sparse::index_sram::SparseIndexSram;
+use crate::sparse::lanes::{GatherLanes, MAX_LANES};
 use crate::sparse::reduction_unit::EmbeddingReductionUnit;
 use centaur_dlrm::kernel::{global_sparse_backend, SparseBackend};
 use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::trace::InferenceTrace;
-use centaur_dlrm::{EmbeddingBag, ReductionOp};
+use centaur_dlrm::{DlrmError, EmbeddingBag, ReductionOp};
 use centaur_memsim::Throughput;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 
 /// Timing of the sparse stage of one batched request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,6 +101,8 @@ pub struct EbStreamer {
     /// The hot-row cache model the timing path replays every trace
     /// through; its residency carries across requests.
     hot_cache: HotRowCache,
+    /// The threads large functional waves are split over.
+    lanes: GatherLanes,
 }
 
 impl EbStreamer {
@@ -99,6 +116,7 @@ impl EbStreamer {
             reduction_unit: EmbeddingReductionUnit::harpv2_sized(),
             backend: global_sparse_backend(),
             hot_cache: HotRowCache::harpv2_sized(),
+            lanes: GatherLanes::new(1),
         }
     }
 
@@ -115,6 +133,7 @@ impl EbStreamer {
             reduction_unit,
             backend: global_sparse_backend(),
             hot_cache: HotRowCache::harpv2_sized(),
+            lanes: GatherLanes::new(1),
         }
     }
 
@@ -152,6 +171,31 @@ impl EbStreamer {
     /// Selects the sparse backend for subsequent requests.
     pub fn set_sparse_backend(&mut self, backend: SparseBackend) {
         self.backend = backend;
+    }
+
+    /// Lanes this streamer's large waves run on, its caller's included: 1
+    /// until the first wave of 4096 lookups or more, and on a caller with
+    /// no second CPU to use.
+    pub fn gather_lanes(&self) -> usize {
+        self.lanes.spawned()
+    }
+
+    /// Shares the caller's CPUs with `replicas` runtime replicas when the
+    /// lanes are spawned: each gets `cpus / replicas` lanes.
+    pub(crate) fn share_cpus_with(&mut self, replicas: usize) {
+        self.lanes.share_with(replicas);
+    }
+
+    /// Splits every wave over exactly `lanes` lanes.
+    #[cfg(test)]
+    pub(crate) fn force_lanes(&mut self, lanes: usize) {
+        self.lanes = GatherLanes::forced(lanes);
+    }
+
+    /// The helper threads of this streamer's lanes.
+    #[cfg(test)]
+    pub(crate) fn lane_threads(&self) -> Vec<std::thread::ThreadId> {
+        self.lanes.helper_threads()
     }
 
     /// Swaps in a differently-budgeted hot-row cache (for ablations); the
@@ -193,9 +237,14 @@ impl EbStreamer {
     ///
     /// Three steps: the EB-RU's Sum-only check, the bag's own
     /// [`EmbeddingBag::reduce_batch_into_with`] on this streamer's backend,
-    /// and the counters. Every lookup is one EB-RU reduction, and table
-    /// `t`'s `nₜ` indices across the batch stream through the index SRAM in
-    /// `⌈nₜ / capacity⌉` packed fills. A failed request counts nothing.
+    /// and the counters. A wave of 4096 lookups or more runs that gather on
+    /// the streamer's lanes (see the module doc), each lane over its own
+    /// samples and rows of `out`; the caller returns once every lane has,
+    /// with the error of the first failing sample in sample order, as one
+    /// lane would. Every lookup is one EB-RU reduction, and the batch's
+    /// `Σₜ nₜ` indices stream through the index SRAM in chunks, as the
+    /// timing model charges them: `⌈Σₜ nₜ / capacity⌉` fills. The counters
+    /// are worked out once, on the caller; a failed request counts nothing.
     ///
     /// # Errors
     ///
@@ -204,7 +253,7 @@ impl EbStreamer {
     /// reduction operator is not `Sum` (see [`EbStreamer::check_streamable`]).
     ///
     /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
-    pub fn gather_reduce_batch_into<S: AsRef<[Vec<u32>]>>(
+    pub fn gather_reduce_batch_into<S: AsRef<[Vec<u32>]> + Sync>(
         &mut self,
         bag: &EmbeddingBag,
         batch_indices: &[S],
@@ -213,15 +262,32 @@ impl EbStreamer {
         row_offset: usize,
     ) -> Result<(), CentaurError> {
         Self::check_streamable(bag)?;
-        bag.reduce_batch_into_with(batch_indices, out, row_stride, row_offset, self.backend)?;
-        let (mut lookups, mut fills) = (0, 0);
-        for t in 0..bag.num_tables() {
-            let n: usize = batch_indices.iter().map(|s| s.as_ref()[t].len()).sum();
-            lookups += n;
-            fills += self.index_sram.chunks_needed(n);
+        let lookups: usize = batch_indices
+            .iter()
+            .map(|s| EmbeddingBag::lookups_in_request(s.as_ref()))
+            .sum();
+        // A mis-sized `out` cannot be cut into lanes' rows; one lane reports
+        // it.
+        let lanes = if out.len() == batch_indices.len() * row_stride {
+            self.lanes.lanes_for(lookups)
+        } else {
+            1
+        };
+        let wave = Wave {
+            bag,
+            batch_indices,
+            row_stride,
+            row_offset,
+            backend: self.backend,
+        };
+        if lanes == 1 {
+            wave.reduce(0..batch_indices.len(), out)?;
+        } else {
+            wave.reduce_on(&self.lanes, lanes, lookups, out)?;
         }
         self.reduction_unit.record_reductions(lookups as u64);
-        self.index_sram.record_loads(fills as u64);
+        self.index_sram
+            .record_loads(self.index_sram.chunks_needed(lookups) as u64);
         Ok(())
     }
 
@@ -256,18 +322,13 @@ impl EbStreamer {
     /// cold rows pay CPU-memory transfers — on skewed traffic the effective
     /// gather throughput rises above the raw link bandwidth.
     pub fn execute_timing(&mut self, trace: &InferenceTrace) -> SparseStageTiming {
-        let layout = trace.layout();
         let total_lookups = trace.gather.total_lookups() as u64;
         let gathered_bytes = trace.gathered_bytes();
         let index_bytes = trace.index_bytes();
         let row_bytes = trace.config.row_bytes() as u64;
 
-        // Generate the request stream (exercises the gather unit counters).
-        for sample in &trace.gather.samples {
-            let _ = self
-                .gather_unit
-                .generate_all(&layout, &sample.rows_per_table);
-        }
+        // One EB-GU read request per lookup.
+        self.gather_unit.record_requests(total_lookups, row_bytes);
 
         // Replay the hot-row cache over the trace (tags only — the timing
         // path never touches row data).
@@ -304,6 +365,83 @@ impl EbStreamer {
             cache_hits,
             cache_misses,
         }
+    }
+}
+
+/// One functional wave's gather: the bag, the batch and where its reduced
+/// rows go.
+struct Wave<'a, S> {
+    bag: &'a EmbeddingBag,
+    batch_indices: &'a [S],
+    row_stride: usize,
+    row_offset: usize,
+    backend: SparseBackend,
+}
+
+/// A lane's rows of the output, and what its gather returned.
+struct LaneSlot<'a> {
+    out: &'a mut [f32],
+    result: Result<(), DlrmError>,
+}
+
+impl<S: AsRef<[Vec<u32>]> + Sync> Wave<'_, S> {
+    /// The bag's gather over the samples in `samples`, into `out`, their
+    /// rows.
+    fn reduce(&self, samples: std::ops::Range<usize>, out: &mut [f32]) -> Result<(), DlrmError> {
+        self.bag.reduce_batch_into_with(
+            &self.batch_indices[samples],
+            out,
+            self.row_stride,
+            self.row_offset,
+            self.backend,
+        )
+    }
+
+    /// [`Wave::reduce`] over the whole wave, cut over `count` lanes into
+    /// contiguous sample ranges of about `lookups / count` lookups each;
+    /// returns the error of the first lane, in sample order, that failed.
+    fn reduce_on(
+        &self,
+        lanes: &GatherLanes,
+        count: usize,
+        lookups: usize,
+        out: &mut [f32],
+    ) -> Result<(), DlrmError> {
+        let batch = self.batch_indices.len();
+        // Lane k starts at the first sample with k/count of the lookups
+        // before it.
+        let mut starts = [batch; MAX_LANES + 1];
+        starts[0] = 0;
+        let (mut lane, mut before) = (1, 0);
+        for (sample, per_table) in self.batch_indices.iter().enumerate() {
+            while lane < count && before * count >= lane * lookups {
+                starts[lane] = sample;
+                lane += 1;
+            }
+            before += EmbeddingBag::lookups_in_request(per_table.as_ref());
+        }
+        // Lanes past `count` start and end at `batch`: their slots are
+        // empty.
+        let mut rest = out;
+        let slots: [Mutex<LaneSlot<'_>>; MAX_LANES] = std::array::from_fn(|k| {
+            let rows = (starts[k + 1] - starts[k]) * self.row_stride;
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(rows);
+            rest = tail;
+            Mutex::new(LaneSlot {
+                out,
+                result: Ok(()),
+            })
+        });
+        lanes.run(&|k| {
+            let mut slot = slots[k].lock().unwrap_or_else(PoisonError::into_inner);
+            slot.result = self.reduce(starts[k]..starts[k + 1], std::mem::take(&mut slot.out));
+        });
+        for slot in slots.into_iter().take(count) {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .result?;
+        }
+        Ok(())
     }
 }
 
@@ -398,8 +536,8 @@ mod tests {
             let (out, fills) = run(SparseBackend::Vectorized);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(&oracle), "dim {dim}");
-            // 119 indices per table through 16 at a time.
-            assert_eq!(fills, 3 * 8, "dim {dim}");
+            // 3 × 119 indices through 16 at a time.
+            assert_eq!(fills, 23, "dim {dim}");
         }
     }
 
@@ -535,8 +673,8 @@ mod tests {
 
     #[test]
     fn counters_do_not_depend_on_the_backend() {
-        // 6 samples x 3 tables x 20 indices at HARPv2 size: each table's
-        // 120 indices are one fill whichever engine gathers them.
+        // 6 samples x 3 tables x 20 indices at HARPv2 size: the batch's 360
+        // indices are one fill whichever engine gathers them.
         let bag = EmbeddingBag::random(3, 256, 32, 13);
         let batch_indices: Vec<Vec<Vec<u32>>> = (0..6)
             .map(|s| {
@@ -561,8 +699,141 @@ mod tests {
                 streamer.index_sram().loads(),
             )
         };
-        assert_eq!(counts(SparseBackend::Scalar), (6 * 3 * 20, 3));
-        assert_eq!(counts(SparseBackend::Vectorized), (6 * 3 * 20, 3));
+        assert_eq!(counts(SparseBackend::Scalar), (6 * 3 * 20, 1));
+        assert_eq!(counts(SparseBackend::Vectorized), (6 * 3 * 20, 1));
+    }
+
+    #[test]
+    fn functional_fills_follow_the_timing_models_chunk_rule() {
+        // DLRM(1) tables at batch 64 (5 × 1280 indices), through a 4096-index
+        // SRAM: the timing model streams the batch's 6400 indices in two
+        // chunks, and the functional gather must count the same two fills —
+        // not one per table.
+        let config = PaperModel::Dlrm1.config().with_rows_per_table(1024);
+        let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 3);
+        let batch = generator.functional_batch(64);
+        let trace = generator.inference_trace(64);
+        let bag = EmbeddingBag::random(config.num_tables, 1024, config.embedding_dim, 3);
+        let stride = bag.num_tables() * bag.dim();
+        let streamer = || {
+            EbStreamer::with_components(
+                ChipletLinkConfig::harpv2(),
+                SparseIndexSram::new(4096),
+                EmbeddingReductionUnit::harpv2_sized(),
+            )
+        };
+        let mut functional = streamer();
+        let mut out = vec![0.0f32; 64 * stride];
+        functional
+            .gather_reduce_batch_into(&bag, &batch.sparse, &mut out, stride, 0)
+            .unwrap();
+        let timing = streamer().execute_timing(&trace);
+        assert_eq!(timing.index_chunks, 2);
+        assert_eq!(functional.index_sram().loads(), 2);
+    }
+
+    /// Per-table lists of uneven lengths, empty ones among them, over
+    /// `tables` tables of 512 rows.
+    fn uneven_batch(samples: usize, tables: usize) -> Vec<Vec<Vec<u32>>> {
+        let lens = [5usize, 0, 17, 1, 40, 16, 3, 15, 0, 22, 90];
+        (0..samples)
+            .map(|s| {
+                (0..tables)
+                    .map(|t| {
+                        (0..lens[(s * 7 + t) % lens.len()])
+                            .map(|i| ((s * 131 + t * 71 + i * 37) % 512) as u32)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forced_lanes_are_bitwise_equal_to_the_scalar_oracle() {
+        let bag = EmbeddingBag::random(3, 512, 16, 29);
+        let stride = 3 * 16 + 4;
+        let run = |streamer: &mut EbStreamer, batch: &[Vec<Vec<u32>>]| {
+            let mut out = vec![f32::NAN; batch.len() * stride];
+            streamer
+                .gather_reduce_batch_into(&bag, batch, &mut out, stride, 4)
+                .unwrap();
+            let counters = (
+                streamer.reduction_unit().vectors_reduced(),
+                streamer.index_sram().loads(),
+            );
+            (
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                counters,
+            )
+        };
+        // Batches smaller than the lane count, one sample of empty lists,
+        // and uneven lists.
+        let mut batches = vec![uneven_batch(0, 3), vec![vec![vec![]; 3]]];
+        batches.extend([1, 2, 3, 9, 64].map(|samples| uneven_batch(samples, 3)));
+        for batch in &batches {
+            let mut oracle = EbStreamer::default();
+            oracle.set_sparse_backend(SparseBackend::Scalar);
+            let want = run(&mut oracle, batch);
+            for lanes in 1..=4 {
+                for backend in [SparseBackend::Scalar, SparseBackend::Vectorized] {
+                    let mut streamer = EbStreamer::default();
+                    streamer.force_lanes(lanes);
+                    streamer.set_sparse_backend(backend);
+                    // Twice: the lanes spawn at the first wave and are
+                    // reused by the second.
+                    assert_eq!(
+                        run(&mut streamer, batch),
+                        want,
+                        "{lanes} lanes, {backend:?}"
+                    );
+                    let (bits, (reduced, fills)) = run(&mut streamer, batch);
+                    assert_eq!(bits, want.0);
+                    assert_eq!((reduced, fills), (2 * want.1 .0, 2 * want.1 .1));
+                    assert_eq!(streamer.gather_lanes(), lanes);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_invalid_index_in_the_last_lane_fails_as_on_one_lane_and_counts_nothing() {
+        let bag = EmbeddingBag::random(3, 512, 8, 31);
+        let stride = 3 * 8;
+        let mut batch = uneven_batch(12, 3);
+        // Sample 10 is in the last of four lanes; its table 2 reads row 600
+        // of 512 after a valid row, and sample 11's table 0 reads 700.
+        batch[10][2] = vec![3, 600];
+        batch[11][0] = vec![700];
+        let fail = |lanes: Option<usize>| {
+            let mut streamer = EbStreamer::default();
+            if let Some(lanes) = lanes {
+                streamer.force_lanes(lanes);
+            }
+            let mut out = vec![0.0f32; batch.len() * stride];
+            let err = streamer
+                .gather_reduce_batch_into(&bag, &batch, &mut out, stride, 0)
+                .unwrap_err();
+            assert_eq!(streamer.reduction_unit().vectors_reduced(), 0);
+            assert_eq!(streamer.index_sram().loads(), 0);
+            err
+        };
+        let one = fail(None);
+        assert!(matches!(
+            one,
+            CentaurError::Model(DlrmError::IndexOutOfBounds {
+                index: 600,
+                rows: 512,
+                table: 2
+            })
+        ));
+        for lanes in 2..=4 {
+            assert_eq!(
+                fail(Some(lanes)).to_string(),
+                one.to_string(),
+                "{lanes} lanes"
+            );
+        }
     }
 
     #[test]

@@ -365,8 +365,8 @@ impl ModelConfigBuilder {
 ///
 /// Table sizes follow the paper exactly (128 MB, 1.28 GB or 3.2 GB of
 /// embeddings); MLP layer widths are chosen to land close to the paper's
-/// reported MLP footprints (57.4 KB for DLRM(1)–(5), 557 KB for DLRM(6)) —
-/// see `EXPERIMENTS.md` for the exact derived sizes.
+/// reported MLP footprints (57.4 KB for DLRM(1)–(5), 557 KB for DLRM(6));
+/// [`ModelConfig::mlp_bytes`] gives the exact derived size of each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum PaperModel {
     /// DLRM(1): 5 tables, 20 gathers/table, 128 MB of embeddings.

@@ -395,6 +395,29 @@ fn steady_state_inference_paths_do_not_allocate() {
             }
         });
         assert_eq!(allocs, 0, "DLRM(3) batch-64 forward_batch_into allocated");
+
+        // The same wave through the runtime, whose EB-Streamer splits its
+        // 25 600 lookups over gather lanes wherever the caller has a second
+        // CPU: the hand-off to the helper allocates on neither thread.
+        let mut split_runtime = centaur::CentaurRuntime::harpv2(lookup_heavy).unwrap();
+        let mut lane_out = vec![0.0f32; 64];
+        split_runtime
+            .infer_batch_into(&request.dense, &request.sparse, &mut lane_out)
+            .unwrap();
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(split_runtime.streamer().gather_lanes() > 1, cpus > 1);
+        let allocs = allocations_during(|| {
+            for _ in 0..3 {
+                split_runtime
+                    .infer_batch_into(&request.dense, &request.sparse, &mut lane_out)
+                    .unwrap();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "DLRM(3) batch-64 infer_batch_into on lanes allocated"
+        );
+        assert_eq!(lane_out, out, "the lanes diverged from the model");
     }
 
     // --- Overload-protected queue steady state ------------------------------
