@@ -1,13 +1,12 @@
 //! Criterion micro-benchmarks of the kernels underlying every experiment:
-//! the `SparseLengthsSum` gather/reduce (allocating and zero-alloc paths),
-//! the EB-Streamer's check-and-count tax over the bag's gather, the GEMM
-//! backends (naive oracle vs production), the dot-product feature
-//! interaction and the random embedding-table fill.
+//! the `SparseLengthsSum` gather/reduce, the EB-Streamer's count tax over
+//! the bag's gather, the GEMM backends (naive oracle vs production), the
+//! dot-product feature interaction and the random embedding-table fill.
 
 use centaur::sparse::EbStreamer;
-use centaur_dlrm::kernel::{self, FusedAct, KernelBackend};
+use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights};
 use centaur_dlrm::{EmbeddingBag, EmbeddingTable, FeatureInteraction, Matrix};
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_gather_reduce(c: &mut Criterion) {
@@ -19,10 +18,6 @@ fn bench_gather_reduce(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-
-    c.bench_function("sparse_lengths_sum_reference", |b| {
-        b.iter(|| bag.sparse_lengths_reduce(black_box(&indices)).unwrap())
-    });
 
     // One request: a batch of one.
     let one = [&indices];
@@ -42,18 +37,6 @@ fn bench_gather_reduce(c: &mut Criterion) {
                 .unwrap()
         })
     });
-
-    c.bench_function("eb_streamer_gather_reduce", |b| {
-        b.iter_batched(
-            EbStreamer::default,
-            |mut streamer| {
-                streamer
-                    .gather_reduce(black_box(&bag), black_box(&indices))
-                    .unwrap()
-            },
-            BatchSize::SmallInput,
-        )
-    });
 }
 
 fn bench_gemm_backends(c: &mut Criterion) {
@@ -61,21 +44,18 @@ fn bench_gemm_backends(c: &mut Criterion) {
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 31) % 17) as f32 - 8.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 13) % 11) as f32 * 0.125).collect();
         let mut out = vec![0.0f32; m * n];
-        let mut pack = Vec::new();
+        let packed = PrepackedWeights::pack(&b, k, n);
         for backend in KernelBackend::all() {
             c.bench_function(&format!("gemm_{}_{m}x{k}x{n}", backend.label()), |bench| {
                 bench.iter(|| {
-                    kernel::gemm_bias_act_into(
+                    kernel::gemm_bias_act_prepacked(
                         backend,
                         black_box(&a),
-                        black_box(&b),
+                        black_box(&packed),
                         None,
                         FusedAct::Identity,
                         &mut out,
                         m,
-                        k,
-                        n,
-                        &mut pack,
                     )
                 })
             });
@@ -95,10 +75,6 @@ fn bench_gemm(c: &mut Criterion) {
 fn bench_interaction(c: &mut Criterion) {
     let features = Matrix::from_fn(51, 32, |r, col| ((r * 7 + col) % 9) as f32 - 4.0);
     let fi = FeatureInteraction::new(51, 32).unwrap();
-    c.bench_function("feature_interaction_51x32", |b| {
-        b.iter(|| fi.interact(black_box(&features)).unwrap())
-    });
-
     let mut out = vec![0.0f32; fi.output_dim()];
     c.bench_function("feature_interaction_into_51x32", |b| {
         b.iter(|| fi.interact_batch_into(black_box(features.as_slice()), 1, &mut out))

@@ -125,46 +125,27 @@ impl DenseAccelerator {
     }
 
     /// Uploads a model's MLP weights into `SRAM_MLPmodel` (done once at
-    /// boot; the weights persist across requests), accounting the row-major
-    /// footprint from the configuration alone. Prefer
-    /// [`DenseAccelerator::load_model_packed`] when the instantiated model
-    /// is at hand: it accounts the strips actually served from.
+    /// boot; the weights persist across requests) in their **prepacked
+    /// strip layout** — the one resident form the GEMM serves from,
+    /// measured from the actual [`PrepackedWeights`] stores. Packing is a
+    /// permutation, so the accounted bytes equal [`ModelConfig::mlp_bytes`]
+    /// exactly. Then checks that one sample's dense row fits
+    /// `SRAM_DenseFeature` and one interaction row fits `SRAM_MLPinput`: a
+    /// batch streams through those buffers in as-large-as-fit waves, so a
+    /// single sample is all they must hold.
+    ///
+    /// [`PrepackedWeights`]: centaur_dlrm::kernel::PrepackedWeights
     ///
     /// # Errors
     ///
     /// Returns [`CentaurError::CapacityExceeded`] when the model's MLP
     /// parameters do not fit on chip, or one sample's dense row or
     /// interaction row does not fit its per-request buffer.
-    pub fn load_model(&mut self, config: &ModelConfig) -> Result<(), CentaurError> {
-        self.upload(config, config.mlp_bytes())
-    }
-
-    /// Uploads an instantiated model's MLP weights in their **prepacked
-    /// strip layout** — the one resident form the GEMM serves from,
-    /// measured from the actual [`PrepackedWeights`] stores rather than
-    /// derived from the configuration. Packing is a permutation, so the
-    /// accounted bytes equal [`ModelConfig::mlp_bytes`] exactly; the point
-    /// is that the SRAM model tracks the representation the kernels really
-    /// read.
-    ///
-    /// [`PrepackedWeights`]: centaur_dlrm::kernel::PrepackedWeights
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CentaurError::CapacityExceeded`] under the same
-    /// conditions as [`DenseAccelerator::load_model`].
     pub fn load_model_packed(&mut self, model: &DlrmModel) -> Result<(), CentaurError> {
+        let config = model.config();
         let resident = model.bottom_mlp().size_bytes() + model.top_mlp().size_bytes();
-        self.upload(model.config(), resident as u64)
-    }
-
-    /// Stores `weight_bytes` of MLP weights, then checks that one sample's
-    /// dense row fits `SRAM_DenseFeature` and one interaction row fits
-    /// `SRAM_MLPinput`: a batch streams through those buffers in
-    /// as-large-as-fit waves, so a single sample is all they must hold.
-    fn upload(&mut self, config: &ModelConfig, weight_bytes: u64) -> Result<(), CentaurError> {
         self.weight_sram.clear();
-        self.weight_sram.store(weight_bytes)?;
+        self.weight_sram.store(resident as u64)?;
         let f32_bytes = std::mem::size_of::<f32>() as u64;
         for (sram, cols) in [
             (&mut self.dense_feature_sram, config.dense_features),
@@ -352,6 +333,16 @@ mod tests {
         DlrmModel::random(&config, 11).unwrap()
     }
 
+    /// One request's reduced embeddings, `[num_tables, dim]`.
+    fn reduce_one(model: &DlrmModel, indices: &[Vec<u32>]) -> Matrix {
+        let bag = model.embeddings();
+        let mut out = Matrix::zeros(bag.num_tables(), bag.dim());
+        let width = out.len();
+        bag.reduce_batch_into(&[indices], out.as_mut_slice(), width, 0)
+            .unwrap();
+        out
+    }
+
     /// One sample through the dense stage: a batch of one.
     fn forward_one(
         acc: &mut DenseAccelerator,
@@ -375,19 +366,16 @@ mod tests {
     fn functional_forward_matches_reference_model() {
         let model = tiny_model();
         let mut acc = DenseAccelerator::harpv2();
-        acc.load_model(model.config()).unwrap();
+        acc.load_model_packed(&model).unwrap();
 
         let dense = Matrix::from_fn(1, 5, |_, c| c as f32 * 0.3 - 0.7);
         let indices: Vec<Vec<u32>> = (0..3)
             .map(|t| vec![t as u32 * 5, t as u32 * 5 + 1])
             .collect();
-        let reduced = model.embeddings().sparse_lengths_reduce(&indices).unwrap();
+        let reduced = reduce_one(&model, &indices);
 
         let ours = forward_one(&mut acc, &model, dense.as_slice(), &reduced).unwrap();
-        let reference = model
-            .forward_breakdown(&dense, &indices)
-            .unwrap()
-            .probability;
+        let reference = model.forward_batch(&dense, &[indices]).unwrap()[0];
         // The same kernels in the same order on both sides: bitwise.
         assert_eq!(ours, reference);
     }
@@ -396,9 +384,9 @@ mod tests {
     fn batched_forward_matches_per_sample_loop() {
         let model = tiny_model();
         let mut per_sample = DenseAccelerator::harpv2();
-        per_sample.load_model(model.config()).unwrap();
+        per_sample.load_model_packed(&model).unwrap();
         let mut batched = DenseAccelerator::harpv2();
-        batched.load_model(model.config()).unwrap();
+        batched.load_model_packed(&model).unwrap();
 
         let batch = 5;
         let dense = Matrix::from_fn(batch, 5, |r, c| (r as f32 - c as f32) * 0.2);
@@ -406,7 +394,7 @@ mod tests {
             .map(|s| {
                 let indices: Vec<Vec<u32>> =
                     (0..3).map(|t| vec![(s * 7 + t) as u32 % 64]).collect();
-                model.embeddings().sparse_lengths_reduce(&indices).unwrap()
+                reduce_one(&model, &indices)
             })
             .collect();
         // Batch-major reduced staging buffer: [batch, num_tables * dim].
@@ -436,7 +424,7 @@ mod tests {
     fn batched_forward_records_one_gemm_per_layer() {
         let model = tiny_model();
         let mut acc = DenseAccelerator::harpv2();
-        acc.load_model(model.config()).unwrap();
+        acc.load_model_packed(&model).unwrap();
         let batch = 6;
         let dense = vec![0.0f32; batch * 5];
         let reduced_batch = vec![0.0f32; batch * 3 * 8];
@@ -454,7 +442,7 @@ mod tests {
     fn functional_forward_advances_pe_counters() {
         let model = tiny_model();
         let mut acc = DenseAccelerator::harpv2();
-        acc.load_model(model.config()).unwrap();
+        acc.load_model_packed(&model).unwrap();
         forward_one(&mut acc, &model, &[0.0; 5], &Matrix::zeros(3, 8)).unwrap();
         // Every MLP layer occupies the array once per request.
         let layers = (model.bottom_mlp().num_layers() + model.top_mlp().num_layers()) as u64;
@@ -466,7 +454,7 @@ mod tests {
     fn failed_requests_do_not_advance_pe_counters() {
         let model = tiny_model();
         let mut acc = DenseAccelerator::harpv2();
-        acc.load_model(model.config()).unwrap();
+        acc.load_model_packed(&model).unwrap();
         // Wrong dense width: the bottom MLP rejects the request.
         assert!(forward_one(&mut acc, &model, &[0.0; 3], &Matrix::zeros(3, 8)).is_err());
         assert_eq!(acc.mlp_unit().gemms_executed(), 0);
@@ -504,7 +492,8 @@ mod tests {
     fn every_paper_model_fits_on_chip() {
         let mut acc = DenseAccelerator::harpv2();
         for model in PaperModel::all() {
-            assert!(acc.load_model(&model.config()).is_ok(), "{model}");
+            let scaled = DlrmModel::random(&model.config().with_rows_per_table(8), 1).unwrap();
+            assert!(acc.load_model_packed(&scaled).is_ok(), "{model}");
         }
         assert!(acc.weights_loaded());
     }

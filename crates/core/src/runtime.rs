@@ -58,17 +58,11 @@ impl CentaurRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`DlrmError::InvalidConfig`] (wrapped in
-    /// [`CentaurError::Model`]) when the model's embedding bag does not
-    /// reduce by `Sum`, the one operator the EB-RU computes on the fly;
-    /// [`CentaurError::CapacityExceeded`] when the model's MLP does not fit
-    /// in the on-chip weight SRAM or one sample's dense or interaction row
-    /// does not fit its per-request buffer; or an MMIO error if the
-    /// register file cannot describe the model.
-    ///
-    /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
+    /// Returns [`CentaurError::CapacityExceeded`] when the model's MLP does
+    /// not fit in the on-chip weight SRAM or one sample's dense or
+    /// interaction row does not fit its per-request buffer, or an MMIO
+    /// error if the register file cannot describe the model.
     pub fn new(model: DlrmModel, config: CentaurConfig) -> Result<Self, CentaurError> {
-        EbStreamer::check_streamable(model.embeddings())?;
         let layout = TableLayout::for_config(model.config());
         let mut bpregs = BasePointerRegs::new(model.config().num_tables);
 
@@ -198,37 +192,21 @@ impl CentaurRuntime {
         Ok(out[0])
     }
 
-    /// Runs a batched functional inference; one probability per sample.
+    /// Runs a batched functional inference, writing one probability per
+    /// sample into the caller-owned `out`.
     ///
     /// This is the **batch-major** accelerator path: the EB-Streamer gathers
     /// and reduces every sample's bags straight into the model's staged
     /// feature rows, then the dense complex runs one GEMM per MLP layer with
     /// `m = batch`, one batched interaction pass and one sigmoid sweep — no
-    /// per-sample `m = 1` GEMMs.
+    /// per-sample `m = 1` GEMMs. After the runtime's staging buffers have
+    /// warmed up to the high-water batch size, repeated batched requests
+    /// reuse them without reallocating.
     ///
     /// # Errors
     ///
-    /// Returns a batch-mismatch error when the dense batch and sparse batch
-    /// disagree, plus any datapath error.
-    pub fn infer_batch(
-        &mut self,
-        dense: &Matrix,
-        batch_indices: &[Vec<Vec<u32>>],
-    ) -> Result<Vec<f32>, CentaurError> {
-        let mut out = vec![0.0; batch_indices.len()];
-        self.infer_batch_into(dense, batch_indices, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`CentaurRuntime::infer_batch`]: writes one
-    /// probability per sample into the caller-owned `out`. After the
-    /// runtime's staging buffers have warmed up to the high-water batch
-    /// size, repeated batched requests reuse them without reallocating.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CentaurRuntime::infer_batch`], plus a batch mismatch when
-    /// `out` is not one slot per sample.
+    /// Returns a batch-mismatch error when the dense batch, the sparse batch
+    /// and `out` disagree, plus any datapath error.
     pub fn infer_batch_into(
         &mut self,
         dense: &Matrix,
@@ -322,7 +300,16 @@ impl CentaurRuntime {
 mod tests {
     use super::*;
     use centaur_dlrm::config::{ModelConfig, PaperModel};
-    use centaur_workload::{IndexDistribution, RequestGenerator};
+    use centaur_workload::{FunctionalBatch, IndexDistribution, RequestGenerator};
+
+    /// `batch` through `runtime`, one probability per sample.
+    fn infer(runtime: &mut CentaurRuntime, batch: &FunctionalBatch) -> Vec<f32> {
+        let mut out = vec![f32::NAN; batch.sparse.len()];
+        runtime
+            .infer_batch_into(&batch.dense, &batch.sparse, &mut out)
+            .unwrap();
+        out
+    }
 
     fn small_model() -> DlrmModel {
         let config = PaperModel::Dlrm1.config().with_rows_per_table(512);
@@ -344,7 +331,7 @@ mod tests {
         let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 17);
         let batch = generator.functional_batch(6);
 
-        let ours = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
+        let ours = infer(&mut runtime, &batch);
         let reference = model.forward_batch(&batch.dense, &batch.sparse).unwrap();
         // Accelerator and model run the same kernels in the same order.
         assert_eq!(ours, reference);
@@ -359,7 +346,7 @@ mod tests {
         let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 29);
         let batch = generator.functional_batch(8);
 
-        let ours = batched.infer_batch(&batch.dense, &batch.sparse).unwrap();
+        let ours = infer(&mut batched, &batch);
         for (i, indices) in batch.sparse.iter().enumerate() {
             let single = per_sample
                 .infer_sample(batch.dense.row(i), indices)
@@ -387,20 +374,18 @@ mod tests {
             assert_eq!(rows(&model_clone), first);
         }
         // Every shard is fully booted and serves identical results.
-        let reference = pool[0].infer_batch(&batch.dense, &batch.sparse).unwrap();
+        let reference = infer(&mut pool[0], &batch);
         for shard in &mut pool {
             assert!(shard.bpregs().is_fully_initialised());
-            let served = shard.infer_batch(&batch.dense, &batch.sparse).unwrap();
-            assert_eq!(served, reference);
+            assert_eq!(infer(shard, &batch), reference);
         }
         // Shards really are independent: they can serve from worker threads.
         std::thread::scope(|scope| {
             let handles: Vec<_> = pool
                 .iter_mut()
                 .map(|shard| {
-                    let dense = &batch.dense;
-                    let sparse = &batch.sparse;
-                    scope.spawn(move || shard.infer_batch(dense, sparse).unwrap())
+                    let batch = &batch;
+                    scope.spawn(move || infer(shard, batch))
                 })
                 .collect();
             for handle in handles {
@@ -417,24 +402,18 @@ mod tests {
         let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 41);
         let batch = generator.functional_batch(6);
         let mut one_lane = CentaurRuntime::harpv2(model.clone()).unwrap();
-        let reference = one_lane.infer_batch(&batch.dense, &batch.sparse).unwrap();
+        let reference = infer(&mut one_lane, &batch);
         // Six samples of 100 lookups stay on one lane unless forced.
         assert_eq!(one_lane.streamer().gather_lanes(), 1);
 
         let mut first = CentaurRuntime::harpv2(model).unwrap();
         first.streamer.force_lanes(2);
         let mut clone = first.clone();
-        assert_eq!(
-            first.infer_batch(&batch.dense, &batch.sparse).unwrap(),
-            reference
-        );
+        assert_eq!(infer(&mut first, &batch), reference);
         assert_eq!(first.streamer().gather_lanes(), 2);
         // The clone's lanes are its own, and not spawned until it serves.
         assert_eq!(clone.streamer().gather_lanes(), 1);
-        assert_eq!(
-            clone.infer_batch(&batch.dense, &batch.sparse).unwrap(),
-            reference
-        );
+        assert_eq!(infer(&mut clone, &batch), reference);
         assert_eq!(clone.streamer().gather_lanes(), 2);
         let (ours, theirs) = (first.streamer.lane_threads(), clone.streamer.lane_threads());
         assert_eq!((ours.len(), theirs.len()), (1, 1));
@@ -464,7 +443,7 @@ mod tests {
         // 64 samples of 100 lookups: a wave past the split threshold.
         let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 43);
         let batch = generator.functional_batch(64);
-        pool[0].infer_batch(&batch.dense, &batch.sparse).unwrap();
+        infer(&mut pool[0], &batch);
         assert_eq!(pool[0].streamer().gather_lanes(), 1);
     }
 
@@ -476,7 +455,7 @@ mod tests {
         let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 37);
         let batch = generator.functional_batch(5);
 
-        let via_matrix = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
+        let via_matrix = infer(&mut runtime, &batch);
         let mut via_rows = vec![0.0f32; 5];
         runtime
             .infer_batch_rows_into(
@@ -502,7 +481,7 @@ mod tests {
     fn batch_mismatch_is_rejected() {
         let mut runtime = CentaurRuntime::harpv2(small_model()).unwrap();
         let dense = Matrix::zeros(2, 13);
-        assert!(runtime.infer_batch(&dense, &[]).is_err());
+        assert!(runtime.infer_batch_into(&dense, &[], &mut []).is_err());
     }
 
     #[test]
@@ -515,24 +494,6 @@ mod tests {
         let estimate = runtime.estimate_latency(&trace);
         assert!(estimate.total_ns() > 0.0);
         assert_eq!(estimate.batch, 8);
-    }
-
-    #[test]
-    fn non_sum_bags_are_rejected_at_registration() {
-        use centaur_dlrm::{DlrmError, EmbeddingBag, ReductionOp};
-        let model = small_model();
-        let tables = model.embeddings().iter().cloned().collect();
-        let mean = DlrmModel::from_parts(
-            model.config().clone(),
-            model.bottom_mlp().clone(),
-            EmbeddingBag::new(tables, ReductionOp::Mean).unwrap(),
-            model.top_mlp().clone(),
-        )
-        .unwrap();
-        assert!(matches!(
-            CentaurRuntime::harpv2(mean),
-            Err(CentaurError::Model(DlrmError::InvalidConfig(_)))
-        ));
     }
 
     #[test]

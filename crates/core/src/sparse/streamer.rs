@@ -4,8 +4,9 @@
 //!
 //! The streamer is a timing model with checks and counters. Its functional
 //! entry point runs the embedding bag's own batch gather
-//! ([`EmbeddingBag::reduce_batch_into_with`]) behind the EB-RU's Sum-only
-//! check, then works out the index-SRAM fills and EB-RU reductions that
+//! ([`EmbeddingBag::reduce_batch_into_with`], a `SparseLengthsSum`: the one
+//! reduction the bag has, and the one the EB-RU computes as rows stream off
+//! the link), then works out the index-SRAM fills and EB-RU reductions that
 //! gather costs; the bag's `Scalar` backend is the one sparse oracle. The
 //! hot-row cache model belongs to the timing path, which replays each
 //! request's trace through it ([`EbStreamer::execute_timing`]).
@@ -31,9 +32,8 @@ use crate::sparse::index_sram::SparseIndexSram;
 use crate::sparse::lanes::{GatherLanes, MAX_LANES};
 use crate::sparse::reduction_unit::EmbeddingReductionUnit;
 use centaur_dlrm::kernel::{global_sparse_backend, SparseBackend};
-use centaur_dlrm::tensor::Matrix;
 use centaur_dlrm::trace::InferenceTrace;
-use centaur_dlrm::{DlrmError, EmbeddingBag, ReductionOp};
+use centaur_dlrm::{DlrmError, EmbeddingBag};
 use centaur_memsim::Throughput;
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, PoisonError};
@@ -208,26 +208,6 @@ impl EbStreamer {
     // Functional path
     // ------------------------------------------------------------------
 
-    /// Functionally performs the gathers and reductions of one request over
-    /// real embedding tables — a batch of one through
-    /// [`EbStreamer::gather_reduce_batch_into`]. The result is the
-    /// `[num_tables, dim]` matrix of reduced embeddings, numerically
-    /// identical to the reference [`EmbeddingBag::sparse_lengths_reduce`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EbStreamer::gather_reduce_batch_into`].
-    pub fn gather_reduce(
-        &mut self,
-        bag: &EmbeddingBag,
-        indices_per_table: &[Vec<u32>],
-    ) -> Result<Matrix, CentaurError> {
-        let mut out = Matrix::zeros(bag.num_tables(), bag.dim());
-        let width = out.len();
-        self.gather_reduce_batch_into(bag, &[indices_per_table], out.as_mut_slice(), width, 0)?;
-        Ok(out)
-    }
-
     /// Batch-major gather/reduce: reduces every sample's bags into its row
     /// of a caller-owned `[batch, row_stride]` buffer at column
     /// `row_offset` — exactly the layout of the model's staged feature rows,
@@ -235,13 +215,12 @@ impl EbStreamer {
     /// `batch_indices[s]` is sample `s`'s per-table index lists, so one
     /// request is `&[indices_per_table]`.
     ///
-    /// Three steps: the EB-RU's Sum-only check, the bag's own
-    /// [`EmbeddingBag::reduce_batch_into_with`] on this streamer's backend,
-    /// and the counters. A wave of 4096 lookups or more runs that gather on
-    /// the streamer's lanes (see the module doc), each lane over its own
-    /// samples and rows of `out`; the caller returns once every lane has,
-    /// with the error of the first failing sample in sample order, as one
-    /// lane would. Every lookup is one EB-RU reduction, and the batch's
+    /// Two steps: the bag's own [`EmbeddingBag::reduce_batch_into_with`] on
+    /// this streamer's backend, then the counters. A wave of 4096 lookups
+    /// or more runs that gather on the streamer's lanes (see the module
+    /// doc), each lane over its own samples and rows of `out`; the caller
+    /// returns once every lane has, with the error of the first failing
+    /// sample in sample order, as one lane would. Every lookup is one EB-RU reduction, and the batch's
     /// `Σₜ nₜ` indices stream through the index SRAM in chunks, as the
     /// timing model charges them: `⌈Σₜ nₜ / capacity⌉` fills. The counters
     /// are worked out once, on the caller; a failed request counts nothing.
@@ -249,10 +228,7 @@ impl EbStreamer {
     /// # Errors
     ///
     /// Propagates index-out-of-bounds, table-count and shape errors from the
-    /// bag, and returns [`DlrmError::InvalidConfig`] for bags whose
-    /// reduction operator is not `Sum` (see [`EbStreamer::check_streamable`]).
-    ///
-    /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
+    /// bag.
     pub fn gather_reduce_batch_into<S: AsRef<[Vec<u32>]> + Sync>(
         &mut self,
         bag: &EmbeddingBag,
@@ -261,7 +237,6 @@ impl EbStreamer {
         row_stride: usize,
         row_offset: usize,
     ) -> Result<(), CentaurError> {
-        Self::check_streamable(bag)?;
         let lookups: usize = batch_indices
             .iter()
             .map(|s| EmbeddingBag::lookups_in_request(s.as_ref()))
@@ -288,26 +263,6 @@ impl EbStreamer {
         self.reduction_unit.record_reductions(lookups as u64);
         self.index_sram
             .record_loads(self.index_sram.chunks_needed(lookups) as u64);
-        Ok(())
-    }
-
-    /// The EB-RU only accumulates rows as they stream off the link, so only
-    /// `Sum` bags can be served. The runtime runs this at registration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::InvalidConfig`] naming the bag's operator.
-    ///
-    /// [`DlrmError::InvalidConfig`]: centaur_dlrm::DlrmError::InvalidConfig
-    pub fn check_streamable(bag: &EmbeddingBag) -> Result<(), CentaurError> {
-        if bag.reduction_op() != ReductionOp::Sum {
-            return Err(centaur_dlrm::DlrmError::InvalidConfig(format!(
-                "EB-Streamer reduces on the fly and supports {} only, got {}",
-                ReductionOp::Sum.op_name(),
-                bag.reduction_op().op_name()
-            ))
-            .into());
-        }
         Ok(())
     }
 
@@ -457,14 +412,14 @@ mod tests {
     use centaur_dlrm::config::PaperModel;
     use centaur_workload::{IndexDistribution, RequestGenerator};
 
-    #[test]
-    fn non_sum_bags_are_rejected() {
-        use centaur_dlrm::EmbeddingTable;
-        let tables = (0..2).map(|s| EmbeddingTable::random(16, 4, s)).collect();
-        let bag = EmbeddingBag::new(tables, ReductionOp::Mean).unwrap();
-        let mut streamer = EbStreamer::default();
-        let err = streamer.gather_reduce(&bag, &[vec![0], vec![1]]);
-        assert!(err.is_err(), "EB-Streamer must reject Mean bags");
+    /// One request's `[num_tables * dim]` reduced embeddings through the
+    /// bag alone: the reference a streamer's gather must equal.
+    fn reference(bag: &EmbeddingBag, request: &[Vec<u32>]) -> Vec<f32> {
+        let width = bag.num_tables() * bag.dim();
+        let mut out = vec![f32::NAN; width];
+        bag.reduce_batch_into(&[request], &mut out, width, 0)
+            .unwrap();
+        out
     }
 
     #[test]
@@ -474,10 +429,12 @@ mod tests {
             .map(|t| (0..10u32).map(|i| (t as u32 * 37 + i * 11) % 256).collect())
             .collect();
         let mut streamer = EbStreamer::default();
-        let ours = streamer.gather_reduce(&bag, &indices).unwrap();
-        let reference = bag.sparse_lengths_reduce(&indices).unwrap();
+        let mut ours = vec![f32::NAN; 4 * 32];
+        streamer
+            .gather_reduce_batch_into(&bag, &[&indices], &mut ours, 4 * 32, 0)
+            .unwrap();
         // Same rows added in the same order by the same kernel: bitwise.
-        assert_eq!(ours, reference);
+        assert_eq!(ours, reference(&bag, &indices));
         assert_eq!(streamer.reduction_unit().vectors_reduced(), 40);
     }
 
@@ -491,10 +448,12 @@ mod tests {
             tiny_sram,
             EmbeddingReductionUnit::harpv2_sized(),
         );
-        let ours = streamer.gather_reduce(&bag, &indices).unwrap();
-        let reference = bag.sparse_lengths_reduce(&indices).unwrap();
+        let mut ours = vec![f32::NAN; 8];
+        streamer
+            .gather_reduce_batch_into(&bag, &[&indices], &mut ours, 8, 0)
+            .unwrap();
         // Chunk boundaries do not reorder the accumulation: bitwise.
-        assert_eq!(ours, reference);
+        assert_eq!(ours, reference(&bag, &indices));
         assert_eq!(streamer.index_sram().loads(), 7);
     }
 
@@ -564,9 +523,8 @@ mod tests {
             .gather_reduce_batch_into(&bag, &batch_indices, &mut out, stride, 8)
             .unwrap();
         for (s, indices) in batch_indices.iter().enumerate() {
-            let reference = bag.sparse_lengths_reduce(indices).unwrap();
             let block = &out[s * stride + 8..s * stride + 8 + 24];
-            assert_eq!(block, reference.as_slice());
+            assert_eq!(block, reference(&bag, indices));
             // The bottom-MLP slot must be untouched.
             assert!(out[s * stride..s * stride + 8].iter().all(|x| x.is_nan()));
         }
@@ -594,7 +552,11 @@ mod tests {
     fn table_count_mismatch_errors() {
         let bag = EmbeddingBag::random(2, 64, 8, 1);
         let mut streamer = EbStreamer::default();
-        assert!(streamer.gather_reduce(&bag, &[vec![1]]).is_err());
+        let mut out = vec![0.0f32; 16];
+        let request = [vec![1]];
+        assert!(streamer
+            .gather_reduce_batch_into(&bag, &[&request], &mut out, 16, 0)
+            .is_err());
     }
 
     fn timing(model: PaperModel, batch: usize) -> SparseStageTiming {

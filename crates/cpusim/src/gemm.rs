@@ -8,7 +8,7 @@
 
 use crate::config::CpuConfig;
 use centaur_dlrm::config::ModelConfig;
-use centaur_dlrm::kernel::{self, FusedAct, KernelBackend};
+use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights};
 use centaur_dlrm::tensor::gemm_flops;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -48,10 +48,11 @@ impl DenseEngine {
     }
 
     /// Measures the GFLOP/s this host actually achieves on an `[m, k] ×
-    /// [k, n]` `f32` GEMM with the given kernel backend, by running the real
-    /// kernel from `centaur-dlrm` — the hook that grounds the analytical
-    /// roofline in measured numbers (and quantifies the naive-vs-blocked
-    /// gap on real hardware).
+    /// [k, n]` `f32` GEMM with the given kernel backend, by running the
+    /// kernel the runtime serves from `centaur-dlrm` — `B` packed into
+    /// resident strips once, before the warm-up, then
+    /// `kernel::gemm_bias_act_prepacked` — the hook that grounds the
+    /// analytical roofline in measured numbers.
     ///
     /// Runs one warm-up iteration plus `reps` timed iterations and reports
     /// the mean. Deterministic inputs; `reps` is clamped to at least 1.
@@ -69,19 +70,16 @@ impl DenseEngine {
             .map(|i| ((i * 7) % 13) as f32 * 0.25 - 1.5)
             .collect();
         let mut out = vec![0.0f32; m * n];
-        let mut pack = Vec::new();
+        let packed = PrepackedWeights::pack(&b, k, n);
         let mut run = || {
-            kernel::gemm_bias_act_into(
+            kernel::gemm_bias_act_prepacked(
                 backend,
                 &a,
-                &b,
+                &packed,
                 None,
                 FusedAct::Identity,
                 &mut out,
                 m,
-                k,
-                n,
-                &mut pack,
             )
         };
         run();

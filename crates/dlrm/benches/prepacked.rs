@@ -1,10 +1,9 @@
-//! Criterion comparison of the prepacked GEMM against the
-//! on-the-fly-packing blocked kernel, at the shapes where the per-call
-//! `O(k·n)` pack actually matters: `m = 1` single-sample serving and the
-//! small coalesced batches a dynamic batcher dispatches under light load.
-//! At `m = 1` the pack is the same order of work as the multiply itself —
-//! prepacking once at load is where the batch-1 win comes from; at large
-//! `m` the pack amortizes and the two paths converge.
+//! Criterion timings of the prepacked GEMM at the shapes serving runs:
+//! `m = 1` single-sample serving, the small coalesced batches a dynamic
+//! batcher dispatches under light load, and every DLRM(6) layer at the
+//! ledger's batches. At `m = 1` an `O(k·n)` pack would be the same order
+//! of work as the multiply itself, which is why weights are packed once,
+//! at load, and never per call.
 
 use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights};
 use centaur_dlrm::{Activation, DenseLayer, PaperModel};
@@ -22,9 +21,9 @@ fn inputs(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     (a, b, vec![0.0; m * n])
 }
 
-fn bench_prepacked_vs_packing(c: &mut Criterion) {
-    // m = 1 serving, m = 4/16 small dynamic batches, m = 256 (pack
-    // amortized — the convergence point), on a paper-sized 512×512 layer.
+fn bench_prepacked(c: &mut Criterion) {
+    // m = 1 serving, m = 4/16 small dynamic batches and m = 256, on a
+    // paper-sized 512×512 layer.
     for &(m, k, n) in &[
         (1usize, 512usize, 512usize),
         (4, 512, 512),
@@ -32,23 +31,6 @@ fn bench_prepacked_vs_packing(c: &mut Criterion) {
         (256, 512, 512),
     ] {
         let (a, b, mut out) = inputs(m, k, n);
-        let mut pack = Vec::new();
-        c.bench_function(&format!("gemm_packing_{m}x{k}x{n}"), |bench| {
-            bench.iter(|| {
-                kernel::gemm_bias_act_into(
-                    KernelBackend::BlockedPrepacked,
-                    black_box(&a),
-                    black_box(&b),
-                    None,
-                    FusedAct::Identity,
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                    &mut pack,
-                )
-            })
-        });
         let packed = PrepackedWeights::pack(&b, k, n);
         c.bench_function(&format!("gemm_prepacked_{m}x{k}x{n}"), |bench| {
             bench.iter(|| {
@@ -72,23 +54,6 @@ fn bench_prepacked_fused_layer(c: &mut Criterion) {
     let (m, k, n) = (1usize, 512usize, 256usize);
     let (a, b, mut out) = inputs(m, k, n);
     let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01 - 1.0).collect();
-    let mut pack = Vec::new();
-    c.bench_function("gemm_bias_relu_packing_1x512x256", |bench| {
-        bench.iter(|| {
-            kernel::gemm_bias_act_into(
-                KernelBackend::BlockedPrepacked,
-                black_box(&a),
-                black_box(&b),
-                Some(&bias),
-                FusedAct::Relu,
-                &mut out,
-                m,
-                k,
-                n,
-                &mut pack,
-            )
-        })
-    });
     let packed = PrepackedWeights::pack(&b, k, n);
     c.bench_function("gemm_bias_relu_prepacked_1x512x256", |bench| {
         bench.iter(|| {
@@ -148,7 +113,7 @@ fn bench_prepacked_dlrm6_layers(c: &mut Criterion) {
 
 criterion_group!(
     prepacked,
-    bench_prepacked_vs_packing,
+    bench_prepacked,
     bench_prepacked_fused_layer,
     bench_prepacked_dlrm6_layers
 );

@@ -1,43 +1,20 @@
-//! Embedding tables and the `SparseLengthsSum`-style gather/reduce operator.
+//! Embedding tables and the `SparseLengthsSum` gather/reduce operator.
 //!
 //! An embedding table stores millions of low-dimensional vectors
 //! contiguously; a *gather* reads a set of rows selected by sparse indices
-//! and a *reduction* combines them element-wise (sum by default, exactly as
-//! Caffe2's `SparseLengthsSum` in Figure 2 of the paper).
+//! and a *reduction* sums them element-wise, exactly as Caffe2's
+//! `SparseLengthsSum` in Figure 2 of the paper. Sum is the one reduction:
+//! it is the operator Centaur's EB-RU computes as rows stream off the link.
 
 use crate::error::DlrmError;
 use crate::fill::fill_centred_uniform;
 use crate::kernel::{
-    add_assign, gather_lists_sum, gather_rows_max, gather_rows_sum, global_sparse_backend,
-    max_assign, scale, SparseBackend,
+    add_assign, gather_lists_sum, gather_rows_sum, global_sparse_backend, SparseBackend,
 };
 use crate::row_store::RowStore;
 use crate::tensor::Matrix;
 use crate::EMBEDDING_ELEM_BYTES;
 use std::sync::Arc;
-
-/// Element-wise operator used to combine gathered embedding rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReductionOp {
-    /// Element-wise sum (Caffe2 `SparseLengthsSum`, the paper's default).
-    #[default]
-    Sum,
-    /// Element-wise mean (`SparseLengthsMean`).
-    Mean,
-    /// Element-wise maximum.
-    Max,
-}
-
-impl ReductionOp {
-    /// Human readable operator name as used by Caffe2-style frameworks.
-    pub fn op_name(self) -> &'static str {
-        match self {
-            ReductionOp::Sum => "SparseLengthsSum",
-            ReductionOp::Mean => "SparseLengthsMean",
-            ReductionOp::Max => "SparseLengthsMax",
-        }
-    }
-}
 
 /// A single embedding lookup table: `rows` vectors of `dim` `f32` elements.
 ///
@@ -198,43 +175,14 @@ impl EmbeddingTable {
         }
     }
 
-    /// Gathers the requested rows into a `[indices.len(), dim]` matrix
-    /// without reducing them (step 1 in Figure 3 of the paper).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::IndexOutOfBounds`] when any index is invalid.
-    pub fn gather(&self, indices: &[u32]) -> Result<Matrix, DlrmError> {
-        let mut out = Matrix::zeros(indices.len(), self.dim);
-        for (i, &idx) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(idx)?);
-        }
-        Ok(out)
-    }
-
-    /// Gathers the requested rows and reduces them into a single `[1, dim]`
-    /// vector using `op` (steps 1 and 2 in Figure 3; equivalent to the
-    /// pseudo-code of `SparseLengthsSum` in Figure 2 for a single output).
-    ///
-    /// An empty index list reduces to the zero vector, matching the
-    /// behaviour of `SparseLengthsSum` with an empty segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::IndexOutOfBounds`] when any index is invalid.
-    pub fn gather_reduce(&self, indices: &[u32], op: ReductionOp) -> Result<Matrix, DlrmError> {
-        let mut acc = Matrix::zeros(1, self.dim);
-        self.gather_reduce_into(indices, op, acc.as_mut_slice(), global_sparse_backend())?;
-        Ok(acc)
-    }
-
-    /// Allocation-free [`EmbeddingTable::gather_reduce`] on an explicit
-    /// [`SparseBackend`]: accumulates the gathered rows directly into `out`
-    /// (width `dim`). The production backend validates the whole index list
-    /// up front, then runs the register-tiled, prefetching, AVX2-dispatched
-    /// kernels from [`crate::kernel`] — bitwise identical to the scalar
-    /// oracle, with identical error selection (the first invalid index in
-    /// list order).
+    /// Gathers the requested rows and sums them into `out` (width `dim`) on
+    /// an explicit [`SparseBackend`] — steps 1 and 2 of Figure 3, Figure 2's
+    /// `SparseLengthsSum` for a single output. An empty index list reduces
+    /// to the zero vector, as `SparseLengthsSum` does an empty segment. The
+    /// production backend validates the whole index list up front, then
+    /// runs the register-tiled, prefetching, AVX2-dispatched kernels from
+    /// [`crate::kernel`] — bitwise identical to the scalar oracle, with
+    /// identical error selection (the first invalid index in list order).
     ///
     /// # Errors
     ///
@@ -243,7 +191,6 @@ impl EmbeddingTable {
     pub fn gather_reduce_into(
         &self,
         indices: &[u32],
-        op: ReductionOp,
         out: &mut [f32],
         backend: SparseBackend,
     ) -> Result<(), DlrmError> {
@@ -256,55 +203,15 @@ impl EmbeddingTable {
         }
         if backend != SparseBackend::Scalar {
             self.validate_indices(indices)?;
-            self.gather_reduce_unchecked(indices, op, out);
+            out.fill(0.0);
+            gather_rows_sum(&self.data, self.dim, indices, out);
             return Ok(());
         }
         out.fill(0.0);
-        if indices.is_empty() {
-            return Ok(());
-        }
-        match op {
-            ReductionOp::Sum | ReductionOp::Mean => {
-                for &idx in indices {
-                    add_assign(out, self.row(idx)?);
-                }
-                if op == ReductionOp::Mean {
-                    scale(out, 1.0 / indices.len() as f32);
-                }
-            }
-            ReductionOp::Max => {
-                out.copy_from_slice(self.row(indices[0])?);
-                for &idx in &indices[1..] {
-                    max_assign(out, self.row(idx)?);
-                }
-            }
+        for &idx in indices {
+            add_assign(out, self.row(idx)?);
         }
         Ok(())
-    }
-
-    /// The vectorized gather-reduce inner dispatch over pre-validated
-    /// indices (see [`EmbeddingTable::validate_indices`]).
-    fn gather_reduce_unchecked(&self, indices: &[u32], op: ReductionOp, out: &mut [f32]) {
-        match op {
-            ReductionOp::Sum => {
-                out.fill(0.0);
-                gather_rows_sum(&self.data, self.dim, indices, out);
-            }
-            ReductionOp::Mean => {
-                out.fill(0.0);
-                gather_rows_sum(&self.data, self.dim, indices, out);
-                if !indices.is_empty() {
-                    scale(out, 1.0 / indices.len() as f32);
-                }
-            }
-            ReductionOp::Max => {
-                if indices.is_empty() {
-                    out.fill(0.0);
-                } else {
-                    gather_rows_max(&self.data, self.dim, indices, out);
-                }
-            }
-        }
     }
 }
 
@@ -313,7 +220,6 @@ impl EmbeddingTable {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingBag {
     tables: Vec<EmbeddingTable>,
-    op: ReductionOp,
 }
 
 impl EmbeddingBag {
@@ -324,7 +230,7 @@ impl EmbeddingBag {
     /// Returns [`DlrmError::InvalidConfig`] naming the first table whose
     /// `dim` differs from table 0's: every reduce path writes `dim`-wide
     /// blocks at a fixed stride.
-    pub fn new(tables: Vec<EmbeddingTable>, op: ReductionOp) -> Result<Self, DlrmError> {
+    pub fn new(tables: Vec<EmbeddingTable>) -> Result<Self, DlrmError> {
         let dim = tables.first().map_or(0, EmbeddingTable::dim);
         if let Some(t) = tables.iter().position(|table| table.dim() != dim) {
             return Err(DlrmError::InvalidConfig(format!(
@@ -332,7 +238,7 @@ impl EmbeddingBag {
                 tables[t].dim()
             )));
         }
-        Ok(EmbeddingBag { tables, op })
+        Ok(EmbeddingBag { tables })
     }
 
     /// Creates `num_tables` random tables of identical shape, table `t`
@@ -341,10 +247,7 @@ impl EmbeddingBag {
         let tables = (0..num_tables)
             .map(|t| EmbeddingTable::random(rows, dim, seed.wrapping_add(t as u64)))
             .collect();
-        EmbeddingBag {
-            tables,
-            op: ReductionOp::Sum,
-        }
+        EmbeddingBag { tables }
     }
 
     /// Number of tables in the bag.
@@ -355,11 +258,6 @@ impl EmbeddingBag {
     /// Embedding dimension (0 when the bag is empty).
     pub fn dim(&self) -> usize {
         self.tables.first().map_or(0, EmbeddingTable::dim)
-    }
-
-    /// The reduction operator used by [`EmbeddingBag::sparse_lengths_reduce`].
-    pub fn reduction_op(&self) -> ReductionOp {
-        self.op
     }
 
     /// Borrows table `t`.
@@ -381,27 +279,6 @@ impl EmbeddingBag {
         self.tables.iter().map(EmbeddingTable::size_bytes).sum()
     }
 
-    /// Runs the per-table gather/reduce for one request — a batch of one
-    /// through [`EmbeddingBag::reduce_batch_into`].
-    ///
-    /// `indices_per_table[t]` holds the sparse indices for table `t`; the
-    /// result is a `[num_tables, dim]` matrix of reduced embeddings.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::TableCountMismatch`] if the outer length differs
-    /// from the number of tables, or [`DlrmError::IndexOutOfBounds`] for an
-    /// invalid row index (annotated with the offending table).
-    pub fn sparse_lengths_reduce(
-        &self,
-        indices_per_table: &[Vec<u32>],
-    ) -> Result<Matrix, DlrmError> {
-        let mut out = Matrix::zeros(self.tables.len(), self.dim());
-        let width = out.len();
-        self.reduce_batch_into(&[indices_per_table], out.as_mut_slice(), width, 0)?;
-        Ok(out)
-    }
-
     /// Batch-major gather/reduce: reduces every sample's bags directly into
     /// a caller-owned `[batch, row_stride]` row-major buffer, writing each
     /// sample's `num_tables * dim` reduced block at column `row_offset` of
@@ -416,7 +293,9 @@ impl EmbeddingBag {
     ///
     /// # Errors
     ///
-    /// Same as [`EmbeddingBag::sparse_lengths_reduce`] per sample, plus
+    /// Returns [`DlrmError::TableCountMismatch`] when a sample's outer length
+    /// differs from the number of tables, [`DlrmError::IndexOutOfBounds`]
+    /// for an invalid row index (annotated with the offending table), and
     /// [`DlrmError::ShapeMismatch`] when `out` is not
     /// `batch_indices.len() * row_stride` long or the reduced block does
     /// not fit a row (`row_offset + num_tables * dim > row_stride`).
@@ -484,7 +363,7 @@ impl EmbeddingBag {
                     // tables still validate their indices.
                     let block = &mut out[base + t * dim..base + (t + 1) * dim];
                     table
-                        .gather_reduce_into(indices, self.op, block, backend)
+                        .gather_reduce_into(indices, block, backend)
                         .map_err(|e| annotate_table(e, t))?;
                 }
             }
@@ -502,15 +381,8 @@ impl EmbeddingBag {
         }
         for (t, table) in self.tables.iter().enumerate() {
             let base = row_offset + t * dim;
-            if self.op == ReductionOp::Max {
-                for (per_table, row) in batch_indices.iter().zip(out.chunks_mut(row_stride)) {
-                    let indices = &per_table.as_ref()[t];
-                    table.gather_reduce_unchecked(indices, self.op, &mut row[base..base + dim]);
-                }
-                continue;
-            }
-            // Sum and Mean: the table's lists across the whole batch are
-            // one sequence under one rolling prefetch window.
+            // The table's lists across the whole batch are one sequence
+            // under one rolling prefetch window.
             for row in out.chunks_mut(row_stride) {
                 row[base..base + dim].fill(0.0);
             }
@@ -518,12 +390,7 @@ impl EmbeddingBag {
                 .iter()
                 .enumerate()
                 .map(|(s, per_table)| (per_table.as_ref()[t].as_slice(), s * row_stride + base));
-            gather_lists_sum(table.as_slice(), dim, lists.clone(), out);
-            if self.op == ReductionOp::Mean {
-                for (indices, at) in lists.filter(|(indices, _)| !indices.is_empty()) {
-                    scale(&mut out[at..at + dim], 1.0 / indices.len() as f32);
-                }
-            }
+            gather_lists_sum(table.as_slice(), dim, lists, out);
         }
         Ok(())
     }
@@ -613,7 +480,6 @@ pub fn sparse_lengths_sum(
         }
         table.gather_reduce_into(
             &indices[start..end],
-            ReductionOp::Sum,
             out.row_mut(a),
             global_sparse_backend(),
         )?;
@@ -691,68 +557,43 @@ mod tests {
     }
 
     #[test]
-    fn gather_preserves_order() {
-        let t = small_table();
-        let g = t.gather(&[3, 1, 3]).unwrap();
-        assert_eq!(g.shape(), (3, 4));
-        assert_eq!(g.row(0), t.row(3).unwrap());
-        assert_eq!(g.row(1), t.row(1).unwrap());
-        assert_eq!(g.row(2), t.row(3).unwrap());
-    }
-
-    #[test]
     fn gather_reduce_sum_matches_manual() {
         let t = small_table();
-        let r = t.gather_reduce(&[0, 2, 5], ReductionOp::Sum).unwrap();
+        let mut r = [f32::NAN; 4];
+        t.gather_reduce_into(&[0, 2, 5], &mut r, SparseBackend::Scalar)
+            .unwrap();
         // col 0: 0 + 2 + 5 = 7 ; col 1: 0.5*3 + 7 = 8.5 ...
-        assert_eq!(r.shape(), (1, 4));
-        assert!((r.get(0, 0) - 7.0).abs() < 1e-6);
-        assert!((r.get(0, 1) - 8.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gather_reduce_mean_and_max() {
-        let t = small_table();
-        let mean = t.gather_reduce(&[0, 2, 4], ReductionOp::Mean).unwrap();
-        assert!((mean.get(0, 0) - 2.0).abs() < 1e-6);
-        let max = t.gather_reduce(&[0, 2, 4], ReductionOp::Max).unwrap();
-        assert!((max.get(0, 0) - 4.0).abs() < 1e-6);
+        assert!((r[0] - 7.0).abs() < 1e-6);
+        assert!((r[1] - 8.5).abs() < 1e-6);
     }
 
     #[test]
     fn gather_reduce_empty_is_zero() {
         let t = small_table();
-        let r = t.gather_reduce(&[], ReductionOp::Sum).unwrap();
-        assert!(r.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn reduction_op_names() {
-        assert_eq!(ReductionOp::Sum.op_name(), "SparseLengthsSum");
-        assert_eq!(ReductionOp::Mean.op_name(), "SparseLengthsMean");
-        assert_eq!(ReductionOp::Max.op_name(), "SparseLengthsMax");
-        assert_eq!(ReductionOp::default(), ReductionOp::Sum);
+        for backend in SparseBackend::all() {
+            let mut r = [f32::NAN; 4];
+            t.gather_reduce_into(&[], &mut r, backend).unwrap();
+            assert_eq!(r, [0.0; 4], "{backend:?}");
+        }
     }
 
     #[test]
     fn bag_reduce_shapes_and_errors() {
         let bag = EmbeddingBag::random(3, 16, 4, 7);
-        let idx = vec![vec![0, 1], vec![2], vec![3, 4, 5]];
-        let out = bag.sparse_lengths_reduce(&idx).unwrap();
-        assert_eq!(out.shape(), (3, 4));
+        let mut out = vec![f32::NAN; 12];
+        let mut reduce = |req: &[Vec<u32>]| bag.reduce_batch_into(&[req], &mut out, 12, 0);
+        reduce(&[vec![0, 1], vec![2], vec![3, 4, 5]]).unwrap();
 
-        let wrong = vec![vec![0u32]; 2];
         assert!(matches!(
-            bag.sparse_lengths_reduce(&wrong),
+            reduce(&[vec![0u32], vec![0]]),
             Err(DlrmError::TableCountMismatch {
                 provided: 2,
                 expected: 3
             })
         ));
 
-        let oob = vec![vec![0], vec![99], vec![0]];
         assert!(matches!(
-            bag.sparse_lengths_reduce(&oob),
+            reduce(&[vec![0], vec![99], vec![0]]),
             Err(DlrmError::IndexOutOfBounds { table: 1, .. })
         ));
     }
@@ -762,7 +603,7 @@ mod tests {
         // dim == 0 tables must still reject out-of-bounds rows, on the
         // oracle's per-row path and the production pre-pass alike.
         let tables = (0..2).map(|s| EmbeddingTable::random(8, 0, s)).collect();
-        let bag = EmbeddingBag::new(tables, ReductionOp::Sum).unwrap();
+        let bag = EmbeddingBag::new(tables).unwrap();
         for backend in SparseBackend::all() {
             assert!(matches!(
                 bag.reduce_batch_into_with(&[[vec![0], vec![99]]], &mut [], 0, 0, backend),
@@ -782,9 +623,13 @@ mod tests {
         let mut batch = vec![f32::NAN; 2 * 16];
         bag.reduce_batch_into(&[req1.clone(), req2.clone()], &mut batch, 16, 0)
             .unwrap();
-        let single = |req| bag.sparse_lengths_reduce(req).unwrap();
-        assert_eq!(&batch[..16], single(&req1).as_slice());
-        assert_eq!(&batch[16..], single(&req2).as_slice());
+        let single = |req| {
+            let mut one = vec![f32::NAN; 16];
+            bag.reduce_batch_into(&[req], &mut one, 16, 0).unwrap();
+            one
+        };
+        assert_eq!(batch[..16], single(&req1));
+        assert_eq!(batch[16..], single(&req2));
     }
 
     #[test]
@@ -877,18 +722,16 @@ mod tests {
                 indices.extend((0..40).map(|i| (i * 7919 % rows) as u32));
                 indices.push(rows as u32 - 1);
             }
-            for op in [ReductionOp::Sum, ReductionOp::Mean, ReductionOp::Max] {
-                let mut oracle = vec![f32::NAN; dim];
-                let mut fast = vec![f32::NAN; dim];
-                table
-                    .gather_reduce_into(&indices, op, &mut oracle, SparseBackend::Scalar)
-                    .unwrap();
-                table
-                    .gather_reduce_into(&indices, op, &mut fast, SparseBackend::Vectorized)
-                    .unwrap();
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&fast), bits(&oracle), "{rows}x{dim} {op:?}");
-            }
+            let mut oracle = vec![f32::NAN; dim];
+            let mut fast = vec![f32::NAN; dim];
+            table
+                .gather_reduce_into(&indices, &mut oracle, SparseBackend::Scalar)
+                .unwrap();
+            table
+                .gather_reduce_into(&indices, &mut fast, SparseBackend::Vectorized)
+                .unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&oracle), "{rows}x{dim}");
         }
     }
 

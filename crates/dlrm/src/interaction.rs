@@ -9,7 +9,6 @@
 
 use crate::error::DlrmError;
 use crate::kernel::dot;
-use crate::tensor::Matrix;
 
 /// Dot-product feature interaction operator.
 ///
@@ -56,8 +55,8 @@ impl FeatureInteraction {
     }
 
     /// Width of the top-MLP input produced by
-    /// [`FeatureInteraction::interact`]: the bottom-MLP output width plus
-    /// one scalar per pair.
+    /// [`FeatureInteraction::interact_batch_into`]: the bottom-MLP output
+    /// width plus one scalar per pair.
     pub fn output_dim(&self) -> usize {
         self.dim + self.num_pairs()
     }
@@ -65,31 +64,6 @@ impl FeatureInteraction {
     /// FLOPs of the `R * R^T` batched GEMM for one sample.
     pub fn flops(&self) -> u64 {
         2 * (self.num_features * self.num_features * self.dim) as u64
-    }
-
-    /// Computes the pairwise dot products for one sample.
-    ///
-    /// `features` must be `[num_features, dim]`; row 0 is, by DLRM
-    /// convention, the bottom-MLP output. The result is the concatenation of
-    /// row 0 with the strictly-lower-triangular entries of `features *
-    /// features^T`, i.e. a `[1, output_dim()]` row vector ready for the top
-    /// MLP.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] when `features` has an
-    /// unexpected shape.
-    pub fn interact(&self, features: &Matrix) -> Result<Matrix, DlrmError> {
-        if features.shape() != (self.num_features, self.dim) {
-            return Err(DlrmError::ShapeMismatch {
-                op: "feature interaction",
-                lhs: (self.num_features, self.dim),
-                rhs: features.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(1, self.output_dim());
-        self.interact_batch_into(features.as_slice(), 1, out.as_mut_slice());
-        Ok(out)
     }
 
     /// One sample of [`FeatureInteraction::interact_batch_into`].
@@ -106,11 +80,13 @@ impl FeatureInteraction {
         }
     }
 
-    /// Allocation-free, batch-major [`FeatureInteraction::interact`] over
-    /// raw row-major buffers: `features` is the
-    /// `[batch, num_features * dim]` matrix (each row one sample's stacked
-    /// feature vectors, bottom-MLP output first) and `out` receives the
+    /// The pairwise dot products of every sample, batch-major, over raw
+    /// row-major buffers: `features` is the `[batch, num_features * dim]`
+    /// matrix (each row one sample's `[num_features, dim]` stacked feature
+    /// vectors, bottom-MLP output first) and `out` receives the
     /// `[batch, output_dim()]` top-MLP input in one pass over both buffers.
+    /// A sample's output row is its feature row 0 followed by the
+    /// strictly-lower-triangular entries of `features * features^T`.
     ///
     /// # Panics
     ///
@@ -128,32 +104,19 @@ impl FeatureInteraction {
             self.interact_sample(feature_row, out_row);
         }
     }
-
-    /// Computes the full Gram matrix `features * features^T` for one sample.
-    ///
-    /// This is the raw batched-GEMM the dense accelerator executes; the
-    /// lower triangle of this matrix is what
-    /// [`FeatureInteraction::interact`] selects.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] when `features` has an
-    /// unexpected shape.
-    pub fn gram_matrix(&self, features: &Matrix) -> Result<Matrix, DlrmError> {
-        if features.shape() != (self.num_features, self.dim) {
-            return Err(DlrmError::ShapeMismatch {
-                op: "feature interaction gram",
-                lhs: (self.num_features, self.dim),
-                rhs: features.shape(),
-            });
-        }
-        features.matmul(&features.transpose())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Matrix;
+
+    /// One `[num_features, dim]` sample through the batch pass.
+    fn interact(fi: &FeatureInteraction, features: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(1, fi.output_dim());
+        fi.interact_batch_into(features.as_slice(), 1, out.as_mut_slice());
+        out
+    }
 
     #[test]
     fn rejects_degenerate_config() {
@@ -175,7 +138,7 @@ mod tests {
         // Three 2-dim features: f0=[1,0], f1=[0,1], f2=[2,2]
         let features = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 2.0, 2.0]).unwrap();
         let fi = FeatureInteraction::new(3, 2).unwrap();
-        let out = fi.interact(&features).unwrap();
+        let out = interact(&fi, &features);
         // output = [f0 (2 values), f1·f0, f2·f0, f2·f1] = [1,0, 0, 2, 2]
         assert_eq!(out.as_slice(), &[1.0, 0.0, 0.0, 2.0, 2.0]);
     }
@@ -184,8 +147,8 @@ mod tests {
     fn interact_matches_gram_lower_triangle() {
         let fi = FeatureInteraction::new(4, 8).unwrap();
         let features = Matrix::from_fn(4, 8, |r, c| ((r * 13 + c * 7) % 5) as f32 - 2.0);
-        let out = fi.interact(&features).unwrap();
-        let gram = fi.gram_matrix(&features).unwrap();
+        let out = interact(&fi, &features);
+        let gram = features.matmul(&features.transpose()).unwrap();
         let mut k = 8; // skip the copied bottom-MLP output
         for i in 1..4 {
             for j in 0..i {
@@ -197,23 +160,18 @@ mod tests {
     }
 
     #[test]
-    fn gram_matrix_is_symmetric() {
-        let fi = FeatureInteraction::new(5, 16).unwrap();
-        let features = Matrix::from_fn(5, 16, |r, c| (r as f32 - c as f32) * 0.3);
-        let gram = fi.gram_matrix(&features).unwrap();
-        for i in 0..5 {
-            for j in 0..5 {
-                assert!((gram.get(i, j) - gram.get(j, i)).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
     fn shape_mismatch_errors() {
+        // A feature or output buffer of the wrong shape is refused with a
+        // panic, not read past.
         let fi = FeatureInteraction::new(3, 4).unwrap();
-        let wrong = Matrix::zeros(4, 4);
-        assert!(fi.interact(&wrong).is_err());
-        assert!(fi.gram_matrix(&wrong).is_err());
+        let rejects = |features: usize, out: usize| {
+            let (features, mut out) = (vec![0.0; features], vec![0.0; out]);
+            std::panic::catch_unwind(move || fi.interact_batch_into(&features, 1, &mut out))
+                .is_err()
+        };
+        assert!(!rejects(12, fi.output_dim()));
+        assert!(rejects(16, fi.output_dim()));
+        assert!(rejects(12, fi.output_dim() + 1));
     }
 
     #[test]
@@ -221,7 +179,7 @@ mod tests {
         let fi = FeatureInteraction::new(1, 4).unwrap();
         assert_eq!(fi.num_pairs(), 0);
         let features = Matrix::filled(1, 4, 1.0);
-        let out = fi.interact(&features).unwrap();
+        let out = interact(&fi, &features);
         assert_eq!(out.as_slice(), features.row(0));
     }
 

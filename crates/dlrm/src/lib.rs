@@ -34,7 +34,7 @@
 //! // One request: dense features + per-table sparse indices.
 //! let dense = Matrix::from_fn(1, 13, |_, j| j as f32 * 0.1);
 //! let indices: Vec<Vec<u32>> = (0..4).map(|t| vec![t, t + 1, t + 7]).collect();
-//! let probability = model.forward_single(&dense, &indices)?;
+//! let probability = model.forward_batch(&dense, &[indices])?;
 //! assert!(probability[0] >= 0.0 && probability[0] <= 1.0);
 //! # Ok(())
 //! # }
@@ -57,7 +57,7 @@ pub mod tensor;
 pub mod trace;
 
 pub use config::{ModelConfig, ModelConfigBuilder, PaperModel};
-pub use embedding::{EmbeddingBag, EmbeddingTable, ReductionOp};
+pub use embedding::{EmbeddingBag, EmbeddingTable};
 pub use error::DlrmError;
 pub use interaction::FeatureInteraction;
 pub use kernel::{
@@ -65,7 +65,7 @@ pub use kernel::{
     PrepackedWeights, SparseBackend, Workspace,
 };
 pub use mlp::{Activation, DenseLayer, Mlp, MlpStack};
-pub use model::{check_batch_inputs, BatchWorkspace, DlrmModel, ForwardBreakdown};
+pub use model::{check_batch_inputs, BatchWorkspace, DlrmModel};
 pub use request::{InferenceRequest, InferenceResponse, RejectReason, RejectedRequest};
 pub use tensor::Matrix;
 pub use trace::{EmbeddingAccess, GatherTrace, InferenceTrace};

@@ -20,15 +20,6 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to a matrix.
-    pub fn apply(self, input: &Matrix) -> Matrix {
-        match self {
-            Activation::Relu => input.relu(),
-            Activation::Sigmoid => input.sigmoid(),
-            Activation::Identity => input.clone(),
-        }
-    }
-
     /// The fused-epilogue equivalent used by the optimized kernels.
     pub fn fused(self) -> FusedAct {
         match self {
@@ -148,33 +139,9 @@ impl DenseLayer {
         gemm_flops(batch, self.out_dim(), self.in_dim()) + (batch * self.out_dim()) as u64
     }
 
-    /// Forward pass: `act(input * W + b)`, computed by the fused
-    /// GEMM + bias + activation kernel on the production backend — one
-    /// output allocation, no intermediate matrices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] if `input.cols() != in_dim`.
-    pub fn forward(&self, input: &Matrix) -> Result<Matrix, DlrmError> {
-        if input.cols() != self.in_dim() {
-            return Err(DlrmError::ShapeMismatch {
-                op: "dense layer input",
-                lhs: (1, self.in_dim()),
-                rhs: (1, input.cols()),
-            });
-        }
-        let mut out = Matrix::zeros(input.rows(), self.out_dim());
-        self.forward_into(
-            kernel::global_backend(),
-            input.as_slice(),
-            input.rows(),
-            out.as_mut_slice(),
-        );
-        Ok(out)
-    }
-
-    /// Allocation-free forward pass into a caller-provided output buffer
-    /// (`[batch, out_dim]`), streaming the resident strips.
+    /// Forward pass `act(input * W + b)` into a caller-provided output
+    /// buffer (`[batch, out_dim]`): the fused GEMM + bias + activation
+    /// kernel streaming the resident strips, with no intermediate matrices.
     ///
     /// # Panics
     ///
@@ -305,29 +272,6 @@ impl Mlp {
         self.layers.iter().map(|l| l.flops(batch)).sum()
     }
 
-    /// Forward pass through every layer in order, on the production backend.
-    ///
-    /// Uses an internal scratch [`Workspace`] (two ping/pong buffers for the
-    /// whole stack instead of several allocations per layer); callers on the
-    /// steady-state path should hold their own workspace and use
-    /// [`Mlp::forward_batch_ws`], which allocates nothing at all.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches from the individual layers.
-    pub fn forward(&self, input: &Matrix) -> Result<Matrix, DlrmError> {
-        let mut ws = Workspace::new();
-        let batch = input.rows();
-        let (data, cols) = self.forward_batch_ws(
-            kernel::global_backend(),
-            input.as_slice(),
-            batch,
-            input.cols(),
-            &mut ws,
-        )?;
-        Matrix::from_vec(batch, cols, data.to_vec())
-    }
-
     /// The zero-allocation batch-major forward pass: the whole batch flows
     /// through **one GEMM per layer with `m = batch`** over the workspace's
     /// ping/pong buffers, so each layer's strips are streamed once for every
@@ -404,6 +348,24 @@ pub type MlpStack = Mlp;
 mod tests {
     use super::*;
 
+    /// `layer` over `x` on the production backend, into a fresh matrix.
+    fn layer_out(layer: &DenseLayer, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), layer.out_dim());
+        let backend = KernelBackend::BlockedPrepacked;
+        layer.forward_into(backend, x.as_slice(), x.rows(), out.as_mut_slice());
+        out
+    }
+
+    /// `mlp` over `x` on the production backend, into a fresh matrix.
+    fn mlp_out(mlp: &Mlp, x: &Matrix) -> Matrix {
+        let mut ws = Workspace::new();
+        let (batch, backend) = (x.rows(), KernelBackend::BlockedPrepacked);
+        let (data, cols) = mlp
+            .forward_batch_ws(backend, x.as_slice(), batch, x.cols(), &mut ws)
+            .unwrap();
+        Matrix::from_vec(batch, cols, data.to_vec()).unwrap()
+    }
+
     #[test]
     fn dense_layer_forward_known_values() {
         // y = relu(x*W + b) with hand-computed numbers.
@@ -411,7 +373,7 @@ mod tests {
         let b = Matrix::row_vector(&[0.0, 1.0]);
         let layer = DenseLayer::new(w, b, Activation::Relu).unwrap();
         let x = Matrix::row_vector(&[2.0, 4.0]);
-        let y = layer.forward(&x).unwrap();
+        let y = layer_out(&layer, &x);
         // z = [2*1 + 4*0.5, 2*-1 + 4*2] + [0,1] = [4, 7]
         assert_eq!(y.as_slice(), &[4.0, 7.0]);
     }
@@ -421,7 +383,7 @@ mod tests {
         let w = Matrix::from_vec(1, 1, vec![-1.0]).unwrap();
         let b = Matrix::row_vector(&[0.0]);
         let layer = DenseLayer::new(w, b, Activation::Relu).unwrap();
-        let y = layer.forward(&Matrix::row_vector(&[3.0])).unwrap();
+        let y = layer_out(&layer, &Matrix::row_vector(&[3.0]));
         assert_eq!(y.as_slice(), &[0.0]);
     }
 
@@ -450,7 +412,7 @@ mod tests {
         assert_eq!(mlp.in_dim(), Some(13));
         assert_eq!(mlp.out_dim(), Some(32));
         let x = Matrix::filled(4, 13, 0.5);
-        let y = mlp.forward(&x).unwrap();
+        let y = mlp_out(&mlp, &x);
         assert_eq!(y.shape(), (4, 32));
     }
 
@@ -458,7 +420,7 @@ mod tests {
     fn mlp_final_activation_sigmoid_bounds_output() {
         let mlp = Mlp::random(&[8, 16, 1], Activation::Sigmoid, 5).unwrap();
         let x = Matrix::from_fn(3, 8, |r, c| (r + c) as f32 - 4.0);
-        let y = mlp.forward(&x).unwrap();
+        let y = mlp_out(&mlp, &x);
         assert!(y.as_slice().iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
 
@@ -473,7 +435,7 @@ mod tests {
         let mlp = Mlp::default();
         assert!(mlp.is_empty());
         let x = Matrix::row_vector(&[1.0, 2.0]);
-        assert_eq!(mlp.forward(&x).unwrap(), x);
+        assert_eq!(mlp_out(&mlp, &x), x);
         assert_eq!(mlp.dims(), Vec::<usize>::new());
     }
 
@@ -495,8 +457,8 @@ mod tests {
     #[test]
     fn prepacked_forward_is_bitwise_identical_to_packing_path() {
         // Ragged widths so the 6/4/1-row tile splits and the packed
-        // block remainders are all exercised. The packing path is the
-        // generic GEMM over the same row-major weights, layer by layer.
+        // block remainders are all exercised. The reference is the
+        // row-major oracle over the same weights, layer by layer.
         let dims = [13usize, 67, 29, 3];
         let weights: Vec<Matrix> = dims
             .windows(2)
@@ -515,8 +477,7 @@ mod tests {
             let mut reference = x.clone();
             for w in &weights {
                 let mut out = Matrix::zeros(batch, w.cols());
-                kernel::gemm_bias_act_into(
-                    KernelBackend::BlockedPrepacked,
+                kernel::gemm_reference(
                     reference.as_slice(),
                     w.as_slice(),
                     Some(bias(w.cols()).as_slice()),
@@ -525,11 +486,10 @@ mod tests {
                     batch,
                     w.rows(),
                     w.cols(),
-                    &mut Vec::new(),
                 );
                 reference = out;
             }
-            assert_eq!(reference, mlp.forward(&x).unwrap(), "batch {batch}");
+            assert_eq!(reference, mlp_out(&mlp, &x), "batch {batch}");
         }
         // The workspace is exactly the two ping/pong layer buffers: resident
         // strips need no packing scratch.
@@ -556,7 +516,7 @@ mod tests {
         let fresh = DenseLayer::new(replacement, layer.bias().clone(), Activation::Relu).unwrap();
         assert_eq!(layer.packed(), fresh.packed(), "strips must be re-packed");
         let x = Matrix::from_fn(3, 9, |r, c| (r as f32 - c as f32) * 0.1);
-        assert_eq!(layer.forward(&x).unwrap(), fresh.forward(&x).unwrap());
+        assert_eq!(layer_out(&layer, &x), layer_out(&fresh, &x));
         // Shape changes are structural and rejected.
         assert!(layer.set_weights(Matrix::zeros(9, 8)).is_err());
         assert!(layer.set_weights(Matrix::zeros(8, 7)).is_err());
@@ -575,10 +535,16 @@ mod tests {
 
     #[test]
     fn activation_apply() {
+        // Through a layer whose product is its input: the fused epilogue
+        // applies the activation.
         let x = Matrix::row_vector(&[-2.0, 2.0]);
-        assert_eq!(Activation::Identity.apply(&x), x);
-        assert_eq!(Activation::Relu.apply(&x).as_slice(), &[0.0, 2.0]);
-        let s = Activation::Sigmoid.apply(&x);
+        let through = |act| {
+            let id = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
+            layer_out(&DenseLayer::new(id, Matrix::zeros(1, 2), act).unwrap(), &x)
+        };
+        assert_eq!(through(Activation::Identity), x);
+        assert_eq!(through(Activation::Relu).as_slice(), &[0.0, 2.0]);
+        let s = through(Activation::Sigmoid);
         assert!(s.get(0, 0) < 0.5 && s.get(0, 1) > 0.5);
     }
 }

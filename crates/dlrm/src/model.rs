@@ -82,24 +82,6 @@ pub fn check_batch_inputs(
     Ok(())
 }
 
-/// Intermediate results of a single-sample forward pass, exposed so that
-/// accelerator models can be validated stage by stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForwardBreakdown {
-    /// Output of the bottom MLP (`[1, embedding_dim]`).
-    pub bottom_output: Matrix,
-    /// Reduced embedding per table (`[num_tables, embedding_dim]`).
-    pub reduced_embeddings: Matrix,
-    /// Concatenated interaction input (`[num_tables + 1, embedding_dim]`).
-    pub interaction_input: Matrix,
-    /// Top-MLP input (`[1, pairs + embedding_dim]`).
-    pub interaction_output: Matrix,
-    /// Pre-sigmoid top-MLP output (`[1, 1]`).
-    pub top_output: Matrix,
-    /// Final event probability.
-    pub probability: f32,
-}
-
 impl DlrmModel {
     /// Builds a model with random parameters for `config`, seeded
     /// deterministically.
@@ -210,61 +192,6 @@ impl DlrmModel {
     /// The feature-interaction operator.
     pub fn interaction(&self) -> &FeatureInteraction {
         &self.interaction
-    }
-
-    /// Runs a single-sample forward pass and returns every intermediate
-    /// (useful for validating accelerator datapaths stage by stage).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape and index errors from the individual stages.
-    pub fn forward_breakdown(
-        &self,
-        dense: &Matrix,
-        indices_per_table: &[Vec<u32>],
-    ) -> Result<ForwardBreakdown, DlrmError> {
-        if dense.rows() != 1 || dense.cols() != self.config.dense_features {
-            return Err(DlrmError::ShapeMismatch {
-                op: "dense features",
-                lhs: (1, self.config.dense_features),
-                rhs: dense.shape(),
-            });
-        }
-        // 1. Bottom MLP over dense features.
-        let bottom_output = self.bottom_mlp.forward(dense)?;
-        // 2. Embedding gathers + reductions.
-        let reduced_embeddings = self.embeddings.sparse_lengths_reduce(indices_per_table)?;
-        // 3. Feature interaction over [bottom; reduced embeddings].
-        let interaction_input = bottom_output.vconcat(&reduced_embeddings)?;
-        let interaction_output = self.interaction.interact(&interaction_input)?;
-        // 4. Top MLP + sigmoid.
-        let top_output = self.top_mlp.forward(&interaction_output)?;
-        let probability = crate::tensor::sigmoid_scalar(top_output.get(0, 0));
-        Ok(ForwardBreakdown {
-            bottom_output,
-            reduced_embeddings,
-            interaction_input,
-            interaction_output,
-            top_output,
-            probability,
-        })
-    }
-
-    /// Runs a single-sample forward pass and returns the event probability
-    /// as a one-element vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape and index errors from the individual stages.
-    pub fn forward_single(
-        &self,
-        dense: &Matrix,
-        indices_per_table: &[Vec<u32>],
-    ) -> Result<Vec<f32>, DlrmError> {
-        Ok(vec![
-            self.forward_breakdown(dense, indices_per_table)?
-                .probability,
-        ])
     }
 
     /// Runs a batched forward pass on the production backend: one
@@ -493,25 +420,10 @@ mod tests {
         let model = DlrmModel::random(&config, 1).unwrap();
         let dense = Matrix::from_fn(1, 5, |_, c| c as f32 * 0.2 - 0.4);
         let p = model
-            .forward_single(&dense, &tiny_indices(&config))
+            .forward_batch(&dense, &[tiny_indices(&config)])
             .unwrap();
         assert_eq!(p.len(), 1);
         assert!((0.0..=1.0).contains(&p[0]));
-    }
-
-    #[test]
-    fn forward_breakdown_shapes() {
-        let config = tiny_config();
-        let model = DlrmModel::random(&config, 2).unwrap();
-        let dense = Matrix::filled(1, 5, 0.1);
-        let b = model
-            .forward_breakdown(&dense, &tiny_indices(&config))
-            .unwrap();
-        assert_eq!(b.bottom_output.shape(), (1, 8));
-        assert_eq!(b.reduced_embeddings.shape(), (3, 8));
-        assert_eq!(b.interaction_input.shape(), (4, 8));
-        assert_eq!(b.interaction_output.shape(), (1, 8 + 6));
-        assert_eq!(b.top_output.shape(), (1, 1));
     }
 
     #[test]
@@ -519,10 +431,10 @@ mod tests {
         let config = tiny_config();
         let model = DlrmModel::random(&config, 3).unwrap();
         let dense = Matrix::filled(1, 5, 0.3);
-        let idx = tiny_indices(&config);
+        let idx = [tiny_indices(&config)];
         assert_eq!(
-            model.forward_single(&dense, &idx).unwrap(),
-            model.forward_single(&dense, &idx).unwrap()
+            model.forward_batch(&dense, &idx).unwrap(),
+            model.forward_batch(&dense, &idx).unwrap()
         );
     }
 
@@ -541,7 +453,10 @@ mod tests {
         let batched = model.forward_batch(&dense, &batch).unwrap();
         for (i, sample) in batch.iter().enumerate() {
             let single = model
-                .forward_single(&Matrix::row_vector(dense.row(i)), sample)
+                .forward_batch(
+                    &Matrix::row_vector(dense.row(i)),
+                    std::slice::from_ref(sample),
+                )
                 .unwrap();
             // A sample is a batch of one through the same kernels: bitwise.
             assert_eq!(batched[i], single[0]);
@@ -566,7 +481,7 @@ mod tests {
         let model = DlrmModel::random(&config, 6).unwrap();
         let wrong = Matrix::zeros(1, 4);
         assert!(model
-            .forward_single(&wrong, &tiny_indices(&config))
+            .forward_batch(&wrong, &[tiny_indices(&config)])
             .is_err());
     }
 
@@ -599,7 +514,7 @@ mod tests {
         let mut tables: Vec<_> = good.embeddings().iter().cloned().collect();
         tables[1] = crate::EmbeddingTable::zeros(64, 16);
         assert!(matches!(
-            EmbeddingBag::new(tables, crate::ReductionOp::Sum),
+            EmbeddingBag::new(tables),
             Err(DlrmError::InvalidConfig(_))
         ));
     }
@@ -616,7 +531,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let p = model.forward_single(&dense, &indices).unwrap();
+        let p = model.forward_batch(&dense, &[indices]).unwrap();
         assert!((0.0..=1.0).contains(&p[0]));
     }
 
@@ -626,10 +541,10 @@ mod tests {
         let model = DlrmModel::random(&config, 10).unwrap();
         let dense = Matrix::filled(1, 5, 0.1);
         let a = model
-            .forward_single(&dense, &tiny_indices(&config))
+            .forward_batch(&dense, &[tiny_indices(&config)])
             .unwrap();
         let other: Vec<Vec<u32>> = (0..3).map(|t| vec![60 - t as u32]).collect();
-        let b = model.forward_single(&dense, &other).unwrap();
+        let b = model.forward_batch(&dense, &[other]).unwrap();
         assert_ne!(a, b);
     }
 }

@@ -9,6 +9,7 @@
 //! layers is visible.
 
 use crate::error::DlrmError;
+use crate::kernel::{self, FusedAct, PrepackedWeights};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -155,10 +156,12 @@ impl Matrix {
         self.data[r * self.cols + c] = value;
     }
 
-    /// Matrix product `self * rhs` on the production [`KernelBackend`],
-    /// packing `rhs` on the fly.
+    /// Matrix product `self * rhs` on the production [`KernelBackend`]:
+    /// `rhs` is packed into strips once, then the one production GEMM
+    /// ([`gemm_bias_act_prepacked`]) runs over them.
     ///
     /// [`KernelBackend`]: crate::kernel::KernelBackend
+    /// [`gemm_bias_act_prepacked`]: crate::kernel::gemm_bias_act_prepacked
     ///
     /// # Errors
     ///
@@ -172,51 +175,16 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        crate::kernel::gemm(
-            crate::kernel::global_backend(),
+        let packed = PrepackedWeights::pack(&rhs.data, rhs.rows, rhs.cols);
+        kernel::gemm_bias_act_prepacked(
+            kernel::global_backend(),
             &self.data,
-            &rhs.data,
+            &packed,
+            None,
+            FusedAct::Identity,
             &mut out.data,
             self.rows,
-            self.cols,
-            rhs.cols,
         );
-        Ok(out)
-    }
-
-    /// Matrix product for a *sparse* left operand: skips zero elements of
-    /// `self` in an `ikj` loop.
-    ///
-    /// The zero-skip branch used to live in [`Matrix::matmul`], where it
-    /// poisoned branch prediction on dense data; it only pays off when the
-    /// left operand is mostly zeros (e.g. one-hot/multi-hot encodings), so
-    /// it now lives in this explicitly sparse-aware entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul_sparse_aware(&self, rhs: &Matrix) -> Result<Matrix, DlrmError> {
-        if self.cols != rhs.rows {
-            return Err(DlrmError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = rhs.row(k);
-                for (j, &b_kj) in b_row.iter().enumerate() {
-                    out_row[j] += a_ik * b_kj;
-                }
-            }
-        }
         Ok(out)
     }
 
@@ -266,11 +234,6 @@ impl Matrix {
     /// Element-wise rectified linear unit.
     pub fn relu(&self) -> Matrix {
         self.map(|x| if x > 0.0 { x } else { 0.0 })
-    }
-
-    /// Element-wise logistic sigmoid.
-    pub fn sigmoid(&self) -> Matrix {
-        self.map(sigmoid_scalar)
     }
 
     /// Concatenates two matrices horizontally (same number of rows).
@@ -505,24 +468,17 @@ mod tests {
         let b = Matrix::from_fn(5, 4, |r, c| (r as f32 - c as f32) * 0.5);
         // Same multiply and add per `k`, `k` ascending: bitwise.
         assert_eq!(a.matmul(&b).unwrap(), naive_matmul(&a, &b));
-    }
-
-    #[test]
-    fn sparse_aware_matmul_matches_dense() {
-        // Mostly-zero left operand: the sparse-aware path must agree with
-        // the dense kernels.
-        let a = Matrix::from_fn(4, 6, |r, c| {
-            if (r + c) % 3 == 0 {
-                (r + c) as f32
-            } else {
-                0.0
-            }
-        });
-        let b = Matrix::from_fn(6, 5, |r, c| (r as f32 - c as f32) * 0.5);
-        let dense = a.matmul(&b).unwrap();
-        let sparse = a.matmul_sparse_aware(&b).unwrap();
-        assert!(dense.max_abs_diff(&sparse) < 1e-5);
-        assert!(a.matmul_sparse_aware(&Matrix::zeros(4, 2)).is_err());
+        // Depths and widths across KC = 256 and NC = 512, each ending in a
+        // narrow last strip, on inexact operands: bitwise against the
+        // row-major oracle, so the pack inside `matmul` loses nothing.
+        for (m, k, n) in [(7, 300, 21), (3, 513, 515), (17, 257, 530)] {
+            let a = Matrix::from_fn(m, k, |r, c| ((r * 13 + c * 7) % 19) as f32 * 0.37 - 2.1);
+            let b = Matrix::from_fn(k, n, |r, c| ((r * 5 + c * 11) % 17) as f32 * 0.113 - 0.9);
+            let mut reference = Matrix::zeros(m, n);
+            let (ab, bb, out) = (a.as_slice(), b.as_slice(), reference.as_mut_slice());
+            kernel::gemm_reference(ab, bb, None, FusedAct::Identity, out, m, k, n);
+            assert_eq!(a.matmul(&b).unwrap(), reference, "{m}x{k}x{n}");
+        }
     }
 
     #[test]

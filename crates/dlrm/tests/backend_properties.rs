@@ -1,9 +1,9 @@
-//! Property tests pinning the production GEMM backend to the `Naive`
-//! correctness oracle — bitwise — across random and adversarial edge
-//! shapes.
+//! Property tests pinning the GEMM on both backends to the row-major
+//! oracle (`kernel::gemm_reference`) — bitwise — across random and
+//! adversarial edge shapes.
 
-use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, Workspace};
-use centaur_dlrm::{Activation, Matrix, Mlp, MlpStack};
+use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights, Workspace};
+use centaur_dlrm::{Activation, Mlp, MlpStack};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random matrix data for a given seed. The scale and
@@ -24,11 +24,25 @@ fn assert_production_matches_oracle(m: usize, k: usize, n: usize, seed: u64) {
     let a = test_data(m * k, seed);
     let b = test_data(k * n, seed.wrapping_add(1));
     let mut oracle = vec![0.0; m * n];
-    kernel::gemm(KernelBackend::Naive, &a, &b, &mut oracle, m, k, n);
-    let mut out = vec![f32::NAN; m * n];
-    kernel::gemm(KernelBackend::BlockedPrepacked, &a, &b, &mut out, m, k, n);
-    // One fused multiply-add per `k`, `k` ascending, on both: bitwise.
-    assert_eq!(oracle, out, "diverges at {m}x{k}x{n} (seed {seed})");
+    kernel::gemm_reference(&a, &b, None, FusedAct::Identity, &mut oracle, m, k, n);
+    let packed = PrepackedWeights::pack(&b, k, n);
+    for backend in KernelBackend::all() {
+        let mut out = vec![f32::NAN; m * n];
+        kernel::gemm_bias_act_prepacked(
+            backend,
+            &a,
+            &packed,
+            None,
+            FusedAct::Identity,
+            &mut out,
+            m,
+        );
+        // One fused multiply-add per `k`, `k` ascending, on all: bitwise.
+        assert_eq!(
+            oracle, out,
+            "{backend:?} diverges at {m}x{k}x{n} (seed {seed})"
+        );
+    }
 }
 
 proptest! {
@@ -57,13 +71,12 @@ proptest! {
         let a = test_data(m * k, seed);
         let b = test_data(k * n, seed.wrapping_add(1));
         let bias = test_data(n, seed.wrapping_add(2));
+        let packed = PrepackedWeights::pack(&b, k, n);
         for backend in KernelBackend::all() {
             let mut plain = vec![0.0; m * n];
-            kernel::gemm(backend, &a, &b, &mut plain, m, k, n);
+            kernel::gemm_bias_act_prepacked(backend, &a, &packed, None, FusedAct::Identity, &mut plain, m);
             let mut fused = vec![0.0; m * n];
-            kernel::gemm_bias_act_into(
-                backend, &a, &b, Some(&bias), FusedAct::Relu, &mut fused, m, k, n, &mut Vec::new(),
-            );
+            kernel::gemm_bias_act_prepacked(backend, &a, &packed, Some(&bias), FusedAct::Relu, &mut fused, m);
             for i in 0..m {
                 for j in 0..n {
                     let expected = (plain[i * n + j] + bias[j]).max(0.0);
@@ -74,7 +87,8 @@ proptest! {
     }
 
     /// The zero-allocation workspace MLP path produces exactly the same
-    /// values as the allocating path, on the oracle too.
+    /// values as the allocating path — each layer into a fresh buffer — on
+    /// the oracle too.
     #[test]
     fn workspace_mlp_matches_allocating_path(
         batch in 1usize..10,
@@ -82,13 +96,15 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mlp: MlpStack = Mlp::random(&[11, hidden, 5], Activation::Relu, seed).unwrap();
-        let x = Matrix::from_vec(batch, 11, test_data(batch * 11, seed)).unwrap();
-        let reference = mlp.forward(&x).unwrap();
+        let x = test_data(batch * 11, seed);
+        let reference = mlp.iter().fold(x.clone(), |input, layer| {
+            let mut out = vec![0.0; batch * layer.out_dim()];
+            layer.forward_into(KernelBackend::Naive, &input, batch, &mut out);
+            out
+        });
         for backend in KernelBackend::all() {
             let mut ws = Workspace::new();
-            let (data, cols) = mlp
-                .forward_batch_ws(backend, x.as_slice(), batch, 11, &mut ws)
-                .unwrap();
+            let (data, cols) = mlp.forward_batch_ws(backend, &x, batch, 11, &mut ws).unwrap();
             prop_assert_eq!(cols, 5);
             prop_assert_eq!(data, reference.as_slice());
         }

@@ -1,6 +1,6 @@
 //! Property-based tests for the reference DLRM implementation.
 
-use centaur_dlrm::{Activation, DlrmModel, Matrix, Mlp, ModelConfig};
+use centaur_dlrm::{global_backend, Activation, DlrmModel, Matrix, Mlp, ModelConfig, Workspace};
 use proptest::prelude::*;
 
 proptest! {
@@ -50,9 +50,10 @@ proptest! {
     ) {
         let mlp = Mlp::random(&[7, hidden, 3], Activation::Relu, seed).unwrap();
         let x = Matrix::from_fn(batch, 7, |r, c| ((r + c) as f32) * 0.1 - 0.3);
-        let y = mlp.forward(&x).unwrap();
-        prop_assert_eq!(y.shape(), (batch, 3));
-        prop_assert!(y.as_slice().iter().all(|v| v.is_finite()));
+        let mut ws = Workspace::new();
+        let (y, cols) = mlp.forward_batch_ws(global_backend(), x.as_slice(), batch, 7, &mut ws).unwrap();
+        prop_assert_eq!((y.len() / cols, cols), (batch, 3));
+        prop_assert!(y.iter().all(|v| v.is_finite()));
     }
 
     /// The full model always produces probabilities in [0, 1] and the
@@ -86,7 +87,7 @@ proptest! {
         prop_assert!(batched.iter().all(|p| (0.0..=1.0).contains(p)));
         for (i, sample) in sparse.iter().enumerate() {
             let single = model
-                .forward_single(&Matrix::row_vector(dense.row(i)), sample)
+                .forward_batch(&Matrix::row_vector(dense.row(i)), std::slice::from_ref(sample))
                 .unwrap();
             prop_assert!((batched[i] - single[0]).abs() < 1e-6);
         }

@@ -1,11 +1,10 @@
 //! Property tests pinning the prepacked GEMM **bitwise** against the
-//! generic on-the-fly-packing path (`gemm_bias_act_into` over row-major
-//! `B`): `PrepackedWeights` only moves *when* `B` is laid out in strips
-//! (once at load instead of per call), so on either backend resident strips
-//! must produce exactly the bytes the per-call pack does — across
-//! ragged shapes that hit the 16-, 8-, 6-, 4- and 1-row tiles, the narrow last strip
-//! and the `KC = 256` / `NC = 512` block boundaries, with and without fused
-//! bias/activation epilogues.
+//! row-major oracle (`gemm_reference` over the `B` the strips were packed
+//! from): `PrepackedWeights` only changes where `B`'s elements sit, so on
+//! either backend the resident strips must produce exactly the oracle's
+//! bytes — across ragged shapes that hit the 16-, 8-, 6-, 4- and 1-row
+//! tiles, the narrow last strip and the `KC = 256` / `NC = 512` block
+//! boundaries, with and without fused bias/activation epilogues.
 
 use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights};
 use centaur_dlrm::{Activation, DenseLayer, Matrix};
@@ -37,33 +36,15 @@ fn assert_prepacked_matches_packing(m: usize, k: usize, n: usize, seed: u64) {
         (Some(bias.as_slice()), FusedAct::Relu),
         (Some(bias.as_slice()), FusedAct::Sigmoid),
     ] {
-        let mut oracle = None;
+        let mut reference = vec![f32::NAN; m * n];
+        kernel::gemm_reference(&a, &b, bias_opt, act, &mut reference, m, k, n);
         for backend in KernelBackend::all() {
-            let mut reference = vec![f32::NAN; m * n];
-            kernel::gemm_bias_act_into(
-                backend,
-                &a,
-                &b,
-                bias_opt,
-                act,
-                &mut reference,
-                m,
-                k,
-                n,
-                &mut Vec::new(),
-            );
             let mut prepacked = vec![f32::NAN; m * n];
             kernel::gemm_bias_act_prepacked(backend, &a, &packed, bias_opt, act, &mut prepacked, m);
             // Bitwise, not tolerance: assert_eq on the raw f32s.
             assert_eq!(
                 reference, prepacked,
                 "{backend:?}/{act:?} diverged at {m}x{k}x{n} (seed {seed})"
-            );
-            // And every backend is the oracle's (`Naive`, first) bits.
-            let oracle = oracle.get_or_insert(prepacked.clone());
-            assert_eq!(
-                *oracle, prepacked,
-                "{backend:?}/{act:?} left the oracle at {m}x{k}x{n} (seed {seed})"
             );
         }
     }
@@ -85,8 +66,8 @@ proptest! {
     }
 
     /// A whole dense layer served from its resident strips equals the
-    /// generic packing kernel over the row-major weights it was built from,
-    /// bitwise, for both backends and every batch size.
+    /// row-major oracle over the weights it was built from, bitwise, for
+    /// both backends and every batch size.
     #[test]
     fn dense_layer_prepacked_forward_matches_packing(
         batch in 1usize..14,
@@ -103,20 +84,10 @@ proptest! {
         )
         .unwrap();
         let x = test_data(batch * in_dim, seed);
+        let mut reference = vec![f32::NAN; batch * out_dim];
+        let relu = FusedAct::Relu;
+        kernel::gemm_reference(&x, &weights, Some(&bias), relu, &mut reference, batch, in_dim, out_dim);
         for backend in KernelBackend::all() {
-            let mut reference = vec![f32::NAN; batch * out_dim];
-            kernel::gemm_bias_act_into(
-                backend,
-                &x,
-                &weights,
-                Some(&bias),
-                FusedAct::Relu,
-                &mut reference,
-                batch,
-                in_dim,
-                out_dim,
-                &mut Vec::new(),
-            );
             let mut served = vec![f32::NAN; batch * out_dim];
             layer.forward_into(backend, &x, batch, &mut served);
             prop_assert_eq!(&reference, &served);
@@ -153,6 +124,11 @@ fn repacked_weights_serve_new_values_bitwise() {
     let replacement = Matrix::from_vec(33, 17, test_data(33 * 17, 99)).unwrap();
     layer.set_weights(replacement.clone()).unwrap();
     let fresh = DenseLayer::new(replacement, layer.bias().clone(), Activation::Relu).unwrap();
-    let x = Matrix::from_vec(6, 33, test_data(6 * 33, 101)).unwrap();
-    assert_eq!(layer.forward(&x).unwrap(), fresh.forward(&x).unwrap());
+    let x = test_data(6 * 33, 101);
+    let serve = |layer: &DenseLayer| {
+        let mut out = vec![f32::NAN; 6 * 17];
+        layer.forward_into(KernelBackend::BlockedPrepacked, &x, 6, &mut out);
+        out
+    };
+    assert_eq!(serve(&layer), serve(&fresh));
 }

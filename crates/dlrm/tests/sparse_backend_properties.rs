@@ -5,7 +5,7 @@
 //! at all is a bug.
 
 use centaur_dlrm::kernel::{gather_lists_sum, SparseBackend};
-use centaur_dlrm::{DlrmError, EmbeddingBag, EmbeddingTable, ReductionOp};
+use centaur_dlrm::{DlrmError, EmbeddingBag, EmbeddingTable};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random table values for a given seed.
@@ -37,13 +37,11 @@ fn indices_for(rows: usize, len: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-const OPS: [ReductionOp; 3] = [ReductionOp::Sum, ReductionOp::Mean, ReductionOp::Max];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Table-level gather-reduce: the production backend is bitwise equal
-    /// to the scalar oracle for every reduction operator, across dims that
+    /// to the scalar oracle across dims that
     /// exercise the 32-wide tile, the 8-wide tile and the scalar tail.
     #[test]
     fn table_gather_reduce_matches_oracle_bitwise(
@@ -54,22 +52,20 @@ proptest! {
     ) {
         let table = table_for(rows, dim, seed);
         let indices = indices_for(rows, len, seed);
-        for op in OPS {
-            let mut oracle = vec![f32::NAN; dim];
-            table
-                .gather_reduce_into(&indices, op, &mut oracle, SparseBackend::Scalar)
-                .unwrap();
-            let mut out = vec![f32::NAN; dim];
-            table
-                .gather_reduce_into(&indices, op, &mut out, SparseBackend::Vectorized)
-                .unwrap();
-            prop_assert_eq!(
-                &oracle,
-                &out,
-                "diverges from scalar oracle ({:?}, rows {}, dim {}, len {})",
-                op, rows, dim, len
-            );
-        }
+        let mut oracle = vec![f32::NAN; dim];
+        table
+            .gather_reduce_into(&indices, &mut oracle, SparseBackend::Scalar)
+            .unwrap();
+        let mut out = vec![f32::NAN; dim];
+        table
+            .gather_reduce_into(&indices, &mut out, SparseBackend::Vectorized)
+            .unwrap();
+        prop_assert_eq!(
+            &oracle,
+            &out,
+            "diverges from scalar oracle (rows {}, dim {}, len {})",
+            rows, dim, len
+        );
     }
 
     /// The sequence kernel itself, under one rolling prefetch window:
@@ -131,40 +127,38 @@ proptest! {
         let tables: Vec<EmbeddingTable> = (0..num_tables)
             .map(|t| table_for(rows, dim, seed.wrapping_add(t as u64)))
             .collect();
-        for op in OPS {
-            let bag = EmbeddingBag::new(tables.clone(), op).unwrap();
-            let batch_indices: Vec<Vec<Vec<u32>>> = (0..batch)
-                .map(|s| {
-                    (0..num_tables)
-                        .map(|t| {
-                            let len = (s + t + seed as usize) % 7; // incl. empty bags
-                            indices_for(rows, len, seed ^ ((s * 31 + t) as u64))
-                        })
-                        .collect()
-                })
-                .collect();
-            let width = num_tables * dim;
-            let offset = dim / 2;
-            let stride = width + offset + 3;
-            let mut oracle = vec![f32::NAN; batch * stride];
-            bag.reduce_batch_into_with(
-                &batch_indices, &mut oracle, stride, offset, SparseBackend::Scalar,
-            )
-            .unwrap();
-            let mut out = vec![f32::NAN; batch * stride];
-            bag.reduce_batch_into_with(
-                &batch_indices, &mut out, stride, offset, SparseBackend::Vectorized,
-            )
-            .unwrap();
-            for (i, (a, b)) in oracle.iter().zip(&out).enumerate() {
-                let col = i % stride;
-                if (offset..offset + width).contains(&col) {
-                    prop_assert_eq!(a, b, "{:?} diverges at element {}", op, i);
-                } else {
-                    // Outside the reduced block both paths must leave
-                    // the buffer untouched.
-                    prop_assert!(b.is_nan(), "wrote outside its block at {}", i);
-                }
+        let bag = EmbeddingBag::new(tables).unwrap();
+        let batch_indices: Vec<Vec<Vec<u32>>> = (0..batch)
+            .map(|s| {
+                (0..num_tables)
+                    .map(|t| {
+                        let len = (s + t + seed as usize) % 7; // incl. empty bags
+                        indices_for(rows, len, seed ^ ((s * 31 + t) as u64))
+                    })
+                    .collect()
+            })
+            .collect();
+        let width = num_tables * dim;
+        let offset = dim / 2;
+        let stride = width + offset + 3;
+        let mut oracle = vec![f32::NAN; batch * stride];
+        bag.reduce_batch_into_with(
+            &batch_indices, &mut oracle, stride, offset, SparseBackend::Scalar,
+        )
+        .unwrap();
+        let mut out = vec![f32::NAN; batch * stride];
+        bag.reduce_batch_into_with(
+            &batch_indices, &mut out, stride, offset, SparseBackend::Vectorized,
+        )
+        .unwrap();
+        for (i, (a, b)) in oracle.iter().zip(&out).enumerate() {
+            let col = i % stride;
+            if (offset..offset + width).contains(&col) {
+                prop_assert_eq!(a, b, "diverges at element {}", i);
+            } else {
+                // Outside the reduced block both paths must leave
+                // the buffer untouched.
+                prop_assert!(b.is_nan(), "wrote outside its block at {}", i);
             }
         }
     }
@@ -180,7 +174,6 @@ proptest! {
     ) {
         let bag = EmbeddingBag::new(
             (0..3).map(|t| table_for(32, 8, seed + t)).collect(),
-            ReductionOp::Sum,
         )
         .unwrap();
         let mut batch_indices: Vec<Vec<Vec<u32>>> = (0..4)
@@ -211,27 +204,25 @@ proptest! {
 #[test]
 fn mixed_width_bag_is_rejected_at_construction() {
     let tables = vec![table_for(16, 8, 1), table_for(16, 16, 2)];
-    let err = EmbeddingBag::new(tables, ReductionOp::Sum).unwrap_err();
+    let err = EmbeddingBag::new(tables).unwrap_err();
     assert!(
         matches!(&err, DlrmError::InvalidConfig(msg) if msg.contains("table 1 is 16 wide")),
         "{err:?}"
     );
-    assert!(EmbeddingBag::new(Vec::new(), ReductionOp::Sum).is_ok());
+    assert!(EmbeddingBag::new(Vec::new()).is_ok());
 }
 
-/// A single request is a batch of one: the allocating wrapper agrees bitwise
-/// with the oracle through the same batch entry point.
+/// A single request is a batch of one: the production entry point agrees
+/// bitwise with the oracle backend.
 #[test]
 fn single_request_slice_path_matches_across_backends() {
-    let bag = EmbeddingBag::new(
-        (0..4).map(|t| table_for(128, 32, 1000 + t)).collect(),
-        ReductionOp::Sum,
-    )
-    .unwrap();
+    let bag = EmbeddingBag::new((0..4).map(|t| table_for(128, 32, 1000 + t)).collect()).unwrap();
     let request: Vec<Vec<u32>> = (0..4).map(|t| indices_for(128, 20, t as u64)).collect();
     let mut oracle = vec![0.0f32; 4 * 32];
     bag.reduce_batch_into_with(&[&request], &mut oracle, 4 * 32, 0, SparseBackend::Scalar)
         .unwrap();
-    let production = bag.sparse_lengths_reduce(&request).unwrap();
-    assert_eq!(oracle, production.as_slice());
+    let mut production = vec![f32::NAN; 4 * 32];
+    bag.reduce_batch_into(&[&request], &mut production, 4 * 32, 0)
+        .unwrap();
+    assert_eq!(oracle, production);
 }

@@ -7,11 +7,10 @@
 //! published as in-flight, so an injected crash takes a real in-flight
 //! batch down with it exactly like a production node loss would.
 //!
-//! Plans are either built explicitly ([`FaultPlan::new`]), sampled
+//! Plans are either built explicitly ([`FaultPlan::new`]) or sampled
 //! deterministically from a seeded [`FaultSpec`] via the workload crate's
 //! [`FaultScheduleSampler`](centaur_workload::FaultScheduleSampler)
-//! ([`FaultPlan::seeded`]), or parsed from text ([`FaultPlan::parse`],
-//! format documented there).
+//! ([`FaultPlan::seeded`]).
 
 use centaur::CentaurError;
 use centaur_workload::FaultScheduleSampler;
@@ -139,51 +138,6 @@ impl FaultPlan {
             }
         }
         FaultPlan::new(events)
-    }
-
-    /// Parses a fault plan: comma-separated events, each
-    /// `kind:replica:at_ms` with kind one of
-    /// `crash`/`transient`, `stall:replica:at_ms:stall_ms`, or
-    /// `degraded:replica:at_ms:factor` (persistent `factor`× slowdown,
-    /// factor ≥ 2). Examples: `crash:0:50`,
-    /// `crash:0:50,stall:1:120:5,degraded:1:80:4,transient:0:200`.
-    ///
-    /// Returns `None` for anything malformed (unknown kind, missing or
-    /// non-numeric fields, negative times, zero-length stalls, degrade
-    /// factors below 2) so callers can distinguish "unset" from
-    /// "misspelled".
-    pub fn parse(value: &str) -> Option<FaultPlan> {
-        let mut events = Vec::new();
-        for part in value.split(',') {
-            let fields: Vec<&str> = part.trim().split(':').collect();
-            let kind = *fields.first()?;
-            let replica = fields.get(1)?.parse::<usize>().ok()?;
-            let at_ms = fields
-                .get(2)?
-                .parse::<f64>()
-                .ok()
-                .filter(|ms| ms.is_finite() && *ms >= 0.0)?;
-            let kind = match (kind.to_ascii_lowercase().as_str(), fields.len()) {
-                ("crash", 3) => FaultKind::Crash,
-                ("transient", 3) => FaultKind::Transient,
-                ("stall", 4) => FaultKind::Stall {
-                    millis: fields[3].parse::<u64>().ok().filter(|&ms| ms > 0)?,
-                },
-                ("degraded", 4) => FaultKind::Degraded {
-                    factor: fields[3].parse::<u32>().ok().filter(|&f| f >= 2)?,
-                },
-                _ => return None,
-            };
-            events.push(FaultEvent {
-                replica,
-                at_s: at_ms * 1e-3,
-                kind,
-            });
-        }
-        if events.is_empty() {
-            return None;
-        }
-        Some(FaultPlan::new(events))
     }
 
     /// No events scheduled.
@@ -570,48 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_the_documented_format_only() {
-        let plan = FaultPlan::parse("crash:0:50,stall:1:120:5,transient:0:200").unwrap();
-        assert_eq!(plan.len(), 3);
-        assert_eq!(plan.label(), "c1s1t1");
-        assert_eq!(
-            plan.events()[0],
-            FaultEvent {
-                replica: 0,
-                at_s: 0.05,
-                kind: FaultKind::Crash,
-            }
-        );
-        assert_eq!(
-            plan.events()[1],
-            FaultEvent {
-                replica: 1,
-                at_s: 0.12,
-                kind: FaultKind::Stall { millis: 5 },
-            }
-        );
-        // Case-insensitive kinds, whitespace tolerated around events.
-        assert!(FaultPlan::parse("CRASH:0:10, Transient:1:20").is_some());
-
-        for bad in [
-            "",
-            "crash",
-            "crash:0",
-            "crash:0:abc",
-            "crash:0:-5",
-            "crash:0:inf",
-            "crash:0:50:9",
-            "stall:0:50",
-            "stall:0:50:0",
-            "reboot:0:50",
-            "crash:0:50,,",
-            "crash:x:50",
-        ] {
-            assert!(FaultPlan::parse(bad).is_none(), "{bad:?} must not parse");
-        }
-    }
-
-    #[test]
     fn merged_specs_sum_counts_and_keep_the_first_seed() {
         let a = FaultSpec::crashes(1).with_stalls(2).with_seed(7);
         let b = FaultSpec::crashes(2)
@@ -667,29 +579,6 @@ mod tests {
             guard.intercept(0, 1.0).is_ok(),
             "exhausted guard is a no-op"
         );
-    }
-
-    #[test]
-    fn parse_accepts_degraded_events_with_a_meaningful_factor() {
-        let plan = FaultPlan::parse("degraded:1:80:4").unwrap();
-        assert_eq!(plan.label(), "d1");
-        assert_eq!(
-            plan.events()[0],
-            FaultEvent {
-                replica: 1,
-                at_s: 0.08,
-                kind: FaultKind::Degraded { factor: 4 },
-            }
-        );
-        assert!(FaultPlan::parse("degraded:0:10:2").is_some());
-        for bad in [
-            "degraded:0:10",   // factor required
-            "degraded:0:10:1", // a 1x slowdown is not degraded
-            "degraded:0:10:0",
-            "degraded:0:10:x",
-        ] {
-            assert!(FaultPlan::parse(bad).is_none(), "{bad:?} must not parse");
-        }
     }
 
     #[test]

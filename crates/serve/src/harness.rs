@@ -519,8 +519,18 @@ pub fn calibrate_fifo_capacity_qps(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultEvent, FaultKind};
     use centaur_dlrm::PaperModel;
     use centaur_workload::{ArrivalProcess, TrafficShape};
+
+    /// A plan of one fault, `at_s` seconds into the replay.
+    fn fault_at(replica: usize, at_s: f64, kind: FaultKind) -> FaultPlan {
+        FaultPlan::new(vec![FaultEvent {
+            replica,
+            at_s,
+            kind,
+        }])
+    }
 
     fn small_model() -> DlrmModel {
         let config = PaperModel::Dlrm1.config().with_rows_per_table(512);
@@ -669,7 +679,7 @@ mod tests {
         // A 20 s schedule the abort must cut short.
         let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 2);
         let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 1).unwrap();
-        let plan = FaultPlan::parse("crash:0:40").unwrap();
+        let plan = fault_at(0, 0.040, FaultKind::Crash);
         let started = Instant::now();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             serve_replay_faulted(
@@ -703,7 +713,7 @@ mod tests {
         let requests = generate_requests(model.config(), IndexDistribution::Uniform, 3, 400);
         let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 2);
         let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 1).unwrap();
-        let plan = FaultPlan::parse("transient:0:40").unwrap();
+        let plan = fault_at(0, 0.040, FaultKind::Transient);
         let started = Instant::now();
         let result = serve_replay_faulted(
             pool,
@@ -891,7 +901,7 @@ mod tests {
         let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 2).unwrap();
         // Replica 0 stalls 200 ms mid-replay with a batch in flight; the
         // 2 ms watchdog hedges the riders to replica 1.
-        let plan = FaultPlan::parse("stall:0:30:200").unwrap();
+        let plan = fault_at(0, 0.030, FaultKind::Stall { millis: 200 });
         let options = ServeOptions::default()
             .supervised(Supervision::default())
             .hedged(HedgeConfig::new(Duration::from_millis(2)));
@@ -939,7 +949,7 @@ mod tests {
         // plays out.
         let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 4);
         let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 2).unwrap();
-        let plan = FaultPlan::parse("stall:1:20:300").unwrap();
+        let plan = fault_at(1, 0.020, FaultKind::Stall { millis: 300 });
         let options = ServeOptions::with_slo(Duration::from_millis(10));
         let started = Instant::now();
         let result =

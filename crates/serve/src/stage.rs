@@ -135,7 +135,10 @@ mod tests {
         .unwrap();
         let sparse: Vec<Vec<Vec<u32>>> = requests.iter().map(|r| r.sparse.clone()).collect();
         let mut reference = CentaurRuntime::harpv2(model).unwrap();
-        let expected = reference.infer_batch(&dense, &sparse).unwrap();
+        let mut expected = vec![f32::NAN; 6];
+        reference
+            .infer_batch_into(&dense, &sparse, &mut expected)
+            .unwrap();
         assert_eq!(staged, expected);
     }
 

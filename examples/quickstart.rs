@@ -29,7 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Functional inference through the accelerator datapath.
     let mut runtime = CentaurRuntime::harpv2(model.clone())?;
-    let accelerator_probs = runtime.infer_batch(&batch.dense, &batch.sparse)?;
+    let mut accelerator_probs = vec![0.0f32; batch.sparse.len()];
+    runtime.infer_batch_into(&batch.dense, &batch.sparse, &mut accelerator_probs)?;
     let reference_probs = model.forward_batch(&batch.dense, &batch.sparse)?;
     for (i, (a, r)) in accelerator_probs.iter().zip(&reference_probs).enumerate() {
         println!("sample {i}: centaur={a:.6} reference={r:.6}");

@@ -3,7 +3,7 @@
 //! model shapes and request patterns.
 
 use centaur::CentaurRuntime;
-use centaur_dlrm::{BatchWorkspace, DlrmModel, KernelBackend, ModelConfig, PaperModel};
+use centaur_dlrm::{BatchWorkspace, DlrmModel, KernelBackend, Matrix, ModelConfig, PaperModel};
 use centaur_workload::{FunctionalBatch, IndexDistribution, RequestGenerator};
 
 fn scaled(model: PaperModel, rows: u64) -> ModelConfig {
@@ -20,6 +20,13 @@ fn reference(model: &DlrmModel, backend: KernelBackend, batch: &FunctionalBatch)
     out
 }
 
+/// The runtime's batched inference into a fresh output.
+fn infer(runtime: &mut CentaurRuntime, dense: &Matrix, sparse: &[Vec<Vec<u32>>]) -> Vec<f32> {
+    let mut out = vec![0.0f32; sparse.len()];
+    runtime.infer_batch_into(dense, sparse, &mut out).unwrap();
+    out
+}
+
 #[test]
 fn centaur_matches_reference_for_every_paper_model_on_every_backend() {
     for paper_model in PaperModel::all() {
@@ -32,9 +39,7 @@ fn centaur_matches_reference_for_every_paper_model_on_every_backend() {
         let mut per_backend: Vec<Vec<f32>> = Vec::new();
         for backend in KernelBackend::all() {
             runtime.set_backend(backend);
-            let accelerated = runtime
-                .infer_batch(&batch.dense, &batch.sparse)
-                .expect("accelerator inference succeeds");
+            let accelerated = infer(&mut runtime, &batch.dense, &batch.sparse);
             // Accelerator and model run the same kernels in the same order:
             // bitwise, not within a tolerance.
             assert_eq!(
@@ -75,7 +80,7 @@ fn centaur_matches_reference_under_skewed_traffic() {
         ] {
             let mut generator = RequestGenerator::new(&config, distribution, seed);
             let batch = generator.functional_batch(6);
-            let accelerated = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
+            let accelerated = infer(&mut runtime, &batch.dense, &batch.sparse);
             assert_eq!(
                 accelerated,
                 reference(&model, backend, &batch),
@@ -92,8 +97,8 @@ fn repeated_requests_are_deterministic_across_the_runtime() {
     let mut runtime = CentaurRuntime::harpv2(model).unwrap();
     let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 5);
     let batch = generator.functional_batch(3);
-    let first = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
-    let second = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
+    let first = infer(&mut runtime, &batch.dense, &batch.sparse);
+    let second = infer(&mut runtime, &batch.dense, &batch.sparse);
     assert_eq!(first, second);
 }
 
@@ -115,9 +120,9 @@ fn empty_lookup_lists_reduce_to_zero_and_still_infer() {
         .unwrap();
     let model = DlrmModel::random(&config, 9).unwrap();
     let mut runtime = CentaurRuntime::harpv2(model.clone()).unwrap();
-    let dense = centaur_dlrm::Matrix::filled(1, 4, 0.25);
+    let dense = Matrix::filled(1, 4, 0.25);
     let sparse = vec![vec![vec![1, 2], vec![], vec![63]]];
-    let ours = runtime.infer_batch(&dense, &sparse).unwrap();
+    let ours = infer(&mut runtime, &dense, &sparse);
     let reference = model.forward_batch(&dense, &sparse).unwrap();
     assert_eq!(ours, reference);
     assert!((0.0..=1.0).contains(&ours[0]));
@@ -152,7 +157,7 @@ fn runtime_output_bits_are_pinned_across_commits() {
         let mut runtime = CentaurRuntime::harpv2(model).unwrap();
         let mut generator = RequestGenerator::new(&config, IndexDistribution::Uniform, 13);
         let batch = generator.functional_batch(batch_size);
-        let outputs = runtime.infer_batch(&batch.dense, &batch.sparse).unwrap();
+        let outputs = infer(&mut runtime, &batch.dense, &batch.sparse);
         assert_eq!(outputs.len(), batch_size);
         assert_eq!(
             bit_hash(&outputs),

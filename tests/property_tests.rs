@@ -3,14 +3,14 @@
 //! trace accounting and timing-model monotonicity.
 
 use centaur::sparse::EbStreamer;
-use centaur_dlrm::{EmbeddingBag, EmbeddingTable, ReductionOp};
+use centaur_dlrm::{EmbeddingBag, EmbeddingTable, SparseBackend};
 use centaur_memsim::{AccessKind, CacheConfig, SetAssociativeCache, CACHE_LINE_BYTES};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `gather_reduce(Sum)` equals the naive per-column sum of the gathered
+    /// `gather_reduce_into` equals the naive per-column sum of the gathered
     /// rows, for arbitrary index multisets.
     #[test]
     fn gather_reduce_matches_naive_sum(
@@ -20,14 +20,15 @@ proptest! {
     ) {
         let table = EmbeddingTable::random(rows, dim, 42);
         let indices: Vec<u32> = indices.into_iter().map(|i| i % rows as u32).collect();
-        let reduced = table.gather_reduce(&indices, ReductionOp::Sum).unwrap();
+        let mut reduced = vec![f32::NAN; dim];
+        table.gather_reduce_into(&indices, &mut reduced, SparseBackend::Vectorized).unwrap();
         let mut expected = vec![0.0f32; dim];
         for &i in &indices {
             for (e, &v) in expected.iter_mut().zip(table.row(i).unwrap()) {
                 *e += v;
             }
         }
-        for (a, b) in reduced.as_slice().iter().zip(&expected) {
+        for (a, b) in reduced.iter().zip(&expected) {
             prop_assert!((a - b).abs() < 1e-4);
         }
     }
@@ -49,9 +50,11 @@ proptest! {
                 (0..len).map(|i| ((seed as u32).wrapping_mul(31).wrapping_add((t * 17 + i * 7) as u32)) % rows).collect()
             })
             .collect();
-        let reference = bag.sparse_lengths_reduce(&indices).unwrap();
+        let width = tables * dim;
+        let (mut reference, mut ours) = (vec![f32::NAN; width], vec![f32::NAN; width]);
+        bag.reduce_batch_into(&[&indices], &mut reference, width, 0).unwrap();
         let mut streamer = EbStreamer::default();
-        let ours = streamer.gather_reduce(&bag, &indices).unwrap();
+        streamer.gather_reduce_batch_into(&bag, &[&indices], &mut ours, width, 0).unwrap();
         // Same rows added in the same order by the same kernel: bitwise.
         prop_assert_eq!(ours, reference);
     }
@@ -88,10 +91,11 @@ proptest! {
         mut indices in proptest::collection::vec(0u32..50, 1..24),
     ) {
         let table = EmbeddingTable::random(50, 8, 7);
-        let forward = table.gather_reduce(&indices, ReductionOp::Sum).unwrap();
+        let (mut forward, mut backward) = ([f32::NAN; 8], [f32::NAN; 8]);
+        table.gather_reduce_into(&indices, &mut forward, SparseBackend::Vectorized).unwrap();
         indices.reverse();
-        let backward = table.gather_reduce(&indices, ReductionOp::Sum).unwrap();
-        prop_assert!(forward.max_abs_diff(&backward) < 1e-4);
+        table.gather_reduce_into(&indices, &mut backward, SparseBackend::Vectorized).unwrap();
+        prop_assert!(forward.iter().zip(&backward).all(|(a, b)| (a - b).abs() < 1e-4));
     }
 }
 
