@@ -12,6 +12,11 @@
 //! and a lint framework with file:line diagnostics, mandatory-reason
 //! inline suppressions, and a committed (empty) baseline.
 //!
+//! One lint is cross-file rather than an invariant of a path: `dead-pub`
+//! reports every `pub` item of a workspace crate that no production code,
+//! example, binary or benchmark names, so public surface kept only for
+//! tests shows up as a finding instead of accumulating.
+//!
 //! Run locally from the workspace root:
 //!
 //! ```text
@@ -58,13 +63,16 @@ pub fn analyze_sources(sources: &[(String, String)], readme: &str) -> Analysis {
     let mut raw: Vec<Diagnostic> = Vec::new();
     let mut inventory = Vec::new();
     let mut env = lints::env_registry::EnvRegistry::default();
+    let mut dead_pub = lints::dead_pub::DeadPub::default();
     for file in &files {
         raw.extend(lints::alloc_free::check(file));
         raw.extend(lints::unsafe_audit::check(file, &mut inventory));
         raw.extend(lints::lock_discipline::check(file));
         env.check_file(file);
+        dead_pub.check_file(file);
     }
     raw.extend(env.finish(readme));
+    raw.extend(dead_pub.finish());
 
     // Suppressions are per-file; group findings by path, then apply.
     let by_path: BTreeMap<&str, &SourceFile> = files.iter().map(|f| (f.path.as_str(), f)).collect();

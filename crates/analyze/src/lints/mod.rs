@@ -8,23 +8,16 @@
 //! | `unsafe-audit`       | every `unsafe` site carries a `// SAFETY:` comment within 3 lines |
 //! | `lock-discipline`    | no nested `.lock()` under a live guard; `Condvar::wait` only inside a retry loop; no foreign guard held across a wait |
 //! | `env-knob-registry`  | no `CENTAUR_*` knob is read from the environment (the registry is empty), and every knob name in production code is documented in README |
+//! | `dead-pub`           | every `pub` item of a workspace crate is named by some production code, example, binary or benchmark |
 //! | `suppression`        | (framework) suppressions are well-formed, reasoned, and actually silence something |
 
 pub mod alloc_free;
+pub mod dead_pub;
 pub mod env_registry;
 pub mod lock_discipline;
 pub mod unsafe_audit;
 
 use crate::lexer::{Token, TokenKind};
-
-/// All rule names, for `--help` and docs.
-pub const RULES: &[&str] = &[
-    "alloc-free-path",
-    "unsafe-audit",
-    "lock-discipline",
-    "env-knob-registry",
-    "suppression",
-];
 
 /// One element of a token pattern.
 #[derive(Debug, Clone, Copy)]

@@ -22,7 +22,7 @@ options:
   -h, --help         this text
 
 rules: alloc-free-path, unsafe-audit, lock-discipline, env-knob-registry,
-suppression. Suppress inline with
+dead-pub, suppression. Suppress inline with
 `// lint: allow(<rule>) — <reason>` (the reason is mandatory).";
 
 struct Options {

@@ -3,6 +3,6 @@
 //! non-registry production path, so the `var` read below is both outside
 //! the registry modules and an undocumented knob.
 
-pub fn rogue_read() -> String {
+fn rogue_read() -> String {
     std::env::var("CENTAUR_FIXTURE_ROGUE").unwrap_or_default()
 }

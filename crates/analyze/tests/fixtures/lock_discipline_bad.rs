@@ -1,19 +1,19 @@
 //! Seeded `lock-discipline` violations. Lexed as text by the fixture
 //! tests, never compiled.
 
-pub fn nested(a: &std::sync::Mutex<u32>, b: &std::sync::Mutex<u32>) -> u32 {
+fn nested(a: &std::sync::Mutex<u32>, b: &std::sync::Mutex<u32>) -> u32 {
     let ga = a.lock().unwrap();
     let gb = b.lock().unwrap();
     *ga + *gb
 }
 
-pub fn wait_outside_loop(m: &std::sync::Mutex<bool>, cv: &std::sync::Condvar) {
+fn wait_outside_loop(m: &std::sync::Mutex<bool>, cv: &std::sync::Condvar) {
     let g = m.lock().unwrap();
     let g = cv.wait(g).unwrap();
     let _ = *g;
 }
 
-pub fn guard_across_wait(
+fn guard_across_wait(
     m: &std::sync::Mutex<bool>,
     other: &std::sync::Mutex<u32>,
     cv: &std::sync::Condvar,
@@ -26,7 +26,7 @@ pub fn guard_across_wait(
     let _ = *held;
 }
 
-pub fn disciplined(m: &std::sync::Mutex<bool>, cv: &std::sync::Condvar) {
+fn disciplined(m: &std::sync::Mutex<bool>, cv: &std::sync::Condvar) {
     let mut g = m.lock().unwrap();
     while !*g {
         g = cv.wait(g).unwrap();

@@ -2,7 +2,7 @@
 //! reason-less suppression and an unused one. Lexed as text, never
 //! compiled.
 
-pub fn gemm_into(out: &mut [f32]) {
+fn gemm_into(out: &mut [f32]) {
     // lint: allow(alloc-free-path)
     let v = Vec::new();
     // lint: allow(lock-discipline) — nothing here locks at all

@@ -1,11 +1,11 @@
 //! Seeded `unsafe-audit` violations. Lexed as text by the fixture tests,
 //! never compiled.
 
-pub unsafe fn undocumented_kernel(ptr: *mut f32) {
+unsafe fn undocumented_kernel(ptr: *mut f32) {
     *ptr = 0.0;
 }
 
-pub fn wrapper(ptr: *mut f32) {
+fn wrapper(ptr: *mut f32) {
     unsafe {
         *ptr = 1.0;
     }
@@ -13,6 +13,6 @@ pub fn wrapper(ptr: *mut f32) {
 
 // SAFETY: ptr is valid, aligned, and exclusively owned by the caller for
 // the duration of the call (documented precondition of this fixture).
-pub unsafe fn documented_kernel(ptr: *mut f32) {
+unsafe fn documented_kernel(ptr: *mut f32) {
     *ptr = 2.0;
 }

@@ -8,6 +8,8 @@
 //! Each fixture is fed in under a synthetic production-crate path: the
 //! real path (`crates/analyze/tests/fixtures/…`) contains `/tests/`,
 //! which would exempt it from the alloc-free and lock-discipline lints.
+//! Their items are private, so the cross-file `dead-pub` lint finds
+//! nothing in them; its own fixture comes with the callers it needs.
 
 use centaur_analyze::analyze_sources;
 
@@ -196,6 +198,64 @@ fn suppression_fixture_reports_reasonless_and_unused_suppressions() {
     );
     assert_eq!(findings.len(), 3, "{findings:?}");
     assert_eq!(suppressed, 0);
+}
+
+#[test]
+fn dead_pub_fixture_reports_items_only_tests_name() {
+    let crate_file = "crates/x/src/fixture_dead_pub.rs";
+    let sources = [
+        (crate_file, include_str!("fixtures/dead_pub_bad.rs")),
+        // Callers that count: an example, a binary and the benchmark.
+        ("examples/demo.rs", "fn main() { x::used_by_example(); }"),
+        (
+            "crates/x/src/bin/tool.rs",
+            "fn main() { x::used_by_bin(); }",
+        ),
+        (
+            "bench_ledger/src/main.rs",
+            "fn main() { let _ = x::UsedByBenchmark; }",
+        ),
+        // Callers that do not: an integration test.
+        ("crates/x/tests/it.rs", "fn t() { x::only_tested(); }"),
+        // A vendored stub copies an upstream API nobody here calls.
+        (
+            "vendor/stub/src/lib.rs",
+            "pub fn upstream_api_nobody_calls() {}",
+        ),
+    ]
+    .map(|(path, src)| (path.to_string(), src.to_string()));
+    let analysis = analyze_sources(&sources, "");
+    let findings: Vec<String> = analysis.findings.iter().map(|d| d.to_string()).collect();
+    let expected = [
+        // Named only by its own crate's `#[cfg(test)]` module and by an
+        // integration test.
+        (
+            "crates/x/src/fixture_dead_pub.rs:7: [dead-pub]",
+            "`pub fn only_tested`",
+        ),
+        // The reason-less allow is a finding and silences nothing.
+        (
+            "crates/x/src/fixture_dead_pub.rs:21: [suppression]",
+            "missing its mandatory reason",
+        ),
+        (
+            "crates/x/src/fixture_dead_pub.rs:22: [dead-pub]",
+            "`pub const UNREASONED`",
+        ),
+    ];
+    for (loc, what) in expected {
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.starts_with(loc) && f.contains(what)),
+            "expected `{loc}` … `{what}`:\n{}",
+            findings.join("\n")
+        );
+    }
+    // The example, binary and benchmark callers, the `len` collision, the
+    // vendored stub and `pub(crate)` produce nothing.
+    assert_eq!(findings.len(), expected.len(), "{findings:?}");
+    assert_eq!(analysis.suppressed, 1, "the reasoned allow");
 }
 
 #[test]

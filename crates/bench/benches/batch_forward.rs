@@ -32,7 +32,7 @@ fn bench_batch_forward(c: &mut Criterion) {
     for &batch in &[16usize, 64] {
         let req = request(&model, batch);
         let rows: Vec<Matrix> = (0..batch)
-            .map(|i| Matrix::row_vector(req.dense.row(i)))
+            .map(|i| Matrix::from_vec(1, req.dense.cols(), req.dense.row(i).to_vec()).unwrap())
             .collect();
         for backend in KernelBackend::all() {
             let label = backend.label();

@@ -63,15 +63,6 @@ fn bench_gemm_backends(c: &mut Criterion) {
     }
 }
 
-fn bench_gemm(c: &mut Criterion) {
-    let a = Matrix::from_fn(64, 128, |r, col| ((r * 31 + col) % 17) as f32 - 8.0);
-    let w = Matrix::from_fn(128, 64, |r, col| ((r + col * 13) % 11) as f32 * 0.125);
-
-    c.bench_function("matrix_matmul_64x128x64", |b| {
-        b.iter(|| black_box(&a).matmul(black_box(&w)).unwrap())
-    });
-}
-
 fn bench_interaction(c: &mut Criterion) {
     let features = Matrix::from_fn(51, 32, |r, col| ((r * 7 + col) % 9) as f32 - 4.0);
     let fi = FeatureInteraction::new(51, 32).unwrap();
@@ -94,7 +85,6 @@ criterion_group!(
     kernels,
     bench_gather_reduce,
     bench_gemm_backends,
-    bench_gemm,
     bench_interaction,
     bench_embedding_fill
 );

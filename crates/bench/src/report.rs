@@ -33,11 +33,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as aligned plain text.
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -101,7 +96,6 @@ mod tests {
         let csv = t.to_csv();
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("model,batch,speedup"));
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl CentaurInferenceResult {
     pub fn speedup_over(&self, baseline_total_ns: f64) -> f64 {
         baseline_total_ns / self.total_ns()
     }
-
-    /// Requests per second this latency sustains (single request in flight).
-    pub fn throughput_qps(&self) -> f64 {
-        1e9 / self.total_ns()
-    }
 }
 
 /// The Centaur system timing model.
@@ -153,11 +148,6 @@ impl CentaurSystem {
     /// The sparse accelerator complex.
     pub fn streamer(&self) -> &EbStreamer {
         &self.streamer
-    }
-
-    /// The dense accelerator complex.
-    pub fn dense_accelerator(&self) -> &DenseAccelerator {
-        &self.dense
     }
 
     /// Simulates one batched inference and returns its latency breakdown.
@@ -230,7 +220,6 @@ mod tests {
         assert!(r.breakdown.mlp_ns > 0.0);
         assert!(r.breakdown.other_ns > 0.0);
         assert!((r.total_ns() - r.breakdown.total_ns()).abs() < 1e-9);
-        assert!(r.throughput_qps() > 0.0);
     }
 
     #[test]

@@ -91,20 +91,6 @@ impl BasePointerRegs {
             .ok_or(CentaurError::NotInitialised("sparse index array pointer"))
     }
 
-    /// Reads embedding table `t`'s base pointer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CentaurError::NotInitialised`] when the host has not
-    /// written it yet (or the index is out of range).
-    pub fn embedding_table(&self, t: usize) -> Result<u64, CentaurError> {
-        self.embedding_tables
-            .get(t)
-            .copied()
-            .flatten()
-            .ok_or(CentaurError::NotInitialised("embedding table pointer"))
-    }
-
     /// Reads the MLP-weight base pointer.
     ///
     /// # Errors
@@ -137,15 +123,6 @@ impl BasePointerRegs {
         self.output
             .ok_or(CentaurError::NotInitialised("output pointer"))
     }
-
-    /// Returns `true` once every pointer needed for inference is set.
-    pub fn is_fully_initialised(&self) -> bool {
-        self.sparse_index_array.is_some()
-            && self.mlp_weights.is_some()
-            && self.dense_features.is_some()
-            && self.output.is_some()
-            && self.embedding_tables.iter().all(Option::is_some)
-    }
 }
 
 #[cfg(test)]
@@ -159,9 +136,7 @@ mod tests {
             regs.sparse_index_array(),
             Err(CentaurError::NotInitialised(_))
         ));
-        assert!(regs.embedding_table(0).is_err());
         assert!(regs.mlp_weights().is_err());
-        assert!(!regs.is_fully_initialised());
     }
 
     #[test]
@@ -180,11 +155,9 @@ mod tests {
         regs.mmio_write(BasePointer::Output, 0x7000).unwrap();
 
         assert_eq!(regs.sparse_index_array().unwrap(), 0x1000);
-        assert_eq!(regs.embedding_table(1).unwrap(), 0x3000);
         assert_eq!(regs.mlp_weights().unwrap(), 0x5000);
         assert_eq!(regs.dense_features().unwrap(), 0x6000);
         assert_eq!(regs.output().unwrap(), 0x7000);
-        assert!(regs.is_fully_initialised());
         assert_eq!(regs.mmio_writes(), 7);
         assert_eq!(regs.num_tables(), 3);
     }
@@ -195,17 +168,5 @@ mod tests {
         assert!(regs
             .mmio_write(BasePointer::EmbeddingTable(5), 0x0)
             .is_err());
-    }
-
-    #[test]
-    fn partially_initialised_is_not_ready() {
-        let mut regs = BasePointerRegs::new(1);
-        regs.mmio_write(BasePointer::SparseIndexArray, 1).unwrap();
-        regs.mmio_write(BasePointer::MlpWeights, 2).unwrap();
-        regs.mmio_write(BasePointer::DenseFeatures, 3).unwrap();
-        regs.mmio_write(BasePointer::Output, 4).unwrap();
-        assert!(!regs.is_fully_initialised(), "table pointer still missing");
-        regs.mmio_write(BasePointer::EmbeddingTable(0), 5).unwrap();
-        assert!(regs.is_fully_initialised());
     }
 }

@@ -132,29 +132,6 @@ impl Default for ChipletLinkConfig {
     }
 }
 
-/// Byte counters for traffic that crossed the link (used for reporting and
-/// for the energy model's data-movement accounting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkTraffic {
-    /// Bytes moved from CPU memory to the FPGA.
-    pub cpu_to_fpga_bytes: u64,
-    /// Bytes moved from the FPGA back to CPU memory.
-    pub fpga_to_cpu_bytes: u64,
-}
-
-impl LinkTraffic {
-    /// Total bytes in both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.cpu_to_fpga_bytes + self.fpga_to_cpu_bytes
-    }
-
-    /// Accumulates other traffic counters into this one.
-    pub fn merge(&mut self, other: &LinkTraffic) {
-        self.cpu_to_fpga_bytes += other.cpu_to_fpga_bytes;
-        self.fpga_to_cpu_bytes += other.fpga_to_cpu_bytes;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,19 +199,5 @@ mod tests {
         assert!(
             future.gather_stream_ns(bytes, bytes / 128) < harp.gather_stream_ns(bytes, bytes / 128)
         );
-    }
-
-    #[test]
-    fn traffic_counters_merge() {
-        let mut a = LinkTraffic {
-            cpu_to_fpga_bytes: 100,
-            fpga_to_cpu_bytes: 10,
-        };
-        let b = LinkTraffic {
-            cpu_to_fpga_bytes: 5,
-            fpga_to_cpu_bytes: 1,
-        };
-        a.merge(&b);
-        assert_eq!(a.total_bytes(), 116);
     }
 }

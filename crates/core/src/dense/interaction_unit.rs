@@ -72,13 +72,6 @@ impl FeatureInteractionUnit {
         cycles
     }
 
-    /// Time in nanoseconds for one sample's interaction GEMM on a single PE.
-    pub fn interaction_time_ns(&self, num_features: usize, dim: usize) -> f64 {
-        self.pe
-            .config()
-            .cycles_to_ns(self.interaction_cycles(num_features, dim))
-    }
-
     /// Time for a whole batch of interactions, in nanoseconds. Independent
     /// samples are distributed across the unit's PEs.
     pub fn batch_time_ns(&self, num_features: usize, dim: usize, batch: usize) -> f64 {
@@ -109,8 +102,8 @@ mod tests {
     #[test]
     fn timing_grows_with_feature_count() {
         let unit = FeatureInteractionUnit::harpv2();
-        let few = unit.interaction_time_ns(6, 32);
-        let many = unit.interaction_time_ns(51, 32);
+        let few = unit.batch_time_ns(6, 32, 1);
+        let many = unit.batch_time_ns(51, 32, 1);
         assert!(many > few);
         assert!(few > 0.0);
     }

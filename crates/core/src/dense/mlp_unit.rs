@@ -66,12 +66,6 @@ impl MlpUnit {
         self.gemms_executed += count;
     }
 
-    /// Number of 32×32×32 tile GEMMs a `[m, k] × [k, n]` product requires.
-    pub fn tile_count(&self, m: usize, n: usize, k: usize) -> u64 {
-        let t = self.pe.config().tile_dim;
-        (m.div_ceil(t) * n.div_ceil(t) * k.div_ceil(t)) as u64
-    }
-
     /// Total PE cycles for a `[m, k] × [k, n]` GEMM, accounting for partial
     /// edge tiles (which take fewer cycles than full tiles, down to the
     /// pipeline-fill minimum).
@@ -138,11 +132,18 @@ mod tests {
 
     #[test]
     fn tile_count_rounds_up() {
+        // A dimension one past a tile adds a partial edge tile, which costs
+        // at least the pipeline-fill minimum.
         let unit = MlpUnit::harpv2();
-        assert_eq!(unit.tile_count(32, 32, 32), 1);
-        assert_eq!(unit.tile_count(33, 32, 32), 2);
-        assert_eq!(unit.tile_count(64, 64, 64), 8);
-        assert_eq!(unit.tile_count(1, 1, 1), 1);
+        let pe = unit.pe_config();
+        let tile = pe.gemm_cycles(32, 32, 32);
+        assert_eq!(unit.gemm_total_cycles(32, 32, 32), tile);
+        assert_eq!(
+            unit.gemm_total_cycles(33, 32, 32),
+            tile + pe.gemm_cycles(1, 32, 32)
+        );
+        assert_eq!(unit.gemm_total_cycles(64, 64, 64), 8.0 * tile);
+        assert_eq!(unit.gemm_total_cycles(1, 1, 1), pe.min_pipeline_cycles);
     }
 
     #[test]
@@ -152,7 +153,9 @@ mod tests {
         let large = unit.gemm_time_ns(128, 128, 128);
         assert!(large > small);
         // 128³ = 64 tiles over 16 PEs = 4 waves.
-        assert!((large / unit.pe_config().tile_gemm_ns() - 4.0).abs() < 1e-9);
+        let pe = unit.pe_config();
+        let tile_ns = pe.cycles_to_ns(pe.gemm_cycles(pe.tile_dim, pe.tile_dim, pe.tile_dim));
+        assert!((large / tile_ns - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -40,16 +40,6 @@ impl PeConfig {
         (flops / self.flops_per_cycle).max(self.min_pipeline_cycles)
     }
 
-    /// Cycles to multiply two full `tile_dim × tile_dim` tiles.
-    pub fn tile_gemm_cycles(&self) -> f64 {
-        self.gemm_cycles(self.tile_dim, self.tile_dim, self.tile_dim)
-    }
-
-    /// Time for one full-tile GEMM in nanoseconds.
-    pub fn tile_gemm_ns(&self) -> f64 {
-        self.tile_gemm_cycles() * 1000.0 / self.clock_mhz
-    }
-
     /// Converts cycles at this PE's clock into nanoseconds.
     pub fn cycles_to_ns(&self, cycles: f64) -> f64 {
         cycles * 1000.0 / self.clock_mhz
@@ -101,9 +91,9 @@ mod tests {
     #[test]
     fn tile_gemm_cycles_positive_and_consistent() {
         let pe = PeConfig::harpv2();
-        let cycles = pe.tile_gemm_cycles();
+        let cycles = pe.gemm_cycles(pe.tile_dim, pe.tile_dim, pe.tile_dim);
         assert!(cycles > 100.0 && cycles < 10_000.0);
-        let ns = pe.tile_gemm_ns();
+        let ns = pe.cycles_to_ns(cycles);
         assert!((ns - cycles * 5.0).abs() < 1e-9, "200 MHz = 5 ns per cycle");
     }
 }

@@ -62,19 +62,9 @@ impl SramBuffer {
         self.used_bytes
     }
 
-    /// Bytes still free.
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity_bytes - self.used_bytes
-    }
-
     /// Number of successful allocations/stores performed.
     pub fn writes(&self) -> u64 {
         self.writes
-    }
-
-    /// Occupancy as a fraction of capacity.
-    pub fn occupancy(&self) -> f64 {
-        self.used_bytes as f64 / self.capacity_bytes as f64
     }
 
     /// Allocates `bytes` in the buffer (e.g. uploading weights at boot).
@@ -128,8 +118,6 @@ mod tests {
         sram.store(250).unwrap();
         sram.store(250).unwrap();
         assert_eq!(sram.used_bytes(), 500);
-        assert_eq!(sram.free_bytes(), 500);
-        assert!((sram.occupancy() - 0.5).abs() < 1e-9);
         assert_eq!(sram.writes(), 2);
         sram.clear();
         assert_eq!(sram.used_bytes(), 0);

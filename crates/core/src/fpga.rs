@@ -43,26 +43,6 @@ impl FpgaResources {
         }
     }
 
-    /// Element-wise sum of two resource bundles.
-    pub fn plus(&self, other: &FpgaResources) -> FpgaResources {
-        FpgaResources {
-            alms: self.alms + other.alms,
-            block_mem_bits: self.block_mem_bits + other.block_mem_bits,
-            ram_blocks: self.ram_blocks + other.ram_blocks,
-            dsps: self.dsps + other.dsps,
-            plls: self.plls + other.plls,
-        }
-    }
-
-    /// Returns `true` when every resource fits within `capacity`.
-    pub fn fits_within(&self, capacity: &FpgaResources) -> bool {
-        self.alms <= capacity.alms
-            && self.block_mem_bits <= capacity.block_mem_bits
-            && self.ram_blocks <= capacity.ram_blocks
-            && self.dsps <= capacity.dsps
-            && self.plls <= capacity.plls
-    }
-
     /// Utilization of each resource as a fraction of `capacity`
     /// `(alm, block-mem, ram-blocks, dsp, pll)`.
     pub fn utilization(&self, capacity: &FpgaResources) -> ResourceUtilization {
@@ -268,8 +248,13 @@ mod tests {
     fn centaur_fits_on_arria10() {
         let total = FpgaResources::centaur_total();
         let device = FpgaResources::arria10_gx1150();
-        assert!(total.fits_within(&device));
-        assert!(!device.fits_within(&total));
+        let fits = |u: ResourceUtilization| {
+            [u.alms, u.block_mem_bits, u.ram_blocks, u.dsps, u.plls]
+                .iter()
+                .all(|&f| f <= 1.0)
+        };
+        assert!(fits(total.utilization(&device)));
+        assert!(!fits(device.utilization(&total)));
     }
 
     #[test]
@@ -319,8 +304,6 @@ mod tests {
             dsps: 4,
             plls: 5,
         };
-        let sum = a.plus(&a);
-        assert_eq!(sum.dsps, 8);
         let zero = FpgaResources::default();
         let u = a.utilization(&zero);
         assert_eq!(u.alms, 0.0);

@@ -58,7 +58,7 @@ pub mod sparse;
 
 pub use accelerator::{CentaurBreakdown, CentaurConfig, CentaurInferenceResult, CentaurSystem};
 pub use bpregs::{BasePointer, BasePointerRegs};
-pub use chiplet::{ChipletLinkConfig, LinkPath, LinkTraffic};
+pub use chiplet::{ChipletLinkConfig, LinkPath};
 pub use dense::{DenseAccelerator, DenseStageTiming, MlpUnit, ProcessingEngine};
 pub use error::CentaurError;
 pub use fpga::{FpgaResources, ResourceReport, ResourceUtilization};

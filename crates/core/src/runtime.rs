@@ -100,11 +100,6 @@ impl CentaurRuntime {
         self.dense.set_backend(backend);
     }
 
-    /// The sparse backend executing the EB-Streamer's gather-reduce path.
-    pub fn sparse_backend(&self) -> SparseBackend {
-        self.streamer.sparse_backend()
-    }
-
     /// Selects the embedding bag's backend the EB-Streamer gathers on for
     /// subsequent functional inferences (`Scalar` is the oracle;
     /// `Vectorized` runs the register-tiled prefetching kernels). Outputs
@@ -319,7 +314,9 @@ mod tests {
     #[test]
     fn boot_initialises_all_base_pointers() {
         let runtime = CentaurRuntime::harpv2(small_model()).unwrap();
-        assert!(runtime.bpregs().is_fully_initialised());
+        // The sparse index array, five tables, MLP weights, dense features
+        // and the output: one MMIO write each.
+        assert_eq!(runtime.bpregs().mmio_writes(), 9);
         assert_eq!(runtime.bpregs().num_tables(), 5);
     }
 
@@ -373,10 +370,12 @@ mod tests {
             assert!(pool.iter().all(|shard| rows(shard.model()) == first));
             assert_eq!(rows(&model_clone), first);
         }
-        // Every shard is fully booted and serves identical results.
+        // Every shard is booted like a fresh runtime and serves identical
+        // results.
+        let booted = CentaurRuntime::harpv2(small_model()).unwrap();
         let reference = infer(&mut pool[0], &batch);
         for shard in &mut pool {
-            assert!(shard.bpregs().is_fully_initialised());
+            assert_eq!(shard.bpregs(), booted.bpregs());
             assert_eq!(infer(shard, &batch), reference);
         }
         // Shards really are independent: they can serve from worker threads.

@@ -15,13 +15,6 @@ pub struct GatherRequest {
     pub table: usize,
 }
 
-impl GatherRequest {
-    /// Number of 64-byte link transfers this request needs.
-    pub fn line_transfers(&self) -> u64 {
-        self.bytes.div_ceil(64)
-    }
-}
-
 /// The EB-GU address generator.
 ///
 /// The unit is almost pure combinational logic in the real design (base +
@@ -103,7 +96,6 @@ mod tests {
         );
         assert_eq!(req.bytes, 128);
         assert_eq!(req.table, 2);
-        assert_eq!(req.line_transfers(), 2);
     }
 
     #[test]
@@ -121,21 +113,5 @@ mod tests {
         gu.record_requests(3, 128);
         assert_eq!(gu.requests_generated(), 7);
         assert_eq!(gu.bytes_requested(), 7 * 128);
-    }
-
-    #[test]
-    fn line_transfers_round_up() {
-        let req = GatherRequest {
-            address: 0,
-            bytes: 65,
-            table: 0,
-        };
-        assert_eq!(req.line_transfers(), 2);
-        let exact = GatherRequest {
-            address: 0,
-            bytes: 64,
-            table: 0,
-        };
-        assert_eq!(exact.line_transfers(), 1);
     }
 }

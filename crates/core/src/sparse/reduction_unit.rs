@@ -61,12 +61,6 @@ impl EmbeddingReductionUnit {
     pub fn reduction_time_ns(&self, vectors: u64, dim: usize) -> f64 {
         (vectors * dim as u64) as f64 / self.elements_per_ns()
     }
-
-    /// Peak reduction bandwidth in GB/s of incoming embedding data —
-    /// used to verify the EB-RU is never the streamer's bottleneck.
-    pub fn peak_bandwidth_gbs(&self) -> f64 {
-        self.elements_per_ns() * 4.0
-    }
 }
 
 impl Default for EmbeddingReductionUnit {
@@ -92,7 +86,7 @@ mod tests {
         // 32 ALUs at 200 MHz consume 25.6 GB/s of embedding data — more than
         // the HARPv2 link can deliver (~12 GB/s for gathers).
         let ru = EmbeddingReductionUnit::harpv2_sized();
-        assert!(ru.peak_bandwidth_gbs() > 20.0);
+        assert!(ru.elements_per_ns() * 4.0 > 20.0, "GB/s of f32 elements");
         let link_limited_ns = (1_000_000u64 * 128) as f64 / 12.0;
         assert!(ru.reduction_time_ns(1_000_000, 32) < link_limited_ns);
     }

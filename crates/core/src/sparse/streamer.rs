@@ -67,6 +67,7 @@ impl SparseStageTiming {
 
     /// Hot-row cache hit fraction for the request (0 when it gathers
     /// nothing).
+    // lint: allow(dead-pub) — the per-request hot-row hit rate the benchmark is to report
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -120,23 +121,6 @@ impl EbStreamer {
         }
     }
 
-    /// Creates a streamer with explicit components (for ablations).
-    pub fn with_components(
-        link: ChipletLinkConfig,
-        index_sram: SparseIndexSram,
-        reduction_unit: EmbeddingReductionUnit,
-    ) -> Self {
-        EbStreamer {
-            link,
-            index_sram,
-            gather_unit: EmbeddingGatherUnit::new(),
-            reduction_unit,
-            backend: global_sparse_backend(),
-            hot_cache: HotRowCache::harpv2_sized(),
-            lanes: GatherLanes::new(1),
-        }
-    }
-
     /// The link configuration in use.
     pub fn link(&self) -> &ChipletLinkConfig {
         &self.link
@@ -163,11 +147,6 @@ impl EbStreamer {
         &self.hot_cache
     }
 
-    /// The sparse backend executing the functional gather-reduce path.
-    pub fn sparse_backend(&self) -> SparseBackend {
-        self.backend
-    }
-
     /// Selects the sparse backend for subsequent requests.
     pub fn set_sparse_backend(&mut self, backend: SparseBackend) {
         self.backend = backend;
@@ -176,6 +155,7 @@ impl EbStreamer {
     /// Lanes this streamer's large waves run on, its caller's included: 1
     /// until the first wave of 4096 lookups or more, and on a caller with
     /// no second CPU to use.
+    // lint: allow(dead-pub) — the one observable of the lane split, read by the zero-allocation proof
     pub fn gather_lanes(&self) -> usize {
         self.lanes.spawned()
     }
@@ -196,12 +176,6 @@ impl EbStreamer {
     #[cfg(test)]
     pub(crate) fn lane_threads(&self) -> Vec<std::thread::ThreadId> {
         self.lanes.helper_threads()
-    }
-
-    /// Swaps in a differently-budgeted hot-row cache (for ablations); the
-    /// next [`EbStreamer::execute_timing`] replays through it.
-    pub fn set_hot_row_cache(&mut self, cache: HotRowCache) {
-        self.hot_cache = cache;
     }
 
     // ------------------------------------------------------------------
@@ -414,6 +388,14 @@ mod tests {
 
     /// One request's `[num_tables * dim]` reduced embeddings through the
     /// bag alone: the reference a streamer's gather must equal.
+    /// A HARPv2 streamer whose index SRAM holds `sram` instead.
+    fn with_index_sram(sram: SparseIndexSram) -> EbStreamer {
+        EbStreamer {
+            index_sram: sram,
+            ..EbStreamer::default()
+        }
+    }
+
     fn reference(bag: &EmbeddingBag, request: &[Vec<u32>]) -> Vec<f32> {
         let width = bag.num_tables() * bag.dim();
         let mut out = vec![f32::NAN; width];
@@ -443,11 +425,7 @@ mod tests {
         let bag = EmbeddingBag::random(1, 128, 8, 3);
         let indices = vec![(0..100u32).map(|i| i % 128).collect::<Vec<_>>()];
         let tiny_sram = SparseIndexSram::new(16);
-        let mut streamer = EbStreamer::with_components(
-            ChipletLinkConfig::harpv2(),
-            tiny_sram,
-            EmbeddingReductionUnit::harpv2_sized(),
-        );
+        let mut streamer = with_index_sram(tiny_sram);
         let mut ours = vec![f32::NAN; 8];
         streamer
             .gather_reduce_batch_into(&bag, &[&indices], &mut ours, 8, 0)
@@ -479,11 +457,7 @@ mod tests {
                 .collect();
             let stride = 3 * dim + 5;
             let run = |backend| {
-                let mut streamer = EbStreamer::with_components(
-                    ChipletLinkConfig::harpv2(),
-                    SparseIndexSram::new(16),
-                    EmbeddingReductionUnit::harpv2_sized(),
-                );
+                let mut streamer = with_index_sram(SparseIndexSram::new(16));
                 streamer.set_sparse_backend(backend);
                 let mut out = vec![f32::NAN; lens.len() * stride];
                 streamer
@@ -623,7 +597,7 @@ mod tests {
             .unwrap();
         assert_eq!(streamer.reduction_unit().vectors_reduced(), 6 * 3 * 20);
         let mut streamer = EbStreamer::default();
-        assert_eq!(streamer.sparse_backend(), SparseBackend::Vectorized);
+        assert_eq!(streamer.backend, SparseBackend::Vectorized);
         let mut out = vec![0.0f32; 6 * stride];
         streamer
             .gather_reduce_batch_into(&bag, &batch_indices, &mut out, stride, 0)
@@ -677,13 +651,7 @@ mod tests {
         let trace = generator.inference_trace(64);
         let bag = EmbeddingBag::random(config.num_tables, 1024, config.embedding_dim, 3);
         let stride = bag.num_tables() * bag.dim();
-        let streamer = || {
-            EbStreamer::with_components(
-                ChipletLinkConfig::harpv2(),
-                SparseIndexSram::new(4096),
-                EmbeddingReductionUnit::harpv2_sized(),
-            )
-        };
+        let streamer = || with_index_sram(SparseIndexSram::new(4096));
         let mut functional = streamer();
         let mut out = vec![0.0f32; 64 * stride];
         functional
@@ -847,7 +815,7 @@ mod tests {
             streamer.gather_unit().requests_suppressed(),
             roomy.cache_hits
         );
-        streamer.set_hot_row_cache(HotRowCache::new(config.row_bytes()));
+        streamer.hot_cache = HotRowCache::new(config.row_bytes());
         let cramped = streamer.execute_timing(&trace);
         assert_eq!(streamer.hot_row_cache().slots(), 1);
         // Tags kept from the first call would be warm and 8192 slots wide,

@@ -222,7 +222,8 @@ mod tests {
         // Even at batch 64 the CPU cannot get close to the 77 GB/s DRAM peak.
         let r = simulate(PaperModel::Dlrm4, 64, 4);
         let gbs = r.effective_throughput().gigabytes_per_second();
-        let peak = DramConfig::ddr4_2400().peak_bandwidth_gbs();
+        let dram = DramConfig::ddr4_2400();
+        let peak = dram.mapping.channels as f64 * 64.0 / dram.burst_ns;
         assert!(
             gbs < 0.45 * peak,
             "effective {gbs:.1} GB/s vs peak {peak:.1}"

@@ -8,10 +8,7 @@
 
 use crate::config::CpuConfig;
 use centaur_dlrm::config::ModelConfig;
-use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights};
-use centaur_dlrm::tensor::gemm_flops;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Result of simulating the dense (MLP + feature interaction) stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,57 +42,6 @@ impl DenseEngine {
     pub fn gemm_time_ns(config: &CpuConfig, flops: u64, batch: usize) -> f64 {
         let gflops = config.effective_gemm_gflops(batch);
         flops as f64 / gflops
-    }
-
-    /// Measures the GFLOP/s this host actually achieves on an `[m, k] ×
-    /// [k, n]` `f32` GEMM with the given kernel backend, by running the
-    /// kernel the runtime serves from `centaur-dlrm` — `B` packed into
-    /// resident strips once, before the warm-up, then
-    /// `kernel::gemm_bias_act_prepacked` — the hook that grounds the
-    /// analytical roofline in measured numbers.
-    ///
-    /// Runs one warm-up iteration plus `reps` timed iterations and reports
-    /// the mean. Deterministic inputs; `reps` is clamped to at least 1.
-    pub fn measure_kernel_gflops(
-        backend: KernelBackend,
-        m: usize,
-        k: usize,
-        n: usize,
-        reps: u32,
-    ) -> f64 {
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 31) % 17) as f32 * 0.125 - 1.0)
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| ((i * 7) % 13) as f32 * 0.25 - 1.5)
-            .collect();
-        let mut out = vec![0.0f32; m * n];
-        let packed = PrepackedWeights::pack(&b, k, n);
-        let mut run = || {
-            kernel::gemm_bias_act_prepacked(
-                backend,
-                &a,
-                &packed,
-                None,
-                FusedAct::Identity,
-                &mut out,
-                m,
-            )
-        };
-        run();
-        let reps = reps.max(1);
-        let start = Instant::now();
-        for _ in 0..reps {
-            run();
-        }
-        let ns = start.elapsed().as_secs_f64() * 1e9 / reps as f64;
-        // Keep the result observable so the kernel cannot be optimized out.
-        assert!(out.iter().all(|v| v.is_finite()));
-        if ns > 0.0 {
-            (gemm_flops(m, n, k) as f64) / ns
-        } else {
-            0.0
-        }
     }
 
     /// Simulates the dense stage (bottom MLP, feature interaction, top MLP,
@@ -162,14 +108,6 @@ mod tests {
             let r = DenseEngine::execute(&cfg, &PaperModel::Dlrm6.config(), batch);
             assert!(r.achieved_gflops <= cfg.peak_gflops());
             assert!(r.achieved_gflops > 0.0);
-        }
-    }
-
-    #[test]
-    fn measured_kernel_gflops_is_positive_and_finite() {
-        for backend in KernelBackend::all() {
-            let gflops = DenseEngine::measure_kernel_gflops(backend, 16, 64, 32, 2);
-            assert!(gflops.is_finite() && gflops > 0.0, "{backend:?}: {gflops}");
         }
     }
 

@@ -76,12 +76,6 @@ impl CpuInferenceResult {
     pub fn effective_embedding_throughput(&self) -> Throughput {
         self.embedding.effective_throughput()
     }
-
-    /// Requests per second this latency sustains (single request in
-    /// flight).
-    pub fn throughput_qps(&self) -> f64 {
-        1e9 / self.total_ns()
-    }
 }
 
 /// The CPU-only system: a socket, its cache hierarchy and its DRAM.
@@ -185,7 +179,6 @@ mod tests {
             + r.breakdown.other_fraction();
         assert!((sum - 1.0).abs() < 1e-9);
         assert!(r.total_ns() > 0.0);
-        assert!(r.throughput_qps() > 0.0);
     }
 
     #[test]

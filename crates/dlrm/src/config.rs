@@ -37,6 +37,7 @@ pub struct ModelConfig {
 
 impl ModelConfig {
     /// Starts building a configuration.
+    // lint: allow(dead-pub) — the one way to describe a model that is not from the paper
     pub fn builder() -> ModelConfigBuilder {
         ModelConfigBuilder::default()
     }
@@ -338,6 +339,7 @@ impl ModelConfigBuilder {
     ///
     /// Returns [`DlrmError::InvalidConfig`] if a required field is missing
     /// or the configuration is inconsistent.
+    // lint: allow(dead-pub) — finishes `ModelConfig::builder`, kept with it
     pub fn build(self) -> Result<ModelConfig, DlrmError> {
         let embedding_dim = self.embedding_dim.unwrap_or(crate::DEFAULT_EMBEDDING_DIM);
         let config = ModelConfig {

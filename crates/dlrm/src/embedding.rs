@@ -459,6 +459,7 @@ fn annotate_table(err: DlrmError, table: usize) -> DlrmError {
 /// Returns [`DlrmError::InvalidConfig`] if the offsets are not monotonically
 /// non-decreasing or exceed the index array length, and
 /// [`DlrmError::IndexOutOfBounds`] for invalid row indices.
+// lint: allow(dead-pub) — the paper's Fig. 2 operator, the flat request shape to build on
 pub fn sparse_lengths_sum(
     table: &EmbeddingTable,
     indices: &[u32],

@@ -148,7 +148,8 @@ mod tests {
         let fi = FeatureInteraction::new(4, 8).unwrap();
         let features = Matrix::from_fn(4, 8, |r, c| ((r * 13 + c * 7) % 5) as f32 - 2.0);
         let out = interact(&fi, &features);
-        let gram = features.matmul(&features.transpose()).unwrap();
+        let transposed = Matrix::from_fn(8, 4, |r, c| features.get(c, r));
+        let gram = features.matmul(&transposed).unwrap();
         let mut k = 8; // skip the copied bottom-MLP output
         for i in 1..4 {
             for j in 0..i {

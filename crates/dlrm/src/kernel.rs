@@ -2,9 +2,9 @@
 //! weights with fused bias + activation epilogues, reusable scratch
 //! workspaces and SIMD-friendly chunked reductions.
 //!
-//! Everything that executes real math in the workspace — `Matrix::matmul`,
-//! `DenseLayer`/`Mlp` forward passes, the feature interaction and the
-//! embedding gather/reduce — routes through this module.
+//! Everything that executes real math in the workspace — `DenseLayer`/`Mlp`
+//! forward passes, the feature interaction and the embedding gather/reduce
+//! — routes through this module.
 //!
 //! # The GEMM: an R×16 register tile over 16-column strips
 //!
@@ -143,11 +143,9 @@ impl KernelBackend {
     }
 }
 
-/// The backend [`Matrix::matmul`] and the model forward passes run on: the
-/// production variant. Tests and oracles pick [`KernelBackend::Naive`]
-/// through the explicit `backend` arguments and `set_backend` setters.
-///
-/// [`Matrix::matmul`]: crate::tensor::Matrix::matmul
+/// The backend the model forward passes run on: the production variant.
+/// Tests and oracles pick [`KernelBackend::Naive`] through the explicit
+/// `backend` arguments and `set_backend` setters.
 pub fn global_backend() -> KernelBackend {
     KernelBackend::default()
 }
@@ -269,6 +267,7 @@ pub fn grow(buf: &mut Vec<f32>, len: usize) {
 ///
 /// Panics if a slice length disagrees with its shape.
 #[allow(clippy::too_many_arguments)]
+// lint: allow(dead-pub) — the row-major oracle every GEMM test pins the production kernel to
 pub fn gemm_reference(
     a: &[f32],
     b: &[f32],
@@ -643,6 +642,7 @@ static PREPACK_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of [`PrepackedWeights::pack`] executions (see
 /// [`PREPACK_EVENTS`]).
+// lint: allow(dead-pub) — the pack-once counter the zero-allocation proof reads
 pub fn prepack_events() -> u64 {
     PREPACK_EVENTS.load(Ordering::Relaxed)
 }
@@ -720,7 +720,7 @@ impl PrepackedWeights {
 /// Fused `out = act(a · packed + bias)` from resident strips — GEMM, bias
 /// broadcast and activation in one pass over a single output buffer, with
 /// no intermediate matrices and no scratch. The one production GEMM: every
-/// `DenseLayer` forward pass and `Matrix::matmul` run it. Both backends are
+/// `DenseLayer` forward pass runs it. Both backends are
 /// bitwise identical to [`gemm_reference`] over the row-major `B` the
 /// strips were packed from (`Naive` walks the strips in its exact
 /// accumulation order).

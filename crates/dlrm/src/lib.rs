@@ -64,9 +64,9 @@ pub use kernel::{
     global_backend, global_sparse_backend, prepack_events, FusedAct, KernelBackend,
     PrepackedWeights, SparseBackend, Workspace,
 };
-pub use mlp::{Activation, DenseLayer, Mlp, MlpStack};
+pub use mlp::{Activation, DenseLayer, Mlp};
 pub use model::{check_batch_inputs, BatchWorkspace, DlrmModel};
-pub use request::{InferenceRequest, InferenceResponse, RejectReason, RejectedRequest};
+pub use request::{InferenceRequest, RejectReason, RejectedRequest};
 pub use tensor::Matrix;
 pub use trace::{EmbeddingAccess, GatherTrace, InferenceTrace};
 

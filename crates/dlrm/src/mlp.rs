@@ -97,39 +97,14 @@ impl DenseLayer {
         &self.packed
     }
 
-    /// Replaces the layer's weights with a row-major matrix of the same
-    /// `[in, out]` shape, packing it into the resident strips.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] if the new matrix's shape
-    /// differs from the current one (layer widths are structural; changing
-    /// them would silently break the surrounding MLP's wiring).
-    pub fn set_weights(&mut self, weights: Matrix) -> Result<(), DlrmError> {
-        if weights.shape() != (self.in_dim(), self.out_dim()) {
-            return Err(DlrmError::ShapeMismatch {
-                op: "dense layer weight update",
-                lhs: (self.in_dim(), self.out_dim()),
-                rhs: weights.shape(),
-            });
-        }
-        self.packed = PrepackedWeights::pack(weights.as_slice(), weights.rows(), weights.cols());
-        Ok(())
-    }
-
     /// Activation applied by the layer.
     pub fn activation(&self) -> Activation {
         self.activation
     }
 
-    /// Number of parameters (weights + biases).
-    pub fn num_params(&self) -> usize {
-        self.in_dim() * self.out_dim() + self.bias.len()
-    }
-
     /// Resident size of the layer's parameters in bytes: the strips plus
     /// the bias row. Packing is a permutation of the weight matrix, not an
-    /// expansion, so this is `num_params()` `f32`s exactly.
+    /// expansion, so this is one `f32` per weight and bias exactly.
     pub fn size_bytes(&self) -> usize {
         self.packed.size_bytes() + self.bias.size_bytes()
     }
@@ -257,11 +232,6 @@ impl Mlp {
         dims
     }
 
-    /// Total parameter count.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(DenseLayer::num_params).sum()
-    }
-
     /// Total parameter footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         self.layers.iter().map(DenseLayer::size_bytes).sum()
@@ -340,10 +310,6 @@ impl Mlp {
     }
 }
 
-/// The paper-facing name for a stack of dense layers; `MlpStack` and
-/// [`Mlp`] are the same type.
-pub type MlpStack = Mlp;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,9 +336,9 @@ mod tests {
     fn dense_layer_forward_known_values() {
         // y = relu(x*W + b) with hand-computed numbers.
         let w = Matrix::from_vec(2, 2, vec![1.0, -1.0, 0.5, 2.0]).unwrap();
-        let b = Matrix::row_vector(&[0.0, 1.0]);
+        let b = Matrix::from_vec(1, 2, vec![0.0, 1.0]).unwrap();
         let layer = DenseLayer::new(w, b, Activation::Relu).unwrap();
-        let x = Matrix::row_vector(&[2.0, 4.0]);
+        let x = Matrix::from_vec(1, 2, vec![2.0, 4.0]).unwrap();
         let y = layer_out(&layer, &x);
         // z = [2*1 + 4*0.5, 2*-1 + 4*2] + [0,1] = [4, 7]
         assert_eq!(y.as_slice(), &[4.0, 7.0]);
@@ -381,9 +347,9 @@ mod tests {
     #[test]
     fn dense_layer_relu_clamps() {
         let w = Matrix::from_vec(1, 1, vec![-1.0]).unwrap();
-        let b = Matrix::row_vector(&[0.0]);
+        let b = Matrix::zeros(1, 1);
         let layer = DenseLayer::new(w, b, Activation::Relu).unwrap();
-        let y = layer_out(&layer, &Matrix::row_vector(&[3.0]));
+        let y = layer_out(&layer, &Matrix::filled(1, 1, 3.0));
         assert_eq!(y.as_slice(), &[0.0]);
     }
 
@@ -399,7 +365,6 @@ mod tests {
         let layer = DenseLayer::random(8, 4, Activation::Relu, 3);
         assert_eq!(layer.in_dim(), 8);
         assert_eq!(layer.out_dim(), 4);
-        assert_eq!(layer.num_params(), 8 * 4 + 4);
         assert_eq!(layer.size_bytes(), (8 * 4 + 4) * 4);
         assert_eq!(layer.flops(2), 2 * (2 * 8 * 4) as u64 + 8);
     }
@@ -434,7 +399,7 @@ mod tests {
     fn empty_mlp_is_identity() {
         let mlp = Mlp::default();
         assert!(mlp.is_empty());
-        let x = Matrix::row_vector(&[1.0, 2.0]);
+        let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
         assert_eq!(mlp_out(&mlp, &x), x);
         assert_eq!(mlp.dims(), Vec::<usize>::new());
     }
@@ -450,7 +415,6 @@ mod tests {
     fn mlp_size_bytes_matches_param_count() {
         let mlp = Mlp::random(&[13, 512, 256, 64], Activation::Relu, 9).unwrap();
         let params = 13 * 512 + 512 + 512 * 256 + 256 + 256 * 64 + 64;
-        assert_eq!(mlp.num_params(), params);
         assert_eq!(mlp.size_bytes(), params * 4);
     }
 
@@ -507,27 +471,16 @@ mod tests {
     }
 
     #[test]
-    fn set_weights_repacks_and_checks_shape() {
-        let mut layer = DenseLayer::random(9, 7, Activation::Relu, 5);
-        let replacement = Matrix::from_fn(9, 7, |r, c| (r * 7 + c) as f32 * 0.05 - 1.0);
-        layer.set_weights(replacement.clone()).unwrap();
-        // The resident strips and the served result both match a layer
-        // constructed fresh from the new weights.
-        let fresh = DenseLayer::new(replacement, layer.bias().clone(), Activation::Relu).unwrap();
-        assert_eq!(layer.packed(), fresh.packed(), "strips must be re-packed");
-        let x = Matrix::from_fn(3, 9, |r, c| (r as f32 - c as f32) * 0.1);
-        assert_eq!(layer_out(&layer, &x), layer_out(&fresh, &x));
-        // Shape changes are structural and rejected.
-        assert!(layer.set_weights(Matrix::zeros(9, 8)).is_err());
-        assert!(layer.set_weights(Matrix::zeros(8, 7)).is_err());
-    }
-
-    #[test]
     fn packed_bytes_equal_row_major_bytes() {
         let mlp = Mlp::random(&[13, 512, 256, 64], Activation::Relu, 9).unwrap();
-        assert_eq!(mlp.size_bytes(), mlp.num_params() * 4);
+        let params: usize = mlp
+            .iter()
+            .map(|l| l.in_dim() * l.out_dim() + l.out_dim())
+            .sum();
+        assert_eq!(mlp.size_bytes(), params * 4);
         for layer in mlp.iter() {
-            assert_eq!(layer.size_bytes(), layer.num_params() * 4);
+            let params = layer.in_dim() * layer.out_dim() + layer.out_dim();
+            assert_eq!(layer.size_bytes(), params * 4);
             assert_eq!(layer.packed().k(), layer.in_dim());
             assert_eq!(layer.packed().n(), layer.out_dim());
         }
@@ -537,7 +490,7 @@ mod tests {
     fn activation_apply() {
         // Through a layer whose product is its input: the fused epilogue
         // applies the activation.
-        let x = Matrix::row_vector(&[-2.0, 2.0]);
+        let x = Matrix::from_vec(1, 2, vec![-2.0, 2.0]).unwrap();
         let through = |act| {
             let id = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
             layer_out(&DenseLayer::new(id, Matrix::zeros(1, 2), act).unwrap(), &x)

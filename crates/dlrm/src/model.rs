@@ -122,53 +122,6 @@ impl DlrmModel {
         })
     }
 
-    /// Builds a model from explicit components.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::InvalidConfig`] if the components do not fit
-    /// together (MLP widths, table count or embedding width mismatch).
-    pub fn from_parts(
-        config: ModelConfig,
-        bottom_mlp: Mlp,
-        embeddings: EmbeddingBag,
-        top_mlp: Mlp,
-    ) -> Result<Self, DlrmError> {
-        config.validate()?;
-        if embeddings.num_tables() != config.num_tables {
-            return Err(DlrmError::InvalidConfig(format!(
-                "embedding bag has {} tables, config expects {}",
-                embeddings.num_tables(),
-                config.num_tables
-            )));
-        }
-        if embeddings.dim() != config.embedding_dim {
-            return Err(DlrmError::InvalidConfig(format!(
-                "embedding dim {} does not match config {}",
-                embeddings.dim(),
-                config.embedding_dim
-            )));
-        }
-        if bottom_mlp.dims() != config.bottom_mlp_dims() {
-            return Err(DlrmError::InvalidConfig(
-                "bottom MLP dims do not match config".into(),
-            ));
-        }
-        if top_mlp.dims() != config.top_mlp_dims() {
-            return Err(DlrmError::InvalidConfig(
-                "top MLP dims do not match config".into(),
-            ));
-        }
-        let interaction = config.feature_interaction();
-        Ok(DlrmModel {
-            config,
-            bottom_mlp,
-            embeddings,
-            interaction,
-            top_mlp,
-        })
-    }
-
     /// The model's configuration.
     pub fn config(&self) -> &ModelConfig {
         &self.config
@@ -454,7 +407,7 @@ mod tests {
         for (i, sample) in batch.iter().enumerate() {
             let single = model
                 .forward_batch(
-                    &Matrix::row_vector(dense.row(i)),
+                    &Matrix::from_vec(1, 5, dense.row(i).to_vec()).unwrap(),
                     std::slice::from_ref(sample),
                 )
                 .unwrap();
@@ -483,40 +436,6 @@ mod tests {
         assert!(model
             .forward_batch(&wrong, &[tiny_indices(&config)])
             .is_err());
-    }
-
-    #[test]
-    fn from_parts_validates_components() {
-        let config = tiny_config();
-        let good = DlrmModel::random(&config, 7).unwrap();
-        // Rebuilding from its own parts succeeds.
-        let rebuilt = DlrmModel::from_parts(
-            config.clone(),
-            good.bottom_mlp().clone(),
-            good.embeddings().clone(),
-            good.top_mlp().clone(),
-        )
-        .unwrap();
-        assert_eq!(&rebuilt, &good);
-
-        // Wrong table count fails.
-        let bad_bag = EmbeddingBag::random(2, 64, 8, 0);
-        assert!(DlrmModel::from_parts(
-            config.clone(),
-            good.bottom_mlp().clone(),
-            bad_bag,
-            good.top_mlp().clone(),
-        )
-        .is_err());
-
-        // A bag whose tables disagree on width never reaches `from_parts`:
-        // the only constructor that takes loose tables rejects it.
-        let mut tables: Vec<_> = good.embeddings().iter().cloned().collect();
-        tables[1] = crate::EmbeddingTable::zeros(64, 16);
-        assert!(matches!(
-            EmbeddingBag::new(tables),
-            Err(DlrmError::InvalidConfig(_))
-        ));
     }
 
     #[test]

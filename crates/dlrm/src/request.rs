@@ -64,15 +64,6 @@ impl InferenceRequest {
     }
 }
 
-/// The served answer to one [`InferenceRequest`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InferenceResponse {
-    /// The request id this answers.
-    pub id: u64,
-    /// Predicted click probability.
-    pub probability: f32,
-}
-
 /// Why a serving layer refused to answer a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {

@@ -9,9 +9,10 @@
 //! layers is visible.
 
 use crate::error::DlrmError;
+#[cfg(test)]
 use crate::kernel::{self, FusedAct, PrepackedWeights};
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut};
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -69,15 +70,6 @@ impl Matrix {
             });
         }
         Ok(Matrix { rows, cols, data })
-    }
-
-    /// Creates a `[1, n]` row vector from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
     }
 
     /// Number of rows.
@@ -156,16 +148,15 @@ impl Matrix {
         self.data[r * self.cols + c] = value;
     }
 
-    /// Matrix product `self * rhs` on the production [`KernelBackend`]:
-    /// `rhs` is packed into strips once, then the one production GEMM
-    /// ([`gemm_bias_act_prepacked`]) runs over them.
-    ///
-    /// [`KernelBackend`]: crate::kernel::KernelBackend
-    /// [`gemm_bias_act_prepacked`]: crate::kernel::gemm_bias_act_prepacked
+    /// Matrix product `self * rhs` on the production backend: `rhs` is
+    /// packed into strips once, then the one production GEMM
+    /// (`gemm_bias_act_prepacked`) runs over them. Test-only: no layer
+    /// multiplies two loose matrices.
     ///
     /// # Errors
     ///
     /// Returns [`DlrmError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
+    #[cfg(test)]
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, DlrmError> {
         if self.cols != rhs.rows {
             return Err(DlrmError::ShapeMismatch {
@@ -186,129 +177,6 @@ impl Matrix {
             self.rows,
         );
         Ok(out)
-    }
-
-    /// Returns the transpose of the matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// Adds a `[1, cols]` bias row vector to every row of the matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] if the bias width differs from
-    /// the matrix width.
-    pub fn add_bias(&self, bias: &Matrix) -> Result<Matrix, DlrmError> {
-        if bias.cols != self.cols || bias.rows != 1 {
-            return Err(DlrmError::ShapeMismatch {
-                op: "add_bias",
-                lhs: self.shape(),
-                rhs: bias.shape(),
-            });
-        }
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                out.data[r * out.cols + c] += bias.data[c];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Applies a function to every element, returning a new matrix.
-    pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Element-wise rectified linear unit.
-    pub fn relu(&self) -> Matrix {
-        self.map(|x| if x > 0.0 { x } else { 0.0 })
-    }
-
-    /// Concatenates two matrices horizontally (same number of rows).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] if the row counts differ.
-    pub fn hconcat(&self, rhs: &Matrix) -> Result<Matrix, DlrmError> {
-        if self.rows != rhs.rows {
-            return Err(DlrmError::ShapeMismatch {
-                op: "hconcat",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + rhs.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(rhs.row(r));
-        }
-        Ok(out)
-    }
-
-    /// Concatenates two matrices vertically (same number of columns).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::ShapeMismatch`] if the column counts differ.
-    pub fn vconcat(&self, rhs: &Matrix) -> Result<Matrix, DlrmError> {
-        if self.cols != rhs.cols {
-            return Err(DlrmError::ShapeMismatch {
-                op: "vconcat",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&rhs.data);
-        Ok(Matrix {
-            rows: self.rows + rhs.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Dot product between two rows of (possibly different) matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two rows have different lengths or are out of bounds.
-    pub fn row_dot(&self, r: usize, other: &Matrix, other_r: usize) -> f32 {
-        let a = self.row(r);
-        let b = other.row(other_r);
-        assert_eq!(a.len(), b.len(), "row_dot requires equal row widths");
-        a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-    }
-
-    /// Maximum absolute element-wise difference to another matrix.
-    ///
-    /// Useful for approximate-equality checks in tests. Returns `f32::MAX`
-    /// when shapes differ.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
-        if self.shape() != other.shape() {
-            return f32::MAX;
-        }
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
-    }
-
-    /// Iterates over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> + '_ {
-        (0..self.rows).map(move |r| self.row(r))
     }
 }
 
@@ -349,50 +217,6 @@ impl Index<(usize, usize)> for Matrix {
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
         &mut self.data[r * self.cols + c]
-    }
-}
-
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "element-wise add shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "element-wise sub shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
-    }
-}
-
-impl Mul<f32> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, rhs: f32) -> Matrix {
-        self.map(|x| x * rhs)
     }
 }
 
@@ -495,38 +319,8 @@ mod tests {
     fn identity_matmul_is_noop() {
         let a = Matrix::from_fn(4, 4, |r, c| (r + 2 * c) as f32);
         let id = Matrix::from_fn(4, 4, |r, c| if r == c { 1.0 } else { 0.0 });
-        let out = a.matmul(&id).unwrap();
-        assert!(out.max_abs_diff(&a) < 1e-6);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_fn(3, 7, |r, c| (r * 31 + c) as f32);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().shape(), (7, 3));
-        assert_eq!(a.transpose().get(2, 1), a.get(1, 2));
-    }
-
-    #[test]
-    fn add_bias_broadcasts() {
-        let a = Matrix::filled(2, 3, 1.0);
-        let bias = Matrix::row_vector(&[0.5, -0.5, 2.0]);
-        let out = a.add_bias(&bias).unwrap();
-        assert_eq!(out.row(0), &[1.5, 0.5, 3.0]);
-        assert_eq!(out.row(1), &[1.5, 0.5, 3.0]);
-    }
-
-    #[test]
-    fn add_bias_shape_checked() {
-        let a = Matrix::filled(2, 3, 1.0);
-        let bias = Matrix::row_vector(&[1.0, 2.0]);
-        assert!(a.add_bias(&bias).is_err());
-    }
-
-    #[test]
-    fn relu_clamps_negatives() {
-        let a = Matrix::row_vector(&[-1.0, 0.0, 2.5]);
-        assert_eq!(a.relu().as_slice(), &[0.0, 0.0, 2.5]);
+        // Each output is one product by 1 plus products by 0: exact.
+        assert_eq!(a.matmul(&id).unwrap(), a);
     }
 
     #[test]
@@ -538,39 +332,6 @@ mod tests {
             assert!((y + y_neg - 1.0).abs() < 1e-5);
         }
         assert!((sigmoid_scalar(0.0) - 0.5).abs() < 1e-7);
-    }
-
-    #[test]
-    fn hconcat_and_vconcat() {
-        let a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 3, 2.0);
-        let h = a.hconcat(&b).unwrap();
-        assert_eq!(h.shape(), (2, 5));
-        assert_eq!(h.row(0), &[1.0, 1.0, 2.0, 2.0, 2.0]);
-
-        let c = Matrix::filled(1, 2, 3.0);
-        let v = a.vconcat(&c).unwrap();
-        assert_eq!(v.shape(), (3, 2));
-        assert_eq!(v.row(2), &[3.0, 3.0]);
-
-        assert!(a.hconcat(&Matrix::zeros(3, 1)).is_err());
-        assert!(a.vconcat(&Matrix::zeros(1, 3)).is_err());
-    }
-
-    #[test]
-    fn row_dot_matches_manual() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let d = a.row_dot(0, &a, 1);
-        assert!((d - (4.0 + 10.0 + 18.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let a = Matrix::row_vector(&[1.0, 2.0]);
-        let b = Matrix::row_vector(&[0.5, 0.25]);
-        assert_eq!((&a + &b).as_slice(), &[1.5, 2.25]);
-        assert_eq!((&a - &b).as_slice(), &[0.5, 1.75]);
-        assert_eq!((&a * 2.0).as_slice(), &[2.0, 4.0]);
     }
 
     #[test]

@@ -176,17 +176,6 @@ impl TableLayout {
         );
         self.base + access.table as u64 * self.table_stride + access.row * self.row_bytes
     }
-
-    /// Total bytes spanned by the layout (including per-table alignment
-    /// padding).
-    pub fn span_bytes(&self) -> u64 {
-        self.num_tables as u64 * self.table_stride
-    }
-
-    /// One past the highest address used by the layout.
-    pub fn end_address(&self) -> u64 {
-        self.base + self.span_bytes()
-    }
 }
 
 /// Everything a timing simulator needs to know about one batched inference
@@ -236,11 +225,6 @@ impl InferenceTrace {
     /// Useful embedding bytes gathered for the whole batch.
     pub fn gathered_bytes(&self) -> u64 {
         self.gather.gathered_bytes()
-    }
-
-    /// Dense-layer FLOPs for the whole batch.
-    pub fn dense_flops(&self) -> u64 {
-        self.config.dense_flops_per_sample() * self.batch_size() as u64
     }
 
     /// The table layout implied by the configuration.
@@ -295,7 +279,6 @@ mod tests {
         assert_eq!(a01 - a00, 128);
         assert_eq!((a10 - a00) % 4096, 0);
         assert!(a10 >= a00 + 100 * 128);
-        assert_eq!(layout.end_address(), 0x1000 + layout.span_bytes());
     }
 
     #[test]
@@ -311,7 +294,7 @@ mod tests {
         let layout = TableLayout::for_config(&c);
         assert_eq!(layout.num_tables(), 50);
         // Span must be at least the raw embedding bytes (3.2 GB).
-        assert!(layout.span_bytes() >= c.embedding_bytes());
+        assert!(layout.num_tables as u64 * layout.table_stride >= c.embedding_bytes());
     }
 
     #[test]
@@ -333,7 +316,6 @@ mod tests {
         assert_eq!(trace.gathered_bytes(), 4 * c.gathered_bytes_per_sample());
         assert_eq!(trace.index_bytes(), 4 * c.index_bytes_per_sample());
         assert_eq!(trace.dense_bytes(), 4 * 13 * 4);
-        assert_eq!(trace.dense_flops(), 4 * c.dense_flops_per_sample());
     }
 
     #[test]

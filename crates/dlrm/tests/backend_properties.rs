@@ -3,7 +3,7 @@
 //! adversarial edge shapes.
 
 use centaur_dlrm::kernel::{self, FusedAct, KernelBackend, PrepackedWeights, Workspace};
-use centaur_dlrm::{Activation, Mlp, MlpStack};
+use centaur_dlrm::{Activation, Mlp};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random matrix data for a given seed. The scale and
@@ -95,7 +95,7 @@ proptest! {
         hidden in 1usize..48,
         seed in 0u64..1000,
     ) {
-        let mlp: MlpStack = Mlp::random(&[11, hidden, 5], Activation::Relu, seed).unwrap();
+        let mlp = Mlp::random(&[11, hidden, 5], Activation::Relu, seed).unwrap();
         let x = test_data(batch * 11, seed);
         let reference = mlp.iter().fold(x.clone(), |input, layer| {
             let mut out = vec![0.0; batch * layer.out_dim()];

@@ -200,7 +200,7 @@ proptest! {
 /// A bag whose tables disagree on `dim` used to panic inside the production
 /// kernel's width assert and return `ShapeMismatch` from the oracle — one
 /// hostile input, two answers. It is now rejected where it is built, so no
-/// reduce path (or `DlrmModel::from_parts`) can be handed one.
+/// reduce path can be handed one.
 #[test]
 fn mixed_width_bag_is_rejected_at_construction() {
     let tables = vec![table_for(16, 8, 1), table_for(16, 16, 2)];

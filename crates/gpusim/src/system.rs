@@ -71,16 +71,6 @@ impl CpuGpuSystem {
         CpuGpuSystem::new(CpuConfig::broadwell_xeon(), GpuConfig::dgx1_v100())
     }
 
-    /// The GPU configuration in use.
-    pub fn gpu_config(&self) -> &GpuConfig {
-        &self.gpu
-    }
-
-    /// The CPU configuration in use.
-    pub fn cpu_config(&self) -> &CpuConfig {
-        self.cpu.config()
-    }
-
     /// Bytes that must cross PCIe to the device for one batch: the reduced
     /// embeddings (one vector per table per sample) plus the dense features.
     pub fn host_to_device_bytes(model: &ModelConfig, batch: usize) -> u64 {

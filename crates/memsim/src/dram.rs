@@ -44,16 +44,6 @@ impl DramConfig {
             controller_latency_ns: 50.0,
         }
     }
-
-    /// Peak aggregate data-bus bandwidth in GB/s.
-    pub fn peak_bandwidth_gbs(&self) -> f64 {
-        self.mapping.channels as f64 * CACHE_LINE_BYTES as f64 / self.burst_ns
-    }
-
-    /// Idle (unloaded) read latency: row miss on an idle bank.
-    pub fn idle_latency_ns(&self) -> f64 {
-        self.controller_latency_ns + self.t_rcd_ns + self.t_cas_ns + self.burst_ns
-    }
 }
 
 impl Default for DramConfig {
@@ -77,26 +67,6 @@ pub struct DramStats {
     pub bytes: u64,
     /// Time of the last completion, in nanoseconds.
     pub last_completion_ns: f64,
-}
-
-impl DramStats {
-    /// Fraction of requests that hit in an open row buffer.
-    pub fn row_hit_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.requests as f64
-        }
-    }
-
-    /// Achieved bandwidth in GB/s over the window `[0, last_completion]`.
-    pub fn achieved_bandwidth_gbs(&self) -> f64 {
-        if self.last_completion_ns <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.last_completion_ns
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -187,39 +157,45 @@ impl DramModel {
         }
         completion
     }
-
-    /// Services a batch of `(issue_ns, addr)` requests in order and returns
-    /// their completion times.
-    pub fn access_all(&mut self, requests: &[(f64, u64)]) -> Vec<f64> {
-        requests
-            .iter()
-            .map(|&(issue, addr)| self.access(addr, issue))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Peak aggregate data-bus bandwidth in GB/s.
+    fn peak_bandwidth_gbs(c: &DramConfig) -> f64 {
+        c.mapping.channels as f64 * CACHE_LINE_BYTES as f64 / c.burst_ns
+    }
+
+    /// Idle (unloaded) read latency: row miss on an idle bank.
+    fn idle_latency_ns(c: &DramConfig) -> f64 {
+        c.controller_latency_ns + c.t_rcd_ns + c.t_cas_ns + c.burst_ns
+    }
+
+    /// Achieved bandwidth in GB/s over the window `[0, last_completion]`.
+    fn achieved_bandwidth_gbs(s: &DramStats) -> f64 {
+        s.bytes as f64 / s.last_completion_ns
+    }
+
     #[test]
     fn peak_bandwidth_matches_paper_baseline() {
         let c = DramConfig::ddr4_2400();
         // The paper quotes 77 GB/s of CPU memory bandwidth.
-        assert!((c.peak_bandwidth_gbs() - 76.8).abs() < 0.5);
+        assert!((peak_bandwidth_gbs(&c) - 76.8).abs() < 0.5);
     }
 
     #[test]
     fn idle_latency_is_sub_100ns() {
         let c = DramConfig::ddr4_2400();
-        assert!(c.idle_latency_ns() > 50.0 && c.idle_latency_ns() < 100.0);
+        assert!(idle_latency_ns(&c) > 50.0 && idle_latency_ns(&c) < 100.0);
     }
 
     #[test]
     fn single_access_latency_is_idle_latency() {
         let mut d = DramModel::new(DramConfig::ddr4_2400());
         let done = d.access(0x1234_5678, 0.0);
-        assert!((done - d.config().idle_latency_ns()).abs() < 1e-9);
+        assert!((done - idle_latency_ns(d.config())).abs() < 1e-9);
         assert_eq!(d.stats().requests, 1);
         assert_eq!(d.stats().row_empty, 1);
     }
@@ -264,15 +240,16 @@ mod tests {
         // pipelined stream); achieved bandwidth should be a large fraction of
         // peak.
         let n = 40_000u64;
-        let requests: Vec<(f64, u64)> = (0..n).map(|i| (0.0, i * CACHE_LINE_BYTES)).collect();
-        d.access_all(&requests);
-        let bw = d.stats().achieved_bandwidth_gbs();
+        for i in 0..n {
+            d.access(i * CACHE_LINE_BYTES, 0.0);
+        }
+        let bw = achieved_bandwidth_gbs(d.stats());
         assert!(
-            bw > 0.7 * cfg.peak_bandwidth_gbs(),
+            bw > 0.7 * peak_bandwidth_gbs(&cfg),
             "streaming bandwidth too low: {bw:.1} GB/s"
         );
-        assert!(bw <= cfg.peak_bandwidth_gbs() + 1e-6);
-        assert!(d.stats().row_hit_rate() > 0.9);
+        assert!(bw <= peak_bandwidth_gbs(&cfg) + 1e-6);
+        assert!(d.stats().row_hits as f64 > 0.9 * d.stats().requests as f64);
     }
 
     #[test]
@@ -287,7 +264,7 @@ mod tests {
             t = d.access(addr, t);
             addr = addr.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(12345) % (1 << 34);
         }
-        let bw = d.stats().achieved_bandwidth_gbs();
+        let bw = achieved_bandwidth_gbs(d.stats());
         assert!(
             bw < 1.5,
             "serialized random reads should be ~0.8 GB/s, got {bw:.2}"
@@ -323,12 +300,5 @@ mod tests {
         // After reset the same access sees an empty row again.
         d.access(0, 0.0);
         assert_eq!(d.stats().row_empty, 1);
-    }
-
-    #[test]
-    fn stats_rates_handle_empty() {
-        let s = DramStats::default();
-        assert_eq!(s.row_hit_rate(), 0.0);
-        assert_eq!(s.achieved_bandwidth_gbs(), 0.0);
     }
 }

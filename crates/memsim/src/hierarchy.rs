@@ -49,15 +49,6 @@ impl HierarchyConfig {
             llc: CacheConfig::new(35 * 1024 * 1024, 20, 18.0),
         }
     }
-
-    /// A small hierarchy for fast unit tests (4 KiB / 16 KiB / 64 KiB).
-    pub fn tiny_for_tests() -> Self {
-        HierarchyConfig {
-            l1: CacheConfig::new(4 * 1024, 4, 1.0),
-            l2: CacheConfig::new(16 * 1024, 4, 3.0),
-            llc: CacheConfig::new(64 * 1024, 8, 10.0),
-        }
-    }
 }
 
 impl Default for HierarchyConfig {
@@ -86,11 +77,6 @@ impl HierarchyStats {
     /// LLC misses per thousand instructions (Figure 6(b)).
     pub fn llc_mpki(&self, instructions: u64) -> f64 {
         self.llc.mpki(instructions)
-    }
-
-    /// Number of accesses that reached DRAM.
-    pub fn memory_accesses(&self) -> u64 {
-        self.llc.misses
     }
 }
 
@@ -147,11 +133,6 @@ impl CacheHierarchy {
         MemoryLevel::Memory
     }
 
-    /// Probes whether the line is present in the LLC without touching stats.
-    pub fn probe_llc(&self, addr: u64) -> bool {
-        self.llc.probe(addr)
-    }
-
     /// Pre-loads a line into every level without counting an access
     /// (used to model warmed-up weights resident in cache).
     pub fn install_all_levels(&mut self, addr: u64) {
@@ -201,11 +182,20 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A small hierarchy for fast unit tests (4 KiB / 16 KiB / 64 KiB).
+    fn tiny() -> HierarchyConfig {
+        HierarchyConfig {
+            l1: CacheConfig::new(4 * 1024, 4, 1.0),
+            l2: CacheConfig::new(16 * 1024, 4, 3.0),
+            llc: CacheConfig::new(64 * 1024, 8, 10.0),
+        }
+    }
     use crate::CACHE_LINE_BYTES;
 
     #[test]
     fn first_touch_misses_everywhere_then_hits_l1() {
-        let mut h = CacheHierarchy::new(&HierarchyConfig::tiny_for_tests());
+        let mut h = CacheHierarchy::new(&tiny());
         assert_eq!(h.access_read(0x4000), MemoryLevel::Memory);
         assert_eq!(h.access_read(0x4000), MemoryLevel::L1);
         let s = h.stats();
@@ -216,7 +206,7 @@ mod tests {
 
     #[test]
     fn l1_eviction_falls_back_to_l2_or_llc() {
-        let cfg = HierarchyConfig::tiny_for_tests();
+        let cfg = tiny();
         let mut h = CacheHierarchy::new(&cfg);
         // Touch a working set bigger than L1 (4 KiB = 64 lines) but smaller
         // than LLC, twice. The second pass must not go to memory.
@@ -237,7 +227,7 @@ mod tests {
 
     #[test]
     fn llc_miss_rate_tracks_working_set() {
-        let cfg = HierarchyConfig::tiny_for_tests();
+        let cfg = tiny();
         // Working set 4x the LLC: repeated sweeps keep missing.
         let mut h = CacheHierarchy::new(&cfg);
         let lines: Vec<u64> = (0..(64 * 1024 / CACHE_LINE_BYTES) * 4)
@@ -260,7 +250,7 @@ mod tests {
         for &l in &small {
             assert_ne!(h2.access_read(l), MemoryLevel::Memory);
         }
-        assert_eq!(h2.stats().memory_accesses(), 0);
+        assert_eq!(h2.stats().llc.misses, 0);
     }
 
     #[test]
@@ -275,15 +265,15 @@ mod tests {
 
     #[test]
     fn install_all_levels_prewarms() {
-        let mut h = CacheHierarchy::new(&HierarchyConfig::tiny_for_tests());
+        let mut h = CacheHierarchy::new(&tiny());
         h.install_all_levels(0x8000);
         assert_eq!(h.access_read(0x8000), MemoryLevel::L1);
-        assert!(h.probe_llc(0x8000));
+        assert!(h.llc.probe(0x8000));
     }
 
     #[test]
     fn mpki_is_scaled_by_instructions() {
-        let mut h = CacheHierarchy::new(&HierarchyConfig::tiny_for_tests());
+        let mut h = CacheHierarchy::new(&tiny());
         for i in 0..1000u64 {
             h.access_read(i * 1024 * 1024); // all distinct lines, all miss
         }
@@ -294,7 +284,7 @@ mod tests {
 
     #[test]
     fn flush_resets_everything() {
-        let mut h = CacheHierarchy::new(&HierarchyConfig::tiny_for_tests());
+        let mut h = CacheHierarchy::new(&tiny());
         h.access_read(0);
         h.flush();
         assert_eq!(h.stats().l1.accesses, 0);

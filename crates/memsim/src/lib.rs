@@ -2,10 +2,10 @@
 //!
 //! A cycle-approximate memory-subsystem simulator used to reproduce the
 //! CPU-side characterization of the Centaur paper (Figures 5–7): a
-//! set-associative cache hierarchy (L1/L2/LLC) with LRU replacement, MSHR
-//! files that bound memory-level parallelism, and a DDR4 DRAM model with
-//! channels, ranks, banks, open-row tracking and per-channel data-bus
-//! bandwidth.
+//! set-associative cache hierarchy (L1/L2/LLC) with LRU replacement and a
+//! DDR4 DRAM model with channels, ranks, banks, open-row tracking and
+//! per-channel data-bus bandwidth. Memory-level parallelism is not modelled
+//! here: the CPU model bounds it with its own per-core gather window.
 //!
 //! The simulator is trace-driven: callers replay a stream of physical
 //! addresses (e.g. embedding gathers produced by `centaur-workload`) and
@@ -29,14 +29,12 @@ pub mod address;
 pub mod cache;
 pub mod dram;
 pub mod hierarchy;
-pub mod mshr;
 pub mod stats;
 
 pub use address::{AddressMapping, DramLocation};
 pub use cache::{AccessKind, CacheConfig, CacheStats, SetAssociativeCache};
 pub use dram::{DramConfig, DramModel, DramStats};
 pub use hierarchy::{CacheHierarchy, HierarchyConfig, HierarchyStats, MemoryLevel};
-pub use mshr::MshrFile;
 pub use stats::Throughput;
 
 /// Cache-line size assumed throughout the simulator (bytes).

@@ -29,24 +29,6 @@ impl Throughput {
             self.bytes as f64 / self.elapsed_ns
         }
     }
-
-    /// Elapsed time in microseconds.
-    pub fn elapsed_us(&self) -> f64 {
-        self.elapsed_ns / 1_000.0
-    }
-
-    /// Elapsed time in milliseconds.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed_ns / 1_000_000.0
-    }
-
-    /// Combines two measurements covering *disjoint, sequential* windows.
-    pub fn combine(&self, other: &Throughput) -> Throughput {
-        Throughput {
-            bytes: self.bytes + other.bytes,
-            elapsed_ns: self.elapsed_ns + other.elapsed_ns,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -66,22 +48,5 @@ mod tests {
     #[test]
     fn zero_window_is_zero_throughput() {
         assert_eq!(Throughput::new(100, 0.0).gigabytes_per_second(), 0.0);
-    }
-
-    #[test]
-    fn unit_conversions() {
-        let t = Throughput::new(0, 2_500_000.0);
-        assert!((t.elapsed_us() - 2500.0).abs() < 1e-9);
-        assert!((t.elapsed_ms() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn combine_adds_both_fields() {
-        let a = Throughput::new(100, 10.0);
-        let b = Throughput::new(50, 40.0);
-        let c = a.combine(&b);
-        assert_eq!(c.bytes, 150);
-        assert!((c.elapsed_ns - 50.0).abs() < 1e-9);
-        assert!((c.gigabytes_per_second() - 3.0).abs() < 1e-9);
     }
 }

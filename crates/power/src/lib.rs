@@ -107,11 +107,6 @@ impl PowerModel {
     pub fn energy_joules(&self, latency_ns: f64) -> f64 {
         self.total_watts() * latency_ns * 1e-9
     }
-
-    /// Energy in millijoules for an inference that takes `latency_ns`.
-    pub fn energy_mj(&self, latency_ns: f64) -> f64 {
-        self.energy_joules(latency_ns) * 1e3
-    }
 }
 
 /// One system's measured latency combined with its power model.
@@ -175,7 +170,6 @@ mod tests {
         // 80 W for 1 ms = 80 mJ.
         let e = p.energy_joules(1_000_000.0);
         assert!((e - 0.08).abs() < 1e-12);
-        assert!((p.energy_mj(1_000_000.0) - 80.0).abs() < 1e-9);
     }
 
     #[test]

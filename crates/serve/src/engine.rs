@@ -359,7 +359,7 @@ impl Pool {
             }
             let dispatched_s = self.now_s();
             inflight.publish(&batch, dispatched_s);
-            if let Err(error) = guard.intercept_abortable(replica, dispatched_s, &self.abort) {
+            if let Err(error) = guard.intercept(replica, dispatched_s, &self.abort) {
                 // An injected transient: the attempt failed, the replica
                 // survives — struck, not crashed.
                 let retry_limit = self.retry_limit(error)?;

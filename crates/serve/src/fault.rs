@@ -245,49 +245,13 @@ impl FaultSpec {
         }
     }
 
-    /// A plan of `count` crashes (builder start; chain `with_*`).
+    /// A plan of `count` crashes. Other counts are set with struct-update
+    /// syntax (`FaultSpec { stalls: 2, ..FaultSpec::crashes(1) }`).
     pub fn crashes(count: usize) -> Self {
         FaultSpec {
             crashes: count,
             ..FaultSpec::none()
         }
-    }
-
-    /// Adds stall events.
-    pub fn with_stalls(mut self, count: usize) -> Self {
-        self.stalls = count;
-        self
-    }
-
-    /// Adds transient-error events.
-    pub fn with_transients(mut self, count: usize) -> Self {
-        self.transients = count;
-        self
-    }
-
-    /// Sets the stall length in milliseconds.
-    pub fn with_stall_ms(mut self, millis: u64) -> Self {
-        self.stall_ms = millis;
-        self
-    }
-
-    /// Adds persistent-slowdown events ([`FaultKind::Degraded`]).
-    pub fn with_degraded(mut self, count: usize) -> Self {
-        self.degraded = count;
-        self
-    }
-
-    /// Sets the degraded service-time multiplier.
-    pub fn with_degrade_factor(mut self, factor: u32) -> Self {
-        self.degrade_factor = factor;
-        self
-    }
-
-    /// Schedules the stall events as a repeating/intermittent series on
-    /// one victim (see [`FaultPlan::seeded`]).
-    pub fn with_repeating_stalls(mut self) -> Self {
-        self.repeat_stalls = true;
-        self
     }
 
     /// Sets the schedule seed.
@@ -382,16 +346,13 @@ impl FaultGuard {
         Some(kind)
     }
 
-    /// Events not yet fired.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.next
-    }
-
     /// Polls and *acts*: a due crash panics (the injected payload names the
     /// replica and time — what the supervisor preserves and the harness
     /// re-raises on unrecoverable failure), a due stall sleeps in place,
     /// and a due transient returns a datapath error for the caller to
-    /// handle exactly like a real batch failure.
+    /// handle exactly like a real batch failure. A due stall ends early
+    /// once `abort` is set: a run that already aborted does not wait out
+    /// its straggler.
     ///
     /// # Errors
     ///
@@ -400,14 +361,7 @@ impl FaultGuard {
     /// # Panics
     ///
     /// Panics when a [`FaultKind::Crash`] event is due.
-    pub fn intercept(&mut self, replica: usize, now_s: f64) -> Result<(), CentaurError> {
-        self.intercept_abortable(replica, now_s, &AtomicBool::new(false))
-    }
-
-    /// [`intercept`](Self::intercept), except that a due stall ends early
-    /// once `abort` is set: a run that already aborted does not wait out
-    /// its straggler.
-    pub(crate) fn intercept_abortable(
+    pub fn intercept(
         &mut self,
         replica: usize,
         now_s: f64,
@@ -465,7 +419,7 @@ mod tests {
         ]);
         let mut guard = plan.guard_for(0);
         assert_eq!(
-            guard.remaining(),
+            guard.events.len() - guard.next,
             2,
             "guard holds only its replica's events"
         );
@@ -474,7 +428,7 @@ mod tests {
         assert_eq!(guard.poll(0.15), None, "fired events never re-fire");
         assert_eq!(guard.poll(0.5), Some(FaultKind::Transient));
         assert_eq!(guard.poll(9.0), None, "guard exhausted");
-        assert_eq!(guard.remaining(), 0);
+        assert_eq!(guard.events.len() - guard.next, 0);
 
         let mut other = plan.guard_for(1);
         assert_eq!(other.poll(1.0), Some(FaultKind::Stall { millis: 3 }));
@@ -503,10 +457,12 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic_and_sized_by_the_spec() {
-        let spec = FaultSpec::crashes(2)
-            .with_stalls(1)
-            .with_transients(3)
-            .with_seed(9);
+        let spec = FaultSpec {
+            stalls: 1,
+            transients: 3,
+            ..FaultSpec::crashes(2)
+        }
+        .with_seed(9);
         let a = FaultPlan::seeded(spec, 4, 2.0);
         let b = FaultPlan::seeded(spec, 4, 2.0);
         assert_eq!(a, b, "same spec, same plan");
@@ -525,11 +481,17 @@ mod tests {
 
     #[test]
     fn merged_specs_sum_counts_and_keep_the_first_seed() {
-        let a = FaultSpec::crashes(1).with_stalls(2).with_seed(7);
-        let b = FaultSpec::crashes(2)
-            .with_transients(3)
-            .with_stall_ms(9)
-            .with_seed(11);
+        let a = FaultSpec {
+            stalls: 2,
+            ..FaultSpec::crashes(1)
+        }
+        .with_seed(7);
+        let b = FaultSpec {
+            transients: 3,
+            stall_ms: 9,
+            ..FaultSpec::crashes(2)
+        }
+        .with_seed(11);
         let merged = a.merge(b);
         assert_eq!(merged.crashes, 3);
         assert_eq!(merged.stalls, 2);
@@ -568,25 +530,27 @@ mod tests {
         ]);
         let mut guard = plan.guard_for(0);
         assert!(
-            guard.intercept(0, 1.0).is_err(),
+            guard.intercept(0, 1.0, &AtomicBool::new(false)).is_err(),
             "transient becomes an error"
         );
         assert!(
-            guard.intercept(0, 1.0).is_ok(),
+            guard.intercept(0, 1.0, &AtomicBool::new(false)).is_ok(),
             "stall sleeps and continues"
         );
         assert!(
-            guard.intercept(0, 1.0).is_ok(),
+            guard.intercept(0, 1.0, &AtomicBool::new(false)).is_ok(),
             "exhausted guard is a no-op"
         );
     }
 
     #[test]
     fn seeded_degraded_and_repeating_stall_schedules_are_deterministic() {
-        let spec = FaultSpec::none()
-            .with_degraded(1)
-            .with_degrade_factor(4)
-            .with_seed(5);
+        let spec = FaultSpec {
+            degraded: 1,
+            degrade_factor: 4,
+            ..FaultSpec::none()
+        }
+        .with_seed(5);
         let plan = FaultPlan::seeded(spec, 2, 1.0);
         assert_eq!(plan.label(), "d1");
         assert_eq!(plan.events()[0].kind, FaultKind::Degraded { factor: 4 });
@@ -596,11 +560,13 @@ mod tests {
             "same seed, same plan"
         );
 
-        let repeating = FaultSpec::none()
-            .with_stalls(4)
-            .with_stall_ms(10)
-            .with_repeating_stalls()
-            .with_seed(9);
+        let repeating = FaultSpec {
+            stalls: 4,
+            stall_ms: 10,
+            repeat_stalls: true,
+            ..FaultSpec::none()
+        }
+        .with_seed(9);
         let plan = FaultPlan::seeded(repeating, 3, 2.0);
         assert_eq!(plan.label(), "s4");
         let victim = plan.events()[0].replica;
@@ -634,7 +600,7 @@ mod tests {
             "no slowdown applied before the event fires"
         );
         assert!(
-            guard.intercept(0, 0.5).is_ok(),
+            guard.intercept(0, 0.5, &AtomicBool::new(false)).is_ok(),
             "degradation is not a fault"
         );
         assert_eq!(guard.degrade_factor(), 3);
@@ -655,7 +621,7 @@ mod tests {
         }]);
         let mut guard = plan.guard_for(3);
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = guard.intercept(3, 0.5);
+            let _ = guard.intercept(3, 0.5, &AtomicBool::new(false));
         }))
         .expect_err("crash event must panic");
         let message = payload

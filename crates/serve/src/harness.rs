@@ -1,8 +1,8 @@
 //! The serving harness: an open-loop load generator replays a seeded
 //! [`QueryStream`] against a pool of replica workers behind the shared
 //! [`ArrivalQueue`](crate::ArrivalQueue), and the recorded per-request
-//! completions are digested into tail-latency and goodput-under-SLO
-//! figures. The replay itself runs on the one serving engine.
+//! completions are digested into tail-latency figures and per-reason
+//! rejection counts. The replay itself runs on the one serving engine.
 
 use crate::engine;
 use crate::fault::FaultPlan;
@@ -13,7 +13,7 @@ use crate::stage::ReplicaStage;
 use crate::supervisor::Supervision;
 use centaur::{CentaurConfig, CentaurError, CentaurRuntime};
 use centaur_dlrm::config::ModelConfig;
-use centaur_dlrm::{DlrmModel, InferenceRequest, InferenceResponse, RejectReason, RejectedRequest};
+use centaur_dlrm::{DlrmModel, InferenceRequest, RejectedRequest};
 use centaur_workload::{IndexDistribution, LatencySummary, QueryStream, RequestGenerator};
 use std::time::{Duration, Instant};
 
@@ -35,15 +35,6 @@ impl Completion {
     /// End-to-end latency (queueing + batching + inference), in seconds.
     pub fn latency_s(&self) -> f64 {
         self.completed_s - self.arrival_s
-    }
-
-    /// The wire-level answer to the request — what a deployment would send
-    /// back to the caller (the timing fields stay server-side).
-    pub fn response(&self) -> InferenceResponse {
-        InferenceResponse {
-            id: self.id,
-            probability: self.probability,
-        }
     }
 }
 
@@ -88,13 +79,6 @@ impl HedgeConfig {
         }
     }
 
-    /// The same config with explicit quarantine tuning.
-    pub fn with_quarantine(mut self, strikes: u32, backoff: Duration) -> Self {
-        self.quarantine_strikes = strikes;
-        self.quarantine_backoff = backoff;
-        self
-    }
-
     /// The deployment-default config, with the quarantine tuning of
     /// [`new`](Self::new). The timeout is derived from the tenant SLO and
     /// the policy's calibrated service estimate — twice the estimate (a
@@ -121,7 +105,7 @@ impl HedgeConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServeOptions {
     /// Per-request latency SLO: each request's deadline is its scheduled
-    /// arrival plus this. `None` = no deadline (goodput equals throughput).
+    /// arrival plus this. `None` = no deadline.
     pub slo: Option<Duration>,
     /// Admission-gate depth bound: arrivals are shed while the queue
     /// already holds this many requests. `None` = unbounded.
@@ -147,23 +131,11 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Measure goodput against `slo` without shedding anything — the
+    /// Stamp deadlines from `slo` without shedding anything — the
     /// baseline that shows what overload does to an unprotected server.
     pub fn with_slo(slo: Duration) -> Self {
         ServeOptions {
             slo: Some(slo),
-            ..ServeOptions::default()
-        }
-    }
-
-    /// Full overload protection: requests carry `slo`-derived deadlines,
-    /// the admission gate sheds beyond `admission_depth`, and dead requests
-    /// are shed at dequeue.
-    pub fn overload_protected(slo: Duration, admission_depth: usize) -> Self {
-        ServeOptions {
-            slo: Some(slo),
-            admission_depth: Some(admission_depth),
-            shed_expired: true,
             ..ServeOptions::default()
         }
     }
@@ -258,21 +230,6 @@ impl ServeOutcome {
         }
     }
 
-    /// Completions that met the run's SLO — the answers a caller actually
-    /// got in time.
-    pub fn within_slo(&self) -> usize {
-        self.completions
-            .iter()
-            .filter(|c| c.latency_s() <= self.slo_s)
-            .count()
-    }
-
-    /// Completions that arrived after their deadline — served, but too late
-    /// for the caller to use.
-    pub fn deadline_misses(&self) -> usize {
-        self.completions.len() - self.within_slo()
-    }
-
     /// Total requests shed (admission gate + dequeue expiry). Failures are
     /// counted separately ([`failed`](Self::failed)): a shed is flow
     /// control the server chose, a failure is work the server could not do.
@@ -300,37 +257,6 @@ impl ServeOutcome {
             self.completions.len() as f64 / accepted as f64
         }
     }
-
-    /// Requests refused for `reason` (admission sheds, deadline sheds, or
-    /// retry-budget failures).
-    pub fn reject_count(&self, reason: RejectReason) -> usize {
-        match reason {
-            RejectReason::QueueFull => self.shed_admission,
-            RejectReason::DeadlineExpired => self.shed_expired,
-            RejectReason::Failed => self.failed,
-        }
-    }
-
-    /// Goodput under the run's SLO: completions that met their deadline per
-    /// second of span — the metric that matters past saturation, where raw
-    /// qps keeps counting answers nobody can use.
-    pub fn goodput_qps(&self) -> f64 {
-        let span = self.span_s();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.within_slo() as f64 / span
-        }
-    }
-
-    /// Mean coalesced batch size actually dispatched.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.completions.len() as f64 / self.batches as f64
-        }
-    }
 }
 
 /// Pre-generates `count` single-sample inference requests for `config`,
@@ -353,21 +279,6 @@ pub fn generate_requests(
             }
         })
         .collect()
-}
-
-/// Replays `stream` open-loop against a pool of replica shards with the
-/// default (fully permissive) [`ServeOptions`] — see [`serve_replay_with`].
-///
-/// # Errors
-///
-/// See [`serve_replay_with`].
-pub fn serve_replay(
-    replicas: Vec<CentaurRuntime>,
-    requests: &[InferenceRequest],
-    stream: &QueryStream,
-    policy: BatchPolicy,
-) -> Result<ServeOutcome, CentaurError> {
-    serve_replay_with(replicas, requests, stream, policy, ServeOptions::default())
 }
 
 /// Replays `stream` open-loop against a pool of replica shards: the calling
@@ -436,9 +347,9 @@ pub fn serve_replay_with(
 /// recovered and requeued with their original arrival stamps against the
 /// per-request retry budget, crashed replicas restart (fresh shard clone)
 /// against the pool-wide restart budget, exhausted retries surface as
-/// [`RejectReason::Failed`] rejections, and only unrecoverable states —
-/// every replica dead — abort with the first crash's original panic
-/// payload.
+/// [`RejectReason::Failed`](centaur_dlrm::RejectReason::Failed)
+/// rejections, and only unrecoverable states — every replica dead — abort
+/// with the first crash's original panic payload.
 ///
 /// This is the serving engine with one tenant and one arrival stream; the
 /// shared multi-tenant pool ([`crate::run_mix_cell`]) is the same engine
@@ -520,7 +431,7 @@ pub fn calibrate_fifo_capacity_qps(
 mod tests {
     use super::*;
     use crate::fault::{FaultEvent, FaultKind};
-    use centaur_dlrm::PaperModel;
+    use centaur_dlrm::{PaperModel, RejectReason};
     use centaur_workload::{ArrivalProcess, TrafficShape};
 
     /// A plan of one fault, `at_s` seconds into the replay.
@@ -544,7 +455,7 @@ mod tests {
         let requests = generate_requests(&config, IndexDistribution::Uniform, 11, 64);
         let stream = QueryStream::generate(ArrivalProcess::Poisson { rate_qps: 20_000.0 }, 64, 3);
         let pool = CentaurRuntime::replica_pool(model.clone(), CentaurConfig::harpv2(), 2).unwrap();
-        let outcome = serve_replay(
+        let outcome = serve_replay_with(
             pool,
             &requests,
             &stream,
@@ -552,19 +463,15 @@ mod tests {
                 max_batch: 8,
                 max_wait: Duration::from_micros(200),
             },
+            ServeOptions::default(),
         )
         .unwrap();
 
         assert_eq!(outcome.completions.len(), 64, "every query is served");
         assert!(outcome.batches >= 8, "64 queries cap at batch 8");
-        assert!(outcome.mean_batch() >= 1.0);
+        assert!(outcome.batches <= 64, "no batch is empty");
         assert_eq!(outcome.shed(), 0, "permissive options shed nothing");
         assert!(outcome.rejections.is_empty());
-        assert_eq!(
-            outcome.goodput_qps(),
-            outcome.achieved_qps(),
-            "with no SLO, goodput equals throughput"
-        );
         // Every id served exactly once.
         let mut ids: Vec<u64> = outcome.completions.iter().map(|c| c.id).collect();
         ids.sort_unstable();
@@ -574,14 +481,10 @@ mod tests {
         let summary = outcome.latency_summary().unwrap();
         assert!(summary.p99_s >= summary.p50_s);
 
-        // Served probabilities match a fresh runtime run per request, and
-        // the wire-level response echoes the request id.
+        // Served probabilities match a fresh runtime run per request.
         let mut reference = CentaurRuntime::harpv2(model).unwrap();
         let mut out = [0.0f32];
         for completion in &outcome.completions {
-            let response = completion.response();
-            assert_eq!(response.id, completion.id);
-            assert_eq!(response.probability, completion.probability);
             let request = &requests[completion.id as usize];
             reference
                 .infer_batch_rows_into(
@@ -602,8 +505,22 @@ mod tests {
         let requests = generate_requests(&config, IndexDistribution::Uniform, 1, 4);
         let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 100.0 }, 5, 1);
         let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 1).unwrap();
-        assert!(serve_replay(pool, &requests, &stream, BatchPolicy::Fifo).is_err());
-        assert!(serve_replay(Vec::new(), &requests, &stream, BatchPolicy::Fifo).is_err());
+        assert!(serve_replay_with(
+            pool,
+            &requests,
+            &stream,
+            BatchPolicy::Fifo,
+            ServeOptions::default()
+        )
+        .is_err());
+        assert!(serve_replay_with(
+            Vec::new(),
+            &requests,
+            &stream,
+            BatchPolicy::Fifo,
+            ServeOptions::default()
+        )
+        .is_err());
     }
 
     #[test]
@@ -660,7 +577,13 @@ mod tests {
         let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 20.0 }, 400, 2);
         let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 2).unwrap();
         let started = Instant::now();
-        let result = serve_replay(pool, &requests, &stream, BatchPolicy::Fifo);
+        let result = serve_replay_with(
+            pool,
+            &requests,
+            &stream,
+            BatchPolicy::Fifo,
+            ServeOptions::default(),
+        );
         let elapsed = started.elapsed();
         assert!(result.is_err(), "corrupted request must fail the run");
         assert!(
@@ -762,7 +685,11 @@ mod tests {
             &requests,
             &stream,
             BatchPolicy::deadline_wave(Duration::from_micros(500)),
-            ServeOptions::overload_protected(Duration::from_millis(2), 64),
+            ServeOptions {
+                admission_depth: Some(64),
+                shed_expired: true,
+                ..ServeOptions::with_slo(Duration::from_millis(2))
+            },
         )
         .unwrap();
         assert_eq!(outcome.slo_s, 0.002);
@@ -774,7 +701,7 @@ mod tests {
         );
         assert_eq!(outcome.rejections.len(), outcome.shed());
         assert_eq!(
-            outcome.reject_count(RejectReason::QueueFull),
+            outcome.shed_admission,
             outcome
                 .rejections
                 .iter()
@@ -783,17 +710,13 @@ mod tests {
             "admission sheds are the queue-full refusals"
         );
         assert_eq!(
-            outcome.reject_count(RejectReason::DeadlineExpired),
+            outcome.shed_expired,
             outcome
                 .rejections
                 .iter()
                 .filter(|r| r.reason == RejectReason::DeadlineExpired)
                 .count(),
             "expiry sheds are the deadline refusals"
-        );
-        assert!(
-            outcome.goodput_qps() <= outcome.achieved_qps() + 1e-9,
-            "goodput can never exceed throughput"
         );
     }
 
@@ -820,7 +743,6 @@ mod tests {
         assert_eq!(outcome.restarts, 0);
         assert_eq!(outcome.replicas_lost, 0);
         assert_eq!(outcome.availability(), 1.0);
-        assert_eq!(outcome.reject_count(RejectReason::Failed), 0);
         let mut ids: Vec<u64> = outcome.completions.iter().map(|c| c.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..96).collect::<Vec<u64>>(), "each served once");
@@ -886,10 +808,6 @@ mod tests {
             HedgeConfig::MIN_TIMEOUT,
             "the floor holds against a too-tight SLO"
         );
-        let config = HedgeConfig::new(Duration::from_millis(2))
-            .with_quarantine(5, Duration::from_millis(40));
-        assert_eq!(config.quarantine_strikes, 5);
-        assert_eq!(config.quarantine_backoff, Duration::from_millis(40));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!
 //! Per-tenant accounting holds in both: every generated request ends in
 //! exactly one of completed / shed / failed *per tenant* (asserted), and
-//! each tenant's row reports goodput, availability and per-reason
+//! each tenant's row reports tail latency, availability and per-reason
 //! rejections judged against that tenant's **own** SLO — in shared mode the
 //! pool only enforced the shared budget, which is exactly the violation the
 //! rows expose.
@@ -587,8 +587,8 @@ pub struct ServeReport {
     pub policy: String,
     /// Replica shards serving the queue.
     pub replicas: usize,
-    /// The tenant's own SLO, in milliseconds, that goodput is judged
-    /// against.
+    /// The tenant's own SLO, in milliseconds, that its deadlines are
+    /// stamped from.
     pub slo_ms: f64,
     /// Fault-plan label the cell ran under (`none`, `c1`, `c1s1t2`, …).
     pub faults: String,
@@ -791,8 +791,11 @@ mod tests {
         };
         let tenants = [
             tenant("light", PaperModel::Dlrm1, 0.5),
-            tenant("heavy", PaperModel::Dlrm6, 0.5)
-                .with_faults(FaultSpec::none().with_stalls(1).with_stall_ms(2_000)),
+            tenant("heavy", PaperModel::Dlrm6, 0.5).with_faults(FaultSpec {
+                stalls: 1,
+                stall_ms: 2_000,
+                ..FaultSpec::none()
+            }),
         ];
         let started = std::time::Instant::now();
         let result = run_mix_cell(

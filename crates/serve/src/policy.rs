@@ -43,6 +43,7 @@ pub enum BatchPolicy {
 impl BatchPolicy {
     /// A production-shaped dynamic policy: one full accelerator wave per
     /// batch, held open at most 1 ms.
+    // lint: allow(dead-pub) — the serve preset the benchmark's own tests pin its workloads to
     pub fn dynamic_wave() -> BatchPolicy {
         BatchPolicy::Dynamic {
             max_batch: centaur::BATCH_WAVE_SAMPLES,

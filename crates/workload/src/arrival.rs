@@ -431,11 +431,6 @@ impl QueryStream {
         QueryStream { arrivals_s }
     }
 
-    /// Arrival timestamps in seconds.
-    pub fn arrivals_seconds(&self) -> &[f64] {
-        &self.arrivals_s
-    }
-
     /// Number of queries in the stream.
     pub fn len(&self) -> usize {
         self.arrivals_s.len()
@@ -446,42 +441,29 @@ impl QueryStream {
         self.arrivals_s.is_empty()
     }
 
-    /// Simulates a single-server queue where every query takes
-    /// `service_time_s` seconds, returning each query's total latency
-    /// (queueing + service) in seconds.
-    pub fn simulate_fifo_latency(&self, service_time_s: f64) -> Vec<f64> {
-        let mut server_free_at = 0.0_f64;
-        let mut latencies = Vec::with_capacity(self.arrivals_s.len());
-        for &arrival in &self.arrivals_s {
-            let start = arrival.max(server_free_at);
-            let finish = start + service_time_s;
-            latencies.push(finish - arrival);
-            server_free_at = finish;
-        }
-        latencies
-    }
-
-    /// Returns the `p`-th percentile (0.0–1.0) of a latency vector.
-    ///
-    /// Nearest-rank on the sorted values: the index is
-    /// `round((len - 1) · p)`, so `p = 0` is exactly the minimum, `p = 1`
-    /// exactly the maximum, and a single-element input returns that element
-    /// for every `p` — behaviour pinned by unit tests because the serving
-    /// tail-latency results are computed through here.
+    /// [`QueryStream::percentile_sorted`] of an unsorted latency vector
+    /// (test-only: production digests sort once for several percentiles).
     ///
     /// # Panics
     ///
     /// Panics if `latencies` is empty, `p` is outside `[0, 1]`, or any
     /// latency is NaN.
+    #[cfg(test)]
     pub fn percentile(latencies: &[f64], p: f64) -> f64 {
         let mut sorted = latencies.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
         Self::percentile_sorted(&sorted, p)
     }
 
-    /// [`QueryStream::percentile`] over an already **ascending-sorted**
+    /// The `p`-th percentile (0.0–1.0) of an already **ascending-sorted**
     /// slice — no copy, no re-sort; what [`LatencySummary`] uses to extract
     /// several percentiles from one sort.
+    ///
+    /// Nearest-rank: the index is `round((len - 1) · p)`, so `p = 0` is
+    /// exactly the minimum, `p = 1` exactly the maximum, and a
+    /// single-element input returns that element for every `p` — behaviour
+    /// pinned by unit tests because the serving tail-latency results are
+    /// computed through here.
     ///
     /// # Panics
     ///
@@ -560,7 +542,7 @@ mod tests {
     #[test]
     fn poisson_mean_rate_is_close() {
         let stream = QueryStream::generate(ArrivalProcess::Poisson { rate_qps: 1000.0 }, 20_000, 1);
-        let span = *stream.arrivals_seconds().last().unwrap();
+        let span = *stream.arrivals_s.last().unwrap();
         let measured_rate = stream.len() as f64 / span;
         assert!((measured_rate - 1000.0).abs() / 1000.0 < 0.05);
     }
@@ -568,7 +550,7 @@ mod tests {
     #[test]
     fn uniform_arrivals_are_evenly_spaced() {
         let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 100.0 }, 10, 2);
-        let a = stream.arrivals_seconds();
+        let a = &stream.arrivals_s;
         for w in a.windows(2) {
             assert!((w[1] - w[0] - 0.01).abs() < 1e-9);
         }
@@ -577,25 +559,8 @@ mod tests {
     #[test]
     fn arrivals_are_monotonic() {
         let stream = QueryStream::generate(ArrivalProcess::Poisson { rate_qps: 50.0 }, 1000, 3);
-        assert!(stream.arrivals_seconds().windows(2).all(|w| w[1] >= w[0]));
+        assert!(stream.arrivals_s.windows(2).all(|w| w[1] >= w[0]));
         assert!(!stream.is_empty());
-    }
-
-    #[test]
-    fn fifo_latency_under_light_load_equals_service_time() {
-        let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 10.0 }, 100, 4);
-        // service time 1 ms << 100 ms gap: no queueing.
-        let lat = stream.simulate_fifo_latency(0.001);
-        assert!(lat.iter().all(|&l| (l - 0.001).abs() < 1e-9));
-    }
-
-    #[test]
-    fn fifo_latency_grows_under_overload() {
-        let stream = QueryStream::generate(ArrivalProcess::Uniform { rate_qps: 1000.0 }, 100, 5);
-        // service time 10 ms >> 1 ms gap: queue builds up linearly.
-        let lat = stream.simulate_fifo_latency(0.010);
-        assert!(lat.last().unwrap() > &0.5);
-        assert!(QueryStream::percentile(&lat, 0.99) > QueryStream::percentile(&lat, 0.5));
     }
 
     #[test]
@@ -696,7 +661,7 @@ mod tests {
         assert_eq!(replayed.len(), 50);
         assert!(replayed.iter().enumerate().all(|(i, &(id, _))| id == i));
         let offsets: Vec<f64> = replayed.iter().map(|&(_, t)| t).collect();
-        assert_eq!(offsets, stream.arrivals_seconds());
+        assert_eq!(offsets, stream.arrivals_s);
         assert!(offsets.windows(2).all(|w| w[1] >= w[0]));
     }
 
@@ -729,7 +694,7 @@ mod tests {
                 process.label()
             );
             assert!(
-                a.arrivals_seconds().windows(2).all(|w| w[1] >= w[0]),
+                a.arrivals_s.windows(2).all(|w| w[1] >= w[0]),
                 "{} arrivals must be non-decreasing",
                 process.label()
             );
@@ -744,7 +709,7 @@ mod tests {
         assert!((process.rate_qps() - 10_000.0).abs() < 1e-9);
         // Long stream: the measured rate converges on the configured mean.
         let stream = QueryStream::generate(process, 100_000, 3);
-        let span = *stream.arrivals_seconds().last().unwrap();
+        let span = *stream.arrivals_s.last().unwrap();
         let measured = stream.len() as f64 / span;
         assert!(
             (measured - 10_000.0).abs() / 10_000.0 < 0.08,
@@ -762,10 +727,10 @@ mod tests {
         let window_s = 0.025;
         let dispersion = |process: ArrivalProcess| {
             let stream = QueryStream::generate(process, 200_000, 7);
-            let span = *stream.arrivals_seconds().last().unwrap();
+            let span = *stream.arrivals_s.last().unwrap();
             let windows = (span / window_s).floor() as usize;
             let mut counts = vec![0usize; windows];
-            for &t in stream.arrivals_seconds() {
+            for &t in &stream.arrivals_s {
                 let w = (t / window_s) as usize;
                 if w < windows {
                     counts[w] += 1;
@@ -800,13 +765,13 @@ mod tests {
         };
         assert!((process.rate_qps() - 4_000.0).abs() < 1e-9);
         let stream = QueryStream::generate(process, 20_000, 5);
-        for &t in stream.arrivals_seconds() {
+        for &t in &stream.arrivals_s {
             let phase = t.rem_euclid(0.1);
             assert!(phase < 0.05, "arrival at {t:.4}s lands in an off-window");
         }
         // Within on-windows the rate is the on-rate, so the stream's mean
         // over full periods is the duty-cycled mean.
-        let span = *stream.arrivals_seconds().last().unwrap();
+        let span = *stream.arrivals_s.last().unwrap();
         let measured = stream.len() as f64 / span;
         assert!(
             (measured - 4_000.0).abs() / 4_000.0 < 0.08,
@@ -845,9 +810,9 @@ mod tests {
         let b = QueryStream::generate(process, 50_000, 21);
         assert_eq!(a, b, "heavy-tail stream must be seed-deterministic");
         assert_ne!(a, QueryStream::generate(process, 50_000, 22));
-        assert!(a.arrivals_seconds().windows(2).all(|w| w[1] >= w[0]));
+        assert!(a.arrivals_s.windows(2).all(|w| w[1] >= w[0]));
         // Long stream: the measured rate converges on the configured mean.
-        let span = *a.arrivals_seconds().last().unwrap();
+        let span = *a.arrivals_s.last().unwrap();
         let measured = a.len() as f64 / span;
         assert!(
             (measured - 10_000.0).abs() / 10_000.0 < 0.08,
@@ -863,7 +828,7 @@ mod tests {
         // (a wrong branch probability or unbalanced means) land far outside.
         let cv2 = |process: ArrivalProcess| {
             let stream = QueryStream::generate(process, 200_000, 7);
-            let a = stream.arrivals_seconds();
+            let a = &stream.arrivals_s;
             let gaps: Vec<f64> = a.windows(2).map(|w| w[1] - w[0]).collect();
             let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
             let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
@@ -884,10 +849,10 @@ mod tests {
         let dispersion = |process: ArrivalProcess| {
             let stream = QueryStream::generate(process, 200_000, 7);
             let window_s = 0.025;
-            let span = *stream.arrivals_seconds().last().unwrap();
+            let span = *stream.arrivals_s.last().unwrap();
             let windows = (span / window_s).floor() as usize;
             let mut counts = vec![0usize; windows];
-            for &t in stream.arrivals_seconds() {
+            for &t in &stream.arrivals_s {
                 let w = (t / window_s) as usize;
                 if w < windows {
                     counts[w] += 1;

@@ -45,13 +45,6 @@ impl FaultScheduleSampler {
         self.rng.gen_range(FAULT_WINDOW_LO..FAULT_WINDOW_HI) * span
     }
 
-    /// Samples `count` fault offsets over `window_s`, sorted ascending.
-    pub fn offsets_s(&mut self, count: usize, window_s: f64) -> Vec<f64> {
-        let mut offsets: Vec<f64> = (0..count).map(|_| self.offset_s(window_s)).collect();
-        offsets.sort_by(|a, b| a.partial_cmp(b).expect("offsets are finite"));
-        offsets
-    }
-
     /// Samples `count` *repeating* fault offsets: the mid-replay band is
     /// split into `count` equal slots and one offset is jittered uniformly
     /// inside each, so the events recur at a roughly even cadence (an
@@ -84,12 +77,19 @@ impl FaultScheduleSampler {
 mod tests {
     use super::*;
 
+    /// `count` independent fault offsets over `window_s`, sorted ascending.
+    fn offsets_s(sampler: &mut FaultScheduleSampler, count: usize, window_s: f64) -> Vec<f64> {
+        let mut offsets: Vec<f64> = (0..count).map(|_| sampler.offset_s(window_s)).collect();
+        offsets.sort_by(|a, b| a.partial_cmp(b).expect("offsets are finite"));
+        offsets
+    }
+
     #[test]
     fn same_seed_reproduces_the_schedule() {
         let mut a = FaultScheduleSampler::new(7);
         let mut b = FaultScheduleSampler::new(7);
-        let offsets_a = a.offsets_s(8, 2.0);
-        let offsets_b = b.offsets_s(8, 2.0);
+        let offsets_a = offsets_s(&mut a, 8, 2.0);
+        let offsets_b = offsets_s(&mut b, 8, 2.0);
         assert_eq!(offsets_a, offsets_b, "schedules are deterministic");
         let picks_a: Vec<usize> = (0..8).map(|_| a.replica(4)).collect();
         let picks_b: Vec<usize> = (0..8).map(|_| b.replica(4)).collect();
@@ -100,14 +100,14 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = FaultScheduleSampler::new(1);
         let mut b = FaultScheduleSampler::new(2);
-        assert_ne!(a.offsets_s(8, 2.0), b.offsets_s(8, 2.0));
+        assert_ne!(offsets_s(&mut a, 8, 2.0), offsets_s(&mut b, 8, 2.0));
     }
 
     #[test]
     fn offsets_land_mid_replay_sorted() {
         let mut sampler = FaultScheduleSampler::new(11);
         let window_s = 4.0;
-        let offsets = sampler.offsets_s(64, window_s);
+        let offsets = offsets_s(&mut sampler, 64, window_s);
         for pair in offsets.windows(2) {
             assert!(pair[0] <= pair[1], "offsets are sorted");
         }

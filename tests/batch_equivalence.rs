@@ -101,7 +101,7 @@ proptest! {
             prop_assert_eq!(&batched, &oracle, "{:?} diverged from the oracle", backend);
 
             for i in 0..batch {
-                let row = Matrix::row_vector(dense.row(i));
+                let row = Matrix::from_vec(1, dense.cols(), dense.row(i).to_vec()).unwrap();
                 let single = forward(&model, backend, &row, &batch_indices[i..=i]);
                 // The kernels accumulate each output row in the same order
                 // regardless of m, so the two agree bitwise.

@@ -85,7 +85,7 @@ fn seeded_crash_of_one_replica_is_absorbed_with_full_accounting() {
     // Retried requests keep their original arrival stamps: every
     // completion's arrival matches the schedule, and each id completed at
     // most once.
-    let arrivals = stream.arrivals_seconds();
+    let arrivals: Vec<f64> = stream.replay().map(|(_, at_s)| at_s).collect();
     let mut seen = vec![false; queries];
     for completion in &outcome.completions {
         let id = completion.id as usize;
@@ -103,7 +103,11 @@ fn seeded_crash_of_one_replica_is_absorbed_with_full_accounting() {
         outcome.shed() + outcome.failed,
         "every non-completion is a wire-level rejection"
     );
-    assert_eq!(outcome.reject_count(RejectReason::Failed), outcome.failed);
+    let failed = outcome
+        .rejections
+        .iter()
+        .filter(|r| r.reason == RejectReason::Failed);
+    assert_eq!(failed.count(), outcome.failed);
 }
 
 /// A plan exceeding the restart budget still aborts — promptly, with the
@@ -167,7 +171,11 @@ fn transient_faults_are_retried_to_completion() {
     let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 2).unwrap();
     let window_s = queries as f64 / 20_000.0;
     let plan = FaultPlan::seeded(
-        FaultSpec::none().with_transients(3).with_seed(9),
+        FaultSpec {
+            transients: 3,
+            ..FaultSpec::none()
+        }
+        .with_seed(9),
         2,
         window_s,
     );
@@ -349,8 +357,12 @@ fn supervision_composes_with_overload_protection() {
     let pool = CentaurRuntime::replica_pool(model, CentaurConfig::harpv2(), 2).unwrap();
     let window_s = queries as f64 / offered_qps;
     let plan = FaultPlan::seeded(FaultSpec::crashes(1).with_seed(23), 2, window_s);
-    let options = ServeOptions::overload_protected(Duration::from_millis(5), 256)
-        .supervised(Supervision::default());
+    let options = ServeOptions {
+        admission_depth: Some(256),
+        shed_expired: true,
+        ..ServeOptions::with_slo(Duration::from_millis(5))
+    }
+    .supervised(Supervision::default());
     let outcome = serve_replay_faulted(
         pool,
         &requests,

@@ -60,7 +60,7 @@ proptest! {
     }
 
     /// Cache accounting is self-consistent: hits + misses == accesses, and
-    /// occupancy never exceeds capacity.
+    /// the resident lines (fills minus evictions) never exceed capacity.
     #[test]
     fn cache_stats_are_consistent(
         addrs in proptest::collection::vec(0u64..(1 << 16), 1..400),
@@ -78,7 +78,8 @@ proptest! {
         let stats = cache.stats();
         prop_assert_eq!(stats.hits + stats.misses, stats.accesses);
         prop_assert_eq!(stats.accesses, addrs.len() as u64);
-        prop_assert!(cache.occupancy() <= (sets as usize) * ways);
+        // Every miss fills a line and every eviction frees one.
+        prop_assert!(stats.misses - stats.evictions <= sets * ways as u64);
         // Re-touching the most recent address must hit.
         let last = *addrs.last().unwrap();
         prop_assert!(cache.probe(last));
